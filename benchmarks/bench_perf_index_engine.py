@@ -15,13 +15,15 @@ is visible PR-over-PR:
   at realistic shape (BERT-Base, seq 128), which the scalar engine could
   only finish in hours;
 * ``full_model`` — the whole encoder stack (BERT-Base, all 12 layers,
-  seq 128) end to end in the index domain, per-GEMM versus
-  batched+weight-cached execution, with the speedup **asserted** so GEMM
-  batching and the weight cache can never silently stop paying off;
+  seq 128) end to end in the index domain, per-GEMM (``oracle=True``)
+  versus batched+weight-cached execution, with the speedup **asserted**
+  so GEMM batching and the weight cache can never silently stop paying
+  off;
 * ``decoder_kv_cache`` — a GPT-style decoder (prefill + autoregressive
   steps) attending against the encoded index-domain KV cache, with the
-  incremental plane cache on (and a plane-rebuild ablation next to it),
-  its tokens/s **asserted** against a floor 5x the seed measurement;
+  incremental plane cache on (and the ``oracle=True`` rebuild path next
+  to it), its tokens/s **asserted** against a floor 5x the seed
+  measurement;
 * ``decoder_multi_stream`` — several concurrent serving streams decoded
   in lockstep through ``replay_decode_streams``, their independent
   GEMMs batched across streams.
@@ -286,12 +288,9 @@ def test_perf_full_model_index_domain(mokey_quantizer):
             MODEL_SPEC,
             sequence_length=MODEL_SEQ,
             quantizer=baseline_quantizer,
-            cache_weights=False,
-            gemm_batching=False,
+            oracle=True,
         )
-    executor = IndexDomainModelExecutor(
-        MODEL_SPEC, quantizer=mokey_quantizer, cache_weights=True, gemm_batching=True
-    )
+    executor = IndexDomainModelExecutor(MODEL_SPEC, quantizer=mokey_quantizer)
     cold = execute_model(MODEL_SPEC, sequence_length=MODEL_SEQ, executor=executor)
     warm = execute_model(MODEL_SPEC, sequence_length=MODEL_SEQ, executor=executor)
 
@@ -351,10 +350,11 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
 
     The cached leg runs first (cold fit memo, cold planes) so its
     tokens/s is an honest cold-process number for the floor.  The
-    uncached leg then replays the identical workload with plane caching
-    off; since its fits all hit the now-warm memo, the comparison
-    isolates exactly the plane rebuild cost the incremental cache
-    removes — and its outputs/stats double as the bit-identity oracle.
+    ``oracle=True`` leg then replays the identical workload per GEMM with
+    no weight or plane cache, rebuilding every plane each step; its fits
+    all hit the now-warm memo, so the comparison measures what batching
+    and the caches remove — and its outputs/stats double as the
+    bit-identity oracle.
 
     Earlier bench tests leave gigabytes of encoder planes resident in
     the process-wide cache; releasing them first keeps this a
@@ -376,7 +376,7 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
         prompt_length=PROMPT_LENGTH,
         decode_tokens=DECODE_TOKENS,
         quantizer=mokey_quantizer,
-        plane_caching=False,
+        oracle=True,
     )
     cache = measurement.plane_cache.to_dict() if measurement.plane_cache else {}
     print(
@@ -385,7 +385,7 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
         f"prefill {measurement.prefill_seconds:.2f}s, decode "
         f"{measurement.decode_seconds:.2f}s "
         f"({measurement.tokens_per_second:.2f} tokens/s, floor "
-        f"{DECODER_TPS_FLOOR}), plane-rebuild ablation "
+        f"{DECODER_TPS_FLOOR}), oracle plane-rebuild path "
         f"{uncached.tokens_per_second:.2f} tokens/s, plane hit rate "
         f"{cache.get('hit_rate', 0.0):.2f}, "
         f"{measurement.stats.total_pairs / 1e6:.1f} Mpairs, "

@@ -17,7 +17,11 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.golden_dictionary import GoldenDictionary, generate_golden_dictionary
-from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
+from repro.core.tensor_dictionary import (
+    EncodedValues,
+    TensorDictionary,
+    non_finite_error,
+)
 
 __all__ = ["QuantizedTensor", "MokeyQuantizer"]
 
@@ -249,9 +253,17 @@ class MokeyQuantizer:
         name: str = "tensor",
         dictionary: Optional[TensorDictionary] = None,
     ) -> QuantizedTensor:
-        """Quantize a tensor, fitting its dictionary first if not supplied."""
+        """Quantize a tensor, fitting its dictionary first if not supplied.
+
+        Raises:
+            ValueError: ``values`` holds NaN or +/-Inf (one line naming
+                the tensor and counting the non-finite values).
+        """
         values = np.asarray(values)
-        dictionary = dictionary or self.fit_dictionary(name, values)
+        if dictionary is None:
+            dictionary = self.fit_dictionary(name, values)
+        elif not np.isfinite(values).all():
+            raise non_finite_error(name, values)
         encoded = dictionary.encode(values)
         return QuantizedTensor(
             name=name,

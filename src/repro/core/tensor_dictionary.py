@@ -26,6 +26,15 @@ from repro.core.golden_dictionary import GoldenDictionary
 __all__ = ["TensorDictionary", "EncodedValues"]
 
 
+def non_finite_error(name: str, values: np.ndarray) -> ValueError:
+    """The one-line rejection of a tensor holding NaN or +/-Inf values."""
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    return ValueError(
+        f"tensor {name!r} has {bad} non-finite (NaN/Inf) of {values.size} "
+        "values; only finite tensors can be quantized"
+    )
+
+
 @dataclass
 class EncodedValues:
     """The raw per-value encoding produced by :meth:`TensorDictionary.encode`.
@@ -140,10 +149,12 @@ class TensorDictionary:
             values = np.asarray(values, dtype=np.float64).ravel()
             if values.size == 0:
                 raise ValueError(f"tensor {name!r} is empty")
-            mean = float(values.mean())
-            std = float(values.std())
             minimum = float(values.min())
             maximum = float(values.max())
+            if not (np.isfinite(minimum) and np.isfinite(maximum)):
+                raise non_finite_error(name, values)
+            mean = float(values.mean())
+            std = float(values.std())
         else:
             if mean is None or std is None or minimum is None or maximum is None:
                 raise ValueError(

@@ -320,8 +320,9 @@ class DecodeStreamsResult:
     Unlike :class:`ReplayResult` — which times *simulated* accelerators —
     this runs the real index-domain software pipeline: ``num_streams``
     concurrent requests share one model's quantized weights, weight
-    planes, and plane cache, and every decode step batches the streams'
-    independent GEMMs through ``index_domain_matmul_many``.
+    planes, and plane cache, and the prefill pass and every decode step
+    batch the streams' independent GEMMs through
+    ``index_domain_matmul_many``.
 
     Attributes:
         num_streams: Concurrent streams decoded in lockstep.
@@ -329,7 +330,7 @@ class DecodeStreamsResult:
         decode_tokens: Autoregressive steps executed per stream.
         tokens_per_second: Aggregate decode throughput across streams.
         per_stream_tokens_per_second: Decode throughput of one stream.
-        prefill_seconds: Wall time of all prefill passes.
+        prefill_seconds: Wall time of the batched prefill pass.
         decode_seconds: Wall time of the lockstep decode loop.
         output_rms_error: Worst per-stream RMS error vs the FP oracle.
         plane_cache: Plane-cache hit/miss counters for the run (mapping
@@ -361,7 +362,6 @@ def replay_decode_streams(
     engine: str = "vectorized",
     device: Optional[str] = None,
     seed: int = 0,
-    plane_caching: bool = True,
 ) -> DecodeStreamsResult:
     """Decode ``num_streams`` concurrent requests through the real pipeline.
 
@@ -369,9 +369,10 @@ def replay_decode_streams(
     :class:`~repro.transformer.index_model.MultiStreamDecoder` (imported
     lazily so the serving package stays importable without the
     transformer stack): all streams share quantized weights, weight
-    planes and the plane cache, and each decode step issues one batched
-    GEMM call per GEMM family across streams.  Stream 0 reproduces a
-    solo ``execute_decoder`` run with the same seed.
+    planes and the plane cache, and the prefill pass and each decode
+    step issue one batched GEMM call per GEMM family across streams.
+    Stream 0 reproduces a solo ``execute_decoder`` run with the same
+    seed.
     """
     from repro.transformer.index_model import GPT_DECODER_CONFIG, MultiStreamDecoder
 
@@ -383,7 +384,6 @@ def replay_decode_streams(
         engine=engine,
         device=device,
         seed=seed,
-        plane_caching=plane_caching,
     )
     measurement = decoder.run(
         prompt_length=prompt_length, decode_tokens=decode_tokens

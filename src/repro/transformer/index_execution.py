@@ -28,7 +28,9 @@ remains selectable for equivalence tests on scaled-down configurations.
 
 from __future__ import annotations
 
+import contextlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -36,12 +38,11 @@ import numpy as np
 
 from repro.core.index_compute import (
     IndexComputeStats,
-    IndexMatmulResult,
     PlaneCacheStats,
     get_plane_cache,
     index_domain_matmul_many,
-    make_engine,
     resolve_engine,
+    use_plane_cache,
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.transformer.config import TransformerConfig
@@ -56,6 +57,9 @@ __all__ = [
     "IndexDomainEncoderExecutor",
     "execute_encoder_layer",
 ]
+
+#: A GEMM's right operand: a weight layer, an encoded tensor or raw values.
+Operand = Union[Linear, QuantizedTensor, np.ndarray]
 
 
 @dataclass
@@ -113,6 +117,34 @@ class LayerMeasurement:
     output_rms_error: float
     plane_cache: Optional[PlaneCacheStats] = None
 
+    @classmethod
+    def from_gemms(
+        cls,
+        model: str,
+        hidden_states: np.ndarray,
+        gemms: List[GemmMeasurement],
+        total_seconds: float,
+        output_rms_error: float,
+        plane_cache: Optional[PlaneCacheStats] = None,
+    ) -> "LayerMeasurement":
+        """Fold one ``(batch, seq, hidden)`` forward's GEMM records."""
+        stats = IndexComputeStats()
+        for gemm in gemms:
+            stats.merge(gemm.stats)
+        batch, seq, _hidden = hidden_states.shape
+        return cls(
+            model=model,
+            sequence_length=seq,
+            batch_size=batch,
+            gemms=gemms,
+            stats=stats,
+            quantize_seconds=sum(g.quantize_seconds for g in gemms),
+            engine_seconds=sum(g.engine_seconds for g in gemms),
+            total_seconds=total_seconds,
+            output_rms_error=output_rms_error,
+            plane_cache=plane_cache,
+        )
+
     @property
     def measured_macs(self) -> int:
         """Total operand pairs processed (equals the layer's MAC count)."""
@@ -126,6 +158,15 @@ class LayerMeasurement:
 class IndexDomainEncoderExecutor:
     """Runs :class:`EncoderBlock` forwards with index-domain GEMMs.
 
+    Every GEMM goes through :meth:`gemm`, which batches the GEMMs it is
+    handed into one :func:`index_domain_matmul_many` call and quantizes
+    each weight once per ``(layer, gemm)`` key, reusing the encoding on
+    every later forward.  Weight quantization dominates a cold layer
+    forward (~2x the engine time at BERT-Base width), so model executors
+    and decoders that revisit layers pay it only once.  Batching and the
+    weight cache are pure execution strategies: dictionary fitting is
+    deterministic in the tensor values, so statistics never move.
+
     Args:
         quantizer: Tensor-level Mokey quantizer (owns the Golden
             Dictionary); a default one is generated if omitted.
@@ -136,18 +177,10 @@ class IndexDomainEncoderExecutor:
             did-you-mean suggestion.
         device: Optional device for backends that take one (the torch
             engine).
-        cache_weights: Quantize each weight tensor once per ``(layer,
-            gemm)`` key and reuse the encoding on every later forward.
-            Weight quantization dominates a cold layer forward (~2x the
-            engine time at BERT-Base width), so campaigns and decoders
-            that revisit layers pay it only once.  Exact: dictionary
-            fitting is deterministic in the tensor values.
-        gemm_batching: Evaluate shape-matched independent GEMMs (the
-            per-head attention score/context products, the Q/K/V
-            projections sharing one quantized input) with single batched
-            BLAS calls via :func:`index_domain_matmul_many` instead of
-            one engine call each.  Statistics are identical to the
-            per-GEMM path; values agree to floating-point round-off.
+        oracle: The uncached reference path: every GEMM issued alone with
+            its own operand quantization, no weight cache and the process
+            plane cache disabled.  Outputs and statistics equal the
+            default path's; only wall time differs.
     """
 
     def __init__(
@@ -155,8 +188,7 @@ class IndexDomainEncoderExecutor:
         quantizer: Optional[MokeyQuantizer] = None,
         engine: str = "vectorized",
         device: Optional[str] = None,
-        cache_weights: bool = False,
-        gemm_batching: bool = False,
+        oracle: bool = False,
     ) -> None:
         self.engine_cls = resolve_engine(engine)
         ensure = getattr(self.engine_cls, "ensure_available", None)
@@ -165,230 +197,94 @@ class IndexDomainEncoderExecutor:
         self.quantizer = quantizer or MokeyQuantizer()
         self.engine = engine
         self.device = device
-        self.cache_weights = cache_weights
-        self.gemm_batching = gemm_batching
+        self.oracle = bool(oracle)
         self._weight_cache: Dict[Tuple[Hashable, str], QuantizedTensor] = {}
         #: GEMMs served from the weight cache (monotonic across forwards).
         self.weight_cache_hits = 0
 
-    # ------------------------------------------------------------------ #
-    # Operand quantization (with the per-(layer, gemm) weight cache)
-    # ------------------------------------------------------------------ #
-    def _quantize_activation(self, name: str, x: np.ndarray) -> QuantizedTensor:
-        return self.quantizer.quantize(np.asarray(x, dtype=np.float64), name)
-
     def _quantize_weight(
-        self, name: str, w: np.ndarray, layer_key: Optional[Hashable]
-    ) -> Tuple[QuantizedTensor, float]:
-        """Quantized weight and the seconds actually spent quantizing.
-
-        Cache hits cost ~0 s, which is the point: a model executor or
-        decoder revisiting a layer reuses the encoding.
-        """
-        cache_key = (layer_key, name)
-        if self.cache_weights and layer_key is not None:
-            cached = self._weight_cache.get(cache_key)
+        self, name: str, linear: Linear, layer_key: Optional[Hashable]
+    ) -> QuantizedTensor:
+        """``linear``'s quantized weight, cached per ``(layer_key, name)``."""
+        cacheable = not self.oracle and layer_key is not None
+        if cacheable:
+            cached = self._weight_cache.get((layer_key, name))
             if cached is not None:
                 self.weight_cache_hits += 1
-                return cached, 0.0
-        started = time.perf_counter()
-        wq = self.quantizer.quantize(np.asarray(w, dtype=np.float64), f"{name}.weight")
-        elapsed = time.perf_counter() - started
-        if self.cache_weights and layer_key is not None:
-            self._weight_cache[cache_key] = wq
-        return wq, elapsed
-
-    def _run_engine(
-        self, xq: QuantizedTensor, wq: QuantizedTensor
-    ) -> Tuple[np.ndarray, IndexComputeStats]:
-        resolved = make_engine(
-            self.engine_cls, xq.dictionary, wq.dictionary, device=self.device
+                return cached
+        wq = self.quantizer.quantize(
+            np.asarray(linear.weight, dtype=np.float64), f"{name}.weight"
         )
-        out = resolved.matmul(xq, wq)
-        if isinstance(out, IndexMatmulResult):
-            return out.values, out.stats
-        return out
+        if cacheable:
+            self._weight_cache[(layer_key, name)] = wq
+        return wq
 
-    def _record(
+    def gemm(
         self,
         measurements: Dict[str, GemmMeasurement],
-        name: str,
-        shape: Tuple[int, int, int],
-    ) -> GemmMeasurement:
-        record = measurements.get(name)
-        if record is None:
-            m, k, n = shape
-            record = GemmMeasurement(name=name, m=m, k=k, n=n)
-            measurements[name] = record
-        return record
-
-    # ------------------------------------------------------------------ #
-    # One GEMM through the index domain
-    # ------------------------------------------------------------------ #
-    def _gemm(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        name: str,
-        x: np.ndarray,
-        w: np.ndarray,
+        items: Sequence[Tuple[str, np.ndarray, Operand]],
         layer_key: Optional[Hashable] = None,
-    ) -> np.ndarray:
-        """Quantize both operands, multiply in the index domain, record."""
-        started = time.perf_counter()
-        xq = self._quantize_activation(f"{name}.in", x)
-        x_seconds = time.perf_counter() - started
-        wq, w_seconds = self._quantize_weight(name, w, layer_key)
-
-        engine_started = time.perf_counter()
-        values, stats = self._run_engine(xq, wq)
-        engine_seconds = time.perf_counter() - engine_started
-
-        record = self._record(measurements, name, (x.shape[0], x.shape[1], w.shape[1]))
-        record.count += 1
-        record.stats.merge(stats)
-        record.quantize_seconds += x_seconds + w_seconds
-        record.engine_seconds += engine_seconds
-        return values
-
-    # ------------------------------------------------------------------ #
-    # Batched GEMM groups (single BLAS calls where shapes agree)
-    # ------------------------------------------------------------------ #
-    def _projection_group(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        specs: Sequence[Tuple[str, Linear]],
-        x2d: np.ndarray,
-        layer_key: Optional[Hashable],
     ) -> List[np.ndarray]:
-        """Shape-matched projections of one input, batched when enabled.
+        """Run ``(name, activation, right operand)`` GEMMs in the index domain.
 
-        All projections in ``specs`` consume the same activation matrix,
-        so the batched path quantizes it once and evaluates the group
-        with one batched engine call.  The per-GEMM path quantizes the
-        same values under each projection's label — dictionary fitting is
-        deterministic in the values, so both paths produce identical
-        encodings and therefore identical statistics.
+        The right operand is a :class:`Linear` (its weight quantized
+        through the ``(layer_key, name)`` weight cache, its bias added in
+        FP), an already-encoded :class:`QuantizedTensor` (the decoder's
+        KV cache) or a float array quantized here (the encoder's
+        activation-by-activation score/context GEMMs).  Each distinct
+        operand object is quantized once, and all items share one
+        :func:`index_domain_matmul_many` call.  Each item is recorded
+        under its name: the engine time is split evenly over the items,
+        an operand's quantize time evenly over the items reading it.
+
+        Returns:
+            One output array per item, in order.
         """
-        if not self.gemm_batching or len(specs) == 1:
-            return [
-                self._gemm(measurements, name, x2d, linear.weight, layer_key)
-                + linear.bias
-                for name, linear in specs
-            ]
-        started = time.perf_counter()
-        xq = self._quantize_activation(f"{specs[0][0]}.in", x2d)
-        x_seconds = time.perf_counter() - started
-        quantized = []
-        for name, linear in specs:
-            wq, w_seconds = self._quantize_weight(name, linear.weight, layer_key)
-            quantized.append((wq, w_seconds))
+        if self.oracle and len(items) > 1:
+            return [self.gemm(measurements, [item], layer_key)[0] for item in items]
+        encoded: Dict[int, QuantizedTensor] = {}
+        seconds: Dict[int, float] = {}
+        for name, x, rhs in items:
+            for operand, role in ((x, "in"), (rhs, "weight")):
+                if isinstance(operand, QuantizedTensor) or id(operand) in encoded:
+                    continue
+                started = time.perf_counter()
+                if isinstance(operand, Linear):
+                    quantized = self._quantize_weight(name, operand, layer_key)
+                else:
+                    quantized = self.quantizer.quantize(
+                        np.asarray(operand, dtype=np.float64), f"{name}.{role}"
+                    )
+                encoded[id(operand)] = quantized
+                seconds[id(operand)] = time.perf_counter() - started
+        pairs = [(encoded[id(x)], encoded.get(id(rhs), rhs)) for _, x, rhs in items]
+        readers = Counter(id(operand) for _, x, rhs in items for operand in (x, rhs))
 
-        engine_started = time.perf_counter()
-        results = index_domain_matmul_many(
-            [(xq, wq) for wq, _ in quantized],
-            engine=self.engine_cls,
-            device=self.device,
-        )
-        engine_share = (time.perf_counter() - engine_started) / len(specs)
+        started = time.perf_counter()
+        with use_plane_cache(None) if self.oracle else contextlib.nullcontext():
+            results = index_domain_matmul_many(
+                pairs, engine=self.engine_cls, device=self.device
+            )
+        engine_share = (time.perf_counter() - started) / len(items)
 
         outputs = []
-        x_share = x_seconds / len(specs)
-        for (name, linear), (wq, w_seconds), result in zip(specs, quantized, results):
-            record = self._record(
-                measurements, name, (x2d.shape[0], x2d.shape[1], linear.weight.shape[1])
-            )
+        for (name, x, rhs), (_, wq), result in zip(items, pairs, results):
+            record = measurements.get(name)
+            if record is None:
+                record = GemmMeasurement(name, x.shape[0], x.shape[1], wq.shape[1])
+                measurements[name] = record
             record.count += 1
             record.stats.merge(result.stats)
-            record.quantize_seconds += x_share + w_seconds
+            record.quantize_seconds += sum(
+                seconds.get(id(operand), 0.0) / readers[id(operand)]
+                for operand in (x, rhs)
+            )
             record.engine_seconds += engine_share
-            outputs.append(result.values + linear.bias)
+            if isinstance(rhs, Linear):
+                outputs.append(result.values + rhs.bias)
+            else:
+                outputs.append(result.values)
         return outputs
-
-    def _gemm_many(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        name: str,
-        pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> List[np.ndarray]:
-        """All instances of one activation-by-activation GEMM (per head x
-        batch), evaluated with a single batched engine call when enabled."""
-        if not self.gemm_batching:
-            return [self._gemm(measurements, name, x, w) for x, w in pairs]
-        started = time.perf_counter()
-        quantized = [
-            (
-                self._quantize_activation(f"{name}.in", x),
-                self._quantize_activation(f"{name}.weight", w),
-            )
-            for x, w in pairs
-        ]
-        quantize_seconds = time.perf_counter() - started
-
-        engine_started = time.perf_counter()
-        results = index_domain_matmul_many(
-            quantized, engine=self.engine_cls, device=self.device
-        )
-        engine_seconds = time.perf_counter() - engine_started
-
-        x0, w0 = pairs[0]
-        record = self._record(measurements, name, (x0.shape[0], x0.shape[1], w0.shape[1]))
-        record.count += len(pairs)
-        for result in results:
-            record.stats.merge(result.stats)
-        record.quantize_seconds += quantize_seconds
-        record.engine_seconds += engine_seconds
-        return [result.values for result in results]
-
-    def _gemm_many_encoded(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        name: str,
-        pairs: Sequence[Tuple[np.ndarray, QuantizedTensor]],
-    ) -> List[np.ndarray]:
-        """Instances of one GEMM whose right operands are already encoded.
-
-        The decoder's KV-cache path lands here: the cached K/V rows were
-        quantized at prefill (or appended with the prefill dictionary),
-        so only the activation side is quantized per call.  Shape-matched
-        instances share one batched engine call when batching is enabled.
-        """
-        started = time.perf_counter()
-        quantized = [
-            (self._quantize_activation(f"{name}.in", x), wq) for x, wq in pairs
-        ]
-        quantize_seconds = time.perf_counter() - started
-
-        engine_started = time.perf_counter()
-        if self.gemm_batching and len(quantized) > 1:
-            results = index_domain_matmul_many(
-                quantized, engine=self.engine_cls, device=self.device
-            )
-        else:
-            results = []
-            for xq, wq in quantized:
-                values, stats = self._run_engine(xq, wq)
-                results.append(IndexMatmulResult(values=values, stats=stats))
-        engine_seconds = time.perf_counter() - engine_started
-
-        x0, w0 = pairs[0]
-        record = self._record(measurements, name, (x0.shape[0], x0.shape[1], w0.shape[1]))
-        record.count += len(pairs)
-        for result in results:
-            record.stats.merge(result.stats)
-        record.quantize_seconds += quantize_seconds
-        record.engine_seconds += engine_seconds
-        return [result.values for result in results]
-
-    def _projection(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        name: str,
-        x2d: np.ndarray,
-        linear: Linear,
-        layer_key: Optional[Hashable] = None,
-    ) -> np.ndarray:
-        """``x2d @ linear.weight`` in the index domain, bias added in FP."""
-        return self._gemm(measurements, name, x2d, linear.weight, layer_key) + linear.bias
 
     # ------------------------------------------------------------------ #
     # Block forward
@@ -418,25 +314,23 @@ class IndexDomainEncoderExecutor:
         measurements: Dict[str, GemmMeasurement] = {}
         flat = hidden_states.reshape(batch * seq, hidden)
 
-        q, k, v = self._projection_group(
+        q, k, v = self.gemm(
             measurements,
             [
-                ("attention.query", attn.query),
-                ("attention.key", attn.key),
-                ("attention.value", attn.value),
+                ("attention.query", flat, attn.query),
+                ("attention.key", flat, attn.key),
+                ("attention.value", flat, attn.value),
             ],
-            flat,
             layer_key,
         )
         qh = attn._split_heads(q.reshape(batch, seq, hidden))
         kh = attn._split_heads(k.reshape(batch, seq, hidden))
         vh = attn._split_heads(v.reshape(batch, seq, hidden))
 
-        score_values = self._gemm_many(
+        score_values = self.gemm(
             measurements,
-            "attention.scores",
             [
-                (qh[b, h], kh[b, h].T)
+                ("attention.scores", qh[b, h], kh[b, h].T)
                 for b in range(batch)
                 for h in range(heads)
             ],
@@ -448,13 +342,12 @@ class IndexDomainEncoderExecutor:
             # The two relative projections are ordinary weight GEMMs; the
             # content/position contractions against the shared embedding
             # table run in FP like the paper's analytic GEMM set assumes.
-            rel_q_flat, rel_k_flat = self._projection_group(
+            rel_q_flat, rel_k_flat = self.gemm(
                 measurements,
                 [
-                    ("attention.relative_query", attn.relative_query),
-                    ("attention.relative_key", attn.relative_key),
+                    ("attention.relative_query", flat, attn.relative_query),
+                    ("attention.relative_key", flat, attn.relative_key),
                 ],
-                flat,
                 layer_key,
             )
             rel_q = rel_q_flat.reshape(batch, seq, hidden)
@@ -472,11 +365,10 @@ class IndexDomainEncoderExecutor:
 
         probs = softmax(scores, axis=-1)
 
-        context_values = self._gemm_many(
+        context_values = self.gemm(
             measurements,
-            "attention.context",
             [
-                (probs[b, h], vh[b, h])
+                ("attention.context", probs[b, h], vh[b, h])
                 for b in range(batch)
                 for h in range(heads)
             ],
@@ -484,21 +376,21 @@ class IndexDomainEncoderExecutor:
         context = np.stack(context_values).reshape(batch, heads, seq, head_dim)
         merged = attn._merge_heads(context).reshape(batch * seq, hidden)
 
-        attn_out = self._projection(
-            measurements, "attention.output", merged, attn.output, layer_key
+        (attn_out,) = self.gemm(
+            measurements, [("attention.output", merged, attn.output)], layer_key
         )
         hidden_states = block.attention_norm(
             hidden_states + attn_out.reshape(batch, seq, hidden).astype(np.float32)
         )
 
         flat2 = hidden_states.reshape(batch * seq, hidden)
-        inter = gelu(
-            self._projection(
-                measurements, "ffn.intermediate", flat2, block.ffn.intermediate, layer_key
-            )
+        (inter,) = self.gemm(
+            measurements,
+            [("ffn.intermediate", flat2, block.ffn.intermediate)],
+            layer_key,
         )
-        ffn_out = self._projection(
-            measurements, "ffn.output", inter, block.ffn.output, layer_key
+        (ffn_out,) = self.gemm(
+            measurements, [("ffn.output", gelu(inter), block.ffn.output)], layer_key
         )
         output = block.output_norm(
             hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32)
@@ -553,6 +445,23 @@ def _build_block(config: TransformerConfig, seed: int) -> EncoderBlock:
     )
 
 
+def _relative_rms(output: np.ndarray, reference: np.ndarray) -> float:
+    """RMS of ``output - reference`` relative to the reference RMS."""
+    reference_rms = float(np.sqrt(np.mean(np.square(reference)))) or 1.0
+    return float(np.sqrt(np.mean(np.square(output - reference)))) / reference_rms
+
+
+def _plane_cache_stats(
+    executor: IndexDomainEncoderExecutor, since: Optional[PlaneCacheStats] = None
+) -> Optional[PlaneCacheStats]:
+    """Plane-cache counters (minus ``since``); ``None`` when not in use."""
+    cache = None if executor.oracle else get_plane_cache()
+    if cache is None:
+        return None
+    stats = cache.stats()
+    return stats if since is None else stats.minus(since)
+
+
 def execute_encoder_layer(
     model: Union[str, TransformerConfig] = "bert-base",
     sequence_length: int = 128,
@@ -561,8 +470,7 @@ def execute_encoder_layer(
     engine: str = "vectorized",
     seed: int = 0,
     device: Optional[str] = None,
-    cache_weights: bool = False,
-    gemm_batching: bool = False,
+    oracle: bool = False,
     executor: Optional[IndexDomainEncoderExecutor] = None,
 ) -> LayerMeasurement:
     """Execute one encoder layer end-to-end in the index domain.
@@ -583,9 +491,8 @@ def execute_encoder_layer(
             ``"scalar"``).
         seed: Seed for the block weights and input activations.
         device: Optional device for backends that take one.
-        cache_weights: Reuse weight encodings across forwards (see
+        oracle: Run the uncached per-GEMM reference path (see
             :class:`IndexDomainEncoderExecutor`).
-        gemm_batching: Single batched BLAS calls for shape-matched GEMMs.
         executor: Reuse an existing executor (and its weight cache)
             instead of constructing one; the other engine options are
             then ignored.
@@ -603,37 +510,17 @@ def execute_encoder_layer(
 
     if executor is None:
         executor = IndexDomainEncoderExecutor(
-            quantizer=quantizer,
-            engine=engine,
-            device=device,
-            cache_weights=cache_weights,
-            gemm_batching=gemm_batching,
+            quantizer=quantizer, engine=engine, device=device, oracle=oracle
         )
-    plane_cache = get_plane_cache()
-    cache_before = None if plane_cache is None else plane_cache.stats()
+    cache_before = _plane_cache_stats(executor)
     started = time.perf_counter()
     output, gemms = executor.run_block(block, hidden_states, layer_key=seed)
     total_seconds = time.perf_counter() - started
-    cache_delta = (
-        None if cache_before is None else get_plane_cache().stats().minus(cache_before)
-    )
-
-    fp_output = block(hidden_states)
-    fp_rms = float(np.sqrt(np.mean(np.square(fp_output)))) or 1.0
-    rms_error = float(np.sqrt(np.mean(np.square(output - fp_output)))) / fp_rms
-
-    stats = IndexComputeStats()
-    for gemm in gemms:
-        stats.merge(gemm.stats)
-    return LayerMeasurement(
-        model=config.name,
-        sequence_length=sequence_length,
-        batch_size=batch_size,
-        gemms=gemms,
-        stats=stats,
-        quantize_seconds=sum(g.quantize_seconds for g in gemms),
-        engine_seconds=sum(g.engine_seconds for g in gemms),
-        total_seconds=total_seconds,
-        output_rms_error=rms_error,
-        plane_cache=cache_delta,
+    return LayerMeasurement.from_gemms(
+        config.name,
+        hidden_states,
+        gemms,
+        total_seconds,
+        _relative_rms(output, block(hidden_states)),
+        _plane_cache_stats(executor, cache_before),
     )

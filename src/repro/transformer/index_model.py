@@ -21,6 +21,10 @@ every GEMM in the index domain; this module scales that to whole models:
   multiplies them against the cached encodings — the per-step work the
   accelerator would do.  A floating-point decoder with an FP KV cache,
   fed the identical synthetic inputs, is the correctness oracle.
+* :class:`MultiStreamDecoder` — the one decoder dataflow: a single
+  stream-batched layer function serves the prompt pass and every decode
+  step of any number of lockstep streams; :func:`execute_decoder` is its
+  one-stream case.
 
 Sequential layer dependencies mean a single forward can only batch
 *independent* GEMMs into one BLAS call (per-head score/context products,
@@ -32,20 +36,13 @@ GEMM sets (multi-stream serving, replayed traces) can feed directly.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.index_compute import (
-    IndexComputeStats,
-    PlaneCacheStats,
-    PlaneSet,
-    get_plane_cache,
-    use_plane_cache,
-)
+from repro.core.index_compute import IndexComputeStats, PlaneCacheStats, PlaneSet
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
 from repro.transformer.config import TransformerConfig
@@ -56,6 +53,8 @@ from repro.transformer.index_execution import (
     IndexDomainEncoderExecutor,
     LayerMeasurement,
     _build_block,
+    _plane_cache_stats,
+    _relative_rms,
     _resolve_config,
 )
 
@@ -151,10 +150,8 @@ class IndexDomainModelExecutor:
             ``"scalar"``).
         device: Optional device for backends that take one.
         seed: Seed for the per-layer block weights.
-        cache_weights: Quantize each weight once per (layer, gemm) key
-            (on by default at model scale).
-        gemm_batching: Batch shape-matched GEMMs into single BLAS calls
-            (on by default at model scale).
+        oracle: Run the uncached per-GEMM reference path (see
+            :class:`IndexDomainEncoderExecutor`).
     """
 
     def __init__(
@@ -165,8 +162,7 @@ class IndexDomainModelExecutor:
         engine: str = "vectorized",
         device: Optional[str] = None,
         seed: int = 0,
-        cache_weights: bool = True,
-        gemm_batching: bool = True,
+        oracle: bool = False,
     ) -> None:
         self.config = _resolve_config(model)
         depth = self.config.num_layers if num_layers is None else num_layers
@@ -180,11 +176,7 @@ class IndexDomainModelExecutor:
             for layer in range(self.num_layers)
         ]
         self.executor = IndexDomainEncoderExecutor(
-            quantizer=quantizer,
-            engine=engine,
-            device=device,
-            cache_weights=cache_weights,
-            gemm_batching=gemm_batching,
+            quantizer=quantizer, engine=engine, device=device, oracle=oracle
         )
 
     @property
@@ -205,10 +197,8 @@ class IndexDomainModelExecutor:
         """
         batch, seq, _hidden = hidden_states.shape
         hits_before = self.executor.weight_cache_hits
-        plane_cache = get_plane_cache()
-        cache_before = None if plane_cache is None else plane_cache.stats()
+        cache_before = _plane_cache_stats(self.executor)
         layers: List[LayerMeasurement] = []
-        stats = IndexComputeStats()
         fp_states = hidden_states
         index_states = hidden_states
         started = time.perf_counter()
@@ -224,30 +214,20 @@ class IndexDomainModelExecutor:
             fp_started = time.perf_counter()
             fp_states = block(fp_states)
             fp_seconds += time.perf_counter() - fp_started
-
-            fp_rms = float(np.sqrt(np.mean(np.square(fp_states)))) or 1.0
-            rms_error = (
-                float(np.sqrt(np.mean(np.square(index_states - fp_states)))) / fp_rms
-            )
-            layer_stats = IndexComputeStats()
-            for gemm in gemms:
-                layer_stats.merge(gemm.stats)
-            stats.merge(layer_stats)
             layers.append(
-                LayerMeasurement(
-                    model=self.config.name,
-                    sequence_length=seq,
-                    batch_size=batch,
-                    gemms=gemms,
-                    stats=layer_stats,
-                    quantize_seconds=sum(g.quantize_seconds for g in gemms),
-                    engine_seconds=sum(g.engine_seconds for g in gemms),
-                    total_seconds=layer_seconds,
-                    output_rms_error=rms_error,
+                LayerMeasurement.from_gemms(
+                    self.config.name,
+                    hidden_states,
+                    gemms,
+                    layer_seconds,
+                    _relative_rms(index_states, fp_states),
                 )
             )
         total_seconds = time.perf_counter() - started - fp_seconds
 
+        stats = IndexComputeStats()
+        for measurement in layers:
+            stats.merge(measurement.stats)
         return ModelMeasurement(
             model=self.config.name,
             sequence_length=seq,
@@ -260,11 +240,7 @@ class IndexDomainModelExecutor:
             total_seconds=total_seconds,
             output_rms_error=layers[-1].output_rms_error,
             weight_cache_hits=self.executor.weight_cache_hits - hits_before,
-            plane_cache=(
-                None
-                if cache_before is None
-                else get_plane_cache().stats().minus(cache_before)
-            ),
+            plane_cache=_plane_cache_stats(self.executor, cache_before),
         )
 
 
@@ -277,8 +253,7 @@ def execute_model(
     engine: str = "vectorized",
     device: Optional[str] = None,
     seed: int = 0,
-    cache_weights: bool = True,
-    gemm_batching: bool = True,
+    oracle: bool = False,
     executor: Optional[IndexDomainModelExecutor] = None,
 ) -> ModelMeasurement:
     """Execute a whole encoder stack end-to-end in the index domain.
@@ -293,8 +268,8 @@ def execute_model(
         engine: Registered engine name.
         device: Optional device for backends that take one.
         seed: Seed for the block weights and input activations.
-        cache_weights / gemm_batching: See
-            :class:`IndexDomainModelExecutor` (both on by default).
+        oracle: Run the uncached per-GEMM reference path (see
+            :class:`IndexDomainEncoderExecutor`).
         executor: Reuse an existing model executor (and its weight
             cache); the other construction arguments are then ignored.
     """
@@ -310,8 +285,7 @@ def execute_model(
             engine=engine,
             device=device,
             seed=seed,
-            cache_weights=cache_weights,
-            gemm_batching=gemm_batching,
+            oracle=oracle,
         )
     rng = np.random.default_rng(executor.seed + 7919)
     hidden_states = rng.normal(
@@ -632,84 +606,99 @@ class DecodeMeasurement:
         return self.stats.outlier_pair_fraction
 
 
-def _decoder_layer_index(
+def _decoder_layer(
     executor: IndexDomainEncoderExecutor,
     measurements: Dict[str, GemmMeasurement],
     cache: IndexKVCache,
-    layer: Hashable,
+    layer: int,
     block: EncoderBlock,
-    hidden2d: np.ndarray,
-    causal: bool,
-    weight_key: Optional[Hashable] = None,
-) -> np.ndarray:
-    """One decoder layer over ``(tokens, hidden)`` rows, KV from the cache.
+    rows: List[np.ndarray],
+) -> List[np.ndarray]:
+    """One decoder layer for every stream, each GEMM family one call.
 
-    ``causal=True`` is the prefill pass (all prompt rows at once, upper
-    triangle masked); ``causal=False`` is a decode step (one new row
-    attending to the whole cache).  ``weight_key`` identifies this block
-    in the executor's weight cache (defaults to ``layer``; multi-stream
-    callers pass the bare layer index so streams share weight encodings
-    while keeping per-stream KV keys).
+    ``rows[s]`` holds stream ``s``'s new ``(tokens, hidden)`` rows: the
+    whole prompt at prefill, one row per decode step.  Stream ``s``
+    keeps its K/V under ``(s, layer)`` in ``cache`` (prefilled on first
+    sight, appended to afterwards) while every stream shares the
+    weight encodings keyed by ``layer``.  New row ``i`` may attend to
+    cached positions ``0..total - tokens + i``: the causal mask of a
+    prefill, and no mask at all for a one-row step.
     """
     attn = block.attention
-    tokens, hidden = hidden2d.shape
     heads, head_dim = attn.num_heads, attn.head_dim
-    if weight_key is None:
-        weight_key = layer
-
-    q, k, v = executor._projection_group(
-        measurements,
-        [
-            ("attention.query", attn.query),
-            ("attention.key", attn.key),
-            ("attention.value", attn.value),
-        ],
-        hidden2d,
-        weight_key,
+    streams = range(len(rows))
+    projections = (
+        ("attention.query", attn.query),
+        ("attention.key", attn.key),
+        ("attention.value", attn.value),
     )
-    if layer in cache:
-        cache.append(layer, k, v)
-    else:
-        cache.prefill(layer, k, v)
-    total = cache.cached_tokens(layer)
+    qkv = executor.gemm(
+        measurements,
+        [(name, rows[s], linear) for s in streams for name, linear in projections],
+        layer,
+    )
+    for s in streams:
+        _q, k, v = qkv[3 * s : 3 * s + 3]
+        if (s, layer) in cache:
+            cache.append((s, layer), k, v)
+        else:
+            cache.prefill((s, layer), k, v)
 
     head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
-    head_kv = [cache.head_tensors(layer, s) for s in head_slices]
-    score_rows = executor._gemm_many_encoded(
+    head_kv = [
+        [cache.head_tensors((s, layer), columns) for columns in head_slices]
+        for s in streams
+    ]
+    score_rows = executor.gemm(
         measurements,
-        "attention.scores",
-        [(q[:, s], head_kv[h][0]) for h, s in enumerate(head_slices)],
+        [
+            ("attention.scores", qkv[3 * s][:, columns], head_kv[s][h][0])
+            for s in streams
+            for h, columns in enumerate(head_slices)
+        ],
     )
-    scores = np.stack(score_rows) / np.sqrt(head_dim)  # (heads, tokens, total)
-    if causal:
-        # Row i of the prefill may attend to cached positions 0..i only.
+    probs = []
+    for s in streams:
+        tokens, total = rows[s].shape[0], cache.cached_tokens((s, layer))
+        scores = np.stack(score_rows[s * heads : (s + 1) * heads]) / np.sqrt(head_dim)
         mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
-        scores = np.where(mask[None, :, :], -1e9, scores)
-    probs = softmax(scores, axis=-1)
+        probs.append(softmax(np.where(mask[None, :, :], -1e9, scores), axis=-1))
 
-    context_rows = executor._gemm_many_encoded(
+    context_rows = executor.gemm(
         measurements,
-        "attention.context",
-        [(probs[h], head_kv[h][1]) for h in range(heads)],
+        [
+            ("attention.context", probs[s][h], head_kv[s][h][1])
+            for s in streams
+            for h in range(heads)
+        ],
     )
-    merged = np.concatenate(context_rows, axis=1)  # (tokens, hidden)
-
-    attn_out = executor._projection(
-        measurements, "attention.output", merged, attn.output, weight_key
+    merged = [
+        np.concatenate(context_rows[s * heads : (s + 1) * heads], axis=1)
+        for s in streams
+    ]
+    attn_out = executor.gemm(
+        measurements,
+        [("attention.output", merged[s], attn.output) for s in streams],
+        layer,
     )
-    hidden2d = block.attention_norm(
-        (hidden2d + attn_out).astype(np.float32)[None, :, :]
-    )[0]
-
-    inter = gelu(
-        executor._projection(
-            measurements, "ffn.intermediate", hidden2d, block.ffn.intermediate, weight_key
-        )
+    hidden = [
+        block.attention_norm((rows[s] + attn_out[s]).astype(np.float32)[None])[0]
+        for s in streams
+    ]
+    inter = executor.gemm(
+        measurements,
+        [("ffn.intermediate", hidden[s], block.ffn.intermediate) for s in streams],
+        layer,
     )
-    ffn_out = executor._projection(
-        measurements, "ffn.output", inter, block.ffn.output, weight_key
+    ffn_out = executor.gemm(
+        measurements,
+        [("ffn.output", gelu(inter[s]), block.ffn.output) for s in streams],
+        layer,
     )
-    return block.output_norm((hidden2d + ffn_out).astype(np.float32)[None, :, :])[0]
+    return [
+        block.output_norm((hidden[s] + ffn_out[s]).astype(np.float32)[None])[0]
+        for s in streams
+    ]
 
 
 def _decoder_layer_fp(
@@ -717,7 +706,6 @@ def _decoder_layer_fp(
     fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]],
     layer: Hashable,
     hidden2d: np.ndarray,
-    causal: bool,
 ) -> np.ndarray:
     """The FP oracle: identical dataflow with float matmuls and an FP cache."""
     attn = block.attention
@@ -734,14 +722,13 @@ def _decoder_layer_fp(
         fp_cache[layer] = (k, v)
     all_k, all_v = fp_cache[layer]
     total = all_k.shape[0]
+    mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
 
     contexts = []
     for h in range(heads):
         cols = slice(h * head_dim, (h + 1) * head_dim)
         scores = (q[:, cols] @ all_k[:, cols].T) / np.sqrt(head_dim)
-        if causal:
-            mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
-            scores = np.where(mask, -1e9, scores)
+        scores = np.where(mask, -1e9, scores)
         contexts.append(softmax(scores, axis=-1) @ all_v[:, cols])
     merged = np.concatenate(contexts, axis=1)
 
@@ -761,8 +748,7 @@ def execute_decoder(
     engine: str = "vectorized",
     device: Optional[str] = None,
     seed: int = 0,
-    gemm_batching: bool = True,
-    plane_caching: bool = True,
+    oracle: bool = False,
 ) -> DecodeMeasurement:
     """Run a GPT-style decoder with an index-domain KV cache.
 
@@ -773,7 +759,8 @@ def execute_decoder(
     against the full cache.  Both paths — index-domain and the FP oracle
     with an FP KV cache — consume identical synthetic inputs, so
     ``output_rms_error`` isolates the quantization error of the cached
-    attention path.
+    attention path.  This is the one-stream case of
+    :class:`MultiStreamDecoder`.
 
     Args:
         model: Decoder configuration (defaults to a GPT-2-small shape)
@@ -785,109 +772,35 @@ def execute_decoder(
         engine: Registered engine name.
         device: Optional device for backends that take one.
         seed: Seed for the block weights and the synthetic inputs.
-        gemm_batching: Batch per-head GEMMs into single BLAS calls.
-        plane_caching: Keep weight planes in the process plane cache and
-            grow KV plane slabs incrementally (the hot path).  ``False``
-            runs the uncached oracle — bit-identical outputs and stats,
-            rebuilt planes every step.
+        oracle: Run the uncached reference path — per-GEMM calls, no
+            weight or plane cache, KV planes rebuilt every step.  Outputs
+            and stats are bit-identical to the default path.
     """
-    config = _resolve_config(model)
-    if prompt_length < 1:
-        raise ValueError(f"prompt_length must be >= 1, got {prompt_length}")
-    if decode_tokens < 0:
-        raise ValueError(f"decode_tokens must be >= 0, got {decode_tokens}")
-    depth = config.num_layers if num_layers is None else num_layers
-    depth = min(depth, config.num_layers)
-    if depth < 1:
-        raise ValueError(f"num_layers must be >= 1, got {depth}")
-
-    blocks = [_build_block(config, seed + 10 * layer) for layer in range(depth)]
-    executor = IndexDomainEncoderExecutor(
+    decoder = MultiStreamDecoder(
+        model,
+        num_streams=1,
+        num_layers=num_layers,
         quantizer=quantizer,
         engine=engine,
         device=device,
-        cache_weights=True,
-        gemm_batching=gemm_batching,
+        seed=seed,
+        oracle=oracle,
     )
-    cache = IndexKVCache(executor.quantizer, incremental_planes=plane_caching)
-    fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
-    measurements: Dict[str, GemmMeasurement] = {}
-    rng = np.random.default_rng(seed + 7919)
-
-    index_outputs: List[np.ndarray] = []
-    fp_outputs: List[np.ndarray] = []
-
-    scope = contextlib.nullcontext() if plane_caching else use_plane_cache(None)
-    with scope:
-        plane_cache = get_plane_cache()
-        cache_before = None if plane_cache is None else plane_cache.stats()
-
-        # --- Prefill: the whole prompt, causally masked ----------------- #
-        prompt = rng.normal(0.0, 1.0, size=(prompt_length, config.hidden_size)).astype(
-            np.float32
-        )
-        started = time.perf_counter()
-        states = prompt
-        for layer, block in enumerate(blocks):
-            states = _decoder_layer_index(
-                executor, measurements, cache, layer, block, states, causal=True
-            )
-        prefill_seconds = time.perf_counter() - started
-        index_outputs.append(states)
-
-        fp_states = prompt
-        for layer, block in enumerate(blocks):
-            fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states, causal=True)
-        fp_outputs.append(fp_states)
-
-        # --- Decode: one synthetic input row per step ------------------- #
-        decode_started = time.perf_counter()
-        fp_pending: List[np.ndarray] = []
-        for _step in range(decode_tokens):
-            row = rng.normal(0.0, 1.0, size=(1, config.hidden_size)).astype(np.float32)
-            states = row
-            for layer, block in enumerate(blocks):
-                states = _decoder_layer_index(
-                    executor, measurements, cache, layer, block, states, causal=False
-                )
-            index_outputs.append(states)
-            fp_pending.append(row)
-        decode_seconds = time.perf_counter() - decode_started
-        cache_delta = (
-            None
-            if cache_before is None
-            else get_plane_cache().stats().minus(cache_before)
-        )
-
-    for row in fp_pending:
-        fp_states = row
-        for layer, block in enumerate(blocks):
-            fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states, causal=False)
-        fp_outputs.append(fp_states)
-
-    index_all = np.concatenate(index_outputs, axis=0)
-    fp_all = np.concatenate(fp_outputs, axis=0)
-    fp_rms = float(np.sqrt(np.mean(np.square(fp_all)))) or 1.0
-    rms_error = float(np.sqrt(np.mean(np.square(index_all - fp_all)))) / fp_rms
-
-    gemms = list(measurements.values())
-    stats = IndexComputeStats()
-    for gemm in gemms:
-        stats.merge(gemm.stats)
+    run = decoder.run(prompt_length=prompt_length, decode_tokens=decode_tokens)
     return DecodeMeasurement(
-        model=config.name,
+        model=run.model,
         prompt_length=prompt_length,
         decode_tokens=decode_tokens,
-        num_layers=depth,
-        gemms=gemms,
-        stats=stats,
-        prefill_seconds=prefill_seconds,
-        decode_seconds=decode_seconds,
-        tokens_per_second=(decode_tokens / decode_seconds) if decode_seconds else 0.0,
-        output_rms_error=rms_error,
-        cached_tokens=cache.cached_tokens(0),
-        outputs=index_all,
-        plane_cache=cache_delta,
+        num_layers=run.num_layers,
+        gemms=run.gemms,
+        stats=run.stats,
+        prefill_seconds=run.prefill_seconds,
+        decode_seconds=run.decode_seconds,
+        tokens_per_second=run.tokens_per_second,
+        output_rms_error=run.output_rms_error,
+        cached_tokens=decoder.cache.cached_tokens((0, 0)),
+        outputs=run.outputs[0],
+        plane_cache=run.plane_cache,
     )
 
 
@@ -906,7 +819,7 @@ class MultiStreamDecodeMeasurement:
         num_layers: Decoder layers executed.
         gemms: Per-GEMM measurements merged over prefill and all steps.
         stats: Operation counts merged over every GEMM.
-        prefill_seconds: Wall time of all prefill passes.
+        prefill_seconds: Wall time of the batched prefill pass.
         decode_seconds: Wall time of the lockstep decode loop.
         tokens_per_second: Aggregate decode throughput
             (``num_streams * decode_tokens / decode_seconds``).
@@ -915,7 +828,8 @@ class MultiStreamDecodeMeasurement:
             stream's FP oracle.
         outputs: Per-stream final-layer hidden states (prefill rows
             first, then one row per step).
-        plane_cache: Plane-cache counter delta over the run.
+        plane_cache: Plane-cache counter delta over the run (``None`` on
+            the oracle path).
     """
 
     model: str
@@ -939,9 +853,9 @@ class MultiStreamDecoder:
 
     All streams share the blocks, the executor (weight encodings and
     weight planes are quantized/built once, keyed by layer index alone)
-    and one :class:`IndexKVCache` keyed ``(stream, layer)``.  Decode
-    steps run in *lockstep*: at each step every stream contributes one
-    input row, and each GEMM family is issued as one
+    and one :class:`IndexKVCache` keyed ``(stream, layer)``.  Prefill
+    and every decode step run in *lockstep* through
+    :func:`_decoder_layer`: each GEMM family is issued as one
     ``index_domain_matmul_many`` call across streams — the projections
     share their weight tensor, so S streams collapse to one
     row-concatenated BLAS call; the per-head score/context GEMMs batch
@@ -950,7 +864,13 @@ class MultiStreamDecoder:
     Stream ``s`` consumes the inputs ``default_rng(seed + 7919 +
     104729 * s)`` would feed a solo decoder, so stream 0 reproduces
     :func:`execute_decoder` with the same seed (values agree to
-    floating-point round-off; GEMM grouping differs).
+    floating-point round-off; GEMM grouping differs).  ``seed`` is read
+    when :meth:`run` starts.
+
+    Args:
+        oracle: Run the uncached reference path (per-GEMM calls, no
+            weight or plane cache, KV planes rebuilt every step);
+            outputs and stats equal the default path's.
     """
 
     def __init__(
@@ -962,8 +882,7 @@ class MultiStreamDecoder:
         engine: str = "vectorized",
         device: Optional[str] = None,
         seed: int = 0,
-        gemm_batching: bool = True,
-        plane_caching: bool = True,
+        oracle: bool = False,
     ) -> None:
         if num_streams < 1:
             raise ValueError(f"num_streams must be >= 1, got {num_streams}")
@@ -975,108 +894,15 @@ class MultiStreamDecoder:
         self.num_layers = depth
         self.num_streams = int(num_streams)
         self.seed = seed
-        self.plane_caching = bool(plane_caching)
         self.blocks = [
             _build_block(self.config, seed + 10 * layer) for layer in range(depth)
         ]
         self.executor = IndexDomainEncoderExecutor(
-            quantizer=quantizer,
-            engine=engine,
-            device=device,
-            cache_weights=True,
-            gemm_batching=gemm_batching,
+            quantizer=quantizer, engine=engine, device=device, oracle=oracle
         )
         self.cache = IndexKVCache(
-            self.executor.quantizer, incremental_planes=plane_caching
+            self.executor.quantizer, incremental_planes=not oracle
         )
-
-    def _decode_step(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        layer: int,
-        block: EncoderBlock,
-        rows: List[np.ndarray],
-    ) -> List[np.ndarray]:
-        """One decode step of one layer for every stream, GEMMs batched."""
-        executor, cache = self.executor, self.cache
-        attn = block.attention
-        heads, head_dim = attn.num_heads, attn.head_dim
-        streams = range(self.num_streams)
-
-        projected: Dict[str, List[np.ndarray]] = {}
-        for name, linear in (
-            ("attention.query", attn.query),
-            ("attention.key", attn.key),
-            ("attention.value", attn.value),
-        ):
-            wq, w_seconds = executor._quantize_weight(name, linear.weight, layer)
-            outs = executor._gemm_many_encoded(
-                measurements, name, [(rows[s], wq) for s in streams]
-            )
-            measurements[name].quantize_seconds += w_seconds
-            projected[name] = [out + linear.bias for out in outs]
-        qs = projected["attention.query"]
-
-        for s in streams:
-            cache.append((s, layer), projected["attention.key"][s],
-                         projected["attention.value"][s])
-
-        head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
-        head_kv = [
-            [cache.head_tensors((s, layer), sl) for sl in head_slices] for s in streams
-        ]
-        score_rows = executor._gemm_many_encoded(
-            measurements,
-            "attention.scores",
-            [
-                (qs[s][:, sl], head_kv[s][h][0])
-                for s in streams
-                for h, sl in enumerate(head_slices)
-            ],
-        )
-        probs: List[np.ndarray] = []
-        for s in streams:
-            scores = np.stack(score_rows[s * heads : (s + 1) * heads]) / np.sqrt(
-                head_dim
-            )
-            probs.append(softmax(scores, axis=-1))
-
-        context_rows = executor._gemm_many_encoded(
-            measurements,
-            "attention.context",
-            [(probs[s][h], head_kv[s][h][1]) for s in streams for h in range(heads)],
-        )
-        merged = [
-            np.concatenate(context_rows[s * heads : (s + 1) * heads], axis=1)
-            for s in streams
-        ]
-
-        def shared_projection(
-            name: str, linear, inputs: List[np.ndarray]
-        ) -> List[np.ndarray]:
-            wq, w_seconds = executor._quantize_weight(name, linear.weight, layer)
-            outs = executor._gemm_many_encoded(
-                measurements, name, [(inputs[s], wq) for s in streams]
-            )
-            measurements[name].quantize_seconds += w_seconds
-            return [out + linear.bias for out in outs]
-
-        attn_out = shared_projection("attention.output", attn.output, merged)
-        hidden = [
-            block.attention_norm((rows[s] + attn_out[s]).astype(np.float32)[None])[0]
-            for s in streams
-        ]
-        inter = [
-            gelu(values)
-            for values in shared_projection(
-                "ffn.intermediate", block.ffn.intermediate, hidden
-            )
-        ]
-        ffn_out = shared_projection("ffn.output", block.ffn.output, inter)
-        return [
-            block.output_norm((hidden[s] + ffn_out[s]).astype(np.float32)[None])[0]
-            for s in streams
-        ]
 
     def run(
         self, prompt_length: int = 16, decode_tokens: int = 8
@@ -1086,91 +912,54 @@ class MultiStreamDecoder:
             raise ValueError(f"prompt_length must be >= 1, got {prompt_length}")
         if decode_tokens < 0:
             raise ValueError(f"decode_tokens must be >= 0, got {decode_tokens}")
-        executor, cache = self.executor, self.cache
         measurements: Dict[str, GemmMeasurement] = {}
         rngs = [
             np.random.default_rng(self.seed + 7919 + 104729 * s)
             for s in range(self.num_streams)
         ]
-        streams = range(self.num_streams)
 
-        scope = (
-            contextlib.nullcontext() if self.plane_caching else use_plane_cache(None)
-        )
-        with scope:
-            plane_cache = get_plane_cache()
-            cache_before = None if plane_cache is None else plane_cache.stats()
-
-            prompts = [
-                rngs[s]
-                .normal(0.0, 1.0, size=(prompt_length, self.config.hidden_size))
-                .astype(np.float32)
-                for s in streams
+        def draw(tokens: int) -> List[np.ndarray]:
+            return [
+                rng.normal(0.0, 1.0, size=(tokens, self.config.hidden_size)).astype(
+                    np.float32
+                )
+                for rng in rngs
             ]
-            started = time.perf_counter()
-            index_outputs: List[List[np.ndarray]] = [[] for _ in streams]
-            for s in streams:
-                states = prompts[s]
-                for layer, block in enumerate(self.blocks):
-                    states = _decoder_layer_index(
-                        executor,
-                        measurements,
-                        cache,
-                        (s, layer),
-                        block,
-                        states,
-                        causal=True,
-                        weight_key=layer,
-                    )
-                index_outputs[s].append(states)
-            prefill_seconds = time.perf_counter() - started
 
-            decode_started = time.perf_counter()
-            step_rows: List[List[np.ndarray]] = [[] for _ in streams]
-            for _step in range(decode_tokens):
-                rows = [
-                    rngs[s]
-                    .normal(0.0, 1.0, size=(1, self.config.hidden_size))
-                    .astype(np.float32)
-                    for s in streams
-                ]
-                for s in streams:
-                    step_rows[s].append(rows[s])
-                for layer, block in enumerate(self.blocks):
-                    rows = self._decode_step(measurements, layer, block, rows)
-                for s in streams:
-                    index_outputs[s].append(rows[s])
-            decode_seconds = time.perf_counter() - decode_started
-            cache_delta = (
-                None
-                if cache_before is None
-                else get_plane_cache().stats().minus(cache_before)
-            )
+        def forward(rows: List[np.ndarray]) -> List[np.ndarray]:
+            for layer, block in enumerate(self.blocks):
+                rows = _decoder_layer(
+                    self.executor, measurements, self.cache, layer, block, rows
+                )
+            return rows
+
+        cache_before = _plane_cache_stats(self.executor)
+        inputs = [draw(prompt_length)]
+        started = time.perf_counter()
+        index_outputs = [forward(inputs[0])]
+        prefill_seconds = time.perf_counter() - started
+
+        decode_started = time.perf_counter()
+        for _step in range(decode_tokens):
+            inputs.append(draw(1))
+            index_outputs.append(forward(inputs[-1]))
+        decode_seconds = time.perf_counter() - decode_started
+        plane_cache = _plane_cache_stats(self.executor, cache_before)
 
         # FP oracle per stream, identical inputs.
         worst_rms = 0.0
         outputs: List[np.ndarray] = []
-        for s in streams:
+        for s in range(self.num_streams):
             fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
             fp_outputs = []
-            fp_states = prompts[s]
-            for layer, block in enumerate(self.blocks):
-                fp_states = _decoder_layer_fp(
-                    block, fp_cache, layer, fp_states, causal=True
-                )
-            fp_outputs.append(fp_states)
-            for row in step_rows[s]:
-                fp_states = row
+            for rows in inputs:
+                fp_states = rows[s]
                 for layer, block in enumerate(self.blocks):
-                    fp_states = _decoder_layer_fp(
-                        block, fp_cache, layer, fp_states, causal=False
-                    )
+                    fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states)
                 fp_outputs.append(fp_states)
-            index_all = np.concatenate(index_outputs[s], axis=0)
+            index_all = np.concatenate([step[s] for step in index_outputs], axis=0)
             fp_all = np.concatenate(fp_outputs, axis=0)
-            fp_rms = float(np.sqrt(np.mean(np.square(fp_all)))) or 1.0
-            rms = float(np.sqrt(np.mean(np.square(index_all - fp_all)))) / fp_rms
-            worst_rms = max(worst_rms, rms)
+            worst_rms = max(worst_rms, _relative_rms(index_all, fp_all))
             outputs.append(index_all)
 
         gemms = list(measurements.values())
@@ -1196,5 +985,5 @@ class MultiStreamDecoder:
             ),
             output_rms_error=worst_rms,
             outputs=outputs,
-            plane_cache=cache_delta,
+            plane_cache=plane_cache,
         )

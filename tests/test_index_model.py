@@ -226,8 +226,7 @@ class TestExecuteModel:
             NANO_CONFIG,
             sequence_length=8,
             quantizer=quantizer,
-            cache_weights=False,
-            gemm_batching=False,
+            oracle=True,
         )
         optimised = execute_model(NANO_CONFIG, sequence_length=8, quantizer=quantizer)
         assert optimised.stats == baseline.stats
@@ -353,7 +352,7 @@ class TestExecuteDecoder:
             prompt_length=5,
             decode_tokens=2,
             quantizer=quantizer,
-            gemm_batching=False,
+            oracle=True,
         )
         assert batched.stats == unbatched.stats
         assert batched.output_rms_error == pytest.approx(

@@ -11,11 +11,16 @@ or operation counts.  This file locks that contract three ways:
 2. hypothesis property tests that a plane-cached decode run equals the
    uncached oracle exactly — outputs ``array_equal``, stats ``==`` —
    across prompt lengths, decode depths and dictionary fits, plus fixed
-   parametrised cases across the scalar / vectorized / torch engines;
+   parametrised cases across the scalar / vectorized / torch engines,
+   and the same lock on the stream-batched
+   :class:`~repro.transformer.index_model.MultiStreamDecoder` (with its
+   streams independent of one another and its GEMMs counted per stream);
 3. unit tests of the :class:`~repro.core.index_compute.PlaneCache`
    itself — LRU eviction under a byte budget, counters, the scoped
    override, and the digest/attached resolution order.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +157,7 @@ class TestDecodeBitIdentity:
             seed=seed,
         )
         cached = execute_decoder(MICRO_DECODER, **kwargs)
-        uncached = execute_decoder(MICRO_DECODER, plane_caching=False, **kwargs)
+        uncached = execute_decoder(MICRO_DECODER, oracle=True, **kwargs)
         assert np.array_equal(cached.outputs, uncached.outputs)
         assert cached.stats == uncached.stats
         assert cached.output_rms_error == uncached.output_rms_error
@@ -170,7 +175,7 @@ class TestDecodeBitIdentity:
             device="cpu" if engine == "torch" else None,
         )
         cached = execute_decoder(MICRO_DECODER, **kwargs)
-        uncached = execute_decoder(MICRO_DECODER, plane_caching=False, **kwargs)
+        uncached = execute_decoder(MICRO_DECODER, oracle=True, **kwargs)
         assert np.array_equal(cached.outputs, uncached.outputs)
         assert cached.stats == uncached.stats
 
@@ -185,6 +190,58 @@ class TestDecodeBitIdentity:
         assert np.allclose(multi.outputs[0], solo.outputs, rtol=1e-9, atol=1e-9)
         assert multi.tokens_per_second > 0
         assert multi.output_rms_error < 0.5
+
+
+class TestMultiStreamDecoder:
+    """The stream-batched decoder against its oracle and its solo streams."""
+
+    @given(
+        num_streams=st.integers(min_value=1, max_value=3),
+        prompt_length=st.integers(min_value=1, max_value=5),
+        decode_tokens=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_oracle_equals_default(
+        self, quantizer, num_streams, prompt_length, decode_tokens
+    ):
+        fast, oracle = (
+            MultiStreamDecoder(
+                MICRO_DECODER, num_streams=num_streams, quantizer=quantizer, oracle=flag
+            ).run(prompt_length=prompt_length, decode_tokens=decode_tokens)
+            for flag in (False, True)
+        )
+        assert len(fast.outputs) == len(oracle.outputs) == num_streams
+        for fast_out, oracle_out in zip(fast.outputs, oracle.outputs):
+            assert np.array_equal(fast_out, oracle_out)
+        assert fast.stats == oracle.stats
+        assert fast.output_rms_error == oracle.output_rms_error
+        assert oracle.plane_cache is None
+
+    def test_streams_independent_and_counted_per_gemm(self, quantizer):
+        config = replace(MICRO_DECODER, num_layers=2)
+        decode_tokens = 2
+        two, three = (
+            MultiStreamDecoder(
+                config, num_streams=streams, quantizer=quantizer, seed=4
+            ).run(prompt_length=3, decode_tokens=decode_tokens)
+            for streams in (2, 3)
+        )
+        for s in range(2):
+            assert np.allclose(three.outputs[s], two.outputs[s], rtol=1e-9, atol=1e-9)
+        per_head = {"attention.scores", "attention.context"}
+        assert [g.name for g in three.gemms] == [
+            "attention.query",
+            "attention.key",
+            "attention.value",
+            "attention.scores",
+            "attention.context",
+            "attention.output",
+            "ffn.intermediate",
+            "ffn.output",
+        ]
+        for gemm in three.gemms:
+            heads = config.num_heads if gemm.name in per_head else 1
+            assert gemm.count == 3 * (1 + decode_tokens) * config.num_layers * heads
 
 
 class TestPlaneCacheUnit:

@@ -15,6 +15,22 @@ class TestQuantizeTensor:
         assert q.size == 64 * 32
         assert q.name == "w"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["fit", "supplied dictionary"])
+    def test_non_finite_values_rejected_in_one_line(self, quantizer, rng, bad, path):
+        values = rng.normal(0, 1, (4, 8))
+        # The supplied-dictionary path is the KV-cache append.
+        dictionary = None
+        if path == "supplied dictionary":
+            dictionary = quantizer.quantize(values, "kv.key").dictionary
+        values[1, 2] = values[3, 0] = bad
+        with pytest.raises(ValueError) as info:
+            quantizer.quantize(values, "act.in", dictionary=dictionary)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "'act.in'" in message
+        assert "2 non-finite" in message and "of 32 values" in message
+
     def test_dequantize_shape_and_dtype(self, quantizer, rng):
         values = rng.normal(0, 1, (8, 8))
         q = quantizer.quantize(values)

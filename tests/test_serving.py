@@ -429,27 +429,3 @@ class TestDecodeStreams:
         import json
 
         json.dumps(payload)  # BENCH_PERF-ready: plain JSON types only
-
-    def test_plane_caching_off_reports_no_cache(self, quantizer):
-        from repro.serving import replay_decode_streams
-        from repro.transformer.config import TransformerConfig
-
-        micro = TransformerConfig(
-            name="gpt-micro-serving-off",
-            num_layers=1,
-            hidden_size=32,
-            num_heads=4,
-            intermediate_size=64,
-            vocab_size=128,
-            max_position_embeddings=64,
-        )
-        result = replay_decode_streams(
-            model=micro,
-            num_streams=2,
-            prompt_length=3,
-            decode_tokens=2,
-            quantizer=quantizer,
-            plane_caching=False,
-        )
-        assert result.plane_cache is None
-        assert result.output_rms_error < 0.5
