@@ -16,20 +16,16 @@ Two implementations are provided:
 * :func:`pairwise_agglomerative` — the textbook O(n^3) bottom-up algorithm
   supporting Ward and average linkage.  Exact, used on small inputs and as
   the reference in tests.
-* :func:`agglomerative_cluster_1d` — an efficient O(n log n) variant that
-  exploits the input being one-dimensional: clusters are contiguous ranges
-  of the sorted input, so only adjacent cluster pairs ever need to be
-  considered for merging.  This makes the 50,000-sample Golden Dictionary
-  generation tractable, but not cheap: the default four repeats take
-  ~2.8-5 s of pure Python on a 2-vCPU Xeon container, so generate the
-  dictionary once and share it.
+* :func:`agglomerative_cluster_1d` — the greedy adjacent-merge clustering
+  of 1-D data, computed in batched NumPy rounds of reciprocal-nearest-
+  neighbour merges.  The default Golden Dictionary (four repeats of 50,000
+  samples) takes ~0.15 s on a 2-vCPU Xeon container.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -68,6 +64,8 @@ def _validate(values: np.ndarray, num_clusters: int, linkage: str) -> np.ndarray
         raise ValueError(
             f"num_clusters ({num_clusters}) exceeds number of values ({values.size})"
         )
+    if not np.isfinite(values).all():
+        raise ValueError("cannot cluster non-finite values (NaN or Inf)")
     if linkage not in _LINKAGES:
         raise ValueError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
     return values
@@ -77,6 +75,8 @@ def _linkage_distance(
     linkage: str, mean_a: float, count_a: int, mean_b: float, count_b: int
 ) -> float:
     """Merge cost between two disjoint 1-D clusters given their summaries.
+
+    Works elementwise on arrays of summaries, one pair per element.
 
     For contiguous 1-D clusters the average pairwise distance (average
     linkage) reduces to the distance between the cluster means, and Ward's
@@ -123,88 +123,121 @@ def pairwise_agglomerative(
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
 
-    return _build_result(values, clusters)
+    sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+    return _build_result(values, np.concatenate(clusters), sizes)
 
 
 def agglomerative_cluster_1d(
     values: Sequence[float], num_clusters: int, linkage: str = "ward"
 ) -> ClusteringResult:
-    """Efficient agglomerative clustering for 1-D data.
+    """Greedy agglomerative clustering of 1-D data.
 
-    Exploits the fact that for one-dimensional data, clusters produced by
-    Ward or average linkage are contiguous ranges of the sorted input, so
-    merging only ever needs to consider adjacent cluster pairs.  A lazy
-    heap over adjacent-pair merge costs handles this in O(n log n).
+    For one-dimensional data, Ward and average linkage only ever merge
+    adjacent clusters of the sorted input, so the clustering is the greedy
+    that repeatedly merges the adjacent pair with the smallest linkage
+    cost, the leftmost pair on a tie.  That greedy is computed here in
+    rounds rather than one merge at a time:
+
+    1. Sort once and collapse each run of equal values into one cluster
+       (a zero-cost merge the greedy makes first anyway).
+    2. Each round computes every adjacent pair's cost as an array and
+       merges every pair whose ``(cost, position)`` key is below both
+       neighbours' keys.  Such pairs are reciprocal nearest neighbours and
+       disjoint.  Inside a plateau of equal costs that rises on its left,
+       every other pair from the plateau's start merges.
+    3. Each merge labels the sorted-position boundary it erases with its
+       cost and the start of the cluster it forms.  Once one cluster is
+       left, the ``num_clusters - 1`` boundaries ranking highest by
+       ``(cost, start, position)`` give the partition.
+
+    This is exact because both linkages are *reducible* on adjacent 1-D
+    clusters: merging ``A`` with ``B`` moves the mean away from ``B``'s
+    other neighbour ``C`` and grows the count, so ``d(A+B, C) >= d(B, C)``.
+    A merge therefore never makes a neighbouring merge cheaper.  The
+    hierarchy is unique and monotone, and merging reciprocal pairs in any
+    order builds the greedy's dendrogram (Müllner, "Modern hierarchical,
+    agglomerative clustering algorithms", arXiv:1109.2378).  Merged
+    clusters' sums are added in the same tree as the greedy's, so costs and
+    centroids are bit-identical to merging one pair at a time (the test
+    suite keeps such a heap as the oracle).
+
+    Tie rule: equal costs resolve leftmost first, the greedy's
+    ``(cost, leftmost)`` order, bit for bit whenever the sums are exact
+    (integer or dyadic duplicates).  A run of duplicates is summed once
+    with NumPy's pairwise sum, whereas merging one pair at a time adds it
+    up piecewise, in an order set by the rounding noise of the partial
+    sums.  Where those sums are inexact the two can resolve near-ties
+    differently.  Either way the result is deterministic, has exactly
+    ``num_clusters`` contiguous clusters of the sorted input, and each
+    centroid is its members' mean.
+
+    Sampled data needs few rounds (~40 for 50,000 normal samples, 0.03 s).
+    The worst case is O(n * depth): a smooth sequence with strictly
+    growing gaps (``arange(n) ** 2``) merges one pair per round.
     """
     values = _validate(np.asarray(values), num_clusters, linkage)
     n = values.size
     order = np.argsort(values, kind="mergesort")
     sorted_values = values[order]
 
-    # Cluster state, indexed by cluster id (initially one per value).
-    sums = sorted_values.astype(np.float64).copy()
-    counts = np.ones(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    left = np.arange(n) - 1  # neighbour ids; -1 / n mean "none"
-    right = np.arange(n) + 1
-    version = np.zeros(n, dtype=np.int64)
-
-    def mean(cid: int) -> float:
-        return sums[cid] / counts[cid]
-
-    def cost(cid_a: int, cid_b: int) -> float:
-        return _linkage_distance(
-            linkage, mean(cid_a), int(counts[cid_a]), mean(cid_b), int(counts[cid_b])
+    # Exact duplicates merge first at cost zero, so collapse each run of
+    # equal values into one cluster up front.  Every boundary is then
+    # labelled with the merge that erases it: its cost and the start of the
+    # cluster that merge forms (boundary ``b`` lies between sorted positions
+    # ``b - 1`` and ``b``).
+    starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    counts = np.diff(np.append(starts, n))
+    sums = np.add.reduceat(sorted_values, starts)
+    erased_cost = np.zeros(n)
+    erased_start = np.repeat(starts, counts)
+    while sums.size > 1:
+        costs = _linkage_distance(
+            linkage, sums[:-1] / counts[:-1], counts[:-1], sums[1:] / counts[1:], counts[1:]
         )
+        left = np.flatnonzero(_reciprocal_pairs(costs))
+        right = left + 1
+        erased_cost[starts[right]] = costs[left]
+        erased_start[starts[right]] = starts[left]
+        sums[left] += sums[right]
+        counts[left] += counts[right]
+        keep = np.ones(sums.size, dtype=bool)
+        keep[right] = False
+        sums, counts, starts = sums[keep], counts[keep], starts[keep]
 
-    heap: List[Tuple[float, int, int, int, int]] = []
-    for cid in range(n - 1):
-        heapq.heappush(heap, (cost(cid, cid + 1), cid, cid + 1, 0, 0))
-
-    remaining = n
-    while remaining > num_clusters:
-        _, a, b, va, vb = heapq.heappop(heap)
-        if not (alive[a] and alive[b]) or version[a] != va or version[b] != vb:
-            continue
-        if right[a] != b:
-            continue
-        # Merge b into a.
-        sums[a] += sums[b]
-        counts[a] += counts[b]
-        alive[b] = False
-        version[a] += 1
-        right[a] = right[b]
-        if right[b] < n:
-            left[right[b]] = a
-        remaining -= 1
-
-        if left[a] >= 0:
-            la = left[a]
-            heapq.heappush(heap, (cost(la, a), la, a, int(version[la]), int(version[a])))
-        if right[a] < n:
-            ra = right[a]
-            heapq.heappush(heap, (cost(a, ra), a, ra, int(version[a]), int(version[ra])))
-
-    # Collect surviving clusters in sorted (left to right) order.
-    cluster_ids = [cid for cid in range(n) if alive[cid]]
-    start = 0
-    clusters: List[List[int]] = []
-    for cid in cluster_ids:
-        size = int(counts[cid])
-        clusters.append(list(order[start:start + size]))
-        start += size
-
-    return _build_result(values, clusters)
+    # The greedy merges in (cost, start) order, so the k-cluster partition
+    # keeps the k - 1 boundaries whose merges rank last in that order.
+    rank = np.lexsort((np.arange(n - 1), erased_start[1:], erased_cost[1:]))
+    kept = np.sort(rank[n - num_clusters:]) + 1
+    sizes = np.diff(np.concatenate(([0], kept, [n])))
+    return _build_result(values, order, sizes)
 
 
-def _build_result(values: np.ndarray, clusters: List[List[int]]) -> ClusteringResult:
-    centroids = np.array([values[c].mean() for c in clusters])
-    sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+def _reciprocal_pairs(costs: np.ndarray) -> np.ndarray:
+    """Mask of the adjacent pairs the greedy merges before their neighbours.
+
+    Pair ``i`` qualifies when its ``(cost, i)`` key is below both neighbours'
+    keys.  Inside a plateau of equal costs that rises on its left, every
+    other pair from the plateau's start qualifies: merging one pair raises
+    the cost of the next, so the greedy takes them left to right.
+    """
+    index = np.arange(costs.size)
+    plateau = np.concatenate(([True], costs[1:] != costs[:-1]))
+    first = np.maximum.accumulate(np.where(plateau, index, 0))
+    rises_left = np.concatenate(([True], costs[:-1] > costs[1:]))[first]
+    no_dearer_than_right = np.concatenate((costs[:-1] <= costs[1:], [True]))
+    mask = rises_left & ((index - first) % 2 == 0) & no_dearer_than_right
+    if not mask.any():
+        raise ValueError("linkage costs overflowed to NaN; rescale the values")
+    return mask
+
+
+def _build_result(values: np.ndarray, order: np.ndarray, sizes: np.ndarray) -> ClusteringResult:
+    """Summarise clusters given as consecutive runs of ``values[order]``."""
+    members = np.split(values[order], np.cumsum(sizes)[:-1])
+    centroids = np.array([cluster.mean() for cluster in members])
     sort = np.argsort(centroids)
-    centroids = centroids[sort]
-    sizes = sizes[sort]
+    rank = np.empty_like(sort)
+    rank[sort] = np.arange(sort.size)
     assignments = np.empty(values.size, dtype=np.int64)
-    for new_index, old_index in enumerate(sort):
-        for value_index in clusters[old_index]:
-            assignments[value_index] = new_index
-    return ClusteringResult(centroids=centroids, sizes=sizes, assignments=assignments)
+    assignments[order] = np.repeat(rank, sizes)
+    return ClusteringResult(centroids=centroids[sort], sizes=sizes[sort], assignments=assignments)

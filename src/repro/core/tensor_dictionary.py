@@ -196,17 +196,19 @@ class TensorDictionary:
         max_entries: int,
         fixed_point: FixedPointFormat,
     ) -> np.ndarray:
-        """Cluster the outlier samples into at most ``max_entries`` centroids."""
+        """Cluster the outlier samples into at most ``max_entries`` centroids.
+
+        With at most ``max_entries`` distinct outliers, each gets its own
+        centroid: clustering would only split duplicates into repeated
+        centroids.
+        """
         if samples.size == 0 or max_entries <= 0:
             # max_entries == 0 models the ablation where outliers are clamped
             # into the Gaussian dictionary instead of getting their own.
             return np.empty(0, dtype=np.float64)
         outliers = samples[np.abs(samples - mean) > threshold]
-        if outliers.size == 0:
-            return np.empty(0, dtype=np.float64)
-        if outliers.size <= max_entries:
-            centroids = np.sort(np.unique(outliers))
-        else:
+        centroids = np.unique(outliers)
+        if centroids.size > max_entries:
             centroids = agglomerative_cluster_1d(outliers, max_entries).centroids
         return fixed_point.quantize(centroids)
 

@@ -39,6 +39,16 @@ class TestGeneration:
         b = generate_golden_dictionary(num_samples=4000, num_repeats=1, seed=5)
         assert np.allclose(a.half, b.half)
 
+    def test_default_dictionary_is_pinned(self):
+        """The default build every MokeyQuantizer() uses, bit for bit."""
+        expected = [
+            "0x1.beef3b9fb265bp-4", "0x1.6ea9b26ff5dafp-2",
+            "0x1.4f2abd266cd71p-1", "0x1.e91f7252e764ap-1",
+            "0x1.45c153cb23942p+0", "0x1.a971f9a806b03p+0",
+            "0x1.113777883bbecp+1", "0x1.67b7f644d0958p+1",
+        ]
+        assert [float(x).hex() for x in generate_golden_dictionary().half] == expected
+
     def test_different_seed_changes_little(self):
         """The Golden Dictionary is stable across generated distributions.
 

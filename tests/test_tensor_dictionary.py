@@ -56,6 +56,15 @@ class TestFitting:
         dictionary = TensorDictionary.fit("t", golden, values=values, max_outlier_entries=16)
         assert 0 < dictionary.outlier_centroids.size <= 16
 
+    def test_few_distinct_outliers_get_one_centroid_each(self, golden, rng):
+        # More outliers than entries but only three distinct values: no
+        # duplicate centroids, and the metadata counts three entries.
+        values = rng.normal(0, 1, 4000)
+        values[:40] = np.repeat([8.0, -9.0, 12.0], [15, 5, 20])
+        dictionary = TensorDictionary.fit("t", golden, values=values, max_outlier_entries=16)
+        assert np.array_equal(dictionary.outlier_centroids, [-9.0, 8.0, 12.0])
+        assert dictionary.metadata_bits() == (8 + 3 + 4) * 16
+
     def test_threshold_scales_with_std(self, golden, rng):
         narrow = TensorDictionary.fit("n", golden, values=rng.normal(0, 0.1, 2000))
         wide = TensorDictionary.fit("w", golden, values=rng.normal(0, 10.0, 2000))
