@@ -57,6 +57,15 @@ remaining pairwise products of ``{P, G}`` x ``{Q, H}`` are what one
 stacked ``(2M, K) @ (K, 2N)`` BLAS call produces together.  Outlier
 pairs — the pairs masked *out* of the planes above — are handled by
 masked direct MACs on the decoded 16-bit centroids, mirroring the OPP.
+
+**One GEMM path.**  Every GEMM runs as part of a *weight group*: the
+GEMMs of one call that share a right-operand object (the serving streams'
+projections against one layer weight, say) row-concatenate their stacked
+activation planes against that weight's single ``[Q | H]`` plane set, so
+the group costs one plane product plus one outlier correction however
+many GEMMs — and whatever row counts — it holds.  A lone GEMM is the
+one-member group.
+
 Operation statistics are exact integer counts derived from the indicator
 planes alone, so the vectorized engine reports *identical*
 :class:`IndexComputeStats` to the scalar engine (a property-test-locked
@@ -65,6 +74,7 @@ guarantee), while values agree to floating-point round-off.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -189,13 +199,10 @@ class IndexMatmulResult:
         values: The ``(M, N)`` numeric result.
         stats: Exact aggregate operation counts, identical to merging the
             scalar engine's per-output statistics.
-        row_stats: Per-output-row statistics (requested via
-            ``per_row_stats=True``); ``None`` otherwise.
     """
 
     values: np.ndarray
     stats: IndexComputeStats
-    row_stats: Optional[List[IndexComputeStats]] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -402,9 +409,16 @@ class PlaneCache:
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
         if max_bytes is None:
-            megabytes = float(
-                os.environ.get("REPRO_PLANE_CACHE_MB", DEFAULT_PLANE_CACHE_MB)
-            )
+            raw = os.environ.get("REPRO_PLANE_CACHE_MB", str(DEFAULT_PLANE_CACHE_MB))
+            try:
+                megabytes = float(raw)
+            except ValueError:
+                megabytes = math.nan
+            if not (math.isfinite(megabytes) and megabytes >= 0):
+                raise ValueError(
+                    "REPRO_PLANE_CACHE_MB must be a finite number of megabytes "
+                    f">= 0, got {raw!r}"
+                )
             max_bytes = int(megabytes * 1024 * 1024)
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
@@ -715,67 +729,6 @@ class IndexDomainEngine:
         return result, stats
 
 
-@dataclass
-class _IndicatorPlanes:
-    """The per-GEMM indicator planes of the vectorized formulation.
-
-    A pair of :class:`PlaneSet` artifacts — the ``(M, K)`` activation
-    planes in the ``lhs`` role and the ``(K, N)`` weight planes in the
-    ``rhs`` role.  Either side may come from the plane cache (or arrive
-    pre-built on the operand tensor); the compatibility properties keep
-    the plane names of the formulation (``p_a``/``g_a``/``q_w``/``h_w``).
-    """
-
-    act: PlaneSet
-    wgt: PlaneSet
-
-    @property
-    def p_a(self) -> np.ndarray:
-        return self.act.p
-
-    @property
-    def g_a(self) -> np.ndarray:
-        return self.act.g
-
-    @property
-    def q_w(self) -> np.ndarray:
-        return self.wgt.p
-
-    @property
-    def h_w(self) -> np.ndarray:
-        return self.wgt.g
-
-    @property
-    def out_a(self) -> np.ndarray:
-        return self.act.out
-
-    @property
-    def out_w(self) -> np.ndarray:
-        return self.wgt.out
-
-    @property
-    def m_rows(self) -> int:
-        return self.act.plane_shape[0]
-
-    @property
-    def k_len(self) -> int:
-        return self.act.plane_shape[1]
-
-    @property
-    def n_cols(self) -> int:
-        return self.wgt.plane_shape[1]
-
-    @property
-    def lhs(self) -> np.ndarray:
-        """The stacked ``(2M, K)`` left operand: rows ``{P, G}``."""
-        return self.act.stacked
-
-    @property
-    def rhs(self) -> np.ndarray:
-        """The stacked ``(K, 2N)`` right operand: columns ``{Q, H}``."""
-        return self.wgt.stacked
-
-
 class VectorizedIndexDomainEngine(IndexDomainEngine):
     """Whole-GEMM index-domain compute via indicator-plane BLAS products.
 
@@ -787,8 +740,8 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
     floating-point round-off and bit-identical operation statistics.
 
     The computation is staged so backends can swap the dense products
-    without touching the formulation: :meth:`_build_planes` (NumPy),
-    :meth:`_product` / :meth:`_batched_product` (the backend seam — the
+    without touching the formulation: :meth:`_plane_set` (NumPy),
+    :meth:`_product` / :meth:`_plane_operand` (the backend seam — the
     only floating-point GEMMs in the engine), then value combination and
     the exact integer statistics (NumPy again, derived from the indicator
     planes alone).  Any backend therefore reports *identical*
@@ -801,10 +754,6 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
     def _product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """One dense ``(R, K) @ (K, C)`` product on this backend."""
         return lhs @ rhs
-
-    def _batched_product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """One batched ``(B, R, K) @ (B, K, C)`` product on this backend."""
-        return np.matmul(lhs, rhs)
 
     def _plane_operand(self, plane_set: PlaneSet, slot: str, array: np.ndarray) -> Any:
         """Backend hook: may return a device-resident handle for ``array``.
@@ -885,66 +834,18 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
             return built
         return self._build_plane_set(tensor, role, shape, dictionary)
 
-    def _build_planes(
-        self, activations: QuantizedTensor, weights: QuantizedTensor
-    ) -> _IndicatorPlanes:
-        """Indicator planes of one GEMM, each side resolved through the cache."""
-        m_rows, n_cols = _check_matmul_shapes(activations, weights)
-        k_len = activations.shape[1]
-        return _IndicatorPlanes(
-            act=self._plane_set(activations, "lhs", (m_rows, k_len)),
-            wgt=self._plane_set(weights, "rhs", (k_len, n_cols)),
-        )
-
-    def _stacked_product(self, planes: _IndicatorPlanes) -> np.ndarray:
-        """The ``(2M, 2N)`` stacked plane product, rhs possibly device-resident."""
-        rhs = self._plane_operand(planes.wgt, "stacked", planes.wgt.stacked)
-        return self._product(planes.act.stacked, rhs)
-
-    def _outlier_values(
-        self,
-        activations: QuantizedTensor,
-        weights: QuantizedTensor,
-        planes: _IndicatorPlanes,
-    ) -> Optional[np.ndarray]:
-        """Masked direct MACs on the decoded 16-bit centroids (the OPP).
-
-        ``(A outlier, any W)`` plus ``(A Gaussian, W outlier)`` covers
-        every pair in which either operand is an outlier, exactly once.
-        Returns ``None`` when no operand holds outliers.  The decoded
-        centroids live on the plane sets, so a cached weight decodes once
-        across every GEMM that touches it.
-        """
-        act, wgt = planes.act, planes.wgt
-        if not (act.has_outliers or wgt.has_outliers):
-            return None
-        contribution: Optional[np.ndarray] = None
-        if act.has_outliers:
-            contribution = self._product(
-                act.dec_out, self._plane_operand(wgt, "dec", wgt.dec)
-            )
-        if wgt.has_outliers:
-            second = self._product(
-                act.dec_gauss, self._plane_operand(wgt, "dec_out", wgt.dec_out)
-            )
-            contribution = second if contribution is None else contribution + second
-        return contribution
-
     def _combine_values(
-        self,
-        planes: _IndicatorPlanes,
-        prod: np.ndarray,
-        outlier_values: Optional[np.ndarray],
+        self, prod: np.ndarray, outlier_values: Optional[np.ndarray]
     ) -> np.ndarray:
         """Eq. 3-6 per output, all at once, from the stacked plane product.
 
-        ``prod`` is the ``(2M, 2N)`` product of :attr:`_IndicatorPlanes.lhs`
-        with :attr:`_IndicatorPlanes.rhs`: the SoI + SoA1 + SoW1 + PoM1
-        family (``P @ Q``), the SoA2/PoM2 family (``P @ H``), the
-        SoW2/PoM3 family (``G @ Q``) and the constant PoM4 term
+        ``prod`` is the ``(2M, 2N)`` product of the activation's stacked
+        ``[P; G]`` with the weight's stacked ``[Q | H]``: the SoI + SoA1 +
+        SoW1 + PoM1 family (``P @ Q``), the SoA2/PoM2 family (``P @ H``),
+        the SoW2/PoM3 family (``G @ Q``) and the constant PoM4 term
         (``G @ H``).
         """
-        M, N = planes.m_rows, planes.n_cols
+        M, N = prod.shape[0] // 2, prod.shape[1] // 2
         s_a, m_a = self.act_dict.std, self.act_dict.mean
         s_w, m_w = self.weight_dict.std, self.weight_dict.mean
         pq, ph = prod[:M, :N], prod[:M, N:]
@@ -954,9 +855,7 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
             values = values + outlier_values
         return values
 
-    def _stats_from_planes(
-        self, planes: _IndicatorPlanes, per_row_stats: bool = False
-    ) -> Tuple[IndexComputeStats, Optional[List[IndexComputeStats]]]:
+    def _stats_from_planes(self, act: PlaneSet, wgt: PlaneSet) -> IndexComputeStats:
         """Exact integer statistics from the indicator planes alone.
 
         The Gaussian pair count of output ``(m, n)`` is ``(G @ H)[m, n]``;
@@ -964,66 +863,93 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         ``O(MK + KN)``.  Always NumPy integer arithmetic, so every
         backend reports identical counts.
         """
-        m_rows, n_cols, k_len = planes.m_rows, planes.n_cols, planes.k_len
-        gauss_a_int = (~planes.act.out).astype(np.int64)
-        w_gauss_per_k = planes.wgt.gauss_per_k  # (K,) — cached on the plane set
-        gaussian_per_row = gauss_a_int @ w_gauss_per_k  # (M,)
-        pairs_per_row = n_cols * k_len
-        gaussian_total = int(gaussian_per_row.sum())
-        outlier_total = m_rows * pairs_per_row - gaussian_total
-
-        fixed_macs = self.post_processing_macs_per_output
-        stats = IndexComputeStats(
+        m_rows, k_len = act.plane_shape
+        n_cols = wgt.plane_shape[1]
+        gauss_a_int = (~act.out).astype(np.int64)
+        # (M, K) @ (K,): the weight's per-k Gaussian counts live on its plane set.
+        gaussian_total = int((gauss_a_int @ wgt.gauss_per_k).sum())
+        outlier_total = m_rows * n_cols * k_len - gaussian_total
+        return IndexComputeStats(
             gaussian_pairs=gaussian_total,
             outlier_pairs=outlier_total,
             index_additions=gaussian_total,
             counter_updates=4 * gaussian_total,
-            post_processing_macs=m_rows * n_cols * fixed_macs + outlier_total,
+            post_processing_macs=(
+                m_rows * n_cols * self.post_processing_macs_per_output + outlier_total
+            ),
         )
-
-        row_stats: Optional[List[IndexComputeStats]] = None
-        if per_row_stats:
-            row_stats = []
-            for row in range(m_rows):
-                gauss = int(gaussian_per_row[row])
-                outlier = pairs_per_row - gauss
-                row_stats.append(
-                    IndexComputeStats(
-                        gaussian_pairs=gauss,
-                        outlier_pairs=outlier,
-                        index_additions=gauss,
-                        counter_updates=4 * gauss,
-                        post_processing_macs=n_cols * fixed_macs + outlier,
-                    )
-                )
-        return stats, row_stats
 
     def matmul(  # type: ignore[override]
         self,
         activations: QuantizedTensor,
         weights: QuantizedTensor,
-        per_row_stats: bool = False,
     ) -> "IndexMatmulResult":
         """Vectorized index-domain matrix multiply ``activations @ weights``.
+
+        The one-GEMM case of the weight-group path every
+        :func:`index_domain_matmul_many` call runs.
 
         Args:
             activations: Quantized ``(M, K)`` activation matrix.
             weights: Quantized ``(K, N)`` weight matrix.
-            per_row_stats: Also return one :class:`IndexComputeStats` per
-                output row (the accelerator's per-output-tile view).
 
         Returns:
             An :class:`IndexMatmulResult` with the ``(M, N)`` values and
-            exact aggregate (and optionally per-row) statistics.
+            exact aggregate statistics.
         """
-        planes = self._build_planes(activations, weights)
-        # One stacked backend call yields the four plane products:
-        # rows {P, G} x cols {Q, H}.
-        prod = self._stacked_product(planes)
-        outlier_values = self._outlier_values(activations, weights, planes)
-        values = self._combine_values(planes, prod, outlier_values)
-        stats, row_stats = self._stats_from_planes(planes, per_row_stats)
-        return IndexMatmulResult(values=values, stats=stats, row_stats=row_stats)
+        return _weight_group_matmul(weights, [(self, activations)])[0]
+
+
+def _weight_group_matmul(
+    weights: QuantizedTensor,
+    members: List[Tuple[VectorizedIndexDomainEngine, QuantizedTensor]],
+) -> List[IndexMatmulResult]:
+    """Every GEMM ``activations @ weights`` of one weight group.
+
+    ``members`` pairs each activation with the engine built for its
+    dictionary.  Their stacked ``[P; G]`` planes are row-concatenated
+    against the weight's one ``[Q | H]`` plane set, so the group costs one
+    backend plane product plus one outlier correction however many GEMMs
+    it holds.  Slicing rows back out is exact — GEMM output rows are
+    independent.
+    """
+    for _, activations in members:
+        _check_matmul_shapes(activations, weights)
+    k_len, n_cols = weights.shape
+    base = members[0][0]
+    wgt = base._plane_set(weights, "rhs", (k_len, n_cols))
+    acts = [
+        engine._plane_set(activations, "lhs", (activations.shape[0], k_len))
+        for engine, activations in members
+    ]
+
+    def product(lhs: List[np.ndarray], slot: str, rhs: np.ndarray) -> np.ndarray:
+        # A lone GEMM passes its planes through uncopied; a group copies once.
+        rows = lhs[0] if len(lhs) == 1 else np.concatenate(lhs, axis=0)
+        return base._product(rows, base._plane_operand(wgt, slot, rhs))
+
+    prod = product([act.stacked for act in acts], "stacked", wgt.stacked)
+    # The OPP's direct MACs on decoded centroids: (A outlier, any W) plus
+    # (A Gaussian, W outlier) covers every pair in which either operand
+    # is an outlier exactly once.  Rows of activations without outliers
+    # come out exactly zero.
+    outliers: Optional[np.ndarray] = None
+    if any(act.has_outliers for act in acts):
+        outliers = product([act.dec_out for act in acts], "dec", wgt.dec)
+    if wgt.has_outliers:
+        second = product([act.dec_gauss for act in acts], "dec_out", wgt.dec_out)
+        outliers = second if outliers is None else outliers + second
+
+    results = []
+    row = 0
+    for (engine, _), act in zip(members, acts):
+        end = row + act.plane_shape[0]
+        values = engine._combine_values(
+            prod[2 * row : 2 * end], None if outliers is None else outliers[row:end]
+        )
+        results.append(IndexMatmulResult(values, engine._stats_from_planes(act, wgt)))
+        row = end
+    return results
 
 
 def _import_torch():
@@ -1045,10 +971,11 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
     Plane construction, value combination and the integer statistics stay
     on NumPy — so this backend reports :class:`IndexComputeStats`
     *identical* to the vectorized oracle by construction — while every
-    dense product (the stacked plane GEMM, batched group GEMMs and the
-    outlier MAC matmuls) runs through ``torch.einsum`` in float64 on
-    ``device``.  Values agree with the oracle to floating-point
-    round-off.
+    dense product (each weight group's stacked plane GEMM and its outlier
+    MAC matmuls, see :meth:`_product`) runs through ``torch.einsum`` in
+    float64 on ``device``, with the weight-side planes pinned there by
+    :meth:`_plane_operand`.  Values agree with the oracle to
+    floating-point round-off.
 
     Args:
         activation_dictionary: Dictionary of the activation tensor.
@@ -1117,11 +1044,6 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
         out = self._torch.einsum("mk,kn->mn", self._as_device(lhs), self._as_device(rhs))
         return out.cpu().numpy()
 
-    def _batched_product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        out = self._torch.einsum(
-            "bmk,bkn->bmn", self._as_device(lhs), self._as_device(rhs)
-        )
-        return out.cpu().numpy()
 
 
 # --------------------------------------------------------------------------- #
@@ -1228,23 +1150,6 @@ def _split_encoded(
     ]
 
 
-def _slice_encoded(
-    encoded: EncodedValues, shape: Tuple[int, ...], index: int, axis: int
-) -> EncodedValues:
-    """Extract one row (axis=0) or column (axis=1) of a 2-D encoding."""
-
-    def pick(array: np.ndarray) -> np.ndarray:
-        matrix = array.reshape(shape)
-        return matrix[index, :] if axis == 0 else matrix[:, index]
-
-    return EncodedValues(
-        is_outlier=pick(encoded.is_outlier),
-        sign=pick(encoded.sign),
-        gaussian_index=pick(encoded.gaussian_index),
-        outlier_index=pick(encoded.outlier_index),
-    )
-
-
 def index_domain_dot(
     activations: QuantizedTensor, weights: QuantizedTensor
 ) -> IndexComputeResult:
@@ -1283,17 +1188,17 @@ def index_domain_matmul_many(
     engine: str = "vectorized",
     device: Optional[str] = None,
 ) -> List[IndexMatmulResult]:
-    """Run many index-domain GEMMs, batching same-shape products.
+    """Run many index-domain GEMMs, one backend product per weight.
 
-    The per-head attention GEMMs of a layer — and the same projection
-    GEMMs across a model's layers — share one ``(M, K, N)`` shape, so
-    their stacked indicator-plane products can be evaluated by a single
-    batched BLAS (or torch ``bmm``) call instead of one call per GEMM.
-    This function groups ``pairs`` by shape and does exactly that; the
-    per-pair scale combination, outlier MACs and exact integer statistics
-    are unchanged, so every returned :class:`IndexMatmulResult` carries
-    statistics *identical* to a per-GEMM :func:`index_domain_matmul` run
-    (values agree to floating-point round-off).
+    Pairs are partitioned by right-operand *object*: the GEMMs of all
+    serving streams against one layer weight become one weight group
+    whose activation planes are row-concatenated against that weight's
+    planes, whatever their row counts.  Each group runs one stacked-plane
+    product and one outlier correction; the scale combination and exact
+    integer statistics stay per pair, so every returned
+    :class:`IndexMatmulResult` carries statistics *identical* to a
+    per-GEMM :func:`index_domain_matmul` run (values agree to
+    floating-point round-off).
 
     Args:
         pairs: Sequence of ``(activations, weights)`` quantized 2-D
@@ -1301,7 +1206,7 @@ def index_domain_matmul_many(
             keeps its own std/mean scales), but all must derive from the
             same Golden Dictionary fit.
         engine: Registered engine name; the scalar reference has no
-            batched path and falls back to per-pair execution.
+            grouped path and runs pair by pair.
         device: Optional device for backends that take one.
 
     Returns:
@@ -1325,135 +1230,29 @@ def index_domain_matmul_many(
                 "index_domain_matmul_many requires every pair to share the "
                 "same Golden Dictionary fit (a, b, num_entries)"
             )
-
-    results: List[Optional[IndexMatmulResult]] = [None] * len(pairs)
     if not isinstance(base, VectorizedIndexDomainEngine):
-        for index, (resolved, (act, weights)) in enumerate(zip(engines, pairs)):
-            values, stats = resolved.matmul(act, weights)
-            results[index] = IndexMatmulResult(values=values, stats=stats)
-        return results
+        return [
+            IndexMatmulResult(*resolved.matmul(act, weights))
+            for resolved, (act, weights) in zip(engines, pairs)
+        ]
 
-    groups: Dict[Tuple[int, int, int], List[int]] = {}
-    for index, (act, weights) in enumerate(pairs):
-        _check_matmul_shapes(act, weights)
-        groups.setdefault((act.shape[0], act.shape[1], weights.shape[1]), []).append(index)
-
-    for shape_indices in groups.values():
-        if len(shape_indices) == 1:
-            only = shape_indices[0]
-            results[only] = engines[only].matmul(pairs[only][0], pairs[only][1])
-            continue
-        # Partition by weight *object* identity: pairs sharing one weight
-        # tensor (per-head decode GEMMs across serving streams) collapse
-        # to a single row-concatenated GEMM against that weight's planes.
-        # The partition depends only on the input pairs — never on cache
-        # state — so cached and uncached runs take identical code paths.
-        shared: Dict[int, List[int]] = {}
-        for i in shape_indices:
-            shared.setdefault(id(pairs[i][1]), []).append(i)
-        singles: List[int] = []
-        for sub in shared.values():
-            if len(sub) >= 2:
-                _shared_rhs_group(engines, pairs, sub, results)
-            else:
-                singles.extend(sub)
-        if not singles:
-            continue
-        if len(singles) == 1:
-            only = singles[0]
-            results[only] = engines[only].matmul(pairs[only][0], pairs[only][1])
-            continue
-        indices = singles
-        planes = [engines[i]._build_planes(pairs[i][0], pairs[i][1]) for i in indices]
-        prods = engines[indices[0]]._batched_product(
-            np.stack([p.lhs for p in planes]), np.stack([p.rhs for p in planes])
-        )
-        outlier_blocks = _batched_outlier_values(engines[indices[0]], planes)
-        for position, index in enumerate(indices):
-            outlier = None if outlier_blocks is None else outlier_blocks[position]
-            values = engines[index]._combine_values(planes[position], prods[position], outlier)
-            stats, _ = engines[index]._stats_from_planes(planes[position])
-            results[index] = IndexMatmulResult(values=values, stats=stats)
+    # The partition depends only on the input pairs — never on cache
+    # state — so cached and uncached runs take identical code paths.
+    groups: Dict[int, List[int]] = {}
+    for index, (_, weights) in enumerate(pairs):
+        groups.setdefault(id(weights), []).append(index)
+    results: List[Optional[IndexMatmulResult]] = [None] * len(pairs)
+    for indices in groups.values():
+        members = [(engines[i], pairs[i][0]) for i in indices]
+        group = _weight_group_matmul(pairs[indices[0]][1], members)
+        for index, result in zip(indices, group):
+            results[index] = result
     return results
 
 
-def _batched_outlier_values(
-    base: "VectorizedIndexDomainEngine",
-    planes: List[_IndicatorPlanes],
-) -> Optional[np.ndarray]:
-    """Batched masked outlier MACs for one same-shape group.
-
-    Pairs without outliers contribute an exactly-zero mask product, so
-    batching over the whole group is exact; skipped entirely (``None``)
-    when no pair in the group holds outliers.  Decoded centroids come
-    from the plane sets, so cached weights decode once per process.
-    """
-    if not any(p.act.has_outliers or p.wgt.has_outliers for p in planes):
-        return None
-    first = base._batched_product(
-        np.stack([p.act.dec_out for p in planes]),
-        np.stack([p.wgt.dec for p in planes]),
-    )
-    second = base._batched_product(
-        np.stack([p.act.dec_gauss for p in planes]),
-        np.stack([p.wgt.dec_out for p in planes]),
-    )
-    return first + second
-
-
-def _shared_rhs_group(
-    engines: List[IndexDomainEngine],
-    pairs,
-    indices: List[int],
-    results: List[Optional[IndexMatmulResult]],
-) -> None:
-    """One GEMM for a same-shape subgroup sharing one weight tensor object.
-
-    The stacked lhs planes of every pair are row-concatenated against the
-    single shared rhs plane set, so S streams hitting the same weight
-    slice cost one BLAS call instead of S.  Row-slicing the concatenated
-    product is exact — GEMM output rows are independent.
-    """
-    base = engines[indices[0]]
-    planes = [engines[i]._build_planes(pairs[i][0], pairs[i][1]) for i in indices]
-    wgt = planes[0].wgt
-    lhs = np.concatenate([p.act.stacked for p in planes], axis=0)
-    prod_cat = base._product(lhs, base._plane_operand(wgt, "stacked", wgt.stacked))
-    out_cat = None
-    if any(p.act.has_outliers for p in planes):
-        out_cat = base._product(
-            np.concatenate([p.act.dec_out for p in planes], axis=0),
-            base._plane_operand(wgt, "dec", wgt.dec),
-        )
-    out2_cat = None
-    if wgt.has_outliers:
-        out2_cat = base._product(
-            np.concatenate([p.act.dec_gauss for p in planes], axis=0),
-            base._plane_operand(wgt, "dec_out", wgt.dec_out),
-        )
-    row = 0
-    mrow = 0
-    for p, index in zip(planes, indices):
-        rows = p.m_rows
-        prod = prod_cat[row : row + 2 * rows]
-        outlier = None
-        if out_cat is not None:
-            outlier = out_cat[mrow : mrow + rows]
-        if out2_cat is not None:
-            second = out2_cat[mrow : mrow + rows]
-            outlier = second if outlier is None else outlier + second
-        row += 2 * rows
-        mrow += rows
-        values = engines[index]._combine_values(p, prod, outlier)
-        stats, _ = engines[index]._stats_from_planes(p)
-        results[index] = IndexMatmulResult(values=values, stats=stats)
-
-
 def vectorized_index_domain_matmul(
-    activations: QuantizedTensor,
-    weights: QuantizedTensor,
-    per_row_stats: bool = False,
+    activations: QuantizedTensor, weights: QuantizedTensor
 ) -> IndexMatmulResult:
     """Vectorized index-domain matrix multiply (values + exact statistics)."""
     engine = VectorizedIndexDomainEngine(activations.dictionary, weights.dictionary)
-    return engine.matmul(activations, weights, per_row_stats=per_row_stats)
+    return engine.matmul(activations, weights)

@@ -18,8 +18,8 @@ pair counts from the actual encodings, not the scheme's assumed
 fractions), wall-clock timings of the quantize and compute phases, and
 the output error against the FP forward of the same block.  The campaign
 engine joins these measured counts to scenario records
-(``run_campaign(..., with_measured=True)``) next to the analytic counts
-the schemes report.
+(``enrichments=Enrichments(measured=True)`` on a campaign spec) next to
+the analytic counts the schemes report.
 
 Only the vectorized engine makes this tractable — the scalar reference
 engine would need hours per layer-scale GEMM — but the scalar engine

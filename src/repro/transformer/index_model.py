@@ -8,9 +8,9 @@ every GEMM in the index domain; this module scales that to whole models:
   each layer's index-domain output feeding the next.  One shared
   :class:`~repro.transformer.index_execution.IndexDomainEncoderExecutor`
   carries the per-``(layer, gemm)`` weight cache, so every weight tensor
-  is quantized exactly once per model, and shape-matched GEMMs inside a
-  layer run as single batched BLAS calls.  The FP forward of the same
-  blocks is the accuracy oracle at every depth.
+  is quantized exactly once per model and its planes are built once.
+  The FP forward of the same blocks is the accuracy oracle at every
+  depth.
 * :class:`IndexKVCache` / :func:`execute_decoder` — a GPT-style decoder
   attention path.  The cache stores the *encoded* K/V rows: dictionaries
   are fit once at prefill and reused verbatim for every appended decode
@@ -26,12 +26,14 @@ every GEMM in the index domain; this module scales that to whole models:
   step of any number of lockstep streams; :func:`execute_decoder` is its
   one-stream case.
 
-Sequential layer dependencies mean a single forward can only batch
-*independent* GEMMs into one BLAS call (per-head score/context products,
-the Q/K/V projections over one shared input); the cross-layer wins come
-from the weight cache and from :func:`repro.core.index_compute.
-index_domain_matmul_many`, which callers with independent cross-layer
-GEMM sets (multi-stream serving, replayed traces) can feed directly.
+Sequential layer dependencies mean a single forward issues its
+*independent* GEMMs (per-head score/context products, the Q/K/V
+projections over one shared input) together, but only GEMMs that share
+a weight object share a BLAS call; the cross-layer wins come from the
+weight cache and from :func:`repro.core.index_compute.
+index_domain_matmul_many`, which callers with independent GEMM sets
+against one weight (multi-stream serving, replayed traces) can feed
+directly.
 """
 
 from __future__ import annotations
@@ -858,8 +860,8 @@ class MultiStreamDecoder:
     :func:`_decoder_layer`: each GEMM family is issued as one
     ``index_domain_matmul_many`` call across streams — the projections
     share their weight tensor, so S streams collapse to one
-    row-concatenated BLAS call; the per-head score/context GEMMs batch
-    as ``S x heads`` same-shape products.
+    row-concatenated BLAS call; the per-head score/context GEMMs run
+    against each stream's own KV slices, one product each.
 
     Stream ``s`` consumes the inputs ``default_rng(seed + 7919 +
     104729 * s)`` would feed a solo decoder, so stream 0 reproduces

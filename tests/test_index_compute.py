@@ -208,29 +208,6 @@ class TestVectorizedEngine:
         with pytest.raises(ValueError):
             index_domain_matmul(aq, wq, engine="simd")
 
-    def test_per_row_stats_merge_to_aggregate(self, quantizer, rng):
-        aq, wq = _quantized_matrices(quantizer, rng, 5, 40, 6)
-        result = vectorized_index_domain_matmul(aq, wq, per_row_stats=True)
-        assert len(result.row_stats) == 5
-        merged = IndexComputeStats()
-        for row in result.row_stats:
-            merged.merge(row)
-        assert merged == result.stats
-
-    def test_per_row_stats_match_scalar_rows(self, quantizer, rng):
-        from repro.core.index_compute import _slice_encoded
-
-        aq, wq = _quantized_matrices(quantizer, rng, 3, 24, 4)
-        result = vectorized_index_domain_matmul(aq, wq, per_row_stats=True)
-        engine = IndexDomainEngine(aq.dictionary, wq.dictionary)
-        for row in range(3):
-            row_enc = _slice_encoded(aq.encoded, aq.shape, row, axis=0)
-            merged = IndexComputeStats()
-            for col in range(4):
-                col_enc = _slice_encoded(wq.encoded, wq.shape, col, axis=1)
-                merged.merge(engine.dot(row_enc, col_enc).stats)
-            assert result.row_stats[row] == merged
-
     def test_shape_validation_matches_scalar(self, quantizer, rng):
         aq = quantizer.quantize(rng.normal(0, 1, 8), "a")
         wq = quantizer.quantize(rng.normal(0, 1, (8, 2)), "w")
@@ -270,14 +247,10 @@ class TestVectorizedEngine:
             quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=0.05
         )
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq, per_row_stats=True)
+        result = vectorized_index_domain_matmul(aq, wq)
         scale = max(1.0, float(np.abs(scalar_values).max()))
         assert np.allclose(result.values, scalar_values, rtol=1e-9, atol=1e-9 * scale)
         assert result.stats == scalar_stats
-        merged = IndexComputeStats()
-        for row in result.row_stats:
-            merged.merge(row)
-        assert merged == result.stats
 
 
 class TestEdgeCases:
@@ -315,10 +288,9 @@ class TestEdgeCases:
     def test_empty_output_plane_matmul(self, quantizer, rng):
         aq, wq = self._empty_pair(quantizer, rng, (0, 4), (4, 0))
         aq = quantizer.quantize(np.empty((0, 4)), dictionary=aq.dictionary)
-        result = vectorized_index_domain_matmul(aq, wq, per_row_stats=True)
+        result = vectorized_index_domain_matmul(aq, wq)
         assert result.values.shape == (0, 0)
         assert result.stats.total_pairs == 0
-        assert result.row_stats == []
 
     def test_length_one_vectors(self, quantizer, rng):
         aq = quantizer.quantize(np.array([1.7]), "a")

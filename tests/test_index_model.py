@@ -28,11 +28,13 @@ import pytest
 from repro.accelerator.workloads import encoder_gemms
 from repro.core.index_compute import (
     IndexDomainEngine,
+    PlaneCache,
     VectorizedIndexDomainEngine,
     index_domain_matmul,
     index_domain_matmul_many,
     make_engine,
     resolve_engine,
+    use_plane_cache,
 )
 from repro.experiments import MeasurementSettings, evaluate_measured
 from repro.registry import RegistryError
@@ -91,7 +93,7 @@ def _operands(quantizer, rng, m, k, n, tag):
 
 class TestMatmulMany:
     def test_matches_per_pair_across_mixed_shapes(self, quantizer, rng):
-        # Two shape groups (batched) plus a singleton group.
+        # Repeated and unique shapes, every pair with its own weight.
         pairs = [
             _operands(quantizer, rng, 6, 16, 8, "a0"),
             _operands(quantizer, rng, 6, 16, 8, "a1"),
@@ -143,7 +145,7 @@ class TestMatmulMany:
     def test_property_batched_equals_per_pair(self, quantizer, seed):
         rng = np.random.default_rng(1000 + seed)
         shapes = [tuple(rng.integers(2, 9, size=3)) for _ in range(rng.integers(2, 5))]
-        if seed % 2:  # force at least one shape collision (a batched group)
+        if seed % 2:  # force at least one shape collision
             shapes.append(shapes[0])
         pairs = [
             _operands(quantizer, rng, m, k, n, f"prop{seed}.{i}")
@@ -153,6 +155,75 @@ class TestMatmulMany:
             values, stats = index_domain_matmul(aq, wq)
             assert result.stats == stats
             np.testing.assert_allclose(result.values, values, rtol=1e-9, atol=1e-9)
+
+    @staticmethod
+    def _run_counting_plane_products(monkeypatch, pairs):
+        """``index_domain_matmul_many(pairs)`` and its stacked-plane product count.
+
+        A stacked-plane product is a backend ``_product`` whose right
+        operand is a weight's ``[Q | H]`` plane array; a fresh plane cache
+        hands the same plane set back afterwards to recognise it.
+        """
+        rhs_seen = []
+        product = VectorizedIndexDomainEngine._product
+
+        def counting(self, lhs, rhs):
+            rhs_seen.append(rhs)
+            return product(self, lhs, rhs)
+
+        monkeypatch.setattr(VectorizedIndexDomainEngine, "_product", counting)
+        with use_plane_cache(PlaneCache(max_bytes=1 << 30)):
+            results = index_domain_matmul_many(pairs)
+            stacked = {
+                id(
+                    VectorizedIndexDomainEngine(wq.dictionary, wq.dictionary)
+                    ._plane_set(wq, "rhs", wq.shape)
+                    .stacked
+                )
+                for _, wq in pairs
+            }
+        return results, sum(id(rhs) in stacked for rhs in rhs_seen)
+
+    @staticmethod
+    def _assert_matches_per_pair(pairs, results):
+        for (aq, wq), result in zip(pairs, results):
+            values, stats = index_domain_matmul(aq, wq)
+            assert result.stats == stats
+            np.testing.assert_allclose(result.values, values, rtol=1e-9, atol=1e-9)
+
+    def test_shared_weight_at_mixed_rows_is_one_product(self, quantizer, rng, monkeypatch):
+        # Several pairs share one weight object at different M (streams at
+        # different prompt lengths); a second weight is shared twice.
+        _, shared = _operands(quantizer, rng, 1, 12, 5, "w-shared")
+        _, other = _operands(quantizer, rng, 1, 12, 7, "w-other")
+        rows_and_weights = ((3, shared), (1, shared), (6, other), (4, shared), (2, other))
+        pairs = [
+            (_operands(quantizer, rng, m, 12, 5, f"mixed{m}")[0], weights)
+            for m, weights in rows_and_weights
+        ]
+        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
+        assert stacked_products == 2
+        self._assert_matches_per_pair(pairs, results)
+
+    def test_one_activation_against_several_weights(self, quantizer, rng, monkeypatch):
+        # The Q/K/V shape: one activation object, three distinct weights.
+        activation, _ = _operands(quantizer, rng, 6, 16, 1, "qkv")
+        weights = [_operands(quantizer, rng, 1, 16, 8, f"qkv.{name}")[1] for name in "qkv"]
+        pairs = [(activation, wq) for wq in weights]
+        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
+        assert stacked_products == 3
+        self._assert_matches_per_pair(pairs, results)
+
+    def test_one_stacked_product_per_distinct_weight(self, quantizer, rng, monkeypatch):
+        _, shared = _operands(quantizer, rng, 1, 10, 4, "w-many")
+        pairs = [_operands(quantizer, rng, 5, 10, 4, f"solo{i}") for i in range(3)]
+        pairs += [
+            (_operands(quantizer, rng, m, 10, 4, f"streams{m}")[0], shared)
+            for m in (1, 2, 3)
+        ]
+        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
+        assert stacked_products == 4
+        self._assert_matches_per_pair(pairs, results)
 
 
 class TestEngineDispatch:

@@ -277,6 +277,17 @@ class TestPlaneCacheUnit:
         delta = cache.stats().minus(stats)
         assert delta.hits == 0 and delta.entries == stats.entries
 
+    def test_budget_from_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANE_CACHE_MB", "1.5")
+        assert PlaneCache().max_bytes == 3 * 512 * 1024
+
+    @pytest.mark.parametrize("raw", ["abc", "", "nan", "inf", "-inf", "-1", "1e400"])
+    def test_bad_budget_environment_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_PLANE_CACHE_MB", raw)
+        with pytest.raises(ValueError, match="REPRO_PLANE_CACHE_MB") as info:
+            PlaneCache()
+        assert repr(raw) in str(info.value)
+
     def test_zero_budget_caches_nothing(self, quantizer):
         cache = PlaneCache(max_bytes=0)
         cache.put(("d", "rhs"), self._plane_set(quantizer))
