@@ -325,9 +325,10 @@ else:
     MODEL_SPEEDUP_FLOOR = 1.5
     DECODER_SPEC = GPT_DECODER_CONFIG
     PROMPT_LENGTH, DECODE_TOKENS = 32, 8
-    # The ISSUE 9 acceptance floor: >= 5x the seed BENCH_PERF measurement
-    # of 0.325 tokens/s (measured with the plane cache: ~2x the floor).
-    DECODER_TPS_FLOOR = 1.6
+    # Half the lowest measured plane-cached decode rate (6.4-7.9 tokens/s
+    # on a 2-CPU x86_64 host with one decoded GEMM per weight group), so
+    # it fires only when the engine or the incremental cache regresses.
+    DECODER_TPS_FLOOR = 3.2
     STREAMS, STREAM_PROMPT, STREAM_DECODE = 4, 16, 8
 
 
@@ -473,7 +474,7 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
     # strategy — outputs and op counts match the uncached oracle exactly.
     assert np.array_equal(measurement.outputs, uncached.outputs)
     assert measurement.stats == uncached.stats
-    # The ISSUE 9 floor: plane-cached decode must stay >= 5x the seed.
+    # Plane-cached decode must stay at or above the floor.
     assert measurement.tokens_per_second >= DECODER_TPS_FLOOR, (
         f"plane-cached decode only {measurement.tokens_per_second:.2f} "
         f"tokens/s (floor {DECODER_TPS_FLOOR}) — did the incremental "

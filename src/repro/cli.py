@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             "The unified registry surface: every pluggable axis of the "
             "campaign grid and the serving simulator (schemes, designs, "
             "models, tasks, engines, store backends, arrival traces, "
-            "batching policies, service job states) behind one "
+            "batching policies) behind one "
             "names/get/describe protocol."
         ),
     )

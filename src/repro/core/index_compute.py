@@ -17,59 +17,41 @@ centroids, exactly like the hardware's OPP unit.
 
 Two engines implement the arithmetic:
 
-* :class:`IndexDomainEngine` — the faithful scalar engine: one Python
-  ``dot`` per output activation, histograms accumulated with
-  ``np.add.at`` exactly as the GPE's counter register files do.  It is the
-  correctness reference for the hardware model and for the vectorized
-  engine, but a Python loop per output element makes it unusable at model
-  scale (a single BERT-base GEMM holds ~10^5 outputs).
+* :class:`IndexDomainEngine` — the faithful scalar engine and the home of
+  the Eq. 3-6 counter formulation: one Python ``dot`` per output
+  activation, histograms accumulated with ``np.add.at`` exactly as the
+  GPE's counter register files do.  It is the correctness reference for
+  the hardware model and for the vectorized engine, but a Python loop per
+  output element makes it unusable at model scale (a single BERT-base
+  GEMM holds ~10^5 outputs).
 * :class:`VectorizedIndexDomainEngine` — computes whole GEMMs with NumPy
   array operations, ~100-1000x faster at layer shapes.
 
-**The bincount / indicator-product formulation.**  The symbol alphabet is
-tiny — 8 Gaussian magnitudes x sign plus up to 16 outlier centroids — so
-every per-output histogram is a ``np.bincount`` of 4-bit symbols, and the
-post-processing step only ever multiplies a histogram by fixed per-bin
-weights (``a**bin`` for SoI, Eq. 3-6 constants for the rest).  Weighted
-reduction commutes with accumulation: instead of materialising the
-histogram of exponent sums and then reducing it, map every symbol to its
-per-bin weight *first* (an 8-entry lookup table, i.e. an indicator matrix
-``X`` with ``X[s, k] = [symbol_k == s]`` contracted against the weight
-table) and let one matrix product accumulate all outputs of the GEMM at
-once.  Concretely, with Gaussian masks ``g`` (1 where a value is not an
-outlier), signs ``theta`` and exponent indexes ``i``:
+**Values from one decoded GEMM.**  Eq. 3-6 is an exact algebraic rewrite
+of ``dec(A) @ dec(W)``: with exponential-curve centroids a Gaussian symbol
+decodes to exactly ``theta * (a**i + b) * s + m`` and an outlier to its
+16-bit centroid, so the counter terms plus the OPP's outlier MACs sum to
+the same number as one dense product of the decoded operands.  The
+rewrite is what makes the hardware datapath narrow; a host gains nothing
+from it, so the vectorized engine computes values as that one float64
+GEMM (outlier pairs included).  Both engines therefore accept only
+exponential-centroid dictionaries (``MokeyQuantizer(use_exponential=True)``,
+the default), and the property test vectorized == scalar is what proves
+the two formulations agree.
 
-    ``U = theta_A * a**i_A * g_A``, ``T = theta_A * g_A``, ``G = g_A``
-    (each ``(M, K)``), and symmetrically ``V, R, H`` for the weights
-    (each ``(K, N)``).  Then, for every output at once,
-
-    ``sum_bins SoI_hist * a**bin  = U @ V``
-    ``sum_bins SoA1_hist * a**bin = U @ R``   (and ``T @ V`` for SoW1)
-    ``PoM1 counts                 = T @ R``   (sign-product counts)
-    ``per-output Gaussian-pair counts = G @ H``
-
-Because every ``U``-family product enters Eq. 3-6 alongside its
-``b``-weighted ``T``-family partner, the implementation folds the offset
-up front — ``P = U + b*T = theta * (a**i + b) * g`` (exactly the decoded
-magnitude of the symbol) and ``Q = V + b*R`` — which merges the four
-SoI/SoA1/SoW1/PoM1 products into the single block ``P @ Q``.  The four
-remaining pairwise products of ``{P, G}`` x ``{Q, H}`` are what one
-stacked ``(2M, K) @ (K, 2N)`` BLAS call produces together.  Outlier
-pairs — the pairs masked *out* of the planes above — are handled by
-masked direct MACs on the decoded 16-bit centroids, mirroring the OPP.
+**Statistics from masks.**  Operation counts are exact integers derived
+from the outlier masks alone — the Gaussian pair count of output
+``(m, n)`` is the number of ``k`` at which neither operand is an outlier
+— so the vectorized engine reports *identical* :class:`IndexComputeStats`
+to the scalar engine (a property-test-locked guarantee), while values
+agree to floating-point round-off.
 
 **One GEMM path.**  Every GEMM runs as part of a *weight group*: the
 GEMMs of one call that share a right-operand object (the serving streams'
-projections against one layer weight, say) row-concatenate their stacked
-activation planes against that weight's single ``[Q | H]`` plane set, so
-the group costs one plane product plus one outlier correction however
-many GEMMs — and whatever row counts — it holds.  A lone GEMM is the
-one-member group.
-
-Operation statistics are exact integer counts derived from the indicator
-planes alone, so the vectorized engine reports *identical*
-:class:`IndexComputeStats` to the scalar engine (a property-test-locked
-guarantee), while values agree to floating-point round-off.
+projections against one layer weight, say) row-concatenate their decoded
+activation rows against that weight's one decoded plane, so the group
+costs one dense product however many GEMMs — and whatever row counts —
+it holds.  A lone GEMM is the one-member group.
 """
 
 from __future__ import annotations
@@ -267,125 +249,46 @@ class PlaneCacheStats:
 
 
 class PlaneSet:
-    """The indicator planes of one operand in one GEMM role.
+    """The decoded operand plane and outlier mask of one operand in one role.
 
-    ``role="lhs"`` holds the activation-side planes: ``p``/``g`` are the
-    ``(M, K)`` symbol and Gaussian-indicator planes, :attr:`stacked` their
-    ``(2M, K)`` row concatenation ``[P; G]``.  ``role="rhs"`` holds the
-    weight-side planes: ``p``/``g`` are ``(K, N)``, :attr:`stacked` the
-    ``(K, 2N)`` column concatenation ``[Q | H]``.  ``p`` and ``g`` are
-    views into :attr:`stacked`, so one buffer feeds the stacked BLAS call
-    directly.
-
-    The decoded centroids (:attr:`dec`) and their masked variants —
-    needed only when outlier pairs exist — materialise lazily and stay
-    with the plane set, so a cached weight decodes once across every GEMM
-    that touches it.  :attr:`device_tensors` is scratch space for device
-    backends to pin uploaded copies (keyed ``(slot, device)``).
+    ``role="lhs"`` holds an activation's ``(M, K)`` arrays, ``role="rhs"``
+    a weight's ``(K, N)`` arrays.  :attr:`dec` is the operand decoded to
+    its 16-bit centroids (without the fixed-point rounding), the one
+    array the engine's dense product reads; :attr:`out` is the boolean
+    outlier mask the exact statistics are counted from.  The weight role
+    also keeps :attr:`gauss_per_k`, the Gaussian count of every ``k``
+    row.  :attr:`device_tensors` is scratch space for device backends to
+    pin an uploaded copy of :attr:`dec` (keyed by device).
     """
 
-    __slots__ = (
-        "role",
-        "fit_key",
-        "plane_shape",
-        "stacked",
-        "p",
-        "g",
-        "out",
-        "has_outliers",
-        "gauss_per_k",
-        "device_tensors",
-        "_dec",
-        "_dec_out",
-        "_dec_gauss",
-        "_encoded",
-        "_dictionary",
-        "_on_grow",
-    )
+    __slots__ = ("role", "fit_key", "plane_shape", "dec", "out", "gauss_per_k", "device_tensors")
 
     def __init__(
         self,
-        p: np.ndarray,
-        g: np.ndarray,
+        dec: np.ndarray,
         out: np.ndarray,
         role: str,
         fit_key: Tuple[float, float, int],
-        dictionary: Optional[TensorDictionary] = None,
-        encoded: Optional[EncodedValues] = None,
-        dec: Optional[np.ndarray] = None,
     ) -> None:
         if role not in ("lhs", "rhs"):
             raise ValueError(f"role must be 'lhs' or 'rhs', got {role!r}")
         self.role = role
         self.fit_key = fit_key
         self.plane_shape = tuple(out.shape)
-        rows, cols = self.plane_shape
-        axis = 0 if role == "lhs" else 1
         # C-contiguous everywhere: transposed/sliced sources may arrive
         # F-ordered, and a fixed layout keeps every BLAS call bitwise
         # reproducible regardless of how the planes were assembled.
-        out = np.ascontiguousarray(out)
-        stacked = np.concatenate([p, g], axis=axis)
-        if role == "lhs":
-            self.p, self.g = stacked[:rows], stacked[rows:]
-        else:
-            self.p, self.g = stacked[:, :cols], stacked[:, cols:]
-        self.stacked = stacked
-        self.out = out
-        self.has_outliers = bool(out.any())
+        self.dec = np.ascontiguousarray(dec)
+        self.out = np.ascontiguousarray(out)
         self.gauss_per_k = (
-            (~out).sum(axis=1, dtype=np.int64) if role == "rhs" else None
+            (~self.out).sum(axis=1, dtype=np.int64) if role == "rhs" else None
         )
-        self.device_tensors: Dict[Tuple[str, str], Any] = {}
-        self._dec = dec
-        self._dec_out: Optional[np.ndarray] = None
-        self._dec_gauss: Optional[np.ndarray] = None
-        self._encoded = encoded
-        self._dictionary = dictionary
-        self._on_grow = None
-
-    @property
-    def dec(self) -> np.ndarray:
-        """Decoded 16-bit centroids in the plane orientation (lazy)."""
-        if self._dec is None:
-            if self._dictionary is None or self._encoded is None:
-                raise ValueError("plane set was built without a decode source")
-            self._dec = np.ascontiguousarray(
-                self._dictionary.decode(self._encoded, apply_fixed_point=False).reshape(
-                    self.plane_shape
-                )
-            )
-            self._grew(self._dec.nbytes)
-        return self._dec
-
-    @property
-    def dec_out(self) -> np.ndarray:
-        """``dec`` masked to the outlier entries (lazy)."""
-        if self._dec_out is None:
-            self._dec_out = self.dec * self.out
-            self._grew(self._dec_out.nbytes)
-        return self._dec_out
-
-    @property
-    def dec_gauss(self) -> np.ndarray:
-        """``dec`` masked to the Gaussian entries (lazy)."""
-        if self._dec_gauss is None:
-            self._dec_gauss = self.dec * self.g
-            self._grew(self._dec_gauss.nbytes)
-        return self._dec_gauss
-
-    def _grew(self, nbytes: int) -> None:
-        if self._on_grow is not None:
-            self._on_grow(int(nbytes))
+        self.device_tensors: Dict[str, Any] = {}
 
     @property
     def nbytes(self) -> int:
-        """Host bytes currently held (stacked + mask + materialised lazies)."""
-        total = int(self.stacked.nbytes) + int(self.out.nbytes)
-        for array in (self._dec, self._dec_out, self._dec_gauss):
-            if array is not None:
-                total += int(array.nbytes)
-        return total
+        """Host bytes held (decoded plane + outlier mask)."""
+        return int(self.dec.nbytes) + int(self.out.nbytes)
 
 
 #: Default LRU budget of the process-wide plane cache, in megabytes.
@@ -400,9 +303,9 @@ class PlaneCache:
     never serve stale planes: a tensor with different encoded values or a
     different dictionary has a different digest *by construction* — there
     is no invalidation protocol to get wrong.  The byte budget covers the
-    host plane arrays (stacked planes, outlier mask, lazily materialised
-    decoded centroids); least-recently-used entries are dropped when the
-    budget is exceeded, and any device-resident copies go with them.
+    host plane arrays (decoded plane and outlier mask); least-recently-used
+    entries are dropped when the budget is exceeded, and any
+    device-resident copies go with them.
 
     Thread-safe; counters are exposed as :class:`PlaneCacheStats`.
     """
@@ -459,16 +362,8 @@ class PlaneCache:
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self._bytes -= previous.nbytes
-                previous._on_grow = None
             self._entries[key] = plane_set
             self._bytes += plane_set.nbytes
-            plane_set._on_grow = self._grow
-            self._evict_over_budget()
-
-    def _grow(self, nbytes: int) -> None:
-        """Account a cached entry's lazy materialisation (decoded centroids)."""
-        with self._lock:
-            self._bytes += nbytes
             self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
@@ -478,7 +373,6 @@ class PlaneCache:
         while self._bytes > self.max_bytes and self._entries:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
-            evicted._on_grow = None
             self.evictions += 1
 
     def note_attached_hit(self) -> None:
@@ -510,8 +404,6 @@ class PlaneCache:
     def clear(self) -> None:
         """Drop every entry (counters keep their totals)."""
         with self._lock:
-            for plane_set in self._entries.values():
-                plane_set._on_grow = None
             self._entries.clear()
             self._bytes = 0
 
@@ -570,7 +462,11 @@ class IndexDomainEngine:
         weight_dictionary: Dictionary of the weight tensor.
 
     Both dictionaries must be derived from the same Golden Dictionary so
-    that they share the exponential base ``a`` and offset ``b``.
+    that they share the exponential base ``a`` and offset ``b``, and both
+    must store the exponential-curve centroids
+    (``MokeyQuantizer(use_exponential=True)``): Eq. 3-6 regenerate the
+    ``a**int + b`` magnitudes, so any other Gaussian centroids would make
+    the result silently disagree with the decoded tensors.
     """
 
     def __init__(
@@ -584,6 +480,13 @@ class IndexDomainEngine:
             raise ValueError(
                 "activation and weight dictionaries must share the same Golden Dictionary"
             )
+        for dictionary in (activation_dictionary, weight_dictionary):
+            if not np.array_equal(dictionary.gaussian_half, dictionary.golden.exponential_half()):
+                raise ValueError(
+                    f"tensor {dictionary.name!r} does not store exponential-curve "
+                    "centroids; index-domain compute needs dictionaries fit with "
+                    "use_exponential=True"
+                )
         self.act_dict = activation_dictionary
         self.weight_dict = weight_dictionary
         self.a = fit_a.a
@@ -730,42 +633,41 @@ class IndexDomainEngine:
 
 
 class VectorizedIndexDomainEngine(IndexDomainEngine):
-    """Whole-GEMM index-domain compute via indicator-plane BLAS products.
+    """Whole-GEMM index-domain compute: one decoded GEMM plus mask statistics.
 
-    Implements the bincount / indicator-product formulation described in
-    the module docstring: the nine cross products of the three activation
-    planes against the three weight planes are evaluated by one stacked
-    matrix multiply, outlier pairs by masked direct MACs on the decoded
-    centroids.  Produces the same values as the scalar engine up to
+    Values are one dense product of the decoded operands, which Eq. 3-6
+    rewrite exactly (see the module docstring); outlier pairs need no
+    separate correction because their 16-bit centroids are already in the
+    decoded planes.  Produces the same values as the scalar engine up to
     floating-point round-off and bit-identical operation statistics.
 
-    The computation is staged so backends can swap the dense products
-    without touching the formulation: :meth:`_plane_set` (NumPy),
+    The computation is staged so backends can swap the dense product
+    without touching anything else: :meth:`_plane_set` (NumPy),
     :meth:`_product` / :meth:`_plane_operand` (the backend seam — the
-    only floating-point GEMMs in the engine), then value combination and
-    the exact integer statistics (NumPy again, derived from the indicator
-    planes alone).  Any backend therefore reports *identical*
-    :class:`IndexComputeStats` to this oracle by construction.
+    only floating-point GEMM in the engine), then the exact integer
+    statistics (NumPy again, from the outlier masks alone).  Any backend
+    therefore reports *identical* :class:`IndexComputeStats` to this
+    oracle by construction.
     """
 
     # ------------------------------------------------------------------ #
-    # Backend seam: the only dense floating-point products in the engine
+    # Backend seam: the only dense floating-point product in the engine
     # ------------------------------------------------------------------ #
     def _product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """One dense ``(R, K) @ (K, C)`` product on this backend."""
         return lhs @ rhs
 
-    def _plane_operand(self, plane_set: PlaneSet, slot: str, array: np.ndarray) -> Any:
-        """Backend hook: may return a device-resident handle for ``array``.
+    def _plane_operand(self, plane_set: PlaneSet) -> Any:
+        """Backend hook: may return a device-resident handle for ``plane_set.dec``.
 
         The NumPy oracle returns the host array unchanged; the torch
-        backend pins cached plane arrays on its device (uploaded once,
+        backend pins cached weight planes on its device (uploaded once,
         reused every GEMM that touches the plane set).
         """
-        return array
+        return plane_set.dec
 
     # ------------------------------------------------------------------ #
-    # Stages of the indicator-plane formulation
+    # Stages
     # ------------------------------------------------------------------ #
     def _build_plane_set(
         self,
@@ -774,30 +676,18 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         shape: Tuple[int, int],
         dictionary: TensorDictionary,
     ) -> PlaneSet:
-        """Build one operand's planes elementwise (always NumPy).
+        """Decode one operand and take its outlier mask (always NumPy).
 
-        The symbol-mapped exponential plane ``P = theta * (a**i + b)``
-        masked to Gaussian entries (folding the offset b up front merges
-        the SoI/SoA1/SoW1/PoM1 products into a single block:
-        ``P @ Q = U@V + b*(U@R + T@V) + b^2 * T@R``), plus the Gaussian
-        indicator plane ``G``.
+        The decode skips the fixed-point rounding, exactly like the scalar
+        engine's outlier MAC, so Gaussian entries carry the exact
+        exponential-curve values Eq. 3-6 regenerate.
         """
         encoded = tensor.encoded
-        out = encoded.is_outlier.reshape(shape)
-        g = (~out).astype(np.float64)
-        p = (
-            encoded.sign.reshape(shape).astype(np.float64)
-            * (self.half_bases[encoded.gaussian_index.reshape(shape)] + self.b)
-            * g
-        )
         return PlaneSet(
-            p=p,
-            g=g,
-            out=out,
+            dec=dictionary.decode(encoded, apply_fixed_point=False).reshape(shape),
+            out=encoded.is_outlier.reshape(shape),
             role=role,
             fit_key=self._fit_key,
-            dictionary=dictionary,
-            encoded=encoded,
         )
 
     def _plane_set(
@@ -834,32 +724,12 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
             return built
         return self._build_plane_set(tensor, role, shape, dictionary)
 
-    def _combine_values(
-        self, prod: np.ndarray, outlier_values: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Eq. 3-6 per output, all at once, from the stacked plane product.
-
-        ``prod`` is the ``(2M, 2N)`` product of the activation's stacked
-        ``[P; G]`` with the weight's stacked ``[Q | H]``: the SoI + SoA1 +
-        SoW1 + PoM1 family (``P @ Q``), the SoA2/PoM2 family (``P @ H``),
-        the SoW2/PoM3 family (``G @ Q``) and the constant PoM4 term
-        (``G @ H``).
-        """
-        M, N = prod.shape[0] // 2, prod.shape[1] // 2
-        s_a, m_a = self.act_dict.std, self.act_dict.mean
-        s_w, m_w = self.weight_dict.std, self.weight_dict.mean
-        pq, ph = prod[:M, :N], prod[:M, N:]
-        gq, gh = prod[M:, :N], prod[M:, N:]
-        values = s_a * s_w * pq + s_a * m_w * ph + s_w * m_a * gq + m_a * m_w * gh
-        if outlier_values is not None:
-            values = values + outlier_values
-        return values
-
     def _stats_from_planes(self, act: PlaneSet, wgt: PlaneSet) -> IndexComputeStats:
-        """Exact integer statistics from the indicator planes alone.
+        """Exact integer statistics from the outlier masks alone.
 
-        The Gaussian pair count of output ``(m, n)`` is ``(G @ H)[m, n]``;
-        summing over ``n`` first keeps the count computation
+        The Gaussian pair count of output ``(m, n)`` is the number of
+        ``k`` where neither ``act.out[m, k]`` nor ``wgt.out[k, n]`` is
+        set; summing over ``n`` first keeps the count computation
         ``O(MK + KN)``.  Always NumPy integer arithmetic, so every
         backend reports identical counts.
         """
@@ -907,11 +777,10 @@ def _weight_group_matmul(
     """Every GEMM ``activations @ weights`` of one weight group.
 
     ``members`` pairs each activation with the engine built for its
-    dictionary.  Their stacked ``[P; G]`` planes are row-concatenated
-    against the weight's one ``[Q | H]`` plane set, so the group costs one
-    backend plane product plus one outlier correction however many GEMMs
-    it holds.  Slicing rows back out is exact — GEMM output rows are
-    independent.
+    dictionary.  Their decoded rows are row-concatenated against the
+    weight's one decoded plane, so the group costs one backend product
+    however many GEMMs it holds.  Slicing rows back out is exact — GEMM
+    output rows are independent.
     """
     for _, activations in members:
         _check_matmul_shapes(activations, weights)
@@ -922,32 +791,17 @@ def _weight_group_matmul(
         engine._plane_set(activations, "lhs", (activations.shape[0], k_len))
         for engine, activations in members
     ]
-
-    def product(lhs: List[np.ndarray], slot: str, rhs: np.ndarray) -> np.ndarray:
-        # A lone GEMM passes its planes through uncopied; a group copies once.
-        rows = lhs[0] if len(lhs) == 1 else np.concatenate(lhs, axis=0)
-        return base._product(rows, base._plane_operand(wgt, slot, rhs))
-
-    prod = product([act.stacked for act in acts], "stacked", wgt.stacked)
-    # The OPP's direct MACs on decoded centroids: (A outlier, any W) plus
-    # (A Gaussian, W outlier) covers every pair in which either operand
-    # is an outlier exactly once.  Rows of activations without outliers
-    # come out exactly zero.
-    outliers: Optional[np.ndarray] = None
-    if any(act.has_outliers for act in acts):
-        outliers = product([act.dec_out for act in acts], "dec", wgt.dec)
-    if wgt.has_outliers:
-        second = product([act.dec_gauss for act in acts], "dec_out", wgt.dec_out)
-        outliers = second if outliers is None else outliers + second
+    # A lone GEMM passes its decoded rows through uncopied; a group copies once.
+    rows = acts[0].dec if len(acts) == 1 else np.concatenate([act.dec for act in acts])
+    values = base._product(rows, base._plane_operand(wgt))
 
     results = []
     row = 0
     for (engine, _), act in zip(members, acts):
         end = row + act.plane_shape[0]
-        values = engine._combine_values(
-            prod[2 * row : 2 * end], None if outliers is None else outliers[row:end]
+        results.append(
+            IndexMatmulResult(values[row:end], engine._stats_from_planes(act, wgt))
         )
-        results.append(IndexMatmulResult(values, engine._stats_from_planes(act, wgt)))
         row = end
     return results
 
@@ -966,16 +820,15 @@ def _import_torch():
 
 
 class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
-    """Indicator-plane engine with the dense products on ``torch.einsum``.
+    """Decoded-operand engine with the dense product on ``torch.einsum``.
 
-    Plane construction, value combination and the integer statistics stay
-    on NumPy — so this backend reports :class:`IndexComputeStats`
-    *identical* to the vectorized oracle by construction — while every
-    dense product (each weight group's stacked plane GEMM and its outlier
-    MAC matmuls, see :meth:`_product`) runs through ``torch.einsum`` in
-    float64 on ``device``, with the weight-side planes pinned there by
-    :meth:`_plane_operand`.  Values agree with the oracle to
-    floating-point round-off.
+    Decoding and the integer statistics stay on NumPy — so this backend
+    reports :class:`IndexComputeStats` *identical* to the vectorized
+    oracle by construction — while each weight group's one dense product
+    of decoded operands (see :meth:`_product`) runs through
+    ``torch.einsum`` in float64 on ``device``, with the weight's decoded
+    plane pinned there by :meth:`_plane_operand`.  Values agree with the
+    oracle to floating-point round-off.
 
     Args:
         activation_dictionary: Dictionary of the activation tensor.
@@ -1021,19 +874,18 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
             return self._tensor(value)
         return value
 
-    def _plane_operand(self, plane_set: PlaneSet, slot: str, array: np.ndarray) -> Any:
-        """Pin cached plane arrays on the device, uploaded once per slot.
+    def _plane_operand(self, plane_set: PlaneSet) -> Any:
+        """Pin the decoded plane on the device, uploaded once.
 
         The handle lives on the :class:`PlaneSet`, so any engine instance
         targeting the same device reuses it — engines are constructed
         fresh per GEMM, the plane sets are what persist.
         """
-        key = (slot, self.device)
-        resident = plane_set.device_tensors.get(key)
+        resident = plane_set.device_tensors.get(self.device)
         cache = get_plane_cache()
         if resident is None:
-            resident = self._tensor(array)
-            plane_set.device_tensors[key] = resident
+            resident = self._tensor(plane_set.dec)
+            plane_set.device_tensors[self.device] = resident
             if cache is not None:
                 cache.note_device_upload()
         elif cache is not None:
@@ -1043,7 +895,6 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
     def _product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = self._torch.einsum("mk,kn->mn", self._as_device(lhs), self._as_device(rhs))
         return out.cpu().numpy()
-
 
 
 # --------------------------------------------------------------------------- #
@@ -1063,7 +914,7 @@ ENGINE_BACKENDS: Dict[str, type] = {
 #: purpose: describing the torch backend must not import torch.
 ENGINE_DESCRIPTIONS: Dict[str, str] = {
     "scalar": "faithful per-output reference engine (np.add.at histograms; tests only)",
-    "vectorized": "whole-GEMM NumPy indicator-plane BLAS engine — the correctness oracle",
+    "vectorized": "whole-GEMM NumPy decoded-operand BLAS engine — the correctness oracle",
     "torch": "optional torch einsum backend (CPU/GPU) — identical stats to the oracle",
 }
 
@@ -1192,10 +1043,10 @@ def index_domain_matmul_many(
 
     Pairs are partitioned by right-operand *object*: the GEMMs of all
     serving streams against one layer weight become one weight group
-    whose activation planes are row-concatenated against that weight's
-    planes, whatever their row counts.  Each group runs one stacked-plane
-    product and one outlier correction; the scale combination and exact
-    integer statistics stay per pair, so every returned
+    whose decoded activation rows are row-concatenated against that
+    weight's decoded plane, whatever their row counts.  Each group runs
+    one dense product; the exact integer statistics stay per pair, so
+    every returned
     :class:`IndexMatmulResult` carries statistics *identical* to a
     per-GEMM :func:`index_domain_matmul` run (values agree to
     floating-point round-off).

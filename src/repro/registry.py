@@ -1,9 +1,9 @@
 """Unified registry surface over every pluggable axis of the evaluation.
 
-The evaluation exposes nine pluggable axes — quantization schemes,
+The evaluation exposes eight pluggable axes — quantization schemes,
 accelerator designs, model-zoo configurations, evaluation tasks,
 index-domain compute engines, artifact-store backends, arrival-trace
-generators, batching policies and campaign-service job states — and each
+generators and batching policies — and each
 historically exposed its own lookup idiom (``get_scheme``,
 ``build_design``/``DESIGN_FACTORIES``, ``MODEL_CONFIGS``,
 ``task_family``, ``ENGINE_BACKENDS``, ``STORE_BACKENDS``,
@@ -214,7 +214,6 @@ from repro.experiments.store import (  # noqa: E402
 )
 from repro.serving.policies import POLICY_KINDS as _POLICY_KINDS  # noqa: E402
 from repro.serving.traces import TRACE_GENERATORS as _TRACE_GENERATORS  # noqa: E402
-from repro.service.jobs import JOB_STATES as _JOB_STATES  # noqa: E402
 
 
 def _describe_scheme(name: str, scheme: Any) -> str:
@@ -321,16 +320,6 @@ POLICIES = Registry(
     "policies", _POLICY_KINDS, _describe_by_docstring("batching-policy release rule")
 )
 
-def _describe_job_state(name: str, description: Any) -> str:
-    return str(description)
-
-
-#: Live view over the campaign service's ``JOB_STATES``: every state a
-#: ``repro serve`` job can report (``repro status`` / the HTTP API), with
-#: the entry value *being* the description — so clients, tests and docs
-#: share one vocabulary of the job lifecycle.
-JOB_STATES = Registry("job-states", _JOB_STATES, _describe_job_state)
-
 #: The registry of registries: every pluggable axis by kind.
 REGISTRIES: Dict[str, Registry] = {
     "schemes": SCHEMES,
@@ -341,7 +330,6 @@ REGISTRIES: Dict[str, Registry] = {
     "stores": STORES,
     "traces": TRACES,
     "policies": POLICIES,
-    "job-states": JOB_STATES,
 }
 
 

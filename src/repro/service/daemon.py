@@ -15,8 +15,11 @@ Built on :class:`http.server.ThreadingHTTPServer` — no third-party web
 framework, matching the repo's no-new-dependencies rule.  Each request
 runs on its own thread against the shared :class:`~repro.service.jobs.Coordinator`,
 whose locking makes status/submit/cancel safe under concurrency.  Errors
-are JSON ``{"error": ...}`` with 400 (bad payload / failed validation)
-or 404 (unknown id) — never an HTML traceback page.
+are one-line JSON ``{"error": ...}`` with 400 (bad payload, bad
+``Content-Length`` or failed validation), 404 (unknown id), 413 (body
+over :data:`MAX_BODY_BYTES`, refused unread) or 500 (any other failure
+inside a handler, its traceback kept for the ``--verbose`` request log)
+— never an HTML page, an empty reply or a hang.
 
 :func:`run_daemon` owns the graceful-shutdown contract: ``serve_forever``
 runs on a background thread while the main thread waits for
@@ -31,20 +34,24 @@ import errno
 import json
 import signal
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.service.jobs import Coordinator, ServiceError
 
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
+    "MAX_BODY_BYTES",
     "make_server",
     "run_daemon",
 ]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8321
+#: Largest request body the daemon reads; longer ones get a 413 unread.
+MAX_BODY_BYTES = 1 << 20
 
 _API_PREFIX = "/api/v1"
 
@@ -55,12 +62,18 @@ class _Handler(BaseHTTPRequestHandler):
     # Injected by make_server() onto a per-server subclass.
     coordinator: Coordinator = None  # type: ignore[assignment]
     quiet: bool = True
+    # Set once a status line has gone out; an error after it cannot answer.
+    _responded: bool = False
 
     # -- plumbing --------------------------------------------------------
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - exercised only with --verbose
             super().log_message(format, *args)
+
+    def send_response(self, code: int, message: Optional[str] = None) -> None:
+        self._responded = True
+        super().send_response(code, message)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -74,11 +87,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self) -> Optional[Dict[str, Any]]:
-        """Parse the request body as a JSON object, or answer 400."""
+        """Parse the request body as a JSON object, or answer 400/413."""
+        header = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(header)
         except ValueError:
-            length = 0
+            length = -1
+        # Both refusals leave the body unread; the HTTP/1.0 server closes
+        # the connection after every response, so nothing parses it later.
+        if length < 0:
+            self._send_error_json(
+                400, f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_error_json(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -98,49 +124,66 @@ class _Handler(BaseHTTPRequestHandler):
             return ()
         return tuple(part for part in path[len(_API_PREFIX):].split("/") if part)
 
+    def _dispatch(self, route: Callable[[Tuple[str, ...]], None]) -> None:
+        """Run one verb's router; every failure becomes a JSON error line."""
+        try:
+            route(self._route())
+        except ServiceError as exc:
+            self._fail(404, str(exc))
+        except Exception as exc:  # noqa: BLE001 - the 500 boundary
+            # The traceback goes to the request log (shown with --verbose).
+            self.log_error("%s %s failed:\n%s", self.command, self.path, traceback.format_exc())
+            self._fail(500, f"internal error: {type(exc).__name__}: {exc}")
+
+    def _fail(self, status: int, message: str) -> None:
+        if self._responded:  # mid-response: closing the connection is all that is left
+            return
+        try:
+            self._send_error_json(status, " ".join(message.split()))
+        except OSError:  # the client is gone; nothing left to tell it
+            pass
+
     # -- verbs -----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parts = self._route()
-        try:
-            if parts == ("health",):
-                jobs = self.coordinator.jobs()
-                self._send_json(200, {
-                    "status": "ok",
-                    "jobs": len(jobs),
-                    "active": sum(
-                        1 for job in jobs if job["state"] in ("pending", "running")
-                    ),
-                    "store": str(self.coordinator.store_root),
-                    "store_backend": self.coordinator.store_backend,
-                })
-            elif parts == ("campaigns",):
-                self._send_json(200, {"campaigns": self.coordinator.jobs()})
-            elif len(parts) == 2 and parts[0] == "campaigns":
-                self._send_json(200, self.coordinator.status(parts[1]))
-            elif len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "records":
-                self._stream_records(parts[1])
-            else:
-                self._send_error_json(404, f"no such route: GET {self.path}")
-        except ServiceError as exc:
-            self._send_error_json(404, str(exc))
+        self._dispatch(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        parts = self._route()
-        try:
-            if parts == ("campaigns",):
-                self._submit()
-            elif len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "cancel":
-                self._send_json(200, self.coordinator.cancel(parts[1]))
-            elif (
-                len(parts) == 3 and parts[0] == "campaigns"
-                and parts[2] == "kill-worker"
-            ):
-                self._kill_worker(parts[1])
-            else:
-                self._send_error_json(404, f"no such route: POST {self.path}")
-        except ServiceError as exc:
-            self._send_error_json(404, str(exc))
+        self._dispatch(self._post)
+
+    def _get(self, parts: Tuple[str, ...]) -> None:
+        if parts == ("health",):
+            jobs = self.coordinator.jobs()
+            self._send_json(200, {
+                "status": "ok",
+                "jobs": len(jobs),
+                "active": sum(
+                    1 for job in jobs if job["state"] in ("pending", "running")
+                ),
+                "store": str(self.coordinator.store_root),
+                "store_backend": self.coordinator.store_backend,
+            })
+        elif parts == ("campaigns",):
+            self._send_json(200, {"campaigns": self.coordinator.jobs()})
+        elif len(parts) == 2 and parts[0] == "campaigns":
+            self._send_json(200, self.coordinator.status(parts[1]))
+        elif len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "records":
+            self._stream_records(parts[1])
+        else:
+            self._send_error_json(404, f"no such route: GET {self.path}")
+
+    def _post(self, parts: Tuple[str, ...]) -> None:
+        if parts == ("campaigns",):
+            self._submit()
+        elif len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "cancel":
+            self._send_json(200, self.coordinator.cancel(parts[1]))
+        elif (
+            len(parts) == 3 and parts[0] == "campaigns"
+            and parts[2] == "kill-worker"
+        ):
+            self._kill_worker(parts[1])
+        else:
+            self._send_error_json(404, f"no such route: POST {self.path}")
 
     # -- handlers --------------------------------------------------------
 

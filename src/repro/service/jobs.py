@@ -24,8 +24,7 @@ threads, and forking a threaded process is deadlock-prone (and deprecated
 from Python 3.12).  Worker entry points live at module level so they
 pickle under the spawn context.
 
-Job lifecycle states are described in :data:`JOB_STATES` and surfaced as
-the ``job-states`` registry of :mod:`repro.registry`.
+Job lifecycle states are the fixed vocabulary :data:`JOB_STATES`.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ __all__ = [
     "Coordinator",
 ]
 
-#: Every state a service job can be in, with what it means.  Surfaced as
-#: the ``job-states`` registry (``repro registry list job-states``) so
-#: clients and docs share one vocabulary.
+#: Every state a service job can be in, with what it means: the one
+#: vocabulary clients, tests and docs share.
 JOB_STATES: Dict[str, str] = {
     "pending": "accepted and sharded; worker processes not yet started",
     "running": "worker processes are executing shards against the shared store",

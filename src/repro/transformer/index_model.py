@@ -350,48 +350,42 @@ def _concat_quantized(old: QuantizedTensor, new: QuantizedTensor) -> QuantizedTe
 
 
 class _PlaneSlab:
-    """Incrementally grown indicator-plane rows for one cached K/V tensor.
+    """Incrementally grown decoded rows and outlier mask for one K/V tensor.
 
-    Plane building is elementwise, so appending one encoded row's plane
-    slice to a grown buffer produces *bit-identical* arrays to rebuilding
-    the planes from the full encoding — that is the whole correctness
-    argument, and the property tests lock it.  Buffers double in capacity
-    (amortised O(1) per appended row) and hold the symbol plane ``p``,
-    the Gaussian indicator ``g``, the outlier mask and the decoded
-    centroids for every cached row; per-head plane sets are contiguous
-    column slices of these buffers.
+    Decoding is elementwise, so appending one encoded row's decoded slice
+    to a grown buffer produces *bit-identical* arrays to decoding the
+    full encoding — that is the whole correctness argument, and the
+    property tests lock it.  Buffers double in capacity (amortised O(1)
+    per appended row) and hold the outlier mask and the decoded centroids
+    for every cached row; per-head plane sets are contiguous column
+    slices of these buffers.
     """
 
     def __init__(self, dictionary: TensorDictionary, width: int) -> None:
         fit = dictionary.golden.fit
-        # Identical construction to IndexDomainEngine.__init__, so the
-        # slab's planes are bitwise the engine's.
-        self._half_bases = fit.a ** np.arange(fit.num_entries, dtype=np.float64)
-        self._b = float(fit.b)
+        # The engine's fit key, so its attached-plane check accepts ours.
         self.fit_key = (float(fit.a), float(fit.b), int(fit.num_entries))
         self._dictionary = dictionary
         self._width = int(width)
         self._rows = 0
         capacity = 16
-        self._p = np.empty((capacity, self._width), dtype=np.float64)
-        self._g = np.empty((capacity, self._width), dtype=np.float64)
         self._out = np.empty((capacity, self._width), dtype=bool)
         self._dec = np.empty((capacity, self._width), dtype=np.float64)
 
     def _ensure(self, rows: int) -> None:
-        capacity = self._p.shape[0]
+        capacity = self._out.shape[0]
         if rows <= capacity:
             return
         while capacity < rows:
             capacity *= 2
-        for name in ("_p", "_g", "_out", "_dec"):
+        for name in ("_out", "_dec"):
             old = getattr(self, name)
             grown = np.empty((capacity, self._width), dtype=old.dtype)
             grown[: self._rows] = old[: self._rows]
             setattr(self, name, grown)
 
     def extend(self, tensor: QuantizedTensor) -> None:
-        """Append plane rows for ``tensor``'s rows beyond those already held."""
+        """Append decoded rows for ``tensor``'s rows beyond those already held."""
         total = int(tensor.shape[0])
         start = self._rows
         if total < start:
@@ -409,14 +403,7 @@ class _PlaneSlab:
             return array.reshape(tensor.shape)[rows]
 
         out = tail(enc.is_outlier)
-        g = (~out).astype(np.float64)
         self._out[rows] = out
-        self._g[rows] = g
-        self._p[rows] = (
-            tail(enc.sign).astype(np.float64)
-            * (self._half_bases[tail(enc.gaussian_index)] + self._b)
-            * g
-        )
         new = EncodedValues(
             is_outlier=np.ascontiguousarray(out),
             sign=np.ascontiguousarray(tail(enc.sign)),
@@ -442,12 +429,7 @@ class _PlaneSlab:
             return np.ascontiguousarray(matrix.T if transpose else matrix)
 
         return PlaneSet(
-            p=pick(self._p),
-            g=pick(self._g),
-            out=pick(self._out),
-            role="rhs",
-            fit_key=self.fit_key,
-            dec=pick(self._dec),
+            dec=pick(self._dec), out=pick(self._out), role="rhs", fit_key=self.fit_key
         )
 
 
@@ -463,12 +445,12 @@ class IndexKVCache:
     would pay.
 
     With ``incremental_planes`` (the default) the cache also maintains a
-    :class:`_PlaneSlab` per tensor: each append builds the *new rows'*
-    indicator-plane slices once, and :meth:`head_tensors` hands the
+    :class:`_PlaneSlab` per tensor: each append decodes the *new rows*
+    and takes their outlier mask once, and :meth:`head_tensors` hands the
     engine per-head plane sets assembled from the slab — so a decode
-    step never rebuilds planes over the whole cached history.  Bit
-    identical to the rebuild path by construction (elementwise plane
-    building commutes with slicing and concatenation).
+    step never re-decodes the whole cached history.  Bit identical to
+    the rebuild path by construction (elementwise decoding commutes with
+    slicing and concatenation).
     """
 
     def __init__(

@@ -397,7 +397,7 @@ class TestRegistryList:
         assert code == 0
         for kind in (
             "schemes", "designs", "models", "tasks", "engines",
-            "stores", "traces", "policies", "job-states",
+            "stores", "traces", "policies",
         ):
             assert kind in out
         assert "mokey" in out
@@ -418,7 +418,7 @@ class TestRegistryList:
         payload = json.loads(out)
         assert set(payload) == {
             "schemes", "designs", "models", "tasks", "engines", "stores",
-            "traces", "policies", "job-states",
+            "traces", "policies",
         }
 
     def test_unknown_kind_suggests_nearest(self, capsys):
@@ -692,12 +692,6 @@ class TestStoreBackendsCli:
         code, out, _err = run_cli(["registry", "list", "stores"], capsys)
         assert code == 0
         assert "jsonl" in out and "sqlite" in out
-
-    def test_registry_list_job_states(self, capsys):
-        code, out, _err = run_cli(["registry", "list", "job-states"], capsys)
-        assert code == 0
-        for state in ("pending", "running", "completed", "failed", "cancelled"):
-            assert state in out
 
 
 class TestStoreStats:

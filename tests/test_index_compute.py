@@ -231,6 +231,19 @@ class TestVectorizedEngine:
         with pytest.raises(ValueError):
             VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary)
 
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("raw_side", ["act", "w"])
+    def test_non_exponential_dictionaries_rejected(self, golden, quantizer, rng, engine, raw_side):
+        # Clustered (non-exponential) centroids decode to values Eq. 3-6
+        # cannot regenerate; computing on them would be silently wrong.
+        raw = MokeyQuantizer(golden, use_exponential=False)
+        act_q, w_q = (raw, quantizer) if raw_side == "act" else (quantizer, raw)
+        aq = act_q.quantize(rng.normal(0.5, 2.0, (4, 64)), f"{raw_side}.act")
+        wq = w_q.quantize(rng.normal(0, 0.02, (64, 5)), f"{raw_side}.w")
+        name = aq.name if raw_side == "act" else wq.name
+        with pytest.raises(ValueError, match=rf"'{name}'.*use_exponential=True"):
+            index_domain_matmul(aq, wq, engine=engine)
+
     @settings(max_examples=20, deadline=None)
     @given(
         m=st.integers(min_value=1, max_value=4),

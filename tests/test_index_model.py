@@ -157,32 +157,25 @@ class TestMatmulMany:
             np.testing.assert_allclose(result.values, values, rtol=1e-9, atol=1e-9)
 
     @staticmethod
-    def _run_counting_plane_products(monkeypatch, pairs):
-        """``index_domain_matmul_many(pairs)`` and its stacked-plane product count.
+    def _run_counting_products(monkeypatch, pairs):
+        """``index_domain_matmul_many(pairs)`` and its backend product count.
 
-        A stacked-plane product is a backend ``_product`` whose right
-        operand is a weight's ``[Q | H]`` plane array; a fresh plane cache
-        hands the same plane set back afterwards to recognise it.
+        Counts every ``_product`` call: Gaussian and outlier pairs alike
+        come out of one dense product per weight group.  The operands
+        hold outliers, so any extra outlier product would be counted.
         """
-        rhs_seen = []
+        assert any(aq.encoded.is_outlier.any() for aq, _ in pairs)
+        calls = []
         product = VectorizedIndexDomainEngine._product
 
         def counting(self, lhs, rhs):
-            rhs_seen.append(rhs)
+            calls.append(lhs.shape)
             return product(self, lhs, rhs)
 
         monkeypatch.setattr(VectorizedIndexDomainEngine, "_product", counting)
         with use_plane_cache(PlaneCache(max_bytes=1 << 30)):
             results = index_domain_matmul_many(pairs)
-            stacked = {
-                id(
-                    VectorizedIndexDomainEngine(wq.dictionary, wq.dictionary)
-                    ._plane_set(wq, "rhs", wq.shape)
-                    .stacked
-                )
-                for _, wq in pairs
-            }
-        return results, sum(id(rhs) in stacked for rhs in rhs_seen)
+        return results, len(calls)
 
     @staticmethod
     def _assert_matches_per_pair(pairs, results):
@@ -201,8 +194,8 @@ class TestMatmulMany:
             (_operands(quantizer, rng, m, 12, 5, f"mixed{m}")[0], weights)
             for m, weights in rows_and_weights
         ]
-        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
-        assert stacked_products == 2
+        results, products = self._run_counting_products(monkeypatch, pairs)
+        assert products == 2
         self._assert_matches_per_pair(pairs, results)
 
     def test_one_activation_against_several_weights(self, quantizer, rng, monkeypatch):
@@ -210,19 +203,19 @@ class TestMatmulMany:
         activation, _ = _operands(quantizer, rng, 6, 16, 1, "qkv")
         weights = [_operands(quantizer, rng, 1, 16, 8, f"qkv.{name}")[1] for name in "qkv"]
         pairs = [(activation, wq) for wq in weights]
-        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
-        assert stacked_products == 3
+        results, products = self._run_counting_products(monkeypatch, pairs)
+        assert products == 3
         self._assert_matches_per_pair(pairs, results)
 
-    def test_one_stacked_product_per_distinct_weight(self, quantizer, rng, monkeypatch):
+    def test_one_product_per_distinct_weight(self, quantizer, rng, monkeypatch):
         _, shared = _operands(quantizer, rng, 1, 10, 4, "w-many")
         pairs = [_operands(quantizer, rng, 5, 10, 4, f"solo{i}") for i in range(3)]
         pairs += [
             (_operands(quantizer, rng, m, 10, 4, f"streams{m}")[0], shared)
             for m in (1, 2, 3)
         ]
-        results, stacked_products = self._run_counting_plane_products(monkeypatch, pairs)
-        assert stacked_products == 4
+        results, products = self._run_counting_products(monkeypatch, pairs)
+        assert products == 4
         self._assert_matches_per_pair(pairs, results)
 
 

@@ -1,4 +1,4 @@
-"""The incremental indicator-plane cache (ISSUE 9) — bit-identity locks.
+"""The plane cache and incremental KV plane slabs — bit-identity locks.
 
 The plane cache and the KV-cache plane slabs are *pure execution
 strategies*: they may only move wall time, never values, outlier masks
@@ -97,12 +97,12 @@ class TestSlabEqualsRebuild:
             sliced, "rhs", sliced.shape, sliced.dictionary
         )
         incremental = slab.plane_set(columns, transpose=transpose)
-        for name in ("p", "g", "out", "dec"):
+        for name in ("out", "dec"):
             ours, oracle = getattr(incremental, name), getattr(rebuilt, name)
             assert ours.dtype == oracle.dtype
             assert ours.shape == oracle.shape
             assert np.array_equal(ours, oracle), f"plane {name} diverged"
-        assert np.array_equal(incremental.stacked, rebuilt.stacked)
+        assert np.array_equal(incremental.gauss_per_k, rebuilt.gauss_per_k)
 
     @given(
         chunks=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
@@ -333,12 +333,10 @@ class TestPlaneCacheUnit:
         with use_plane_cache(None):
             oracle_values, oracle_stats = index_domain_matmul(act, wgt)
             bogus = type(good)(
-                p=good.p.copy(),
-                g=good.g.copy(),
+                dec=good.dec.copy(),
                 out=good.out.copy(),
                 role="rhs",
                 fit_key=(-1.0, -1.0, 1),  # no real fit looks like this
-                dec=good.dec.copy(),
             )
             wgt._plane_sets = {"rhs": bogus}
             values, stats = index_domain_matmul(act, wgt)

@@ -22,7 +22,7 @@ from repro.schemes import available_schemes, get_scheme
 class TestProtocol:
     def test_kinds_cover_every_pluggable_axis(self):
         assert registry_kinds() == (
-            "designs", "engines", "job-states", "models", "policies",
+            "designs", "engines", "models", "policies",
             "schemes", "stores", "tasks", "traces",
         )
         for kind in registry_kinds():

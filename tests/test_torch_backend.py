@@ -1,7 +1,7 @@
 """Parity tests for the optional torch index-domain engine.
 
-The torch backend replaces only the floating-point indicator-plane GEMMs
-(``einsum``); the integer statistics are computed from the NumPy planes
+The torch backend replaces only the one decoded-operand GEMM
+(``einsum``); the integer statistics are computed from the NumPy masks
 in the shared base class, so against the NumPy oracle the contract is:
 
 * **identical** :class:`~repro.core.index_compute.IndexComputeStats`
