@@ -20,21 +20,24 @@ is visible PR-over-PR:
   only finish in hours;
 * ``full_model`` — the whole encoder stack (BERT-Base, all 12 layers,
   seq 128) end to end in the index domain, per-GEMM (``oracle=True``)
-  versus batched+weight-cached execution, with the speedup **asserted**
-  so GEMM batching and the weight cache can never silently stop paying
-  off;
+  versus batched+plane-cached execution, with the speedup **asserted**
+  so GEMM batching and the plane cache can never silently stop paying
+  off, and the cold start (preparing the model — weights encoded,
+  activations profiled — plus the first forward) **asserted** under a
+  ceiling;
 * ``decoder_kv_cache`` — a GPT-style decoder (prefill + autoregressive
   steps) attending against the encoded index-domain KV cache, with the
   incremental plane cache on (and the ``oracle=True`` rebuild path next
   to it), its tokens/s **asserted** against a floor 5x the seed
-  measurement;
+  measurement and its time to first token (fresh decoder through
+  prefill) under a ceiling;
 * ``decoder_multi_stream`` — several concurrent serving streams decoded
   in lockstep through ``replay_decode_streams``, their independent
   GEMMs batched across streams.
 
 Cold-vs-warm pairs (quantization, encoder layer, full model) measure the
-fit memo and the plane cache directly: the warm leg reruns the identical
-workload so every content digest hits.  Tiny mode
+fit memo, the prepared model and the plane cache directly: the warm leg
+reruns the identical workload so every weight plane digest hits.  Tiny mode
 (``REPRO_BENCH_TINY=1``) shrinks the shapes; the assertions stay.
 """
 
@@ -65,6 +68,7 @@ from repro.transformer.index_execution import execute_encoder_layer
 from repro.transformer.index_model import (
     GPT_DECODER_CONFIG,
     IndexDomainModelExecutor,
+    MultiStreamDecoder,
     execute_decoder,
     execute_model,
 )
@@ -242,9 +246,9 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
     measurement = execute_encoder_layer(
         model, sequence_length=sequence_length, quantizer=mokey_quantizer
     )
-    # Warm forward: identical inputs, so every fit digest and every plane
-    # digest hits — this is the "warm model forward" the plane cache and
-    # fit memo exist for.
+    # Warm forward: identical inputs and the same prepared layer, so every
+    # weight plane digest hits — the "warm model forward" the plane cache
+    # exists for.
     warm = execute_encoder_layer(
         model, sequence_length=sequence_length, quantizer=mokey_quantizer
     )
@@ -283,18 +287,22 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
     assert measurement.output_rms_error < 0.5
     assert 0.0 < measurement.outlier_pair_fraction < 0.2
     # Caching is a pure execution strategy: the warm forward replays the
-    # identical arithmetic (bit-identical op counts) while the fit memo
-    # removes the dominant quantization cost.
+    # identical arithmetic (bit-identical op counts).  Weights were encoded
+    # when the layer was prepared, so it finds every weight plane cached,
+    # and the per-request K/V operands never enter the cache to miss.
     assert warm.stats == measurement.stats
-    assert warm.quantize_seconds < measurement.quantize_seconds
+    assert warm_cache["misses"] == 0 and warm_cache["hits"] > 0
 
 
 # Full-model shapes: all of BERT-Base in full mode, a two-layer nano
 # stack in tiny mode.  The speedup floor compares a warmed batched+cached
-# executor against cold per-GEMM execution; it is deliberately
-# conservative (the weight cache alone removes the majority of quantize
-# time) so the assertion only fires when batching or caching has actually
-# stopped working.
+# executor against per-GEMM execution with no plane cache, each leg the
+# best of MODEL_REPEATS forwards; it is deliberately conservative so the
+# assertion only fires when batching or caching has actually stopped
+# working.  The cold-start and time-to-first-token ceilings are ~2x the
+# measured values (2-CPU x86_64 host): they fire when a model is fitted
+# at run time again, or its preparation regresses badly.
+MODEL_REPEATS = 3
 if TINY_MODE:
     MODEL_SPEC = TransformerConfig(
         name="bert-nano",
@@ -306,6 +314,7 @@ if TINY_MODE:
     )
     MODEL_SEQ = 32
     MODEL_SPEEDUP_FLOOR = 1.1
+    COLD_START_CEILING = 0.4
     DECODER_SPEC = TransformerConfig(
         name="gpt-nano",
         num_layers=2,
@@ -318,18 +327,29 @@ if TINY_MODE:
     # Plane-cached decode floor: conservative (measured is several times
     # higher) so CI only fires when the incremental cache stops working.
     DECODER_TPS_FLOOR = 2.0
+    TTFT_CEILING = 0.3
     STREAMS, STREAM_PROMPT, STREAM_DECODE = 2, 8, 4
 else:
     MODEL_SPEC = "bert-base"
     MODEL_SEQ = 128
     MODEL_SPEEDUP_FLOOR = 1.5
+    COLD_START_CEILING = 20.0
     DECODER_SPEC = GPT_DECODER_CONFIG
     PROMPT_LENGTH, DECODE_TOKENS = 32, 8
     # Half the lowest measured plane-cached decode rate (6.4-7.9 tokens/s
     # on a 2-CPU x86_64 host with one decoded GEMM per weight group), so
     # it fires only when the engine or the incremental cache regresses.
     DECODER_TPS_FLOOR = 3.2
+    TTFT_CEILING = 20.0
     STREAMS, STREAM_PROMPT, STREAM_DECODE = 4, 16, 8
+
+
+def _release_planes() -> None:
+    """Drop resident planes so a cold leg is not coloured by suite order."""
+    resident = get_plane_cache()
+    if resident is not None:
+        resident.clear()
+    gc.collect()
 
 
 def test_perf_full_model_index_domain(mokey_quantizer):
@@ -340,15 +360,36 @@ def test_perf_full_model_index_domain(mokey_quantizer):
     # leg and understate the real speedup.
     baseline_quantizer = MokeyQuantizer(mokey_quantizer.golden, fit_memo=False)
     with use_plane_cache(None):
-        baseline = execute_model(
-            MODEL_SPEC,
-            sequence_length=MODEL_SEQ,
-            quantizer=baseline_quantizer,
-            oracle=True,
+        baseline = min(
+            (
+                execute_model(
+                    MODEL_SPEC,
+                    sequence_length=MODEL_SEQ,
+                    quantizer=baseline_quantizer,
+                    oracle=True,
+                )
+                for _ in range(MODEL_REPEATS)
+            ),
+            key=lambda measurement: measurement.total_seconds,
         )
-    executor = IndexDomainModelExecutor(MODEL_SPEC, quantizer=mokey_quantizer)
+    del baseline_quantizer  # and its prepared model
+    # Cold start: a fresh quantizer (no prepared model, no fit memo) and
+    # no resident planes, timed from the constructor through the first
+    # forward — what a user serving a new model waits for.
+    _release_planes()
+    started = time.perf_counter()
+    executor = IndexDomainModelExecutor(
+        MODEL_SPEC, quantizer=MokeyQuantizer(mokey_quantizer.golden)
+    )
     cold = execute_model(MODEL_SPEC, sequence_length=MODEL_SEQ, executor=executor)
-    warm = execute_model(MODEL_SPEC, sequence_length=MODEL_SEQ, executor=executor)
+    cold_start_seconds = time.perf_counter() - started
+    warm = min(
+        (
+            execute_model(MODEL_SPEC, sequence_length=MODEL_SEQ, executor=executor)
+            for _ in range(MODEL_REPEATS)
+        ),
+        key=lambda measurement: measurement.total_seconds,
+    )
 
     speedup = baseline.total_seconds / warm.total_seconds
     pairs = warm.stats.total_pairs
@@ -358,6 +399,7 @@ def test_perf_full_model_index_domain(mokey_quantizer):
         f"seq {MODEL_SEQ}): per-GEMM {baseline.total_seconds:.2f}s, "
         f"batched+cached cold {cold.total_seconds:.2f}s / warm "
         f"{warm.total_seconds:.2f}s ({speedup:.2f}x, "
+        f"cold start {cold_start_seconds:.2f}s, ceiling {COLD_START_CEILING}s, "
         f"{pairs / warm.engine_seconds / 1e9:.2f} Gpairs/s engine), "
         f"{warm.weight_cache_hits} cache hits, plane hit rate "
         f"{warm_cache.get('hit_rate', 0.0):.2f}, "
@@ -372,6 +414,8 @@ def test_perf_full_model_index_domain(mokey_quantizer):
             "per_gemm_seconds": baseline.total_seconds,
             "batched_cold_seconds": cold.total_seconds,
             "batched_warm_seconds": warm.total_seconds,
+            "cold_start_seconds": cold_start_seconds,
+            "cold_start_seconds_ceiling": COLD_START_CEILING,
             "batched_vs_per_gemm_speedup": speedup,
             "speedup_floor": MODEL_SPEEDUP_FLOOR,
             "pairs": pairs,
@@ -388,15 +432,20 @@ def test_perf_full_model_index_domain(mokey_quantizer):
     # operation counts and the numerical trajectory must not move.
     assert warm.stats == baseline.stats
     assert np.isclose(warm.output_rms_error, baseline.output_rms_error)
-    # One hit per weight GEMM per layer on the warm forward.
+    # Weights are encoded when the model is prepared: every weight GEMM
+    # of every forward, cold or warm, reads a stored encoding.
     assert warm.weight_cache_hits == 6 * warm.num_layers
-    assert cold.weight_cache_hits == 0
+    assert cold.weight_cache_hits == 6 * cold.num_layers
+    assert cold_start_seconds <= COLD_START_CEILING, (
+        f"cold start took {cold_start_seconds:.2f}s (ceiling "
+        f"{COLD_START_CEILING}s) — is the model fitting at run time again?"
+    )
     # A full BERT-Base forward must stay interactive (the scalar engine
     # would need days), and the optimisations must keep paying off.
     assert warm.total_seconds < 120.0
     assert speedup >= MODEL_SPEEDUP_FLOOR, (
         f"batched+cached full-model forward only {speedup:.2f}x over per-GEMM "
-        f"(floor {MODEL_SPEEDUP_FLOOR}x) — did GEMM batching or the weight "
+        f"(floor {MODEL_SPEEDUP_FLOOR}x) — did GEMM batching or the plane "
         f"cache stop being used?"
     )
 
@@ -404,41 +453,41 @@ def test_perf_full_model_index_domain(mokey_quantizer):
 def test_perf_decoder_kv_cache(mokey_quantizer):
     """GPT-style decode throughput against the encoded KV cache.
 
-    The cached leg runs first (cold fit memo, cold planes) so its
-    tokens/s is an honest cold-process number for the floor.  The
-    ``oracle=True`` leg then replays the identical workload per GEMM with
-    no weight or plane cache, rebuilding every plane each step; its fits
-    all hit the now-warm memo, so the comparison measures what batching
-    and the caches remove — and its outputs/stats double as the
-    bit-identity oracle.
+    The cached leg runs first on a fresh quantizer (no prepared model,
+    cold planes) so its time to first token — constructor through
+    prefill, the model prepared on the way — and its tokens/s are honest
+    cold-process numbers.  The ``oracle=True`` leg then replays the
+    identical workload per GEMM against the same prepared model with no
+    plane cache, rebuilding every plane each step, so the comparison
+    measures what batching and the caches remove — and its outputs/stats
+    double as the bit-identity oracle.
 
     Earlier bench tests leave gigabytes of encoder planes resident in
     the process-wide cache; releasing them first keeps this a
     reproducible cold-cache measurement instead of one coloured by
     suite order and allocator pressure.
     """
-    resident = get_plane_cache()
-    if resident is not None:
-        resident.clear()
-    gc.collect()
-    measurement = execute_decoder(
-        DECODER_SPEC,
-        prompt_length=PROMPT_LENGTH,
-        decode_tokens=DECODE_TOKENS,
-        quantizer=mokey_quantizer,
-    )
+    _release_planes()
+    quantizer = MokeyQuantizer(mokey_quantizer.golden)
+    started = time.perf_counter()
+    decoder = MultiStreamDecoder(DECODER_SPEC, num_streams=1, quantizer=quantizer)
+    construct_seconds = time.perf_counter() - started
+    measurement = decoder.run(prompt_length=PROMPT_LENGTH, decode_tokens=DECODE_TOKENS)
+    time_to_first_token = construct_seconds + measurement.prefill_seconds
+    cached_tokens = decoder.cache.cached_tokens((0, 0))
     uncached = execute_decoder(
         DECODER_SPEC,
         prompt_length=PROMPT_LENGTH,
         decode_tokens=DECODE_TOKENS,
-        quantizer=mokey_quantizer,
+        quantizer=quantizer,
         oracle=True,
     )
     cache = measurement.plane_cache.to_dict() if measurement.plane_cache else {}
     print(
         f"\ndecoder ({measurement.model}, {measurement.num_layers} layers, "
         f"prompt {PROMPT_LENGTH} + {DECODE_TOKENS} steps): "
-        f"prefill {measurement.prefill_seconds:.2f}s, decode "
+        f"time to first token {time_to_first_token:.2f}s (ceiling "
+        f"{TTFT_CEILING}s), prefill {measurement.prefill_seconds:.2f}s, decode "
         f"{measurement.decode_seconds:.2f}s "
         f"({measurement.tokens_per_second:.2f} tokens/s, floor "
         f"{DECODER_TPS_FLOOR}), oracle plane-rebuild path "
@@ -454,6 +503,8 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
             "num_layers": measurement.num_layers,
             "prompt_length": PROMPT_LENGTH,
             "decode_tokens": DECODE_TOKENS,
+            "time_to_first_token": time_to_first_token,
+            "time_to_first_token_ceiling": TTFT_CEILING,
             "prefill_seconds": measurement.prefill_seconds,
             "decode_seconds": measurement.decode_seconds,
             "tokens_per_second": measurement.tokens_per_second,
@@ -461,19 +512,23 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
             "tokens_per_second_plane_rebuild": uncached.tokens_per_second,
             "plane_cache": cache,
             "pairs": measurement.stats.total_pairs,
-            "cached_tokens": measurement.cached_tokens,
-            "outlier_pair_fraction": measurement.outlier_pair_fraction,
+            "cached_tokens": cached_tokens,
+            "outlier_pair_fraction": measurement.stats.outlier_pair_fraction,
             "output_rms_error": measurement.output_rms_error,
         },
     )
     # The cache must hold exactly one K/V row per processed token, and
     # decoding against encoded K/V must stay interactive and accurate.
-    assert measurement.cached_tokens == PROMPT_LENGTH + DECODE_TOKENS
+    assert cached_tokens == PROMPT_LENGTH + DECODE_TOKENS
     assert measurement.output_rms_error < 0.5
     # Bit-identity: the incremental plane cache is a pure execution
     # strategy — outputs and op counts match the uncached oracle exactly.
-    assert np.array_equal(measurement.outputs, uncached.outputs)
+    assert np.array_equal(measurement.outputs[0], uncached.outputs)
     assert measurement.stats == uncached.stats
+    assert time_to_first_token <= TTFT_CEILING, (
+        f"time to first token {time_to_first_token:.2f}s (ceiling "
+        f"{TTFT_CEILING}s) — is the decoder fitting at run time again?"
+    )
     # Plane-cached decode must stay at or above the floor.
     assert measurement.tokens_per_second >= DECODER_TPS_FLOOR, (
         f"plane-cached decode only {measurement.tokens_per_second:.2f} "

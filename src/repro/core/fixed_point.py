@@ -14,6 +14,7 @@ are converted to a per-layer fixed-point format:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,6 +23,9 @@ import numpy as np
 __all__ = ["FixedPointFormat", "to_fixed_point", "quantization_step"]
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Largest fractional width whose ``2.0 ** frac_bits`` is a finite float64.
+MAX_FRAC_BITS = sys.float_info.max_exp - 1
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,14 @@ class FixedPointFormat:
         """
         if float(maximum) < float(minimum):
             raise ValueError("maximum must be >= minimum")
-        span = 2.0 * max(abs(float(minimum)), abs(float(maximum)))
-        if span == 0:
+        magnitude = max(abs(float(minimum)), abs(float(maximum)))
+        if magnitude == 0:
             return cls(total_bits=total_bits, frac_bits=total_bits)
-        frac = total_bits - math.ceil(math.log2(span))
-        return cls(total_bits=total_bits, frac_bits=frac)
+        # log2(2 * magnitude), taken without forming a span that overflows.
+        frac = total_bits - 1 - math.ceil(math.log2(magnitude))
+        # Subnormal ranges would ask for more than 1023 fractional bits,
+        # whose 2**frac overflows float64; cap so the scale stays finite.
+        return cls(total_bits=total_bits, frac_bits=min(frac, MAX_FRAC_BITS))
 
     @property
     def scale(self) -> float:

@@ -476,7 +476,9 @@ class IndexDomainEngine:
     ) -> None:
         fit_a = activation_dictionary.golden.fit
         fit_w = weight_dictionary.golden.fit
-        if not np.isclose(fit_a.a, fit_w.a) or not np.isclose(fit_a.b, fit_w.b):
+        if activation_dictionary.golden is not weight_dictionary.golden and (
+            not np.isclose(fit_a.a, fit_w.a) or not np.isclose(fit_a.b, fit_w.b)
+        ):
             raise ValueError(
                 "activation and weight dictionaries must share the same Golden Dictionary"
             )
@@ -698,8 +700,10 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         An operand carrying pre-built planes (``tensor._plane_sets`` — the
         KV cache's incremental slabs) wins when its fit and shape match.
         Otherwise the weight (``rhs``) role consults the process plane
-        cache keyed by the tensor's content digest; activations are built
-        fresh (they change every call, hashing them would only add cost).
+        cache keyed by the tensor's content digest; activations — and
+        right operands encoded for one request (``per_request``) — are
+        built fresh (they change every call, hashing them would only add
+        cost and cache entries nothing reads again).
         """
         cache = get_plane_cache()
         attached = getattr(tensor, "_plane_sets", None)
@@ -714,7 +718,7 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
                     cache.note_attached_hit()
                 return candidate
         dictionary = self.act_dict if role == "lhs" else self.weight_dict
-        if cache is not None and role == "rhs":
+        if cache is not None and role == "rhs" and not tensor.per_request:
             key = (tensor.content_digest(), role)
             cached = cache.get(key)
             if cached is not None:
@@ -1066,12 +1070,21 @@ def index_domain_matmul_many(
     pairs = list(pairs)
     if not pairs:
         return []
-    engines = [
-        make_engine(engine, act.dictionary, weights.dictionary, device=device)
-        for act, weights in pairs
-    ]
+    # One engine per distinct (activation, weight) dictionary pair: the
+    # heads of one layer share both their profiled dictionaries.
+    by_dictionaries: Dict[Tuple[int, int], IndexDomainEngine] = {}
+    engines = []
+    for act, weights in pairs:
+        key = (id(act.dictionary), id(weights.dictionary))
+        resolved = by_dictionaries.get(key)
+        if resolved is None:
+            resolved = make_engine(engine, act.dictionary, weights.dictionary, device=device)
+            by_dictionaries[key] = resolved
+        engines.append(resolved)
     base = engines[0]
-    for other in engines[1:]:
+    for other in by_dictionaries.values():
+        if other.act_dict.golden is base.act_dict.golden:
+            continue
         if (
             not np.isclose(other.a, base.a)
             or not np.isclose(other.b, base.b)

@@ -35,12 +35,16 @@ class QuantizedTensor:
         shape: Original tensor shape.
         encoded: Per-value sign / index / outlier encoding.
         dictionary: The per-tensor Gaussian + outlier dictionaries.
+        per_request: Encoded for one request only (an attention K/V
+            operand): the index-domain engine never caches its planes,
+            which no later call could reuse.
     """
 
     name: str
     shape: Tuple[int, ...]
     encoded: EncodedValues
     dictionary: TensorDictionary
+    per_request: bool = False
 
     @property
     def size(self) -> int:

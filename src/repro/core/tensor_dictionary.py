@@ -25,6 +25,10 @@ from repro.core.golden_dictionary import GoldenDictionary
 
 __all__ = ["TensorDictionary", "EncodedValues"]
 
+#: Smallest standard deviation a dictionary uses (the smallest positive
+#: float64), so normalising by it never divides by zero.
+STD_FLOOR = float(np.finfo(np.float64).smallest_subnormal)
+
 
 def non_finite_error(name: str, values: np.ndarray) -> ValueError:
     """The one-line rejection of a tensor holding NaN or +/-Inf values."""
@@ -47,7 +51,7 @@ class EncodedValues:
         gaussian_index: 3-bit magnitude index into the Gaussian half
             dictionary (meaningful for Gaussian-encoded entries only).
         outlier_index: 4-bit index into the outlier dictionary (meaningful
-            for outlier entries only).
+            for outlier entries only; 0 elsewhere).
     """
 
     is_outlier: np.ndarray
@@ -153,15 +157,27 @@ class TensorDictionary:
             maximum = float(values.max())
             if not (np.isfinite(minimum) and np.isfinite(maximum)):
                 raise non_finite_error(name, values)
-            mean = float(values.mean())
-            std = float(values.std())
+            # Overflowing statistics are rejected below, in one line.
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(values.mean())
+                std = float(values.std())
         else:
             if mean is None or std is None or minimum is None or maximum is None:
                 raise ValueError(
                     "either values or (mean, std, minimum, maximum) must be provided"
                 )
 
-        std = max(float(std), 1e-12)
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise ValueError(
+                f"tensor {name!r} statistics overflow float64 (mean={mean}, "
+                f"std={std}); rescale it before quantizing"
+            )
+        # The floor keeps constant tensors encodable; scaling it with the
+        # tensor's magnitude keeps tiny (subnormal) tensors' decode error
+        # below their own values.
+        magnitude = max(abs(float(minimum)), abs(float(maximum)))
+        floor = 1e-12 * magnitude if magnitude > 0 else 1e-12
+        std = max(float(std), floor, STD_FLOOR)
         fixed_point = FixedPointFormat.for_range(minimum, maximum, total_bits=fixed_point_bits)
         gaussian_half = golden.stored_half(use_exponential=use_exponential)
         threshold = golden.gaussian_threshold() * std
@@ -249,21 +265,29 @@ class TensorDictionary:
         """Encode a tensor into sign/index/outlier form."""
         values = np.asarray(values, dtype=np.float64)
         centred = values - self.mean
-        is_outlier = np.abs(centred) > self.threshold
-        if not self.has_outliers:
-            is_outlier = np.zeros_like(is_outlier)
+        magnitude = np.abs(centred)
+        if self.has_outliers:
+            is_outlier = magnitude > self.threshold
+        else:
+            is_outlier = np.zeros(values.shape, dtype=bool)
 
-        sign = np.where(centred >= 0, 1, -1).astype(np.int8)
-        normalised = np.abs(centred) / self.std
-        # Nearest Gaussian half magnitude via midpoint search.
+        sign = np.where(centred >= 0, np.int8(1), np.int8(-1))
+        # A value far outside a narrow profiled dictionary normalises to
+        # inf and takes the outermost index, like any other clipped value.
+        with np.errstate(over="ignore"):
+            normalised = np.divide(magnitude, self.std, out=magnitude)
+        # Nearest Gaussian half magnitude: the count of midpoints below the
+        # value (``searchsorted``'s left insertion point, in a few passes).
         midpoints = (self.gaussian_half[:-1] + self.gaussian_half[1:]) / 2.0
-        gaussian_index = np.searchsorted(midpoints, normalised).astype(np.int8)
+        gaussian_index = np.zeros(values.shape, dtype=np.int8)
+        for midpoint in midpoints:
+            gaussian_index += normalised > midpoint
 
+        # Only outliers read an outlier index: search for those alone.
+        outlier_index = np.zeros(values.shape, dtype=np.int8)
         if self.has_outliers:
             ot_midpoints = (self.outlier_centroids[:-1] + self.outlier_centroids[1:]) / 2.0
-            outlier_index = np.searchsorted(ot_midpoints, values).astype(np.int8)
-        else:
-            outlier_index = np.zeros(values.shape, dtype=np.int8)
+            outlier_index[is_outlier] = np.searchsorted(ot_midpoints, values[is_outlier])
 
         return EncodedValues(
             is_outlier=is_outlier,

@@ -23,6 +23,7 @@ from repro.transformer.index_model import (
     execute_model,
 )
 from repro.transformer.model import TransformerModel
+from repro.transformer.prepared import PreparedModel, prepare_model
 from repro.transformer.profiling import ActivationProfiler, TensorStatistics
 
 __all__ = [
@@ -39,4 +40,6 @@ __all__ = [
     "IndexKVCache",
     "DecodeMeasurement",
     "execute_decoder",
+    "PreparedModel",
+    "prepare_model",
 ]

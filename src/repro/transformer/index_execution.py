@@ -4,8 +4,10 @@ The analytical accelerator models count operations from GEMM *shapes*
 plus assumed outlier rates; this module runs the counting datapath for
 real: one full-width encoder block (BERT-Base hidden 768 up to
 DeBERTa-XL hidden 1024, sequence lengths 128-512) executes forward with
-**every GEMM computed by the index-domain engine** on freshly quantized
-operands — the Q/K/V/output projections, the per-head attention score and
+**every GEMM computed by the index-domain engine** — the weights
+encoded once when the layer was prepared, every activation encoded
+against its profiled dictionary (:mod:`repro.transformer.prepared`) — over
+the Q/K/V/output projections, the per-head attention score and
 context products (both operands activations, like the hardware's
 activation-by-activation GEMMs), the FFN pair, and DeBERTa's relative
 projections.  Everything between GEMMs (bias, softmax, GELU, residuals,
@@ -15,7 +17,7 @@ post-processing units.
 The outcome is a :class:`LayerMeasurement`: per-GEMM *measured*
 :class:`~repro.core.index_compute.IndexComputeStats` (Gaussian vs outlier
 pair counts from the actual encodings, not the scheme's assumed
-fractions), wall-clock timings of the quantize and compute phases, and
+fractions), wall-clock timings of the encode and compute phases, and
 the output error against the FP forward of the same block.  The campaign
 engine joins these measured counts to scenario records
 (``enrichments=Enrichments(measured=True)`` on a campaign spec) next to
@@ -32,7 +34,7 @@ import contextlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,10 +48,10 @@ from repro.core.index_compute import (
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.transformer.config import TransformerConfig
-from repro.transformer.encoder import EncoderBlock
 from repro.transformer.functional import gelu, softmax
 from repro.transformer.layers import Linear
 from repro.transformer.model_zoo import MODEL_CONFIGS
+from repro.transformer.prepared import PreparedLayer, prepare_model
 
 __all__ = [
     "GemmMeasurement",
@@ -73,7 +75,7 @@ class GemmMeasurement:
         count: Instances executed (heads x batch for the attention
             score/context GEMMs, 1 otherwise).
         stats: Measured operation counts summed over all instances.
-        quantize_seconds: Wall time spent fitting/encoding the operands.
+        quantize_seconds: Wall time spent encoding the activation operands.
         engine_seconds: Wall time spent in the index-domain engine.
     """
 
@@ -97,7 +99,7 @@ class LayerMeasurement:
         batch_size: Inputs per pass.
         gemms: Per-GEMM measurements, in execution order.
         stats: Operation counts merged over every GEMM instance.
-        quantize_seconds: Total operand fit/encode wall time.
+        quantize_seconds: Total activation-operand encode wall time.
         engine_seconds: Total index-domain compute wall time.
         total_seconds: End-to-end wall time of the layer forward.
         output_rms_error: RMS error of the index-domain layer output
@@ -155,17 +157,36 @@ class LayerMeasurement:
         return self.stats.outlier_pair_fraction
 
 
+def _activation_operands(
+    items: Sequence[Tuple[str, np.ndarray, Operand]]
+) -> Iterator[Tuple[np.ndarray, str]]:
+    """Each distinct activation operand of ``items`` with its operand name.
+
+    An operand is every left operand and every float right operand (the
+    encoder's K/V slices); weight layers and already-encoded tensors are
+    not.  An object read by several items (the Q/K/V projections' shared
+    input) is named once, after its first reader: ``"<gemm>.in"`` or
+    ``"<gemm>.weight"``.  The profiling pass and the executor both name
+    operands here, so every encoded operand finds its profiled dictionary.
+    """
+    seen = set()
+    for name, x, rhs in items:
+        for operand, role in ((x, "in"), (rhs, "weight")):
+            if isinstance(operand, (Linear, QuantizedTensor)) or id(operand) in seen:
+                continue
+            seen.add(id(operand))
+            yield operand, f"{name}.{role}"
+
+
 class IndexDomainEncoderExecutor:
-    """Runs :class:`EncoderBlock` forwards with index-domain GEMMs.
+    """Runs prepared encoder layers with index-domain GEMMs.
 
     Every GEMM goes through :meth:`gemm`, which batches the GEMMs it is
-    handed into one :func:`index_domain_matmul_many` call and quantizes
-    each weight once per ``(layer, gemm)`` key, reusing the encoding on
-    every later forward.  Weight quantization dominates a cold layer
-    forward (~2x the engine time at BERT-Base width), so model executors
-    and decoders that revisit layers pay it only once.  Batching and the
-    weight cache are pure execution strategies: dictionary fitting is
-    deterministic in the tensor values, so statistics never move.
+    handed into one :func:`index_domain_matmul_many` call.  Weights come
+    encoded from the layer's :class:`~repro.transformer.prepared.
+    PreparedModel` and activations are encoded against the layer's
+    profiled dictionaries, so a forward fits nothing: the runtime work is
+    the paper's Step 3, encode and compute.
 
     Args:
         quantizer: Tensor-level Mokey quantizer (owns the Golden
@@ -177,10 +198,9 @@ class IndexDomainEncoderExecutor:
             did-you-mean suggestion.
         device: Optional device for backends that take one (the torch
             engine).
-        oracle: The uncached reference path: every GEMM issued alone with
-            its own operand quantization, no weight cache and the process
-            plane cache disabled.  Outputs and statistics equal the
-            default path's; only wall time differs.
+        oracle: The uncached reference path: every GEMM issued alone and
+            the process plane cache disabled.  Outputs and statistics
+            equal the default path's; only wall time differs.
     """
 
     def __init__(
@@ -198,66 +218,73 @@ class IndexDomainEncoderExecutor:
         self.engine = engine
         self.device = device
         self.oracle = bool(oracle)
-        self._weight_cache: Dict[Tuple[Hashable, str], QuantizedTensor] = {}
-        #: GEMMs served from the weight cache (monotonic across forwards).
+        #: GEMMs served from stored weight encodings (monotonic).
         self.weight_cache_hits = 0
-
-    def _quantize_weight(
-        self, name: str, linear: Linear, layer_key: Optional[Hashable]
-    ) -> QuantizedTensor:
-        """``linear``'s quantized weight, cached per ``(layer_key, name)``."""
-        cacheable = not self.oracle and layer_key is not None
-        if cacheable:
-            cached = self._weight_cache.get((layer_key, name))
-            if cached is not None:
-                self.weight_cache_hits += 1
-                return cached
-        wq = self.quantizer.quantize(
-            np.asarray(linear.weight, dtype=np.float64), f"{name}.weight"
-        )
-        if cacheable:
-            self._weight_cache[(layer_key, name)] = wq
-        return wq
 
     def gemm(
         self,
         measurements: Dict[str, GemmMeasurement],
         items: Sequence[Tuple[str, np.ndarray, Operand]],
-        layer_key: Optional[Hashable] = None,
+        layer: PreparedLayer,
     ) -> List[np.ndarray]:
-        """Run ``(name, activation, right operand)`` GEMMs in the index domain.
+        """Run ``(name, activation, right operand)`` GEMMs of ``layer``.
 
-        The right operand is a :class:`Linear` (its weight quantized
-        through the ``(layer_key, name)`` weight cache, its bias added in
-        FP), an already-encoded :class:`QuantizedTensor` (the decoder's
-        KV cache) or a float array quantized here (the encoder's
-        activation-by-activation score/context GEMMs).  Each distinct
-        operand object is quantized once, and all items share one
+        The right operand is a :class:`Linear` (its stored weight
+        encoding from ``layer``, its bias added in FP), an
+        already-encoded :class:`QuantizedTensor` (the decoder's KV cache)
+        or a float array (the encoder's activation-by-activation
+        score/context GEMMs).  Each distinct activation operand is
+        encoded once against its profiled dictionary (see
+        :func:`_activation_operands`), and all items share one
         :func:`index_domain_matmul_many` call.  Each item is recorded
         under its name: the engine time is split evenly over the items,
-        an operand's quantize time evenly over the items reading it.
+        an operand's encode time evenly over the items reading it.
 
         Returns:
             One output array per item, in order.
         """
-        if self.oracle and len(items) > 1:
-            return [self.gemm(measurements, [item], layer_key)[0] for item in items]
+        # Names come from the whole call, so the oracle's one-GEMM calls
+        # encode each operand against the same dictionary as a batch.
+        names = {id(operand): name for operand, name in _activation_operands(items)}
+        if self.oracle:
+            return [
+                output
+                for item in items
+                for output in self._run(measurements, [item], layer, names)
+            ]
+        return self._run(measurements, items, layer, names)
+
+    def _run(
+        self,
+        measurements: Dict[str, GemmMeasurement],
+        items: Sequence[Tuple[str, np.ndarray, Operand]],
+        layer: PreparedLayer,
+        names: Dict[int, str],
+    ) -> List[np.ndarray]:
+        """One :func:`index_domain_matmul_many` call over ``items``."""
         encoded: Dict[int, QuantizedTensor] = {}
         seconds: Dict[int, float] = {}
+        for operand, _ in _activation_operands(items):
+            name = names[id(operand)]
+            started = time.perf_counter()
+            quantized = self.quantizer.quantize(
+                np.asarray(operand, dtype=np.float64),
+                name,
+                dictionary=layer.dictionaries[name],
+            )
+            # A float right operand (an encoder K/V slice) serves this
+            # request only: keep its planes out of the digest cache.
+            quantized.per_request = name.endswith(".weight")
+            encoded[id(operand)] = quantized
+            seconds[id(operand)] = time.perf_counter() - started
+        pairs = []
         for name, x, rhs in items:
-            for operand, role in ((x, "in"), (rhs, "weight")):
-                if isinstance(operand, QuantizedTensor) or id(operand) in encoded:
-                    continue
-                started = time.perf_counter()
-                if isinstance(operand, Linear):
-                    quantized = self._quantize_weight(name, operand, layer_key)
-                else:
-                    quantized = self.quantizer.quantize(
-                        np.asarray(operand, dtype=np.float64), f"{name}.{role}"
-                    )
-                encoded[id(operand)] = quantized
-                seconds[id(operand)] = time.perf_counter() - started
-        pairs = [(encoded[id(x)], encoded.get(id(rhs), rhs)) for _, x, rhs in items]
+            if isinstance(rhs, Linear):
+                weights = layer.weights[name]
+                self.weight_cache_hits += 1
+            else:
+                weights = encoded.get(id(rhs), rhs)
+            pairs.append((encoded[id(x)], weights))
         readers = Counter(id(operand) for _, x, rhs in items for operand in (x, rhs))
 
         started = time.perf_counter()
@@ -286,116 +313,118 @@ class IndexDomainEncoderExecutor:
                 outputs.append(result.values)
         return outputs
 
-    # ------------------------------------------------------------------ #
-    # Block forward
-    # ------------------------------------------------------------------ #
     def run_block(
-        self,
-        block: EncoderBlock,
-        hidden_states: np.ndarray,
-        layer_key: Optional[Hashable] = None,
+        self, layer: PreparedLayer, hidden_states: np.ndarray
     ) -> "tuple[np.ndarray, List[GemmMeasurement]]":
-        """Forward ``hidden_states`` through ``block``, all GEMMs indexed.
-
-        Args:
-            block: The encoder block to execute.
-            hidden_states: ``(batch, seq, hidden)`` input activations.
-            layer_key: Key identifying this block in the weight cache
-                (e.g. the layer index); ``None`` disables caching for
-                this forward.
+        """Forward ``(batch, seq, hidden)`` states through ``layer``.
 
         Returns:
             The ``(batch, seq, hidden)`` block output and the per-GEMM
             measurements in execution order.
         """
-        attn = block.attention
-        batch, seq, hidden = hidden_states.shape
-        heads, head_dim = attn.num_heads, attn.head_dim
         measurements: Dict[str, GemmMeasurement] = {}
-        flat = hidden_states.reshape(batch * seq, hidden)
-
-        q, k, v = self.gemm(
-            measurements,
-            [
-                ("attention.query", flat, attn.query),
-                ("attention.key", flat, attn.key),
-                ("attention.value", flat, attn.value),
-            ],
-            layer_key,
-        )
-        qh = attn._split_heads(q.reshape(batch, seq, hidden))
-        kh = attn._split_heads(k.reshape(batch, seq, hidden))
-        vh = attn._split_heads(v.reshape(batch, seq, hidden))
-
-        score_values = self.gemm(
-            measurements,
-            [
-                ("attention.scores", qh[b, h], kh[b, h].T)
-                for b in range(batch)
-                for h in range(heads)
-            ],
-        )
-        scores = np.stack(score_values).reshape(batch, heads, seq, seq)
-        scores /= np.sqrt(head_dim)
-
-        if attn.disentangled:
-            # The two relative projections are ordinary weight GEMMs; the
-            # content/position contractions against the shared embedding
-            # table run in FP like the paper's analytic GEMM set assumes.
-            rel_q_flat, rel_k_flat = self.gemm(
-                measurements,
-                [
-                    ("attention.relative_query", flat, attn.relative_query),
-                    ("attention.relative_key", flat, attn.relative_key),
-                ],
-                layer_key,
-            )
-            rel_q = rel_q_flat.reshape(batch, seq, hidden)
-            rel_k = rel_k_flat.reshape(batch, seq, hidden)
-            table = attn.relative_embedding
-            max_dist = table.shape[0] // 2
-            positions = np.arange(seq)
-            distance = np.clip(
-                positions[None, :] - positions[:, None], -max_dist, max_dist - 1
-            )
-            rel = table[distance + max_dist].reshape(seq, seq, heads, head_dim)
-            c2p = np.einsum("bhid,ijhd->bhij", attn._split_heads(rel_q), rel)
-            p2c = np.einsum("bhjd,ijhd->bhij", attn._split_heads(rel_k), rel)
-            scores += (c2p + p2c) / np.sqrt(3.0 * head_dim)
-
-        probs = softmax(scores, axis=-1)
-
-        context_values = self.gemm(
-            measurements,
-            [
-                ("attention.context", probs[b, h], vh[b, h])
-                for b in range(batch)
-                for h in range(heads)
-            ],
-        )
-        context = np.stack(context_values).reshape(batch, heads, seq, head_dim)
-        merged = attn._merge_heads(context).reshape(batch * seq, hidden)
-
-        (attn_out,) = self.gemm(
-            measurements, [("attention.output", merged, attn.output)], layer_key
-        )
-        hidden_states = block.attention_norm(
-            hidden_states + attn_out.reshape(batch, seq, hidden).astype(np.float32)
-        )
-
-        flat2 = hidden_states.reshape(batch * seq, hidden)
-        (inter,) = self.gemm(
-            measurements,
-            [("ffn.intermediate", flat2, block.ffn.intermediate)],
-            layer_key,
-        )
-        (ffn_out,) = self.gemm(
-            measurements, [("ffn.output", gelu(inter), block.ffn.output)], layer_key
-        )
-        output = block.output_norm(
-            hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32)
-        )
+        output = _encoder_layer(self, measurements, layer, hidden_states)
         return output, list(measurements.values())
+
+
+def _encoder_layer(
+    runner: Any,
+    measurements: Dict[str, GemmMeasurement],
+    layer: PreparedLayer,
+    hidden_states: np.ndarray,
+) -> np.ndarray:
+    """One encoder layer forward with every GEMM issued through ``runner.gemm``.
+
+    ``runner`` is an :class:`IndexDomainEncoderExecutor` or the FP
+    profiling pass, which records the operands this dataflow encodes.
+    """
+    block = layer.block
+    attn = block.attention
+    batch, seq, hidden = hidden_states.shape
+    heads, head_dim = attn.num_heads, attn.head_dim
+    flat = hidden_states.reshape(batch * seq, hidden)
+
+    q, k, v = runner.gemm(
+        measurements,
+        [
+            ("attention.query", flat, attn.query),
+            ("attention.key", flat, attn.key),
+            ("attention.value", flat, attn.value),
+        ],
+        layer,
+    )
+    qh = attn._split_heads(q.reshape(batch, seq, hidden))
+    kh = attn._split_heads(k.reshape(batch, seq, hidden))
+    vh = attn._split_heads(v.reshape(batch, seq, hidden))
+
+    score_values = runner.gemm(
+        measurements,
+        [
+            ("attention.scores", qh[b, h], kh[b, h].T)
+            for b in range(batch)
+            for h in range(heads)
+        ],
+        layer,
+    )
+    scores = np.stack(score_values).reshape(batch, heads, seq, seq)
+    scores /= np.sqrt(head_dim)
+
+    if attn.disentangled:
+        # The two relative projections are ordinary weight GEMMs; the
+        # content/position contractions against the shared embedding
+        # table run in FP like the paper's analytic GEMM set assumes.
+        rel_q_flat, rel_k_flat = runner.gemm(
+            measurements,
+            [
+                ("attention.relative_query", flat, attn.relative_query),
+                ("attention.relative_key", flat, attn.relative_key),
+            ],
+            layer,
+        )
+        rel_q = rel_q_flat.reshape(batch, seq, hidden)
+        rel_k = rel_k_flat.reshape(batch, seq, hidden)
+        table = attn.relative_embedding
+        max_dist = table.shape[0] // 2
+        positions = np.arange(seq)
+        distance = np.clip(
+            positions[None, :] - positions[:, None], -max_dist, max_dist - 1
+        )
+        rel = table[distance + max_dist].reshape(seq, seq, heads, head_dim)
+        c2p = np.einsum("bhid,ijhd->bhij", attn._split_heads(rel_q), rel)
+        p2c = np.einsum("bhjd,ijhd->bhij", attn._split_heads(rel_k), rel)
+        scores += (c2p + p2c) / np.sqrt(3.0 * head_dim)
+
+    probs = softmax(scores, axis=-1)
+
+    context_values = runner.gemm(
+        measurements,
+        [
+            ("attention.context", probs[b, h], vh[b, h])
+            for b in range(batch)
+            for h in range(heads)
+        ],
+        layer,
+    )
+    context = np.stack(context_values).reshape(batch, heads, seq, head_dim)
+    merged = attn._merge_heads(context).reshape(batch * seq, hidden)
+
+    (attn_out,) = runner.gemm(
+        measurements, [("attention.output", merged, attn.output)], layer
+    )
+    hidden_states = block.attention_norm(
+        hidden_states + attn_out.reshape(batch, seq, hidden).astype(np.float32)
+    )
+
+    flat2 = hidden_states.reshape(batch * seq, hidden)
+    (inter,) = runner.gemm(
+        measurements, [("ffn.intermediate", flat2, block.ffn.intermediate)], layer
+    )
+    (ffn_out,) = runner.gemm(
+        measurements, [("ffn.output", gelu(inter), block.ffn.output)], layer
+    )
+    return block.output_norm(
+        hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32)
+    )
 
 
 def _resolve_config(model: Union[str, TransformerConfig]) -> TransformerConfig:
@@ -404,45 +433,6 @@ def _resolve_config(model: Union[str, TransformerConfig]) -> TransformerConfig:
     if model not in MODEL_CONFIGS:
         raise KeyError(f"unknown model {model!r}; known: {sorted(MODEL_CONFIGS)}")
     return MODEL_CONFIGS[model]
-
-
-def _build_block(config: TransformerConfig, seed: int) -> EncoderBlock:
-    """One synthetic encoder block at full configured width."""
-    from repro.transformer.model_zoo import _layer_norm, _linear
-
-    rng = np.random.default_rng(seed)
-    h = config.hidden_size
-    if config.disentangled_attention:
-        relative_key = _linear(rng, h, h)
-        relative_query = _linear(rng, h, h)
-        relative_embedding = np.random.default_rng(seed + 1).normal(
-            0.0, 0.02, size=(2 * min(64, config.max_position_embeddings), h)
-        ).astype(np.float32)
-    else:
-        relative_key = relative_query = relative_embedding = None
-    from repro.transformer.attention import MultiHeadSelfAttention
-    from repro.transformer.layers import FeedForward
-
-    attention = MultiHeadSelfAttention(
-        query=_linear(rng, h, h),
-        key=_linear(rng, h, h),
-        value=_linear(rng, h, h),
-        output=_linear(rng, h, h),
-        num_heads=config.num_heads,
-        relative_key=relative_key,
-        relative_query=relative_query,
-        relative_embedding=relative_embedding,
-    )
-    ffn = FeedForward(
-        intermediate=_linear(rng, h, config.intermediate_size),
-        output=_linear(rng, config.intermediate_size, h),
-    )
-    return EncoderBlock(
-        attention=attention,
-        attention_norm=_layer_norm(rng, h, config.layer_norm_eps),
-        ffn=ffn,
-        output_norm=_layer_norm(rng, h, config.layer_norm_eps),
-    )
 
 
 def _relative_rms(output: np.ndarray, reference: np.ndarray) -> float:
@@ -475,11 +465,11 @@ def execute_encoder_layer(
 ) -> LayerMeasurement:
     """Execute one encoder layer end-to-end in the index domain.
 
-    Builds a synthetic full-width encoder block (deterministic in
-    ``seed``), feeds it normalised synthetic hidden states, runs every
-    GEMM through the index-domain engine and returns the measured
-    operation counts, timings and output error against the FP forward of
-    the same block.
+    Prepares a synthetic full-width encoder layer (deterministic in
+    ``seed``; see :func:`~repro.transformer.prepared.prepare_model`),
+    feeds it normalised synthetic hidden states, runs every GEMM through
+    the index-domain engine and returns the measured operation counts,
+    timings and output error against the FP forward of the same block.
 
     Args:
         model: Model-zoo name (full-size configuration) or an explicit
@@ -493,34 +483,34 @@ def execute_encoder_layer(
         device: Optional device for backends that take one.
         oracle: Run the uncached per-GEMM reference path (see
             :class:`IndexDomainEncoderExecutor`).
-        executor: Reuse an existing executor (and its weight cache)
-            instead of constructing one; the other engine options are
-            then ignored.
+        executor: Reuse an existing executor (and its quantizer's
+            prepared models) instead of constructing one; the other
+            engine options are then ignored.
     """
     config = _resolve_config(model)
     if sequence_length < 1:
         raise ValueError(f"sequence_length must be >= 1, got {sequence_length}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    block = _build_block(config, seed)
+    if executor is None:
+        executor = IndexDomainEncoderExecutor(
+            quantizer=quantizer, engine=engine, device=device, oracle=oracle
+        )
+    (layer,) = prepare_model(config, seed, 1, executor.quantizer).layers
     rng = np.random.default_rng(seed + 2)
     hidden_states = rng.normal(
         0.0, 1.0, size=(batch_size, sequence_length, config.hidden_size)
     ).astype(np.float32)
 
-    if executor is None:
-        executor = IndexDomainEncoderExecutor(
-            quantizer=quantizer, engine=engine, device=device, oracle=oracle
-        )
     cache_before = _plane_cache_stats(executor)
     started = time.perf_counter()
-    output, gemms = executor.run_block(block, hidden_states, layer_key=seed)
+    output, gemms = executor.run_block(layer, hidden_states)
     total_seconds = time.perf_counter() - started
     return LayerMeasurement.from_gemms(
         config.name,
         hidden_states,
         gemms,
         total_seconds,
-        _relative_rms(output, block(hidden_states)),
+        _relative_rms(output, layer.block(hidden_states)),
         _plane_cache_stats(executor, cache_before),
     )

@@ -5,16 +5,16 @@ every GEMM in the index domain; this module scales that to whole models:
 
 * :class:`IndexDomainModelExecutor` / :func:`execute_model` — an entire
   encoder stack (BERT-Base/Large depth) executes forward layer by layer,
-  each layer's index-domain output feeding the next.  One shared
-  :class:`~repro.transformer.index_execution.IndexDomainEncoderExecutor`
-  carries the per-``(layer, gemm)`` weight cache, so every weight tensor
-  is quantized exactly once per model and its planes are built once.
-  The FP forward of the same blocks is the accuracy oracle at every
-  depth.
+  each layer's index-domain output feeding the next.  Weights and
+  activation dictionaries come from the model's
+  :class:`~repro.transformer.prepared.PreparedModel`, shared by every
+  executor and decoder of the model, so every weight tensor is quantized
+  exactly once per model and nothing is fitted at run time.  The FP
+  forward of the same blocks is the accuracy oracle at every depth.
 * :class:`IndexKVCache` / :func:`execute_decoder` — a GPT-style decoder
-  attention path.  The cache stores the *encoded* K/V rows: dictionaries
-  are fit once at prefill and reused verbatim for every appended decode
-  row, so the growing cache stays one valid
+  attention path.  The cache stores the *encoded* K/V rows: prefill and
+  every appended decode row encode against the layer's profiled K/V
+  dictionaries, so the growing cache stays one valid
   :class:`~repro.core.quantizer.QuantizedTensor` per tensor and per-head
   slices share the dictionary (the index-domain engine requires both).
   Each decode step quantizes only the new query/probability rows and
@@ -30,7 +30,7 @@ Sequential layer dependencies mean a single forward issues its
 *independent* GEMMs (per-head score/context products, the Q/K/V
 projections over one shared input) together, but only GEMMs that share
 a weight object share a BLAS call; the cross-layer wins come from the
-weight cache and from :func:`repro.core.index_compute.
+prepared model and from :func:`repro.core.index_compute.
 index_domain_matmul_many`, which callers with independent GEMM sets
 against one weight (multi-stream serving, replayed traces) can feed
 directly.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,17 +48,16 @@ from repro.core.index_compute import IndexComputeStats, PlaneCacheStats, PlaneSe
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
 from repro.transformer.config import TransformerConfig
-from repro.transformer.encoder import EncoderBlock
 from repro.transformer.functional import gelu, softmax
 from repro.transformer.index_execution import (
     GemmMeasurement,
     IndexDomainEncoderExecutor,
     LayerMeasurement,
-    _build_block,
     _plane_cache_stats,
     _relative_rms,
     _resolve_config,
 )
+from repro.transformer.prepared import FPKVCache, FPRunner, PreparedLayer, prepare_model
 
 __all__ = [
     "GPT_DECODER_CONFIG",
@@ -100,14 +99,13 @@ class ModelMeasurement:
             the same depth, so quantization error *accumulated* across
             the stack is visible layer by layer.
         stats: Operation counts merged over every GEMM of every layer.
-        quantize_seconds: Total operand fit/encode wall time.
+        quantize_seconds: Total activation-operand encode wall time.
         engine_seconds: Total index-domain compute wall time.
         total_seconds: End-to-end wall time of the model forward.
         output_rms_error: RMS error of the final hidden states against
             the FP forward, relative to the FP output RMS.
-        weight_cache_hits: GEMMs served from the weight cache during
-            this forward (0 on the first forward of a fresh executor,
-            one per weight GEMM on every later forward).
+        weight_cache_hits: GEMMs served from stored weight encodings
+            during this forward (one per weight GEMM, cold or warm).
         plane_cache: Plane-cache counter delta over this forward
             (``None`` when caching is disabled).
     """
@@ -138,10 +136,10 @@ class ModelMeasurement:
 class IndexDomainModelExecutor:
     """Runs a whole synthetic encoder stack with index-domain GEMMs.
 
-    Blocks are built once (deterministic in ``seed``) and the underlying
-    layer executor is shared across forwards, so repeated calls — a
-    campaign sweeping sequence lengths, a perf bench warming up — reuse
-    every cached weight encoding.
+    The stack is the quantizer's :class:`~repro.transformer.prepared.
+    PreparedModel` for ``(model, seed, depth)`` — blocks built, weights
+    encoded and activations profiled once, whichever executor asked
+    first — so every forward only encodes activations and computes.
 
     Args:
         model: Model-zoo name or an explicit :class:`TransformerConfig`.
@@ -172,13 +170,11 @@ class IndexDomainModelExecutor:
             raise ValueError(f"num_layers must be >= 1, got {depth}")
         self.num_layers = min(depth, self.config.num_layers)
         self.seed = seed
-        # Spaced seeds: _build_block consumes seed and seed + 1 internally.
-        self.blocks: List[EncoderBlock] = [
-            _build_block(self.config, seed + 10 * layer)
-            for layer in range(self.num_layers)
-        ]
         self.executor = IndexDomainEncoderExecutor(
             quantizer=quantizer, engine=engine, device=device, oracle=oracle
+        )
+        self.prepared = prepare_model(
+            self.config, seed, self.num_layers, self.executor.quantizer
         )
 
     @property
@@ -205,16 +201,14 @@ class IndexDomainModelExecutor:
         index_states = hidden_states
         started = time.perf_counter()
         fp_seconds = 0.0
-        for layer, block in enumerate(self.blocks):
+        for layer in self.prepared.layers:
             layer_started = time.perf_counter()
-            index_states, gemms = self.executor.run_block(
-                block, index_states, layer_key=layer
-            )
+            index_states, gemms = self.executor.run_block(layer, index_states)
             layer_seconds = time.perf_counter() - layer_started
 
             # The FP oracle trace rides along (excluded from the timings).
             fp_started = time.perf_counter()
-            fp_states = block(fp_states)
+            fp_states = layer.block(fp_states)
             fp_seconds += time.perf_counter() - fp_started
             layers.append(
                 LayerMeasurement.from_gemms(
@@ -272,8 +266,8 @@ def execute_model(
         seed: Seed for the block weights and input activations.
         oracle: Run the uncached per-GEMM reference path (see
             :class:`IndexDomainEncoderExecutor`).
-        executor: Reuse an existing model executor (and its weight
-            cache); the other construction arguments are then ignored.
+        executor: Reuse an existing model executor; the other
+            construction arguments are then ignored.
     """
     if sequence_length < 1:
         raise ValueError(f"sequence_length must be >= 1, got {sequence_length}")
@@ -436,13 +430,13 @@ class _PlaneSlab:
 class IndexKVCache:
     """Per-layer cache of *encoded* key/value rows for decoder attention.
 
-    Dictionaries are fit once per layer at :meth:`prefill` and reused
-    verbatim by every :meth:`append`, so the growing cache remains one
-    valid :class:`QuantizedTensor` per tensor: the index-domain engine
-    requires a single dictionary per operand, and per-head column slices
-    (:func:`_slice_quantized`) inherit it for free.  Appending therefore
-    encodes only the new rows — the per-token cache cost the hardware
-    would pay.
+    :meth:`prefill` encodes against the layer's profiled K/V
+    dictionaries and every :meth:`append` reuses them verbatim, so the
+    growing cache remains one valid :class:`QuantizedTensor` per tensor:
+    the index-domain engine requires a single dictionary per operand, and
+    per-head column slices (:func:`_slice_quantized`) inherit it for
+    free.  Nothing is fitted: each call encodes only the new rows — the
+    per-token cache cost the hardware would pay.
 
     With ``incremental_planes`` (the default) the cache also maintains a
     :class:`_PlaneSlab` per tensor: each append decodes the *new rows*
@@ -483,20 +477,31 @@ class IndexKVCache:
                 self._slabs[(layer, kind)] = slab
             slab.extend(tensor)
 
-    def prefill(self, layer: Hashable, keys: np.ndarray, values: np.ndarray) -> None:
-        """Quantize the prompt's K/V rows, fitting the layer dictionaries."""
+    def prefill(
+        self,
+        layer: Hashable,
+        keys: np.ndarray,
+        values: np.ndarray,
+        dictionaries: Tuple[Optional[TensorDictionary], Optional[TensorDictionary]],
+    ) -> None:
+        """Encode the prompt's K/V rows against the layer's ``(K, V)`` dictionaries."""
         if layer in self._keys:
             raise ValueError(f"layer {layer!r} is already prefilled")
+        key_dictionary, value_dictionary = dictionaries
+        if key_dictionary is None or value_dictionary is None:
+            raise ValueError(f"layer {layer!r} needs profiled K/V dictionaries to prefill")
         self._keys[layer] = self.quantizer.quantize(
-            np.asarray(keys, dtype=np.float64), f"kv.{layer}.key"
+            np.asarray(keys, dtype=np.float64), f"kv.{layer}.key", dictionary=key_dictionary
         )
         self._values[layer] = self.quantizer.quantize(
-            np.asarray(values, dtype=np.float64), f"kv.{layer}.value"
+            np.asarray(values, dtype=np.float64),
+            f"kv.{layer}.value",
+            dictionary=value_dictionary,
         )
         self._extend_slabs(layer)
 
     def append(self, layer: Hashable, keys: np.ndarray, values: np.ndarray) -> None:
-        """Encode new K/V rows with the prefill dictionaries and append."""
+        """Encode new K/V rows with the layer's dictionaries and append."""
         if layer not in self._keys:
             raise ValueError(f"layer {layer!r} must be prefilled before appending")
         key_tensor, value_tensor = self._keys[layer], self._values[layer]
@@ -591,23 +596,25 @@ class DecodeMeasurement:
 
 
 def _decoder_layer(
-    executor: IndexDomainEncoderExecutor,
+    runner: Any,
     measurements: Dict[str, GemmMeasurement],
-    cache: IndexKVCache,
-    layer: int,
-    block: EncoderBlock,
+    cache: Any,
+    layer: PreparedLayer,
     rows: List[np.ndarray],
 ) -> List[np.ndarray]:
     """One decoder layer for every stream, each GEMM family one call.
 
     ``rows[s]`` holds stream ``s``'s new ``(tokens, hidden)`` rows: the
     whole prompt at prefill, one row per decode step.  Stream ``s``
-    keeps its K/V under ``(s, layer)`` in ``cache`` (prefilled on first
-    sight, appended to afterwards) while every stream shares the
-    weight encodings keyed by ``layer``.  New row ``i`` may attend to
-    cached positions ``0..total - tokens + i``: the causal mask of a
-    prefill, and no mask at all for a one-row step.
+    keeps its K/V under ``(s, layer.index)`` in ``cache`` (prefilled on
+    first sight, appended to afterwards) while every stream shares the
+    layer's weight encodings.  New row ``i`` may attend to cached
+    positions ``0..total - tokens + i``: the causal mask of a prefill,
+    and no mask at all for a one-row step.  ``runner`` and ``cache`` are
+    an executor and an :class:`IndexKVCache`, or an FP runner (the FP
+    oracle, the profiling pass) and an FP cache.
     """
+    block = layer.block
     attn = block.attention
     heads, head_dim = attn.num_heads, attn.head_dim
     streams = range(len(rows))
@@ -616,51 +623,53 @@ def _decoder_layer(
         ("attention.key", attn.key),
         ("attention.value", attn.value),
     )
-    qkv = executor.gemm(
+    qkv = runner.gemm(
         measurements,
         [(name, rows[s], linear) for s in streams for name, linear in projections],
         layer,
     )
     for s in streams:
         _q, k, v = qkv[3 * s : 3 * s + 3]
-        if (s, layer) in cache:
-            cache.append((s, layer), k, v)
+        if (s, layer.index) in cache:
+            cache.append((s, layer.index), k, v)
         else:
-            cache.prefill((s, layer), k, v)
+            cache.prefill((s, layer.index), k, v, layer.kv_dictionaries)
 
     head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
     head_kv = [
-        [cache.head_tensors((s, layer), columns) for columns in head_slices]
+        [cache.head_tensors((s, layer.index), columns) for columns in head_slices]
         for s in streams
     ]
-    score_rows = executor.gemm(
+    score_rows = runner.gemm(
         measurements,
         [
             ("attention.scores", qkv[3 * s][:, columns], head_kv[s][h][0])
             for s in streams
             for h, columns in enumerate(head_slices)
         ],
+        layer,
     )
     probs = []
     for s in streams:
-        tokens, total = rows[s].shape[0], cache.cached_tokens((s, layer))
+        tokens, total = rows[s].shape[0], cache.cached_tokens((s, layer.index))
         scores = np.stack(score_rows[s * heads : (s + 1) * heads]) / np.sqrt(head_dim)
         mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
         probs.append(softmax(np.where(mask[None, :, :], -1e9, scores), axis=-1))
 
-    context_rows = executor.gemm(
+    context_rows = runner.gemm(
         measurements,
         [
             ("attention.context", probs[s][h], head_kv[s][h][1])
             for s in streams
             for h in range(heads)
         ],
+        layer,
     )
     merged = [
         np.concatenate(context_rows[s * heads : (s + 1) * heads], axis=1)
         for s in streams
     ]
-    attn_out = executor.gemm(
+    attn_out = runner.gemm(
         measurements,
         [("attention.output", merged[s], attn.output) for s in streams],
         layer,
@@ -669,12 +678,12 @@ def _decoder_layer(
         block.attention_norm((rows[s] + attn_out[s]).astype(np.float32)[None])[0]
         for s in streams
     ]
-    inter = executor.gemm(
+    inter = runner.gemm(
         measurements,
         [("ffn.intermediate", hidden[s], block.ffn.intermediate) for s in streams],
         layer,
     )
-    ffn_out = executor.gemm(
+    ffn_out = runner.gemm(
         measurements,
         [("ffn.output", gelu(inter[s]), block.ffn.output) for s in streams],
         layer,
@@ -683,44 +692,6 @@ def _decoder_layer(
         block.output_norm((hidden[s] + ffn_out[s]).astype(np.float32)[None])[0]
         for s in streams
     ]
-
-
-def _decoder_layer_fp(
-    block: EncoderBlock,
-    fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]],
-    layer: Hashable,
-    hidden2d: np.ndarray,
-) -> np.ndarray:
-    """The FP oracle: identical dataflow with float matmuls and an FP cache."""
-    attn = block.attention
-    tokens, hidden = hidden2d.shape
-    heads, head_dim = attn.num_heads, attn.head_dim
-
-    q = hidden2d @ attn.query.weight + attn.query.bias
-    k = hidden2d @ attn.key.weight + attn.key.bias
-    v = hidden2d @ attn.value.weight + attn.value.bias
-    if layer in fp_cache:
-        old_k, old_v = fp_cache[layer]
-        fp_cache[layer] = (np.concatenate([old_k, k]), np.concatenate([old_v, v]))
-    else:
-        fp_cache[layer] = (k, v)
-    all_k, all_v = fp_cache[layer]
-    total = all_k.shape[0]
-    mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
-
-    contexts = []
-    for h in range(heads):
-        cols = slice(h * head_dim, (h + 1) * head_dim)
-        scores = (q[:, cols] @ all_k[:, cols].T) / np.sqrt(head_dim)
-        scores = np.where(mask, -1e9, scores)
-        contexts.append(softmax(scores, axis=-1) @ all_v[:, cols])
-    merged = np.concatenate(contexts, axis=1)
-
-    attn_out = merged @ attn.output.weight + attn.output.bias
-    hidden2d = block.attention_norm((hidden2d + attn_out).astype(np.float32)[None])[0]
-    inter = gelu(hidden2d @ block.ffn.intermediate.weight + block.ffn.intermediate.bias)
-    ffn_out = inter @ block.ffn.output.weight + block.ffn.output.bias
-    return block.output_norm((hidden2d + ffn_out).astype(np.float32)[None])[0]
 
 
 def execute_decoder(
@@ -737,13 +708,13 @@ def execute_decoder(
     """Run a GPT-style decoder with an index-domain KV cache.
 
     Prefill processes the whole synthetic prompt causally (every GEMM in
-    the index domain, K/V dictionaries fit once per layer), then each of
-    ``decode_tokens`` autoregressive steps quantizes one new input row
-    per layer, appends its K/V rows to the encoded cache and attends
-    against the full cache.  Both paths — index-domain and the FP oracle
-    with an FP KV cache — consume identical synthetic inputs, so
-    ``output_rms_error`` isolates the quantization error of the cached
-    attention path.  This is the one-stream case of
+    the index domain, K/V encoded against the layer's profiled
+    dictionaries), then each of ``decode_tokens`` autoregressive steps
+    quantizes one new input row per layer, appends its K/V rows to the
+    encoded cache and attends against the full cache.  Both paths —
+    index-domain and the FP oracle with an FP KV cache — consume
+    identical synthetic inputs, so ``output_rms_error`` isolates the
+    quantization error of the cached attention path.  This is the one-stream case of
     :class:`MultiStreamDecoder`.
 
     Args:
@@ -757,8 +728,8 @@ def execute_decoder(
         device: Optional device for backends that take one.
         seed: Seed for the block weights and the synthetic inputs.
         oracle: Run the uncached reference path — per-GEMM calls, no
-            weight or plane cache, KV planes rebuilt every step.  Outputs
-            and stats are bit-identical to the default path.
+            plane cache, KV planes rebuilt every step.  Outputs and stats
+            are bit-identical to the default path.
     """
     decoder = MultiStreamDecoder(
         model,
@@ -835,11 +806,12 @@ class MultiStreamDecodeMeasurement:
 class MultiStreamDecoder:
     """Decodes several independent streams through one shared model.
 
-    All streams share the blocks, the executor (weight encodings and
-    weight planes are quantized/built once, keyed by layer index alone)
-    and one :class:`IndexKVCache` keyed ``(stream, layer)``.  Prefill
-    and every decode step run in *lockstep* through
-    :func:`_decoder_layer`: each GEMM family is issued as one
+    All streams share the model's :class:`~repro.transformer.prepared.
+    PreparedModel` (profiled causally; every decoder of the same model
+    and quantizer shares it, so a decoder built per serving round fits
+    nothing), the executor and one :class:`IndexKVCache` keyed
+    ``(stream, layer)``.  Prefill and every decode step run in *lockstep*
+    through :func:`_decoder_layer`: each GEMM family is issued as one
     ``index_domain_matmul_many`` call across streams — the projections
     share their weight tensor, so S streams collapse to one
     row-concatenated BLAS call; the per-head score/context GEMMs run
@@ -848,12 +820,13 @@ class MultiStreamDecoder:
     Stream ``s`` consumes the inputs ``default_rng(seed + 7919 +
     104729 * s)`` would feed a solo decoder, so stream 0 reproduces
     :func:`execute_decoder` with the same seed (values agree to
-    floating-point round-off; GEMM grouping differs).  ``seed`` is read
-    when :meth:`run` starts.
+    floating-point round-off; GEMM grouping differs).  The block weights
+    come from the construction-time ``seed``; the inputs from
+    :attr:`seed` when :meth:`run` starts.
 
     Args:
         oracle: Run the uncached reference path (per-GEMM calls, no
-            weight or plane cache, KV planes rebuilt every step);
+            plane cache, KV planes rebuilt every step);
             outputs and stats equal the default path's.
     """
 
@@ -878,11 +851,11 @@ class MultiStreamDecoder:
         self.num_layers = depth
         self.num_streams = int(num_streams)
         self.seed = seed
-        self.blocks = [
-            _build_block(self.config, seed + 10 * layer) for layer in range(depth)
-        ]
         self.executor = IndexDomainEncoderExecutor(
             quantizer=quantizer, engine=engine, device=device, oracle=oracle
+        )
+        self.prepared = prepare_model(
+            self.config, seed, depth, self.executor.quantizer, causal=True
         )
         self.cache = IndexKVCache(
             self.executor.quantizer, incremental_planes=not oracle
@@ -911,9 +884,9 @@ class MultiStreamDecoder:
             ]
 
         def forward(rows: List[np.ndarray]) -> List[np.ndarray]:
-            for layer, block in enumerate(self.blocks):
+            for layer in self.prepared.layers:
                 rows = _decoder_layer(
-                    self.executor, measurements, self.cache, layer, block, rows
+                    self.executor, measurements, self.cache, layer, rows
                 )
             return rows
 
@@ -930,19 +903,19 @@ class MultiStreamDecoder:
         decode_seconds = time.perf_counter() - decode_started
         plane_cache = _plane_cache_stats(self.executor, cache_before)
 
-        # FP oracle per stream, identical inputs.
+        # The FP oracle: the same dataflow with float GEMMs and an FP
+        # cache, over identical inputs.
+        fp_runner, fp_cache = FPRunner(), FPKVCache()
+        fp_outputs = []
+        for rows in inputs:
+            for layer in self.prepared.layers:
+                rows = _decoder_layer(fp_runner, {}, fp_cache, layer, rows)
+            fp_outputs.append(rows)
         worst_rms = 0.0
         outputs: List[np.ndarray] = []
         for s in range(self.num_streams):
-            fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
-            fp_outputs = []
-            for rows in inputs:
-                fp_states = rows[s]
-                for layer, block in enumerate(self.blocks):
-                    fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states)
-                fp_outputs.append(fp_states)
             index_all = np.concatenate([step[s] for step in index_outputs], axis=0)
-            fp_all = np.concatenate(fp_outputs, axis=0)
+            fp_all = np.concatenate([step[s] for step in fp_outputs], axis=0)
             worst_rms = max(worst_rms, _relative_rms(index_all, fp_all))
             outputs.append(index_all)
 

@@ -26,6 +26,16 @@ class TestFormatDerivation:
         fmt = FixedPointFormat.for_range(2.0, 2.0, total_bits=16)
         assert fmt.quantize(np.array([2.0]))[0] == pytest.approx(2.0, abs=fmt.scale)
 
+    def test_subnormal_range_keeps_a_finite_scale(self):
+        # Eq. 7 asks for 1044 fractional bits here; 2**1044 overflows float64.
+        fmt = FixedPointFormat.for_range(1e-310, 2e-310, total_bits=16)
+        assert fmt.frac_bits == 1023
+        assert np.isfinite(fmt.quantize(np.array([1e-310, 2e-310]))).all()
+
+    def test_range_near_float_max_is_representable(self):
+        fmt = FixedPointFormat.for_range(-1.7e308, 1.7e308, total_bits=16)
+        assert np.isfinite(fmt.max_magnitude) and fmt.max_magnitude >= 1.7e308
+
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             FixedPointFormat.for_range(1.0, 0.0)

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.workloads import encoder_gemms
+from repro.core import index_compute
 from repro.core.index_compute import (
     IndexDomainEngine,
     PlaneCache,
@@ -123,6 +124,30 @@ class TestMatmulMany:
         for s, v in zip(scalar, vectorized):
             assert s.stats == v.stats
             np.testing.assert_allclose(s.values, v.values, rtol=1e-9, atol=1e-8)
+
+    def test_one_engine_per_distinct_dictionary_pair(self, quantizer, rng, monkeypatch):
+        # Per-head GEMMs share both dictionaries, as profiled operands do.
+        act = quantizer.fit_dictionary_from_stats("act", 0.0, 1.0, -4.0, 4.0)
+        wgt = quantizer.fit_dictionary_from_stats("wgt", 0.0, 0.5, -2.0, 2.0)
+        pairs = [
+            (
+                quantizer.quantize(rng.normal(0, 1, (3, 6)), "a", dictionary=act),
+                quantizer.quantize(rng.normal(0, 0.5, (6, 4)), "w", dictionary=wgt),
+            )
+            for _ in range(5)
+        ]
+        pairs.append(_operands(quantizer, rng, 3, 6, 4, "own"))
+        built = []
+        make = index_compute.make_engine
+
+        def counting(*args, **kwargs):
+            built.append(args[1:3])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(index_compute, "make_engine", counting)
+        results = index_domain_matmul_many(pairs)
+        assert len(built) == 2
+        self._assert_matches_per_pair(pairs, results)
 
     def test_empty_input(self):
         assert index_domain_matmul_many([]) == []
@@ -307,8 +332,10 @@ class TestExecuteModel:
         )
         cold = execute_model(NANO_CONFIG, sequence_length=8, executor=executor)
         warm = execute_model(NANO_CONFIG, sequence_length=8, executor=executor)
-        assert cold.weight_cache_hits == 0
-        # Six weight GEMMs per layer (Q, K, V, attention output, two FFN).
+        # Weights are encoded when the model is prepared, so even the cold
+        # forward serves all six weight GEMMs per layer (Q, K, V, attention
+        # output, two FFN) from stored encodings.
+        assert cold.weight_cache_hits == 6 * NANO_CONFIG.num_layers
         assert warm.weight_cache_hits == 6 * NANO_CONFIG.num_layers
         assert warm.stats == cold.stats
         assert warm.output_rms_error == pytest.approx(cold.output_rms_error, rel=1e-9)
@@ -366,25 +393,41 @@ class TestKVCache:
         with pytest.raises(ValueError, match="dictionary"):
             _concat_quantized(first, foreign)
 
+    @staticmethod
+    def _kv_dictionaries(quantizer):
+        return tuple(
+            quantizer.fit_dictionary_from_stats(name, 0.0, 1.0, -4.0, 4.0)
+            for name in ("kv.key", "kv.value")
+        )
+
     def test_prefill_then_append_grows_rows(self, quantizer, rng):
         cache = IndexKVCache(quantizer)
+        dictionaries = self._kv_dictionaries(quantizer)
         assert 0 not in cache
         assert cache.cached_tokens(0) == 0
-        cache.prefill(0, rng.normal(0, 1, (4, 8)), rng.normal(0, 1, (4, 8)))
+        cache.prefill(
+            0, rng.normal(0, 1, (4, 8)), rng.normal(0, 1, (4, 8)), dictionaries
+        )
         assert 0 in cache
         assert cache.cached_tokens(0) == 4
         cache.append(0, rng.normal(0, 1, (1, 8)), rng.normal(0, 1, (1, 8)))
         assert cache.cached_tokens(0) == 5
         keys, values = cache.tensors(0)
         assert keys.shape == (5, 8) and values.shape == (5, 8)
+        # Both encode against the supplied (profiled) dictionaries.
+        assert (keys.dictionary, values.dictionary) == dictionaries
 
     def test_lifecycle_errors(self, quantizer, rng):
         cache = IndexKVCache(quantizer)
+        dictionaries = self._kv_dictionaries(quantizer)
+        rows = rng.normal(0, 1, (2, 8))
         with pytest.raises(ValueError, match="prefilled"):
-            cache.append(0, rng.normal(0, 1, (1, 8)), rng.normal(0, 1, (1, 8)))
-        cache.prefill(0, rng.normal(0, 1, (2, 8)), rng.normal(0, 1, (2, 8)))
+            cache.append(0, rows, rows)
+        with pytest.raises(ValueError, match="profiled K/V dictionaries"):
+            cache.prefill(0, rows, rows, (None, None))
+        cache.prefill(0, rows, rows, dictionaries)
         with pytest.raises(ValueError, match="already"):
-            cache.prefill(0, rng.normal(0, 1, (2, 8)), rng.normal(0, 1, (2, 8)))
+            cache.prefill(0, rows, rows, dictionaries)
 
 
 class TestExecuteDecoder:

@@ -323,6 +323,26 @@ class TestPlaneCacheUnit:
         stats = cache.stats()
         assert stats.hits >= 1  # the second GEMM reused the first's planes
 
+    def test_per_request_operands_stay_out_of_the_digest_cache(self, quantizer):
+        """Fresh requests re-read the weight planes and cache nothing new.
+
+        The encoder's per-head K/V slices are right operands too, but
+        they change every request, so they must never be cached.
+        """
+        from repro.transformer.index_model import IndexDomainModelExecutor
+
+        executor = IndexDomainModelExecutor(MICRO_DECODER, quantizer=quantizer, seed=9)
+        rng = np.random.default_rng(21)
+        cache = PlaneCache(max_bytes=1 << 30)
+        with use_plane_cache(cache):
+            executor.forward(rng.normal(0.0, 1.0, (2, 6, 32)).astype(np.float32))
+            first = cache.stats()
+            for seq in (5, 7, 6):
+                executor.forward(rng.normal(0.0, 1.0, (2, seq, 32)).astype(np.float32))
+            later = cache.stats()
+        assert (later.bytes_cached, later.entries) == (first.bytes_cached, first.entries)
+        assert later.hits > first.hits and later.misses == first.misses
+
     def test_attached_planes_with_wrong_fit_are_rebuilt(self, quantizer):
         """A stale attachment (mismatched fit key) must not be trusted."""
         rng = np.random.default_rng(13)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.fixed_point import FixedPointFormat
 from repro.core.golden_dictionary import generate_golden_dictionary
-from repro.core.index_compute import index_domain_dot
+from repro.core.index_compute import index_domain_dot, index_domain_matmul
 from repro.core.quantizer import MokeyQuantizer
 from repro.memory.layout import pack_offchip, pack_onchip_5bit, unpack_offchip, unpack_onchip_5bit
 from repro.transformer.tasks import spearman_correlation
@@ -92,6 +92,133 @@ class TestIndexComputeProperties:
         w_dec = wq.dictionary.decode(wq.encoded, apply_fixed_point=False)
         reference = float(a_dec @ w_dec)
         assert result.value == pytest.approx(reference, rel=1e-8, abs=1e-8)
+
+
+@st.composite
+def tensors_with_outliers(draw):
+    """A Gaussian core plus a few far values, so both dictionaries encode."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    size = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(draw(finite_floats), 1.0 + abs(draw(finite_floats)), size)
+    spikes = rng.choice(size, draw(st.integers(0, max(1, size // 10))), replace=True)
+    values[spikes] *= draw(st.floats(5.0, 200.0))
+    return values
+
+
+class TestEncodeProperties:
+    @given(values=tensors_with_outliers(), narrow=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_encode_equals_full_array_formulas(self, values, narrow):
+        # ``narrow`` encodes against a supplied dictionary profiled on a
+        # tighter range, as activations are, so values land beyond it.
+        dictionary = _QUANTIZER.fit_dictionary("t", values / 4.0 if narrow else values)
+        encoded = dictionary.encode(values)
+        centred = values - dictionary.mean
+        if dictionary.has_outliers:
+            is_outlier = np.abs(centred) > dictionary.threshold
+            centroids = dictionary.outlier_centroids
+            full = np.searchsorted((centroids[:-1] + centroids[1:]) / 2.0, values)
+        else:
+            is_outlier = np.zeros(values.shape, dtype=bool)
+            full = np.zeros(values.shape, dtype=np.int8)
+        halves = dictionary.gaussian_half
+        normalised = np.abs(centred) / dictionary.std
+        gaussian_index = np.searchsorted((halves[:-1] + halves[1:]) / 2.0, normalised)
+        assert np.array_equal(encoded.is_outlier, is_outlier)
+        assert np.array_equal(encoded.sign, np.where(centred >= 0, 1, -1))
+        assert np.array_equal(encoded.gaussian_index, gaussian_index)
+        assert encoded.sign.dtype == encoded.gaussian_index.dtype == np.int8
+        assert np.array_equal(encoded.outlier_index[is_outlier], full[is_outlier])
+        assert not encoded.outlier_index[~is_outlier].any()
+        # Decoding reads an outlier index only where the mask is set, so
+        # the full-array codes decode to the very same values.
+        reference = type(encoded)(
+            is_outlier, encoded.sign, encoded.gaussian_index, full.astype(np.int8)
+        )
+        for fixed in (True, False):
+            assert np.array_equal(
+                dictionary.decode(encoded, apply_fixed_point=fixed),
+                dictionary.decode(reference, apply_fixed_point=fixed),
+            )
+
+
+@st.composite
+def adversarial_gemms(draw):
+    """``(kind, activations, weights, activation dictionary or None)``."""
+    kind = draw(
+        st.sampled_from(
+            ["constant", "one-element", "subnormal", "huge-range", "all-outlier", "overflow"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    m, k, n = (1, 1, 1) if kind == "one-element" else draw(
+        st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 4))
+    )
+    weights = rng.normal(0.0, 0.5, (k, n))
+    dictionary = None
+    if kind == "constant":
+        activations = np.full((m, k), draw(finite_floats))
+    elif kind == "one-element":
+        activations = np.array([[draw(finite_floats)]])
+    elif kind == "subnormal":
+        activations = rng.uniform(-1.0, 1.0, (m, k)) * 1e-310
+    elif kind == "huge-range":
+        magnitudes = 10.0 ** rng.uniform(-150.0, 150.0, (m, k))
+        activations = rng.choice([-1.0, 1.0], (m, k)) * magnitudes
+    elif kind == "all-outlier":
+        # A dictionary profiled on a unit core whose samples held a few far
+        # values; the tensor holds nothing but those far values.
+        far = rng.choice([-1.0, 1.0], 6) * rng.uniform(20.0, 90.0, 6)
+        dictionary = _QUANTIZER.fit_dictionary_from_stats(
+            "profiled", 0.0, 1.0, -100.0, 100.0, samples=np.concatenate([far, [0.5]])
+        )
+        activations = rng.choice(far, (m, k))
+    else:  # overflow: the sum or square behind the statistics exceeds float64
+        activations = rng.choice([-1.0, 1.0], (m, k + 1)) * 1.5e308
+        weights = rng.normal(0.0, 0.5, (k + 1, n))
+    return kind, activations, weights, dictionary
+
+
+class TestAdversarialTensorProperties:
+    """Degenerate tensors through quantize -> encode -> index-domain GEMM."""
+
+    @staticmethod
+    def _error_bound(values, quantized):
+        # 4-bit codes may miss a value by a few multiples of the tensor's
+        # own magnitude, plus one step of its 16-bit outlier grid.
+        magnitude = float(np.max(np.abs(values)))
+        return 4.0 * magnitude + quantized.dictionary.fixed_point.scale
+
+    @given(case=adversarial_gemms())
+    @settings(max_examples=60, deadline=None)
+    def test_index_matmul_tracks_fp_or_fails_in_one_line(self, case):
+        kind, activations, weights, dictionary = case
+        try:
+            aq = _QUANTIZER.quantize(activations, "a", dictionary=dictionary)
+            wq = _QUANTIZER.quantize(weights, "w")
+            values, stats = index_domain_matmul(aq, wq)
+        except ValueError as exc:
+            message = str(exc)
+            assert message and "\n" not in message
+            assert kind == "overflow", f"{kind} tensor rejected: {message}"
+            return
+        assert kind != "overflow", "float64-overflowing statistics were accepted"
+        assert np.isfinite(values).all()
+        assert stats.total_pairs == activations.size * weights.shape[1]
+        if kind == "all-outlier":
+            assert aq.encoded.is_outlier.all()
+        error_a = self._error_bound(activations, aq)
+        error_w = self._error_bound(weights, wq)
+        decoded = aq.dictionary.decode(aq.encoded, apply_fixed_point=False)
+        assert np.all(np.abs(decoded.reshape(activations.shape) - activations) <= error_a)
+        k = activations.shape[1]
+        bound = k * (
+            np.max(np.abs(activations)) * error_w
+            + np.max(np.abs(weights)) * error_a
+            + error_a * error_w
+        )
+        assert np.all(np.abs(values - activations @ weights) <= bound * (1 + 1e-9))
 
 
 class TestMemoryLayoutProperties:
