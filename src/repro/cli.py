@@ -703,9 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Start a long-running HTTP daemon (pure stdlib). Submitted "
             "CampaignSpecs are split into deterministic shards fanned out "
-            "to worker processes, all appending to one shared store; "
+            "to a warm pool of worker processes (each started once per "
+            "daemon), all appending to one shared store; "
             "content-addressed resume makes workers disposable — kill one "
-            "mid-shard and its replacement resumes from the store, with "
+            "mid-shard and another worker resumes its shard from the store, with "
             "final keys and record digests bit-identical to a "
             "single-process run. SIGTERM/SIGINT drains the worker pool "
             "and flushes in-flight shard writes before exiting."
@@ -726,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="default worker processes per campaign job (default: 2; a "
-        "submission's own 'workers' wins)",
+        help="default shards, so busy pool workers, per campaign job "
+        "(default: 2; a submission's own 'workers' wins)",
     )
     serve_daemon.add_argument(
         "--verbose", action="store_true", help="log each HTTP request to stderr"

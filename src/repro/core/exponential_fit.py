@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["ExponentialFit", "fit_exponential"]
 
@@ -96,6 +95,12 @@ def fit_exponential(
     def residuals(params: np.ndarray) -> np.ndarray:
         a, b = params
         return np.sqrt(weights) * (a ** ints + b - half)
+
+    # Imported here, not at module level: scipy is most of ``import repro``
+    # (~0.7 s and ~40 MB on a 2-vCPU x86_64 host), and processes that never
+    # fit a curve (the campaign service and its workers, the simulators)
+    # should not pay for it.
+    from scipy import optimize
 
     result = optimize.least_squares(
         residuals,

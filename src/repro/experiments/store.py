@@ -546,7 +546,7 @@ class StoreBackend(Protocol):
     ``tests/test_store_backends.py``; see the module docstring for the
     invariants in prose):
 
-    * ``get``/``get_fidelity``/``get_measured`` resolve by
+    * ``entry``/``get``/``get_fidelity``/``get_measured`` resolve by
       :func:`scenario_key` and return ``None`` on a miss.
     * ``put`` persists one record, returning ``True`` iff something new
       was stored; re-offering a fully known record is a no-op, offering a
@@ -569,6 +569,8 @@ class StoreBackend(Protocol):
     root: Path
     #: The backing file inside :attr:`root`.
     path: Path
+
+    def entry(self, scenario: Scenario) -> Optional[StoreEntry]: ...
 
     def get(self, scenario: Scenario) -> Optional[SimulationResult]: ...
 
@@ -689,23 +691,25 @@ class ArtifactStore:
         with self._lock:
             return scenario_key(scenario) in self._load_locked()
 
+    def entry(self, scenario: Scenario) -> Optional[StoreEntry]:
+        """The whole stored record for ``scenario``, or ``None``."""
+        with self._lock:
+            return self._load_locked().get(scenario_key(scenario))
+
     def get(self, scenario: Scenario) -> Optional[SimulationResult]:
         """The stored result for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.result if entry is not None else None
+        entry = self.entry(scenario)
+        return entry.result if entry is not None else None
 
     def get_fidelity(self, scenario: Scenario) -> Optional[FidelityResult]:
         """The stored fidelity for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.fidelity if entry is not None else None
+        entry = self.entry(scenario)
+        return entry.fidelity if entry is not None else None
 
     def get_measured(self, scenario: Scenario) -> Optional[MeasuredStats]:
         """The stored measured stats for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.measured if entry is not None else None
+        entry = self.entry(scenario)
+        return entry.measured if entry is not None else None
 
     def keys(self) -> List[str]:
         with self._lock:

@@ -134,7 +134,7 @@ class SqliteStoreBackend:
         # isolation_level=None: no implicit transactions; writes manage
         # their own BEGIN IMMEDIATE / COMMIT for multi-writer safety.
         conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S, isolation_level=None)
-        conn.execute("PRAGMA journal_mode=WAL")
+        self._until_unlocked(conn, "PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
         conn.execute(_CREATE_TABLE)
@@ -164,15 +164,7 @@ class SqliteStoreBackend:
         columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
         if "effective_scheme" in columns:
             return
-        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
-        while True:
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                break
-            except sqlite3.OperationalError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.005)
+        self._until_unlocked(conn, "BEGIN IMMEDIATE")
         try:
             columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
             if "effective_scheme" not in columns:
@@ -197,17 +189,28 @@ class SqliteStoreBackend:
                 pass
         self._local = threading.local()
 
-    def _write(self, conn: sqlite3.Connection, work) -> Any:
-        """Run ``work(conn)`` inside an immediate transaction, retrying on busy."""
+    def _until_unlocked(self, conn: sqlite3.Connection, statement: str) -> None:
+        """Execute ``statement``, retrying while another connection holds the lock.
+
+        SQLite answers some lock conflicts with an immediate "database is
+        locked" instead of waiting out the busy timeout: ``BEGIN
+        IMMEDIATE`` against another writer, and the switch of a fresh
+        database to WAL mode against another process opening it at the
+        same moment.
+        """
         deadline = time.monotonic() + self.BUSY_TIMEOUT_S
         while True:
             try:
-                conn.execute("BEGIN IMMEDIATE")
-                break
+                conn.execute(statement)
+                return
             except sqlite3.OperationalError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.005)
+
+    def _write(self, conn: sqlite3.Connection, work) -> Any:
+        """Run ``work(conn)`` inside an immediate transaction, retrying on busy."""
+        self._until_unlocked(conn, "BEGIN IMMEDIATE")
         try:
             value = work(conn)
         except BaseException:
@@ -258,9 +261,11 @@ class SqliteStoreBackend:
         return int(count) - sum(1 for _ in self._corrupt)
 
     def __contains__(self, scenario: Scenario) -> bool:
-        return self._fetch_entry(scenario_key(scenario)) is not None
+        return self.entry(scenario) is not None
 
-    def _fetch_entry(self, key: str) -> Optional[StoreEntry]:
+    def entry(self, scenario: Scenario) -> Optional[StoreEntry]:
+        """The whole stored record for ``scenario`` (one indexed read), or ``None``."""
+        key = scenario_key(scenario)
         conn = self._connect(create=False)
         if conn is None or key in self._corrupt:
             return None
@@ -274,17 +279,17 @@ class SqliteStoreBackend:
 
     def get(self, scenario: Scenario) -> Optional[SimulationResult]:
         """The stored result for ``scenario``, or ``None``."""
-        entry = self._fetch_entry(scenario_key(scenario))
+        entry = self.entry(scenario)
         return entry.result if entry is not None else None
 
     def get_fidelity(self, scenario: Scenario) -> Optional[FidelityResult]:
         """The stored fidelity for ``scenario``, or ``None``."""
-        entry = self._fetch_entry(scenario_key(scenario))
+        entry = self.entry(scenario)
         return entry.fidelity if entry is not None else None
 
     def get_measured(self, scenario: Scenario) -> Optional[MeasuredStats]:
         """The stored measured stats for ``scenario``, or ``None``."""
-        entry = self._fetch_entry(scenario_key(scenario))
+        entry = self.entry(scenario)
         return entry.measured if entry is not None else None
 
     def keys(self) -> List[str]:

@@ -3,11 +3,12 @@
 Turns the repo's streaming campaign engine into a long-running service:
 ``repro serve`` starts an HTTP daemon (:mod:`repro.service.daemon`, pure
 stdlib) whose :class:`~repro.service.jobs.Coordinator` shards each
-submitted :class:`~repro.experiments.spec.CampaignSpec` across worker
-processes writing one shared artifact store.  Content-addressed,
-persist-before-yield resume makes the workers disposable: kill any one
-mid-shard and its replacement resumes from the store, with final keys +
-record digests bit-identical to a single-process run.
+submitted :class:`~repro.experiments.spec.CampaignSpec` across a warm
+pool of worker processes (each started once per daemon) writing one
+shared artifact store.  Content-addressed, persist-before-yield resume
+makes the workers disposable: kill any one mid-shard and another worker
+resumes its shard from the store, with final keys + record digests
+bit-identical to a single-process run.
 :class:`~repro.service.client.ServiceClient` is the matching stdlib
 client, and ``repro submit / status / results / cancel`` drive it from
 the command line.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -31,6 +32,16 @@ from repro.service.jobs import TERMINAL_STATES, ServiceError
 __all__ = ["ServiceClient", "default_url"]
 
 _ENV_URL = "REPRO_SERVICE_URL"
+
+
+def _interned_object(pairs: List[Any]) -> Dict[str, Any]:
+    """A decoded JSON object with interned keys.
+
+    Every record of a result stream has the same schema, so a caller that
+    keeps the rows holds each key string once instead of once per row —
+    about half of a kept row's memory.
+    """
+    return {sys.intern(key): value for key, value in pairs}
 
 
 def default_url() -> str:
@@ -163,4 +174,4 @@ class ServiceClient:
             for line in response:
                 line = line.strip()
                 if line:
-                    yield json.loads(line.decode("utf-8"))
+                    yield json.loads(line.decode("utf-8"), object_pairs_hook=_interned_object)

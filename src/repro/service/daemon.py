@@ -24,8 +24,9 @@ inside a handler, its traceback kept for the ``--verbose`` request log)
 :func:`run_daemon` owns the graceful-shutdown contract: ``serve_forever``
 runs on a background thread while the main thread waits for
 SIGTERM/SIGINT, then stops accepting requests, drains the coordinator's
-worker pools (in-flight shard writes flush — persist-before-yield means
-every record a worker reported is already in the store) and exits 0.
+worker pool (in-flight shard writes flush — persist-before-yield means
+every record a worker reported is already in the store — then every
+worker exits) and exits 0.
 """
 
 from __future__ import annotations

@@ -1,28 +1,63 @@
-"""Campaign service coordinator: sharded multi-worker jobs over one store.
+"""Campaign service coordinator: sharded jobs served by a warm worker pool.
 
 The service side of ``repro serve``: a :class:`Coordinator` accepts
 :class:`~repro.experiments.spec.CampaignSpec` /
 :class:`~repro.serving.spec.ServingSpec` payloads, splits a campaign's
 axis grid into deterministic shards
-(:func:`~repro.experiments.spec.shard_spec`) and fans the shards out to
+(:func:`~repro.experiments.spec.shard_spec`) and hands the shards to
 **worker processes** that each drive the ordinary streaming engine
 (:func:`~repro.experiments.spec.iter_campaign` /
 :func:`~repro.serving.spec.iter_serving`) against one shared artifact
 store.
 
-Fault tolerance falls out of PR 5's persist-before-yield semantics plus
+Fault tolerance falls out of persist-before-yield semantics plus
 content-addressed resume: every record a worker reports as completed is
-already in the store, and a worker (re)started on the same shard spec
-skips persisted keys.  So the per-job supervisor thread simply restarts
-any worker process that dies mid-shard — kill ``-9`` included — and the
-final store (keys + record digests, see
+already in the store, and a worker that runs the same shard spec again
+skips persisted keys.  So the per-job supervisor thread simply
+re-dispatches the shard of any worker process that dies mid-shard —
+kill ``-9`` included — and the final store (keys + record digests, see
 :func:`~repro.experiments.store.store_digest`) is bit-identical to a
 single-process run of the same spec, whatever the interleaving.
 
+Worker pool lifecycle
+---------------------
+The coordinator owns one pool of long-lived workers.  A worker is
+spawned the first time a shard finds no idle worker, starts an
+interpreter and imports ``repro`` once (more time than a small job's
+own work) and then serves shards of any job, one at a time, until
+:meth:`Coordinator.drain` sends it home.  So the pool grows on demand to
+the largest number of shards that ever ran at once; ``workers`` still
+means shards per job.
+
+* **Dispatch.** The job's supervisor takes an idle worker (or spawns
+  one) per non-empty shard and sends it ``("run", kind, shard spec)``.
+* **Serve.** The worker streams ``progress`` (and, for serving jobs,
+  ``record``) messages back, and ends the shard with exactly one of
+  ``done``, ``stopped`` or ``error``.  After any of the three it goes
+  back to idle.
+* **Stop.** Cancellation and shutdown send ``("stop",)``.  The worker
+  checks for it between records, so it loses at most the in-flight
+  scenario.  A worker still busy after ``grace_seconds`` is terminated.
+* **Death.** A worker that dies mid-shard is dropped from the pool, and
+  its shard is re-dispatched to another worker (resuming from the store)
+  until the shard has used ``max_restarts`` replacements.
+
+Why a pipe per worker rather than a shared queue: every worker talks to
+the coordinator over its own duplex ``Pipe``, and the supervisor waits on
+the pipes and process sentinels with
+:func:`multiprocessing.connection.wait`.  No lock is shared between
+workers.  A ``multiprocessing.Queue`` shared by a job's workers
+serialises their writes through one cross-process lock, and an
+``Event`` guards its flag with another.  A worker SIGKILLed while it
+holds either lock leaves it held for good, so its siblings (and the
+supervisor polling the event) block forever and the job never ends.  A
+killed worker can break only its own pipe, which the supervisor reads as
+end-of-file next to the process sentinel.
+
 Workers are spawned (not forked): the daemon runs worker management from
 threads, and forking a threaded process is deadlock-prone (and deprecated
-from Python 3.12).  Worker entry points live at module level so they
-pickle under the spawn context.
+from Python 3.12).  The worker entry point lives at module level so it
+pickles under the spawn context.
 
 Job lifecycle states are the fixed vocabulary :data:`JOB_STATES`.
 """
@@ -31,13 +66,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_ready
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments import (
     CampaignSpec,
@@ -58,8 +93,8 @@ __all__ = [
 #: Every state a service job can be in, with what it means: the one
 #: vocabulary clients, tests and docs share.
 JOB_STATES: Dict[str, str] = {
-    "pending": "accepted and sharded; worker processes not yet started",
-    "running": "worker processes are executing shards against the shared store",
+    "pending": "accepted and sharded; shards not yet handed to pool workers",
+    "running": "pool workers are executing shards against the shared store",
     "completed": "every shard drained; all records persisted and streamable",
     "failed": "a shard errored or exhausted its restart budget; partial records remain",
     "cancelled": "stopped by request or daemon shutdown; persisted records remain resumable",
@@ -74,56 +109,57 @@ class ServiceError(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# Worker entry points (module-level: they must pickle under spawn).
+# Worker entry point (module-level: it must pickle under spawn).
 # --------------------------------------------------------------------------- #
 
 
-def _worker_main(
-    kind: str,
-    spec_dict: Dict[str, Any],
-    shard_index: int,
-    queue: Any,
-    stop_event: Any,
-) -> None:
-    """One worker process: drive a shard's stream, reporting over ``queue``.
+def _worker_main(conn: Any) -> None:
+    """One pooled worker: serve shards sent down ``conn`` until told to exit.
 
-    Each message is ``(tag, shard_index, payload)``.  A ``"progress"``
-    message is sent only *after* the engine yielded the record — which is
-    after the record was persisted — so everything the supervisor has seen
-    progress for is already in the shared store.  The stop event is
-    checked between records: cancellation loses at most the in-flight
-    scenario, and everything already reported stays persisted.
+    Messages down the pipe are ``("run", kind, shard spec dict)``,
+    ``("stop",)`` and ``None`` (exit).  A stop that arrives after its
+    shard already ended is read here, while idle, and ignored.  SIGINT
+    is ignored: a Ctrl-C reaches the whole process group, and the daemon
+    drains its workers itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            message = conn.recv()
+            if message is None:
+                return
+            if message[0] == "run":
+                conn.send(_serve_shard(conn, message[1], message[2]))
+    except (EOFError, OSError):  # the coordinator went away
+        return
+
+
+def _serve_shard(conn: Any, kind: str, spec_dict: Dict[str, Any]) -> Tuple[str, Any]:
+    """Drive one shard's stream; returns the message that ends the shard.
+
+    A ``"progress"`` message is sent only *after* the engine yielded the
+    record — which is after the record was persisted — so everything the
+    supervisor has seen progress for is already in the shared store.  Any
+    message waiting on the pipe between records is a stop (or the exit
+    that follows one): it is left unread for the idle loop.
     """
     try:
         if kind == "campaign":
-            spec = CampaignSpec.from_dict(spec_dict)
-            events = iter_campaign(spec)
-            try:
-                for _record, progress in events:
-                    queue.put(("progress", shard_index, progress.to_dict()))
-                    if stop_event.is_set():
-                        queue.put(("stopped", shard_index, None))
-                        return
-            finally:
-                events.close()
+            events = iter_campaign(CampaignSpec.from_dict(spec_dict))
         else:
-            spec = ServingSpec.from_dict(spec_dict)
-            events = iter_serving(spec)
-            try:
-                for record, progress in events:
-                    queue.put(("record", shard_index, record.to_row()))
-                    queue.put(("progress", shard_index, progress.to_dict()))
-                    if stop_event.is_set():
-                        queue.put(("stopped", shard_index, None))
-                        return
-            finally:
-                events.close()
-        queue.put(("done", shard_index, None))
-    except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
+            events = iter_serving(ServingSpec.from_dict(spec_dict))
         try:
-            queue.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - queue already torn down
-            pass
+            for record, progress in events:
+                if kind == "serving":
+                    conn.send(("record", record.to_row()))
+                conn.send(("progress", progress.to_dict()))
+                if conn.poll():
+                    return ("stopped", None)
+        finally:
+            events.close()
+        return ("done", None)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        return ("error", f"{type(exc).__name__}: {exc}")
 
 
 # --------------------------------------------------------------------------- #
@@ -158,6 +194,14 @@ class _ShardState:
 
 
 @dataclass
+class _Worker:
+    """One pooled worker process and the coordinator's end of its pipe."""
+
+    proc: Any
+    conn: Any
+
+
+@dataclass
 class _Job:
     """One submitted campaign/serving job and its runtime attachments."""
 
@@ -173,18 +217,20 @@ class _Job:
     created: float = field(default_factory=time.time)
     started: Optional[float] = None
     finished: Optional[float] = None
-    #: Serving jobs stream their combo rows back over the queue (they are
+    #: Serving jobs stream their combo rows back over the pipe (they are
     #: small and are not persisted as store records themselves).
     rows: List[Dict[str, Any]] = field(default_factory=list)
-    # Runtime attachments (populated by the coordinator when it starts
-    # the job; absent from status payloads).
-    queue: Any = None
-    stop_event: Any = None
-    procs: Dict[int, Any] = field(default_factory=dict)
+    # Runtime attachments (absent from status payloads).
+    #: Set by cancel/drain; the supervisor then stops the job's workers.
+    stop: threading.Event = field(default_factory=threading.Event)
+    #: In-process pipe whose write end wakes the supervisor after ``stop``.
+    wake: Tuple[Any, Any] = field(default_factory=lambda: multiprocessing.Pipe(duplex=False))
+    #: Shard index -> the pooled worker currently serving it.
+    running: Dict[int, _Worker] = field(default_factory=dict)
 
 
 class Coordinator:
-    """Owns the shared store and every job's worker pool + supervisor.
+    """Owns the shared store, the worker pool and every job's supervisor.
 
     One coordinator backs one daemon: all jobs append to one shared
     artifact store (SQLite by default — the backend proven under
@@ -194,16 +240,17 @@ class Coordinator:
     Args:
         store: Directory of the shared artifact store.
         store_backend: Store backend name (default ``"sqlite"``).
-        default_workers: Worker processes per campaign job when a
-            submission does not say (serving jobs always run one worker —
-            a serving spec has no shardable axis grid).
-        max_restarts: How many times one shard's worker may be replaced
-            after dying before the shard (and job) is declared failed.
+        default_workers: Shards (so concurrently busy workers) per
+            campaign job when a submission does not say (serving jobs
+            always run one shard — a serving spec has no shardable axis
+            grid).
+        max_restarts: How many times one shard may be re-dispatched after
+            its worker died before the shard (and job) is declared failed.
         grace_seconds: How long cancellation/shutdown waits for workers to
             drain the in-flight record before terminating them.
     """
 
-    #: Hard ceiling on worker processes per job, whatever was requested.
+    #: Hard ceiling on shards per job, whatever was requested.
     MAX_WORKERS = 32
 
     def __init__(
@@ -219,10 +266,13 @@ class Coordinator:
         self.default_workers = max(1, int(default_workers))
         self.max_restarts = int(max_restarts)
         self.grace_seconds = float(grace_seconds)
-        # Spawned workers: the daemon spawns from supervisor threads, and
+        # Spawned workers: the pool grows from supervisor threads, and
         # fork-with-threads is deadlock-prone (and deprecated on 3.12+).
         self._ctx = multiprocessing.get_context("spawn")
         self._jobs: Dict[str, _Job] = {}
+        #: Every pooled worker, and the ones not serving a shard right now.
+        self._workers: List[_Worker] = []
+        self._idle: List[_Worker] = []
         self._supervisors: Dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
         self._counter = 0
@@ -248,7 +298,8 @@ class Coordinator:
         service's contract: the coordinator's shared store and backend,
         ``resume=True`` (the substrate of worker replacement) and the
         serial executor *inside* each worker — parallelism comes from the
-        worker processes, one per shard, not from nested pools.
+        pooled worker processes, one per running shard, not from nested
+        pools.
 
         Raises:
             ServiceError: for an unknown ``kind`` or bad ``workers``.
@@ -378,7 +429,9 @@ class Coordinator:
         submitted spec's scenario order, not store insertion order), each
         row carrying the content key and record digest — so the stream of
         a multi-worker run compares line-for-line equal to a
-        single-process run of the same spec.  Scenarios not yet persisted
+        single-process run of the same spec.  Each scenario is one keyed
+        store read, so the cost follows the job's grid, not the size of
+        the store every earlier job filled.  Scenarios not yet persisted
         are simply absent, making the stream usable mid-run.  Serving
         jobs stream the combo rows their worker reported.
         """
@@ -390,14 +443,12 @@ class Coordinator:
             return
         spec = CampaignSpec.from_dict(job.spec_dict)
         store = open_store(self.store_root, backend=self.store_backend)
-        entries = {scenario_key(e.scenario): e for e in store.records()}
         for scenario in spec.scenarios():
-            key = scenario_key(scenario)
-            entry = entries.get(key)
+            entry = store.entry(scenario)
             if entry is None:
                 continue
             record: Dict[str, Any] = {
-                "key": key,
+                "key": scenario_key(scenario),
                 "digest": entry_digest(entry),
                 "scenario": entry.scenario.to_dict(),
                 "result": entry.result.to_dict(),
@@ -419,20 +470,17 @@ class Coordinator:
         """
         job = self._get(job_id)
         with self._lock:
-            terminal = job.state in TERMINAL_STATES
-            stop_event = job.stop_event
-        if not terminal and stop_event is not None:
-            stop_event.set()
+            self._request_stop(job)
         return self.status(job_id)
 
     def kill_worker(self, job_id: str, shard_index: int) -> bool:
         """SIGKILL one shard's worker process (fault-injection hook).
 
-        The supervisor notices the death and replaces the worker, which
-        resumes the shard from the shared store.  Returns ``False`` when
-        the shard has no live worker to kill (already done, or between
-        restarts) — callers loop on the status until a kill lands or the
-        job completes.
+        The supervisor notices the death and hands the shard to another
+        pooled worker, which resumes it from the shared store.  Returns
+        ``False`` when the shard has no live worker to kill (already done,
+        or between restarts) — callers loop on the status until a kill
+        lands or the job completes.
         """
         job = self._get(job_id)
         with self._lock:
@@ -443,10 +491,10 @@ class Coordinator:
                 )
             if job.shards[shard_index].state in ("done", "failed", "stopped"):
                 return False
-            proc = job.procs.get(shard_index)
-            if proc is None or not proc.is_alive() or proc.pid is None:
+            worker = job.running.get(shard_index)
+            if worker is None or not worker.proc.is_alive() or worker.proc.pid is None:
                 return False
-            pid = proc.pid
+            pid = worker.proc.pid
         try:
             os.kill(pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
@@ -454,164 +502,211 @@ class Coordinator:
         return True
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        """Stop every non-terminal job and wait for its supervisor.
+        """Stop every non-terminal job, wait for its supervisor, close the pool.
 
-        The daemon's SIGTERM/SIGINT path: stop events flip first (workers
-        flush their in-flight record — persist-before-yield means nothing
-        reported is lost), then every supervisor joins, terminating
-        stragglers after the grace period.
+        The daemon's SIGTERM/SIGINT path: every job's workers are told to
+        stop first (they flush their in-flight record — persist-before-yield
+        means nothing reported is lost), then every supervisor joins,
+        terminating stragglers after the grace period.  Last, every pooled
+        worker is told to exit and joined, so no child process outlives
+        the call.  A later :meth:`submit` starts a fresh pool.
         """
         if timeout is None:
             timeout = self.grace_seconds + 5.0
         with self._lock:
-            jobs = list(self._jobs.values())
-            supervisors = dict(self._supervisors)
-        for job in jobs:
-            if job.state not in TERMINAL_STATES and job.stop_event is not None:
-                job.stop_event.set()
+            for job in self._jobs.values():
+                self._request_stop(job)
+            supervisors = list(self._supervisors.values())
         deadline = time.monotonic() + timeout
-        for job_id, supervisor in supervisors.items():
+        for supervisor in supervisors:
             supervisor.join(max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            workers, self._workers, self._idle = self._workers, [], []
+        for worker in workers:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass
+        for worker in workers:
+            worker.proc.join(max(0.1, deadline - time.monotonic()))
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(1.0)
+            worker.conn.close()
+
+    def _request_stop(self, job: _Job) -> None:
+        """Flag a live job to stop and wake its supervisor (lock held)."""
+        if job.state not in TERMINAL_STATES and not job.stop.is_set():
+            job.stop.set()
+            job.wake[1].send_bytes(b"")
+
+    # -- worker pool -----------------------------------------------------
+
+    def _acquire(self) -> _Worker:
+        """An idle live worker from the pool, or a freshly spawned one."""
+        with self._lock:
+            while self._idle:
+                worker = self._idle.pop()
+                if worker.proc.is_alive():
+                    return worker
+                self._workers.remove(worker)
+                worker.conn.close()
+        parent, child = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main, args=(child,), name="repro-service-worker", daemon=True
+        )
+        proc.start()
+        child.close()
+        worker = _Worker(proc=proc, conn=parent)
+        with self._lock:
+            self._workers.append(worker)
+        return worker
+
+    def _release(self, worker: _Worker) -> None:
+        """Return a worker whose shard ended to the pool; drop a dead one."""
+        alive = worker.proc.is_alive()
+        with self._lock:
+            if alive:
+                self._idle.append(worker)
+                return
+            if worker in self._workers:
+                self._workers.remove(worker)
+        worker.proc.join(0.1)
+        worker.conn.close()
 
     # -- supervision -----------------------------------------------------
 
-    def _spawn(self, job: _Job, shard_index: int) -> None:
-        """Start (or restart) one shard's worker process."""
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(job.kind, job.shard_dicts[shard_index], shard_index,
-                  job.queue, job.stop_event),
-            name=f"{job.id}-shard{shard_index}",
-            daemon=True,
-        )
-        proc.start()
-        job.procs[shard_index] = proc
-        shard = job.shards[shard_index]
-        shard.pid = proc.pid
-        if shard.state == "pending":
-            shard.state = "running"
+    def _dispatch(self, job: _Job, index: int) -> None:
+        """Hand one shard to a pooled worker.
 
-    def _pump(self, job: _Job, timeout: float = 0.0) -> None:
-        """Drain every queued worker message into the job's bookkeeping."""
-        first = True
+        A worker that died idle fails the send or is seen dead on the next
+        wait; either way the death path re-dispatches the shard.
+        """
+        worker = self._acquire()
+        with self._lock:
+            job.running[index] = worker
+            shard = job.shards[index]
+            shard.pid = worker.proc.pid
+            shard.state = "running"
+        try:
+            worker.conn.send(("run", job.kind, job.shard_dicts[index]))
+        except OSError:
+            pass
+
+    def _pump(self, job: _Job, index: int, worker: _Worker) -> bool:
+        """Apply every message waiting on one worker's pipe.
+
+        Returns ``True`` once the worker ended its shard (done, stopped or
+        error).  End-of-file (the worker died) just ends the pumping.
+        """
         while True:
             try:
-                tag, shard_index, payload = job.queue.get(
-                    timeout=timeout if first else 0.0
-                )
-            except queue_module.Empty:
-                return
-            first = False
+                if not worker.conn.poll():
+                    return False
+                tag, payload = worker.conn.recv()
+            except (EOFError, OSError):
+                return False
             with self._lock:
-                shard = job.shards[shard_index]
+                shard = job.shards[index]
                 if tag == "progress":
                     shard.last_progress = payload
                     shard.completed = int(payload.get("completed", shard.completed))
-                    if shard.state == "pending":
-                        shard.state = "running"
                 elif tag == "record":
                     job.rows.append(payload)
-                elif tag == "done":
-                    shard.state = "done"
-                    shard.pid = None
-                elif tag == "stopped":
-                    shard.state = "stopped"
-                    shard.pid = None
                 elif tag == "error":
                     shard.state = "failed"
-                    shard.pid = None
                     if job.error is None:
-                        job.error = f"shard {shard_index}: {payload}"
+                        job.error = f"shard {index}: {payload}"
+                else:  # done | stopped
+                    shard.state = tag
+            if tag in ("done", "stopped", "error"):
+                return True
+
+    def _end_shard(self, job: _Job, index: int) -> _Worker:
+        """Detach a shard from its worker (lock taken here)."""
+        with self._lock:
+            job.shards[index].pid = None
+            return job.running.pop(index)
+
+    def _on_death(self, job: _Job, index: int, exitcode: Optional[int]) -> None:
+        """A worker died mid-shard: re-dispatch it or fail it on budget."""
+        with self._lock:
+            shard = job.shards[index]
+            if job.stop.is_set() or job.error is not None:
+                shard.state = "stopped"
+                return
+            if shard.restarts >= self.max_restarts:
+                shard.state = "failed"
+                job.error = (
+                    f"shard {index}: worker died {shard.restarts + 1} times "
+                    f"(exit code {exitcode}); restart budget exhausted"
+                )
+                return
+            shard.restarts += 1
+        # The new worker resumes from the shared store: persisted keys are
+        # skipped, so the final store is bit-identical.
+        self._dispatch(job, index)
 
     def _supervise(self, job: _Job) -> None:
-        """Per-job supervisor: launch, pump, replace the dead, conclude."""
-        job.queue = self._ctx.Queue()
-        job.stop_event = self._ctx.Event()
+        """Per-job supervisor: dispatch, pump, replace the dead, conclude."""
         with self._lock:
             job.state = "running"
             job.started = time.time()
-        for index in range(len(job.shards)):
-            self._spawn(job, index)
-        final = "failed"
+        wake = job.wake[0]
+        stop_deadline: Optional[float] = None
         try:
-            while True:
-                self._pump(job, timeout=0.1)
-                with self._lock:
-                    states = [shard.state for shard in job.shards]
-                    erred = job.error is not None
-                if all(state == "done" for state in states):
-                    final = "completed"
-                    break
-                if erred:
-                    # One shard failed fatally: stop the others, keep what
-                    # they persisted, and mark the job failed.
-                    job.stop_event.set()
-                    self._shutdown_workers(job)
-                    final = "failed"
-                    break
-                if job.stop_event.is_set():
-                    self._shutdown_workers(job)
+            for shard in job.shards:
+                if shard.total == 0:
                     with self._lock:
-                        erred = job.error is not None
-                    final = "failed" if erred else "cancelled"
-                    break
-                self._replace_dead_workers(job)
+                        shard.state = "done"
+                elif not job.stop.is_set():
+                    self._dispatch(job, shard.index)
+            while job.running:
+                if stop_deadline is None and (job.stop.is_set() or job.error is not None):
+                    # Cancelled, or one shard failed fatally: stop the
+                    # others and keep what they persisted.
+                    stop_deadline = time.monotonic() + self.grace_seconds
+                    for worker in job.running.values():
+                        try:
+                            worker.conn.send(("stop",))
+                        except OSError:
+                            pass
+                timeout = None
+                if stop_deadline is not None:
+                    timeout = max(0.0, stop_deadline - time.monotonic())
+                waitables = [wake]
+                for worker in job.running.values():
+                    waitables += [worker.conn, worker.proc.sentinel]
+                if not wait_ready(waitables, timeout) and stop_deadline is not None:
+                    break  # grace period over: terminate the stragglers below
+                while wake.poll():
+                    wake.recv_bytes()
+                for index, worker in list(job.running.items()):
+                    ended = self._pump(job, index, worker)
+                    if not ended and worker.proc.is_alive():
+                        continue
+                    if not ended:  # dead: read what it sent before dying
+                        ended = self._pump(job, index, worker)
+                    self._release(self._end_shard(job, index))
+                    if not ended:
+                        self._on_death(job, index, worker.proc.exitcode)
         except Exception as exc:  # noqa: BLE001 - supervisor must conclude
             with self._lock:
                 if job.error is None:
                     job.error = f"supervisor: {type(exc).__name__}: {exc}"
         finally:
-            for proc in list(job.procs.values()):
-                if proc.is_alive():  # pragma: no cover - belt and braces
-                    proc.terminate()
-                proc.join(1.0)
+            for index in list(job.running):
+                worker = self._end_shard(job, index)
+                worker.proc.terminate()
+                worker.proc.join(1.0)
+                self._release(worker)
+                with self._lock:
+                    job.shards[index].state = "stopped"
             with self._lock:
                 if all(shard.state == "done" for shard in job.shards):
-                    final = "completed"
-                job.state = final
+                    job.state = "completed"
+                else:
+                    job.state = "failed" if job.error is not None else "cancelled"
                 job.finished = time.time()
-                for shard in job.shards:
-                    shard.pid = None
-            job.queue.close()
-
-    def _replace_dead_workers(self, job: _Job) -> None:
-        """Restart every worker that died mid-shard (kill, crash, OOM)."""
-        for index, proc in list(job.procs.items()):
-            if proc.is_alive():
-                continue
-            # The worker may have exited right after queueing its final
-            # message; drain before judging the shard unfinished.
-            self._pump(job)
-            with self._lock:
-                shard = job.shards[index]
-                unfinished = shard.state in ("pending", "running")
-                exhausted = shard.restarts >= self.max_restarts
-                if unfinished and exhausted and job.error is None:
-                    shard.state = "failed"
-                    job.error = (
-                        f"shard {index}: worker died {shard.restarts + 1} times "
-                        f"(exit code {proc.exitcode}); restart budget exhausted"
-                    )
-                if unfinished and not exhausted:
-                    shard.restarts += 1
-            proc.join(0.1)
-            if unfinished and not exhausted:
-                # Replacement resumes from the shared store: persisted
-                # keys are skipped, so the final store is bit-identical.
-                self._spawn(job, index)
-            else:
-                job.procs.pop(index, None)
-
-    def _shutdown_workers(self, job: _Job) -> None:
-        """Grace period for workers to flush, then terminate stragglers."""
-        deadline = time.monotonic() + self.grace_seconds
-        while time.monotonic() < deadline:
-            self._pump(job, timeout=0.05)
-            if not any(proc.is_alive() for proc in job.procs.values()):
-                break
-        for proc in job.procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in job.procs.values():
-            proc.join(1.0)
-        self._pump(job)
+            for end in job.wake:
+                end.close()

@@ -8,6 +8,9 @@ and replacing a worker mid-campaign — is locked here end to end:
 
 * coordinator-level: multi-worker == serial oracle; kill a worker
   mid-shard and the replacement resumes to the same digests;
+* worker pool: later jobs run on the first job's workers, a killed or
+  cancelled job leaves the pool serving, and ``drain()`` leaves no child
+  process behind;
 * HTTP-level: submit/status/records/cancel through a live
   ``ThreadingHTTPServer`` on an ephemeral port, driven by the stdlib
   :class:`~repro.service.client.ServiceClient`;
@@ -16,13 +19,16 @@ and replacing a worker mid-campaign — is locked here end to end:
   specs run as single-worker jobs.
 
 Workers are real spawned processes, so these tests are the slowest in
-the suite — grids stay tiny and the store is SQLite (the concurrent
+the suite — grids stay small and the store is SQLite (the concurrent
 writer backend the service defaults to).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import threading
 import time
@@ -40,7 +46,12 @@ from repro.service import (
 )
 from repro.service.daemon import MAX_BODY_BYTES
 
-WAIT = 180.0  # spawned workers import the package (~1s each); be generous
+# A deadline, not an expected duration: a cold pool worker imports the
+# package once (well under a second), and a warm one serves a small grid
+# in milliseconds.
+WAIT = 180.0
+#: Fresh grids submitted before a kill test gives up on landing its kill.
+KILL_ATTEMPTS = 20
 
 
 def _spec_dict(name="svc-test", schemes=("fp16", "mokey"), batch_sizes=(1, 2)):
@@ -57,14 +68,65 @@ def _spec_dict(name="svc-test", schemes=("fp16", "mokey"), batch_sizes=(1, 2)):
     }
 
 
-def _oracle_digest(tmp_path, spec_dict):
-    """Single-process run of the same spec: the bit-identity reference."""
-    root = tmp_path / "oracle"
-    spec = CampaignSpec.from_dict(spec_dict).with_execution(
-        store=str(root), store_backend="sqlite", resume=True
+def _fresh_grid(name, buffer_bytes):
+    """A 32-scenario grid at a buffer size no earlier job has simulated."""
+    spec_dict = _spec_dict(
+        name=name, schemes=("fp16", "mokey", "gobo", "q8bert"), batch_sizes=range(1, 9)
     )
-    run_spec(spec)
+    spec_dict["axes"]["buffer_bytes"] = [buffer_bytes]
+    return spec_dict
+
+
+def _oracle_digest(tmp_path, *spec_dicts):
+    """Single-process runs of the same specs: the bit-identity reference."""
+    root = tmp_path / "oracle"
+    for spec_dict in spec_dicts:
+        spec = CampaignSpec.from_dict(spec_dict).with_execution(
+            store=str(root), store_backend="sqlite", resume=True
+        )
+        run_spec(spec)
     return store_digest(open_store(root, backend="sqlite"))
+
+
+def _submit_until_killed(submit, status, kill_worker, wait):
+    """Submit fresh grids until a SIGKILL lands on shard 0 mid-shard.
+
+    A warm worker serves a 16-scenario shard in milliseconds, so one grid
+    may finish before the poll sees it mid-flight, or its worker may
+    finish the shard between the poll and the kill; each retry uses a new
+    ``buffer_bytes`` value, so every grid is simulated afresh.  A kill
+    has landed when the job then needed a replacement worker
+    (``restarts >= 1``).  Returns every submitted spec dict and the
+    final status of the job whose worker was killed mid-shard.
+    """
+    specs = []
+    for attempt in range(KILL_ATTEMPTS):
+        spec_dict = _fresh_grid(f"svc-kill-{attempt}", 131072 + 4096 * attempt)
+        specs.append(spec_dict)
+        job_id = submit(spec_dict)
+        killed = False
+        deadline = time.monotonic() + WAIT
+        while not killed and time.monotonic() < deadline:
+            current = status(job_id)
+            if current["state"] in TERMINAL_STATES:
+                break
+            shard0 = current["shards"][0]
+            killed = (
+                shard0["state"] == "running"
+                and 0 < shard0["completed"] <= shard0["total"] // 2
+                and kill_worker(job_id, 0)
+            )
+            time.sleep(0.001)
+        final = wait(job_id)
+        assert final["state"] == "completed", final["error"]
+        if killed and final["restarts"] >= 1:
+            return specs, final
+    pytest.fail(f"no kill landed mid-shard in {KILL_ATTEMPTS} fresh grids")
+
+
+def _children():
+    """Pids of this process's live child processes (the worker pool)."""
+    return {proc.pid for proc in multiprocessing.active_children()}
 
 
 @pytest.fixture
@@ -145,39 +207,18 @@ class TestCoordinator:
             assert set(row) >= {"key", "digest", "scenario", "result"}
 
     def test_kill_one_worker_resumes_bit_identically(self, tmp_path, coordinator):
-        # A grid big enough that workers are still mid-shard when the kill
-        # lands (64 scenarios across 2 workers).
-        spec_dict = _spec_dict(
-            name="svc-kill",
-            schemes=("fp16", "mokey", "gobo", "q8bert"),
-            batch_sizes=(1, 2, 3, 4),
+        specs, status = _submit_until_killed(
+            lambda spec_dict: coordinator.submit(spec_dict, workers=2),
+            coordinator.status,
+            coordinator.kill_worker,
+            lambda job_id: coordinator.wait(job_id, timeout=WAIT),
         )
-        spec_dict["axes"]["buffer_bytes"] = [131072, 262144]
-        spec_dict["axes"]["sequence_lengths"] = [16, 32]
-        oracle = _oracle_digest(tmp_path, spec_dict)
-        job_id = coordinator.submit(spec_dict, workers=2)
-        # Kill shard 0's worker as soon as it has made some progress (so
-        # the shard is provably mid-flight, not pending or done).
-        deadline = time.monotonic() + WAIT
-        killed = False
-        while not killed and time.monotonic() < deadline:
-            status = coordinator.status(job_id)
-            if status["state"] in TERMINAL_STATES:
-                break
-            shard0 = status["shards"][0]
-            if shard0["state"] == "running" and 0 < shard0["completed"] < shard0["total"]:
-                killed = coordinator.kill_worker(job_id, 0)
-            time.sleep(0.02)
-        status = coordinator.wait(job_id, timeout=WAIT)
-        assert status["state"] == "completed", status["error"]
+        assert status["restarts"] >= 1
+        assert status["shards"][0]["state"] == "done"
         service_digest = store_digest(
             open_store(coordinator.store_root, backend="sqlite")
         )
-        assert service_digest == oracle
-        if killed:  # the kill can race with shard completion; when it
-            # landed, a replacement worker must have finished the shard
-            assert status["restarts"] >= 1
-            assert status["shards"][0]["state"] == "done"
+        assert service_digest == _oracle_digest(tmp_path, *specs)
 
     def test_cancel_stops_workers_and_keeps_persisted_records(
         self, tmp_path, coordinator
@@ -235,6 +276,91 @@ class TestCoordinator:
         assert set(TERMINAL_STATES) <= set(JOB_STATES)
 
 
+class TestWorkerPool:
+    """Workers start once per coordinator and serve shards of any job."""
+
+    def test_second_job_runs_on_the_first_jobs_workers(self, coordinator):
+        first = coordinator.submit(_fresh_grid("svc-pool-1", 131072), workers=2)
+        assert coordinator.wait(first, timeout=WAIT)["state"] == "completed"
+        pool = _children()
+        assert len(pool) == 2  # idle between jobs, not exited
+        second = coordinator.submit(_fresh_grid("svc-pool-2", 135168), workers=2)
+        seen = set()
+        while (status := coordinator.status(second))["state"] not in TERMINAL_STATES:
+            seen |= {shard["pid"] for shard in status["shards"]} - {None}
+            time.sleep(0.001)
+        assert status["state"] == "completed"
+        assert all(shard["progress"]["simulated"] > 0 for shard in status["shards"])
+        assert seen <= pool
+        assert _children() == pool
+
+    def test_killed_pooled_worker_is_replaced_for_later_jobs(self, tmp_path, coordinator):
+        specs, status = _submit_until_killed(
+            lambda spec_dict: coordinator.submit(spec_dict, workers=2),
+            coordinator.status,
+            coordinator.kill_worker,
+            lambda job_id: coordinator.wait(job_id, timeout=WAIT),
+        )
+        assert status["restarts"] >= 1
+        # The dead worker's shard may have gone to the other, idle worker;
+        # either way the pool is back to two live workers once a later job
+        # needs two.
+        later = _fresh_grid("svc-pool-later", 262144 + 4096)
+        status = coordinator.wait(coordinator.submit(later, workers=2), timeout=WAIT)
+        assert status["state"] == "completed", status["error"]
+        assert status["restarts"] == 0
+        assert len(_children()) == 2
+        assert store_digest(
+            open_store(coordinator.store_root, backend="sqlite")
+        ) == _oracle_digest(tmp_path, *specs, later)
+
+    def test_worker_killed_while_idle_is_not_handed_a_shard(self, coordinator):
+        first = coordinator.submit(_fresh_grid("svc-idle-1", 131072), workers=2)
+        assert coordinator.wait(first, timeout=WAIT)["state"] == "completed"
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(WAIT)
+        second = coordinator.submit(_fresh_grid("svc-idle-2", 135168), workers=2)
+        status = coordinator.wait(second, timeout=WAIT)
+        assert status["state"] == "completed", status["error"]
+        assert status["restarts"] == 0
+        assert victim.pid not in _children() and len(_children()) == 2
+
+    def test_cancelling_one_job_leaves_a_concurrent_job_running(self, coordinator):
+        # ~1000 scenarios: far more than either worker serves before the
+        # cancel lands.
+        doomed_dict = _spec_dict(
+            name="svc-doomed", schemes=("fp16", "mokey", "gobo", "q8bert"),
+            batch_sizes=range(1, 33),
+        )
+        doomed_dict["axes"]["buffer_bytes"] = [65536 * k for k in range(1, 9)]
+        doomed = coordinator.submit(doomed_dict, workers=2)
+        survivor = coordinator.submit(_fresh_grid("svc-survivor", 131072 + 4096), workers=2)
+        deadline = time.monotonic() + WAIT
+        while coordinator.status(doomed)["progress"]["completed"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        coordinator.cancel(doomed)
+        status = coordinator.wait(survivor, timeout=WAIT)
+        assert status["state"] == "completed", status["error"]
+        status = coordinator.wait(doomed, timeout=WAIT)
+        assert status["state"] == "cancelled", status["error"]
+        # The pool grew to cover both jobs, and the stopped workers went
+        # back to idle rather than exiting.
+        pool = _children()
+        assert len(pool) == 4
+        again = coordinator.submit(_fresh_grid("svc-after-cancel", 131072 + 8192), workers=4)
+        assert coordinator.wait(again, timeout=WAIT)["state"] == "completed"
+        assert _children() == pool
+
+    def test_drain_leaves_no_child_processes(self, coordinator):
+        job_id = coordinator.submit(_spec_dict(), workers=2)
+        assert coordinator.wait(job_id, timeout=WAIT)["state"] == "completed"
+        assert len(_children()) == 2
+        coordinator.drain()
+        assert multiprocessing.active_children() == []
+
+
 class TestHTTPService:
     def test_submit_poll_stream_over_http(self, tmp_path, service):
         co, _server, client = service
@@ -256,28 +382,18 @@ class TestHTTPService:
 
     def test_kill_worker_over_http_preserves_bit_identity(self, tmp_path, service):
         co, _server, client = service
-        spec_dict = _spec_dict(
-            name="svc-http-kill",
-            schemes=("fp16", "mokey", "gobo", "q8bert"),
-            batch_sizes=(1, 2, 3, 4),
+        specs, final = _submit_until_killed(
+            lambda spec_dict: client.submit(spec_dict, workers=2),
+            client.status,
+            lambda job_id, shard: client.kill_worker(job_id, shard=shard),
+            lambda job_id: client.wait(job_id, timeout=WAIT),
         )
-        spec_dict["axes"]["sequence_lengths"] = [16, 32]
-        oracle = _oracle_digest(tmp_path, spec_dict)
-        job_id = client.submit(spec_dict, workers=2)
-        deadline = time.monotonic() + WAIT
-        while time.monotonic() < deadline:
-            status = client.status(job_id)
-            if status["state"] in TERMINAL_STATES:
-                break
-            shard0 = status["shards"][0]
-            if shard0["state"] == "running" and shard0["completed"] > 0:
-                if client.kill_worker(job_id, shard=0):
-                    break
-            time.sleep(0.02)
-        final = client.wait(job_id, timeout=WAIT)
-        assert final["state"] == "completed", final["error"]
-        rows = list(client.results(job_id))
-        assert {row["key"]: row["digest"] for row in rows} == oracle
+        assert final["restarts"] >= 1
+        rows = list(client.results(final["id"]))
+        assert len(rows) == len(CampaignSpec.from_dict(specs[-1]).scenarios())
+        oracle = _oracle_digest(tmp_path, *specs)
+        assert {row["key"]: row["digest"] for row in rows}.items() <= oracle.items()
+        assert store_digest(open_store(co.store_root, backend="sqlite")) == oracle
 
     def test_serving_spec_runs_as_single_worker_job(self, service):
         co, _server, client = service

@@ -23,6 +23,7 @@ backends interchangeable, so this module tests it three ways:
 import hashlib
 import itertools
 import json
+import multiprocessing
 import random
 import sqlite3
 import threading
@@ -258,6 +259,8 @@ class TestBackendConformance:
         entry = next(iter(store.records()))
         assert entry.fidelity == fidelity  # carried through the second upgrade
         assert entry.measured == measured
+        assert store.entry(scenario) == entry
+        assert store.entry(Scenario(design="tensor-cores")) is None
         assert entry.result == fake_result(scenario, variant=3)
         assert len(store) == 1
 
@@ -696,6 +699,20 @@ def _process_stress_worker(root: str, indices, part: int) -> int:
     return len(indices)
 
 
+def _open_fresh_stores(root: str, rounds: int, barrier) -> None:
+    """Each round, put one record into a store nobody has created yet."""
+    for round_index in range(rounds):
+        barrier.wait(timeout=60)
+        store = SqliteStoreBackend(f"{root}/round-{round_index}")
+        try:
+            _stress_put(store, 0, 0)
+        except BaseException:
+            barrier.abort()  # release the others at once; this one fails
+            raise
+        finally:
+            store.close()
+
+
 def _oracle_digests(tmp_path, n: int) -> dict:
     oracle = open_store(tmp_path / "oracle", backend="sqlite")
     for i in range(n):
@@ -750,6 +767,24 @@ class TestSqliteConcurrency:
         store = SqliteStoreBackend(root)
         assert len(store) == self.N
         assert store_digests(store) == _oracle_digests(tmp_path, self.N)
+
+    def test_processes_creating_one_fresh_store_at_once(self, tmp_path):
+        # The switch of a fresh database to WAL mode answers a concurrent
+        # opener with an immediate "database is locked" (no busy wait);
+        # four processes meeting at a barrier hit it within a few rounds.
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(4)
+        procs = [
+            ctx.Process(target=_open_fresh_stores, args=(str(tmp_path), 40, barrier))
+            for _ in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(120)
+        assert [proc.exitcode for proc in procs] == [0] * 4
+        for round_index in range(40):
+            assert len(SqliteStoreBackend(tmp_path / f"round-{round_index}")) == 1
 
     def test_killed_sqlite_campaign_resumes_bit_identically(self, tmp_path):
         def spec(store_dir):
