@@ -7,9 +7,9 @@ fast a fully-cached re-run resolves, and how much the streaming path
 (``iter_campaign`` drained event by event) costs relative to the batch
 path (``run_spec``).  The analytic simulator is the hot path of every
 figure benchmark and of the ``repro`` CLI, so a regression here shows up
-everywhere — and because ``run_campaign``/``run_spec`` are thin wrappers
-that drain the same streaming engine, streaming must stay within noise of
-batch (the guard allows 5%).
+everywhere — and because ``run_spec`` is a thin wrapper that drains the
+same streaming engine, streaming must stay within noise of batch (the
+guard allows 5%).
 """
 
 import time

@@ -1,7 +1,7 @@
 """Table I: effect of Mokey quantization on task performance.
 
 Driven by the campaign engine: the paper's eight (model, task) rows run as
-an accuracy campaign (``run_campaign(..., with_accuracy=True)``), whose
+an accuracy campaign (a spec with ``Enrichments(accuracy=True)``), whose
 :class:`~repro.experiments.accuracy.FidelityResult` per row carries the FP
 score, the weight-only and weight+activation scores, and the outlier
 fractions.  The functional models are the architecture-preserving scaled

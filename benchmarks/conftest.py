@@ -34,7 +34,7 @@ from repro.accelerator.workloads import paper_workloads
 from repro.core.golden_dictionary import generate_golden_dictionary
 from repro.core.model_quantizer import MokeyModelQuantizer
 from repro.core.quantizer import MokeyQuantizer
-from repro.experiments import ResultCache, expand_grid, run_campaign
+from repro.experiments import AxisGrid, CampaignSpec, ResultCache, run_spec
 from repro.transformer.model_zoo import PAPER_MODELS
 
 KB = 1024
@@ -197,18 +197,18 @@ def campaign_cache():
 @pytest.fixture(scope="session")
 def paper_campaign(campaign_cache):
     """Paper workloads x (Tensor Cores, GOBO, Mokey) x buffer sweep."""
-    scenarios = expand_grid(
+    axes = AxisGrid(
         workloads=PAPER_WORKLOAD_SPECS,
         designs=("tensor-cores", "gobo", "mokey"),
         buffer_bytes=BUFFER_SWEEP,
     )
-    return run_campaign(scenarios, cache=campaign_cache)
+    return run_spec(CampaignSpec(axes=axes), cache=campaign_cache)
 
 
 @pytest.fixture(scope="session")
 def compression_campaign(campaign_cache):
     """Paper workloads x Tensor Cores +/- Mokey compression x buffer sweep."""
-    scenarios = expand_grid(
+    axes = AxisGrid(
         workloads=PAPER_WORKLOAD_SPECS,
         designs=(
             "tensor-cores",
@@ -217,7 +217,7 @@ def compression_campaign(campaign_cache):
         ),
         buffer_bytes=BUFFER_SWEEP,
     )
-    return run_campaign(scenarios, cache=campaign_cache)
+    return run_spec(CampaignSpec(axes=axes), cache=campaign_cache)
 
 
 def geomean(values) -> float:

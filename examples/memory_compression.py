@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core.quantizer import MokeyQuantizer
-from repro.experiments import expand_grid, run_campaign
+from repro.experiments import AxisGrid, CampaignSpec, run_spec
 from repro.memory.layout import pack_offchip, unpack_offchip
 
 KB = 1024
@@ -46,17 +46,15 @@ def container_demo() -> None:
 
 
 def system_demo() -> None:
-    campaign = run_campaign(
-        expand_grid(
-            workloads=[("bert-large", "squad", None)],
-            designs=(
-                "tensor-cores",
-                "tensor-cores+mokey-oc",
-                "tensor-cores+mokey-oc+on",
-            ),
-            buffer_bytes=BUFFERS,
-        )
-    )
+    campaign = run_spec(CampaignSpec(axes=AxisGrid(
+        workloads=[("bert-large", "squad", None)],
+        designs=(
+            "tensor-cores",
+            "tensor-cores+mokey-oc",
+            "tensor-cores+mokey-oc+on",
+        ),
+        buffer_bytes=BUFFERS,
+    )))
 
     rows = []
     for size in BUFFERS:

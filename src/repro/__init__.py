@@ -51,9 +51,7 @@ from repro.experiments import (
     FidelityResult,
     Scenario,
     evaluate_fidelity,
-    expand_grid,
     iter_campaign,
-    run_campaign,
     run_spec,
 )
 from repro.registry import Registry, RegistryError, get_registry, registry_kinds
@@ -79,8 +77,6 @@ __all__ = [
     "FidelityResult",
     "Scenario",
     "evaluate_fidelity",
-    "expand_grid",
-    "run_campaign",
     "AxisGrid",
     "CampaignSpec",
     "Enrichments",

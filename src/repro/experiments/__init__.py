@@ -7,9 +7,6 @@ share one sweep loop instead of each re-implementing it:
 
 * :class:`~repro.experiments.scenario.Scenario` — one frozen, hashable
   grid point, resolvable to a workload and an accelerator design;
-* :func:`~repro.experiments.campaign.expand_grid` — axis values → the
-  scenario list (with explicit workload triples for non-cross-product
-  grids like the paper's Table I);
 * :class:`~repro.experiments.campaign.ResultCache` — in-process,
   thread-safe result cache keyed by scenario, shared across campaigns and
   optionally layered over an on-disk store;
@@ -21,26 +18,28 @@ share one sweep loop instead of each re-implementing it:
   :class:`~repro.experiments.store_sqlite.SqliteStoreBackend`, which adds
   server-side ``query()`` pushdown and concurrent shard writers;
 * :class:`~repro.experiments.spec.CampaignSpec` — the declarative front
-  door: a frozen, JSON-round-trippable experiment description (axes grid
-  + enrichments + execution policy) validated against the unified
-  registries (:mod:`repro.registry`);
+  door and the only way to run a campaign: a frozen, JSON-round-trippable
+  experiment description (an :class:`~repro.experiments.spec.AxisGrid`
+  of axis values, with explicit workload triples for non-cross-product
+  grids like the paper's Table I, + enrichments + an execution policy
+  choosing ``serial | thread | process`` fan-out and the store) validated
+  against the unified registries (:mod:`repro.registry`);
 * :func:`~repro.experiments.spec.iter_campaign` — streams
   ``(ScenarioRecord, CampaignProgress)`` events as scenarios complete,
   appending each to the store incrementally so a killed campaign resumes
   bit-identically by skipping persisted keys;
-* :func:`~repro.experiments.campaign.run_campaign` — the batch wrapper
-  (its enrichment/execution kwargs are deprecated in favour of specs):
-  fans the scenarios out over the chosen executor (``serial | thread |
-  process``) and returns structured
-  :class:`~repro.experiments.campaign.ScenarioRecord`
-  rows consumable by :mod:`repro.analysis.reporting`;
+* :func:`~repro.experiments.spec.run_spec` — the batch convenience:
+  drains the stream and returns a
+  :class:`~repro.experiments.campaign.CampaignResult` of
+  :class:`~repro.experiments.campaign.ScenarioRecord` rows consumable by
+  :mod:`repro.analysis.reporting`;
 * :mod:`repro.experiments.accuracy` — the accuracy half of the paper's
-  joint claim: ``run_campaign(..., with_accuracy=True)`` joins a
+  joint claim: ``Enrichments(accuracy=True)`` joins a
   :class:`~repro.experiments.accuracy.FidelityResult` (task fidelity to
   the FP model, outlier fractions, compression) to every record, memoised
   per ``(model, task, scheme)`` and persisted through the store;
 * :mod:`repro.experiments.measured` — measured index-domain operation
-  counts: ``run_campaign(..., with_measured=True)`` executes one encoder
+  counts: ``Enrichments(measured=True)`` executes one encoder
   layer of each workload through the vectorized index-domain engine and
   joins a :class:`~repro.experiments.measured.MeasuredStats` (real
   Gaussian/outlier pair counts, next to the schemes' analytic ones) to
@@ -52,15 +51,14 @@ from the command line.
 
 Usage::
 
-    from repro.experiments import expand_grid, run_campaign
+    from repro.experiments import AxisGrid, CampaignSpec, run_spec
 
-    scenarios = expand_grid(
-        workloads=[("bert-large", "squad", None), ("bert-base", "mnli", None)],
+    campaign = run_spec(CampaignSpec(axes=AxisGrid(
+        workloads=(("bert-large", "squad", None), ("bert-base", "mnli", None)),
         designs=("tensor-cores", "mokey"),
         buffer_bytes=(256 * 1024, 1024 * 1024),
         batch_sizes=(1, 8),
-    )
-    campaign = run_campaign(scenarios)
+    )))
     mokey = campaign.result(design="mokey", model="bert-base",
                             batch_size=1, buffer_bytes=1024 * 1024)
     baseline = campaign.result(design="tensor-cores", model="bert-base",
@@ -107,10 +105,7 @@ from repro.experiments.campaign import (
     CampaignResult,
     ResultCache,
     ScenarioRecord,
-    expand_grid,
-    run_campaign,
     run_scenario,
-    stream_campaign,
 )
 from repro.experiments.store import (
     SCHEMA_VERSION,
@@ -170,10 +165,7 @@ __all__ = [
     "CampaignResult",
     "ResultCache",
     "ScenarioRecord",
-    "expand_grid",
-    "run_campaign",
     "run_scenario",
-    "stream_campaign",
     "SCHEMA_VERSION",
     "ArtifactStore",
     "SqliteStoreBackend",

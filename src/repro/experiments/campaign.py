@@ -1,37 +1,32 @@
-"""Campaign engine: grid expansion, cached streaming simulation, fan-out.
+"""Campaign engine: cached streaming simulation and fan-out.
 
-``stream_campaign`` is the single sweep loop the benchmarks, examples and
-the ``repro`` CLI share.  It takes a list of
-:class:`~repro.experiments.scenario.Scenario` points (usually from
-:func:`expand_grid`), simulates each — fanning out over the chosen
-executor (``serial``, ``thread`` or ``process``) and deduplicating through
-a :class:`ResultCache` keyed by scenario, optionally layered over an
-on-disk :class:`~repro.experiments.store.ArtifactStore` — and *streams*
+:func:`_stream_core` is the single sweep loop behind
+:func:`repro.experiments.spec.iter_campaign` and
+:func:`~repro.experiments.spec.run_spec`, the only ways to run a
+campaign.  It takes the scenario list a
+:class:`~repro.experiments.spec.CampaignSpec` expands to, simulates each —
+fanning out over the policy's executor (``serial``, ``thread`` or
+``process``) and deduplicating through a :class:`ResultCache` keyed by
+scenario, optionally layered over an on-disk
+:class:`~repro.experiments.store.ArtifactStore` — and *streams*
 ``(ScenarioRecord, CampaignProgress)`` events as scenarios complete, with
 each record appended to the backing store the moment it exists.  A killed
 campaign therefore resumes from the store by skipping already-persisted
 keys, bit-identical to an uninterrupted run.
-
-The declarative front door is :func:`repro.experiments.spec.iter_campaign`
-(a :class:`~repro.experiments.spec.CampaignSpec` in, the same streamed
-events out); :func:`run_campaign` remains as a thin batch wrapper whose
-legacy enrichment/execution kwargs are deprecated in favour of specs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -61,9 +56,10 @@ from repro.experiments.measured import (
     evaluate_measured,
     measured_key,
 )
-from repro.experiments.scenario import KB, Scenario
-from repro.transformer.model_zoo import MODEL_CONFIGS
-from repro.transformer.tasks import task_family
+from repro.experiments.scenario import Scenario
+
+if TYPE_CHECKING:  # spec imports this module
+    from repro.experiments.spec import Enrichments, ExecutionPolicy
 
 _DEFAULT_SETTINGS_DIGEST = DEFAULT_ACCURACY_SETTINGS.digest()
 _DEFAULT_MEASUREMENT_DIGEST = DEFAULT_MEASUREMENT_SETTINGS.digest()
@@ -74,13 +70,10 @@ __all__ = [
     "ResultCache",
     "ScenarioRecord",
     "CampaignResult",
-    "expand_grid",
     "run_scenario",
-    "stream_campaign",
-    "run_campaign",
 ]
 
-#: Valid ``run_campaign(executor=...)`` choices.
+#: Valid ``ExecutionPolicy.executor`` choices.
 EXECUTORS = ("serial", "thread", "process")
 
 
@@ -503,59 +496,9 @@ class CampaignResult:
         return sum(1 for record in self.records if not record.cached)
 
 
-def expand_grid(
-    models: Sequence[str] = ("bert-base",),
-    tasks: Sequence[str] = ("mnli",),
-    sequence_lengths: Sequence[Optional[int]] = (None,),
-    batch_sizes: Sequence[int] = (1,),
-    schemes: Sequence[Optional[str]] = (None,),
-    designs: Sequence[str] = ("mokey",),
-    buffer_bytes: Sequence[int] = (512 * KB,),
-    workloads: Optional[Iterable[Tuple[str, str, Optional[int]]]] = None,
-) -> List[Scenario]:
-    """Expand axis values into the full list of scenarios.
-
-    Args:
-        models, tasks, sequence_lengths: Workload axes, crossed with each
-            other unless ``workloads`` pins explicit combinations.
-        batch_sizes: Batch axis.
-        schemes: Scheme overrides (``None`` = the design's own scheme).
-        designs: Registered design names.
-        buffer_bytes: Buffer-capacity axis.
-        workloads: Optional explicit ``(model, task, sequence_length)``
-            triples replacing the cross product of the first three axes
-            (the paper's Table I pairs are not a full cross product).
-    """
-    if workloads is None:
-        workload_specs = list(itertools.product(models, tasks, sequence_lengths))
-    else:
-        workload_specs = [tuple(spec) for spec in workloads]
-    return [
-        Scenario(
-            model=model,
-            task=task,
-            sequence_length=seq,
-            batch_size=batch,
-            scheme=scheme,
-            design=design,
-            buffer_bytes=size,
-        )
-        for (model, task, seq), batch, scheme, design, size in itertools.product(
-            workload_specs, batch_sizes, schemes, designs, buffer_bytes
-        )
-    ]
-
-
-def run_scenario(
-    scenario: Scenario,
-    simulator_factory: Callable[[Scenario], AcceleratorSimulator] = None,
-) -> SimulationResult:
+def run_scenario(scenario: Scenario) -> SimulationResult:
     """Simulate one scenario (no caching)."""
-    if simulator_factory is None:
-        simulator = AcceleratorSimulator(scenario.build_design())
-    else:
-        simulator = simulator_factory(scenario)
-    return simulator.simulate(
+    return AcceleratorSimulator(scenario.build_design()).simulate(
         scenario.build_workload(),
         scenario.buffer_bytes,
         scenario.activation_buffer_fraction,
@@ -567,7 +510,6 @@ def _stream_pending(
     executor: str,
     max_workers: Optional[int],
     chunksize: Optional[int],
-    simulator_factory: Optional[Callable[[Scenario], AcceleratorSimulator]],
 ) -> Iterator[SimulationResult]:
     """Yield ``pending``'s results lazily, in order, under the chosen executor.
 
@@ -581,17 +523,13 @@ def _stream_pending(
     simulated — the executor of choice when interruption loss must be
     zero.
     """
-    if simulator_factory is None:
-        task = run_scenario
-    else:
-        task = functools.partial(run_scenario, simulator_factory=simulator_factory)
     if executor == "serial":
         for scenario in pending:
-            yield task(scenario)
+            yield run_scenario(scenario)
         return
     if executor == "thread":
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            yield from pool.map(task, pending)
+            yield from pool.map(run_scenario, pending)
         return
     # Process: the simulator path is pure CPU-bound Python, so only real
     # processes escape the GIL.  Chunked dispatch amortises the per-item
@@ -601,7 +539,7 @@ def _stream_pending(
         workers = max_workers or os.cpu_count() or 1
         chunksize = max(1, len(pending) // (workers * 4))
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        yield from pool.map(task, pending, chunksize=chunksize)
+        yield from pool.map(run_scenario, pending, chunksize=chunksize)
 
 
 def _evaluate_accuracy_key(
@@ -640,13 +578,10 @@ def _evaluate_pending_fidelity(
 
 
 def _validate_accuracy_support(scenarios: Sequence[Scenario]) -> None:
-    """Fail fast (before any simulation) on grids fidelity cannot evaluate.
+    """Fail fast (before any simulation) on schemes fidelity cannot evaluate.
 
-    The hardware side tolerates unknown tasks (they just default the
-    sequence length) and needs only the model's *shape*, but the accuracy
-    side must build the functional twin and the task's dataset — so
-    schemes without numerics, unknown tasks and unknown models are all
-    rejected here, before any simulation work is spent.
+    Unknown models and tasks never get here: spec validation has already
+    checked every name on the grid against the registries.
     """
     schemes = {accuracy_key(scenario)[2] for scenario in scenarios}
     unsupported = sorted(s for s in schemes if not supports_accuracy(s))
@@ -655,16 +590,6 @@ def _validate_accuracy_support(scenarios: Sequence[Scenario]) -> None:
             f"scheme(s) {', '.join(repr(s) for s in unsupported)} have no accuracy-side "
             f"numerics evaluator (schemes supporting accuracy campaigns: "
             f"{', '.join(supported_accuracy_schemes())})"
-        )
-    for task in sorted({scenario.task for scenario in scenarios}):
-        task_family(task)  # raises ValueError for unknown tasks
-    unknown_models = sorted(
-        {scenario.model for scenario in scenarios} - set(MODEL_CONFIGS)
-    )
-    if unknown_models:
-        raise ValueError(
-            f"unknown model(s) {', '.join(repr(m) for m in unknown_models)} "
-            f"(known: {', '.join(sorted(MODEL_CONFIGS))})"
         )
 
 
@@ -754,142 +679,35 @@ def _resolve_measured(
     )
 
 
-def stream_campaign(
+def _stream_core(
     scenarios: Sequence[Scenario],
-    max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    simulator_factory: Callable[[Scenario], AcceleratorSimulator] = None,
-    executor: str = "thread",
-    chunksize: Optional[int] = None,
-    with_accuracy: bool = False,
-    accuracy_settings: Optional[AccuracySettings] = None,
-    with_measured: bool = False,
-    measurement_settings: Optional[MeasurementSettings] = None,
-    write_store: Optional[Any] = None,
+    cache: ResultCache,
+    enrichments: "Enrichments",
+    policy: "ExecutionPolicy",
+    write_store: Optional[Any],
 ) -> Iterator[Tuple[ScenarioRecord, CampaignProgress]]:
     """Simulate every scenario, streaming ``(record, progress)`` events.
 
-    The streaming core of the campaign engine: joins (fidelity, measured
-    stats) are resolved up front — they depend only on scenario fields,
-    one evaluation per unique memo key — and the hardware simulations then
-    stream through the chosen executor in submission order.  Each record
-    is appended to the cache's backing store the moment its simulation
-    completes, *before* it is yielded, so a consumer that stops mid-grid
-    (kill, exception, ``break``) leaves every emitted record persisted; a
-    later run over the same store resumes by skipping those keys, and its
-    final record set is bit-identical to an uninterrupted run.
+    Joins (fidelity, measured stats) are resolved up front — they depend
+    only on scenario fields, one evaluation per unique memo key — and the
+    hardware simulations then stream through the policy's executor in
+    submission order.  Each record is appended to the cache's backing
+    store (and to ``write_store``, the write-only store of a
+    ``resume=False`` policy) the moment its simulation completes, *before*
+    it is yielded, so a consumer that stops mid-grid (kill, exception,
+    ``break``) leaves every emitted record persisted; a later run over
+    the same store resumes by skipping those keys, and its final record
+    set is bit-identical to an uninterrupted run.
 
     Scenarios already present in ``cache`` (including duplicates within
     ``scenarios``) are not re-simulated; their records are marked
-    ``cached=True``.
-
-    Args:
-        scenarios: Grid points to run; event order follows this order.
-        max_workers: Pool width (default: the executor's own heuristic).
-        cache: Cross-campaign result cache; a fresh one is used if omitted.
-            Construct with ``ResultCache(store=ArtifactStore(...))`` to
-            persist and reuse results across processes.  Cache entries are
-            keyed by scenario only, so a shared cache cannot be combined
-            with a custom ``simulator_factory`` (the cached results would
-            have been produced under a different simulator configuration).
-        simulator_factory: Override how a scenario builds its simulator
-            (e.g. to inject a different DRAM model or overlap stage).  With
-            ``executor="process"`` it must be picklable (a module-level
-            function, not a lambda).
-        executor: ``"serial"`` (in-line, best for debugging), ``"thread"``
-            (default; fine for small grids), or ``"process"`` (a
-            ``ProcessPoolExecutor`` — the simulator is CPU-bound Python,
-            so this is the fast choice for large grids).
-        chunksize: Scenarios per process-pool work item (``process``
-            only); defaults to ~4 chunks per worker.
-        with_accuracy: Also evaluate task fidelity (see
-            :mod:`repro.experiments.accuracy`) and join a
-            :class:`~repro.experiments.accuracy.FidelityResult` to every
-            record.  Fidelity is memoised per ``(model, task, scheme)`` —
-            one quantization serves every seq/batch/buffer point — and
-            persists through the backing store alongside the hardware
-            result; raises
-            :class:`~repro.experiments.accuracy.UnsupportedSchemeError`
-            before any evaluation if a swept scheme has no numerics side.
-        accuracy_settings: Evaluation parameters for the accuracy side
-            (functional-twin scale, sample counts, Golden-Dictionary
-            build); defaults to
-            :data:`~repro.experiments.accuracy.DEFAULT_ACCURACY_SETTINGS`.
-        with_measured: Also execute one encoder layer of each workload
-            through the vectorized index-domain engine (see
-            :mod:`repro.experiments.measured`) and join a
-            :class:`~repro.experiments.measured.MeasuredStats` to every
-            record.  Measurements are memoised per ``(model, seq,
-            batch)`` — one layer execution serves every design/scheme/
-            buffer point — and persist through the backing store
-            alongside the hardware result.
-        measurement_settings: Parameters of the measured-layer execution;
-            defaults to
-            :data:`~repro.experiments.measured.DEFAULT_MEASUREMENT_SETTINGS`.
-        write_store: Optional write-only store: every freshly simulated
-            record is also appended here.  Used by the spec layer's
-            ``resume=False`` mode (re-simulate everything, persist anyway)
-            when the store is deliberately kept out of the lookup path.
-    """
-    _check_cache_factory_combination(cache, simulator_factory)
-    return _stream_core(
-        scenarios,
-        max_workers=max_workers,
-        cache=cache if cache is not None else ResultCache(),
-        simulator_factory=simulator_factory,
-        executor=executor,
-        chunksize=chunksize,
-        with_accuracy=with_accuracy,
-        accuracy_settings=accuracy_settings,
-        with_measured=with_measured,
-        measurement_settings=measurement_settings,
-        write_store=write_store,
-    )
-
-
-def _check_cache_factory_combination(
-    cache: Optional[ResultCache],
-    simulator_factory: Optional[Callable[[Scenario], AcceleratorSimulator]],
-) -> None:
-    """Reject a *caller-provided* cache next to a custom simulator.
-
-    A fresh cache private to one run is always safe with a custom
-    simulator; a shared one is not — its entries are keyed by scenario
-    only and would mix results from different simulator configurations.
-    """
-    if cache is not None and simulator_factory is not None:
-        raise ValueError(
-            "a shared cache cannot be combined with a custom simulator_factory: "
-            "cache entries are keyed by scenario only and would mix results "
-            "from different simulator configurations; use a dedicated cache"
-        )
-
-
-def _stream_core(
-    scenarios: Sequence[Scenario],
-    max_workers: Optional[int],
-    cache: ResultCache,
-    simulator_factory: Optional[Callable[[Scenario], AcceleratorSimulator]],
-    executor: str,
-    chunksize: Optional[int],
-    with_accuracy: bool,
-    accuracy_settings: Optional[AccuracySettings],
-    with_measured: bool,
-    measurement_settings: Optional[MeasurementSettings],
-    write_store: Optional[Any],
-) -> Iterator[Tuple[ScenarioRecord, CampaignProgress]]:
-    """The streaming engine behind :func:`stream_campaign`/:func:`run_campaign`.
-
-    Takes a concrete ``cache`` and performs no argument-combination
-    checks — callers own those (so :func:`run_campaign` can pair its
-    freshly created private cache with a custom simulator, which the
-    public :func:`stream_campaign` guard rejects for caller-provided
-    caches).
+    ``cached=True``.  The caller has validated the spec, so executor and
+    registry names are known good.
     """
     from repro.experiments.store import scenario_key  # local: store is a sibling
 
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r} (choose from {', '.join(EXECUTORS)})")
+    executor, max_workers = policy.executor, policy.max_workers
+    with_accuracy, with_measured = enrichments.accuracy, enrichments.measured
     scenarios = list(scenarios)
     if with_accuracy:
         _validate_accuracy_support(scenarios)
@@ -919,14 +737,14 @@ def _stream_core(
     unique_scenarios = list(cached_flags)
     if with_accuracy:
         fidelities, fidelity_evaluated = _resolve_fidelities(
-            unique_scenarios, cache, executor, max_workers, accuracy_settings
+            unique_scenarios, cache, executor, max_workers, enrichments.accuracy_settings
         )
     if with_measured:
         measured, measured_evaluated = _resolve_measured(
-            unique_scenarios, cache, executor, max_workers, measurement_settings
+            unique_scenarios, cache, executor, max_workers, enrichments.measurement_settings
         )
 
-    outcomes = _stream_pending(pending, executor, max_workers, chunksize, simulator_factory)
+    outcomes = _stream_pending(pending, executor, max_workers, policy.chunksize)
     total = len(scenarios)
     completed = simulated = cached_count = 0
     emitted: Dict[Scenario, ScenarioRecord] = {}
@@ -1000,131 +818,3 @@ def _stream_core(
             )
     finally:
         outcomes.close()
-
-
-# --------------------------------------------------------------------------- #
-# Legacy batch entry point
-# --------------------------------------------------------------------------- #
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default.
-_UNSET: Any = object()
-
-#: run_campaign kwargs superseded by the CampaignSpec API, mapped to the
-#: spec component and field that replaces each.  Passing any of them warns
-#: once per process.
-_LEGACY_KWARG_SPEC_FIELDS = {
-    "executor": ("execution", "executor"),
-    "chunksize": ("execution", "chunksize"),
-    "with_accuracy": ("enrichments", "accuracy"),
-    "accuracy_settings": ("enrichments", "accuracy_settings"),
-    "with_measured": ("enrichments", "measured"),
-    "measurement_settings": ("enrichments", "measurement_settings"),
-}
-
-_legacy_kwargs_warned = False
-
-
-def _reset_legacy_kwarg_warning() -> None:
-    """Re-arm the once-per-process deprecation warning (tests only)."""
-    global _legacy_kwargs_warned
-    _legacy_kwargs_warned = False
-
-
-def _spec_equivalent_snippet(passed: Dict[str, Any]) -> str:
-    """A CampaignSpec construction equivalent to the passed legacy kwargs."""
-    parts: Dict[str, List[str]] = {"enrichments": [], "execution": []}
-    for name in sorted(passed):
-        component, field_name = _LEGACY_KWARG_SPEC_FIELDS[name]
-        value = passed[name]
-        shown = repr(value) if isinstance(value, (bool, int, str, type(None))) else "..."
-        parts[component].append(f"{field_name}={shown}")
-    lines = ["    spec = CampaignSpec(", "        axes=AxisGrid(...),  # your expand_grid axes"]
-    if parts["enrichments"]:
-        lines.append(f"        enrichments=Enrichments({', '.join(parts['enrichments'])}),")
-    if parts["execution"]:
-        lines.append(f"        execution=ExecutionPolicy({', '.join(parts['execution'])}),")
-    lines.append("    )")
-    lines.append("    for record, progress in iter_campaign(spec): ...")
-    return "\n".join(lines)
-
-
-def _warn_legacy_kwargs(passed: Dict[str, Any]) -> None:
-    global _legacy_kwargs_warned
-    if _legacy_kwargs_warned:
-        return
-    _legacy_kwargs_warned = True
-    warnings.warn(
-        f"run_campaign({', '.join(sorted(passed))}=...) kwargs are deprecated; "
-        f"declare the campaign as a spec instead:\n"
-        f"{_spec_equivalent_snippet(passed)}\n"
-        f"(behaviour is unchanged; this warning fires once per process)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_campaign(
-    scenarios: Sequence[Scenario],
-    max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    simulator_factory: Callable[[Scenario], AcceleratorSimulator] = None,
-    executor: Any = _UNSET,
-    chunksize: Any = _UNSET,
-    with_accuracy: Any = _UNSET,
-    accuracy_settings: Any = _UNSET,
-    with_measured: Any = _UNSET,
-    measurement_settings: Any = _UNSET,
-) -> CampaignResult:
-    """Batch wrapper over :func:`stream_campaign`: drain, then return.
-
-    Behaviour, record order and store contents are identical to draining
-    the stream (goldens lock this); only the streaming events are lost.
-    The enrichment/execution kwargs (``executor``, ``chunksize``,
-    ``with_accuracy``, ``accuracy_settings``, ``with_measured``,
-    ``measurement_settings``) are deprecated in favour of the declarative
-    :class:`~repro.experiments.spec.CampaignSpec` API — they keep working
-    verbatim but emit a one-time :class:`DeprecationWarning` naming the
-    spec field that replaces them.  ``max_workers``, ``cache`` and
-    ``simulator_factory`` are runtime injection points, not experiment
-    description, and stay first-class.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("executor", executor),
-            ("chunksize", chunksize),
-            ("with_accuracy", with_accuracy),
-            ("accuracy_settings", accuracy_settings),
-            ("with_measured", with_measured),
-            ("measurement_settings", measurement_settings),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        _warn_legacy_kwargs(legacy)
-    _check_cache_factory_combination(cache, simulator_factory)
-    records: List[ScenarioRecord] = []
-    progress: Optional[CampaignProgress] = None
-    cache = cache if cache is not None else ResultCache()
-    for record, progress in _stream_core(
-        scenarios,
-        max_workers=max_workers,
-        cache=cache,
-        simulator_factory=simulator_factory,
-        executor=executor if executor is not _UNSET else "thread",
-        chunksize=chunksize if chunksize is not _UNSET else None,
-        with_accuracy=with_accuracy if with_accuracy is not _UNSET else False,
-        accuracy_settings=accuracy_settings if accuracy_settings is not _UNSET else None,
-        with_measured=with_measured if with_measured is not _UNSET else False,
-        measurement_settings=(
-            measurement_settings if measurement_settings is not _UNSET else None
-        ),
-        write_store=None,
-    ):
-        records.append(record)
-    return CampaignResult(
-        records,
-        cache,
-        fidelity_evaluated=progress.fidelity_evaluated if progress else 0,
-        measured_evaluated=progress.measured_evaluated if progress else 0,
-    )

@@ -35,16 +35,19 @@ Validation happens against the unified registry surface
 (:mod:`repro.registry`): every model, task, scheme and design name on the
 grid must be registered, and an unknown name raises a
 :class:`~repro.registry.RegistryError` naming the registry and its
-nearest match *before* anything simulates.
+nearest match *before* anything simulates.  Malformed values — a string
+where an axis list belongs, a bool or zero where a positive integer
+belongs, a non-bool flag — fail the same way, in one ``ValueError`` line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.accuracy import AccuracySettings
 from repro.experiments.campaign import (
@@ -53,8 +56,7 @@ from repro.experiments.campaign import (
     CampaignResult,
     ResultCache,
     ScenarioRecord,
-    expand_grid,
-    stream_campaign,
+    _stream_core,
 )
 from repro.experiments.measured import MeasurementSettings
 from repro.experiments.scenario import KB, Scenario
@@ -73,19 +75,27 @@ __all__ = [
 WorkloadTriple = Tuple[str, str, Optional[int]]
 
 
-def _tuple_or_none(values: Optional[Sequence[Any]]) -> Optional[Tuple[Any, ...]]:
-    return None if values is None else tuple(values)
+def _as_tuple(name: str, values: Any) -> Tuple[Any, ...]:
+    """``values`` as a tuple; a string or scalar is not an axis."""
+    if isinstance(values, (str, bytes, Mapping)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return tuple(values)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class AxisGrid:
     """The swept axes of a campaign; expands to the scenario list.
 
-    Mirrors :func:`~repro.experiments.campaign.expand_grid`: the first
-    three axes cross with each other unless :attr:`workloads` pins
-    explicit ``(model, task, sequence_length)`` triples (the paper's
+    The first three axes cross with each other unless :attr:`workloads`
+    pins explicit ``(model, task, sequence_length)`` triples (the paper's
     Table I pairs are not a full cross product), and every workload then
-    crosses with batch sizes × schemes × designs × buffer sizes.
+    crosses with batch sizes × schemes × designs × buffer sizes.  Axis
+    values may repeat: each copy is its own grid point, and a campaign
+    simulates the repeats once.
 
     Attributes:
         models, tasks, sequence_lengths: Workload axes (``None`` sequence
@@ -118,16 +128,17 @@ class AxisGrid:
     def __post_init__(self) -> None:
         # Normalise sequences (JSON lists, generator output) to tuples so
         # the grid is hashable and from_dict(to_dict()) round-trips to
-        # equality.
+        # equality; a string or scalar axis is rejected, not iterated.
         for name in ("models", "tasks", "sequence_lengths", "batch_sizes",
                      "schemes", "designs", "buffer_bytes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
         if self.workloads is not None:
-            object.__setattr__(
-                self, "workloads", tuple(tuple(triple) for triple in self.workloads)
-            )
+            object.__setattr__(self, "workloads", tuple(
+                _as_tuple("a workload triple", triple)
+                for triple in _as_tuple("workloads", self.workloads)
+            ))
         if self.shard is not None:
-            object.__setattr__(self, "shard", tuple(self.shard))
+            object.__setattr__(self, "shard", _as_tuple("shard", self.shard))
 
     def scenarios(self) -> List[Scenario]:
         """Expand the axes into the scenario list (this shard's, if sharded).
@@ -137,16 +148,23 @@ class AxisGrid:
         shards of one grid stay balanced even when the grid's tail axes
         (e.g. buffer sizes) correlate with simulation cost.
         """
-        expanded = expand_grid(
-            models=self.models,
-            tasks=self.tasks,
-            sequence_lengths=self.sequence_lengths,
-            batch_sizes=self.batch_sizes,
-            schemes=self.schemes,
-            designs=self.designs,
-            buffer_bytes=self.buffer_bytes,
-            workloads=self.workloads,
-        )
+        workloads = self.workloads
+        if workloads is None:
+            workloads = itertools.product(self.models, self.tasks, self.sequence_lengths)
+        expanded = [
+            Scenario(
+                model=model,
+                task=task,
+                sequence_length=seq,
+                batch_size=batch,
+                scheme=scheme,
+                design=design,
+                buffer_bytes=size,
+            )
+            for (model, task, seq), batch, scheme, design, size in itertools.product(
+                workloads, self.batch_sizes, self.schemes, self.designs, self.buffer_bytes
+            )
+        ]
         if self.shard is None:
             return expanded
         index, count = self.shard
@@ -171,12 +189,7 @@ class AxisGrid:
     def from_dict(cls, data: Mapping[str, Any]) -> "AxisGrid":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
         names = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in dict(data).items() if key in names}
-        if kwargs.get("workloads") is not None:
-            kwargs["workloads"] = tuple(tuple(triple) for triple in kwargs["workloads"])
-        if kwargs.get("shard") is not None:
-            kwargs["shard"] = tuple(kwargs["shard"])
-        return cls(**kwargs)
+        return cls(**{key: value for key, value in data.items() if key in names})
 
 
 @dataclass(frozen=True)
@@ -202,8 +215,8 @@ class Enrichments:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "accuracy": bool(self.accuracy),
-            "measured": bool(self.measured),
+            "accuracy": self.accuracy,
+            "measured": self.measured,
             "accuracy_settings": (
                 None if self.accuracy_settings is None else self.accuracy_settings.to_dict()
             ),
@@ -220,8 +233,8 @@ class Enrichments:
         raw_accuracy = data.get("accuracy_settings")
         raw_measurement = data.get("measurement_settings")
         return cls(
-            accuracy=bool(data.get("accuracy", False)),
-            measured=bool(data.get("measured", False)),
+            accuracy=data.get("accuracy", False),
+            measured=data.get("measured", False),
             accuracy_settings=(
                 None if raw_accuracy is None else AccuracySettings.from_dict(raw_accuracy)
             ),
@@ -238,8 +251,11 @@ class ExecutionPolicy:
     """How a campaign executes: fan-out, persistence and resume semantics.
 
     Attributes:
-        executor: ``"serial"`` / ``"thread"`` / ``"process"`` (see
-            :func:`~repro.experiments.campaign.stream_campaign`).
+        executor: ``"serial"`` (in-line, best for debugging and the only
+            one that simulates nothing past a consumer that stops early),
+            ``"thread"`` (the default; fine for small grids) or
+            ``"process"`` (the simulator is CPU-bound Python, so this is
+            the fast choice for large grids).
         max_workers: Pool width (``None`` = the executor's heuristic).
         chunksize: Scenarios per process-pool work item (process only).
         store: Artifact-store directory; ``None`` keeps everything in
@@ -269,14 +285,14 @@ class ExecutionPolicy:
             "chunksize": self.chunksize,
             "store": self.store,
             "store_backend": self.store_backend,
-            "resume": bool(self.resume),
+            "resume": self.resume,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
         names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
+        return cls(**{key: value for key, value in data.items() if key in names})
 
 
 #: Schema version of the serialized spec form.  Bump on incompatible
@@ -309,9 +325,10 @@ class CampaignSpec:
 
         Raises :class:`~repro.registry.RegistryError` for unknown model /
         task / scheme / design names (naming the registry and its nearest
-        match) and ``ValueError`` for malformed numeric axes or an unknown
-        executor — all before anything simulates.  Returns ``self`` so it
-        chains: ``iter_campaign(spec.validate())``.
+        match) and ``ValueError`` for malformed numeric axes, non-bool
+        flags, non-positive pool sizes or an unknown executor — all
+        before anything simulates.  Returns ``self`` so it chains:
+        ``iter_campaign(spec.validate())``.
         """
         from repro import registry  # deferred: registry imports this package
 
@@ -337,20 +354,16 @@ class CampaignSpec:
         for design in axes.designs:
             registry.DESIGNS.get(design)
         for seq in seqs:
-            if seq is not None and (not isinstance(seq, int) or seq <= 0):
+            if seq is not None and (not _is_int(seq) or seq <= 0):
                 raise ValueError(f"sequence lengths must be positive or None, got {seq!r}")
         for label, values in (("batch_sizes", axes.batch_sizes),
                               ("buffer_bytes", axes.buffer_bytes)):
             for value in values:
-                if not isinstance(value, int) or value <= 0:
+                if not _is_int(value) or value <= 0:
                     raise ValueError(f"{label} must be positive integers, got {value!r}")
         if axes.shard is not None:
             shard = axes.shard
-            if (
-                len(shard) != 2
-                or not all(isinstance(part, int) and not isinstance(part, bool)
-                           for part in shard)
-            ):
+            if len(shard) != 2 or not all(_is_int(part) for part in shard):
                 raise ValueError(
                     f"shard must be an (index, count) pair of integers, got {shard!r}"
                 )
@@ -361,13 +374,23 @@ class CampaignSpec:
                 raise ValueError(
                     f"shard index must be in [0, {count}), got {index}"
                 )
-        if self.execution.executor not in EXECUTORS:
+        policy = self.execution
+        if policy.executor not in EXECUTORS:
             raise ValueError(
-                f"unknown executor {self.execution.executor!r} "
+                f"unknown executor {policy.executor!r} "
                 f"(choose from {', '.join(EXECUTORS)})"
             )
-        if self.execution.store_backend is not None:
-            registry.STORES.get(self.execution.store_backend)
+        for label, value in (("max_workers", policy.max_workers),
+                             ("chunksize", policy.chunksize)):
+            if value is not None and (not _is_int(value) or value <= 0):
+                raise ValueError(f"{label} must be a positive integer or null, got {value!r}")
+        for label, value in (("resume", policy.resume),
+                             ("accuracy", self.enrichments.accuracy),
+                             ("measured", self.enrichments.measured)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{label} must be true or false, got {value!r}")
+        if policy.store_backend is not None:
+            registry.STORES.get(policy.store_backend)
         return self
 
     def scenarios(self) -> List[Scenario]:
@@ -388,12 +411,26 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output, ignoring unknown keys."""
+        """Rebuild a spec from :meth:`to_dict` output, ignoring unknown keys.
+
+        Raises ``ValueError`` when the spec or one of its sections is not
+        a mapping (a JSON object).
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a campaign spec must be an object, got {type(data).__name__}")
+        sections = {}
+        for key in ("axes", "enrichments", "execution"):
+            section = data.get(key) or {}
+            if not isinstance(section, Mapping):
+                raise ValueError(
+                    f"campaign spec {key!r} must be an object, got {type(section).__name__}"
+                )
+            sections[key] = section
         return cls(
             name=str(data.get("name", "campaign")),
-            axes=AxisGrid.from_dict(data.get("axes") or {}),
-            enrichments=Enrichments.from_dict(data.get("enrichments") or {}),
-            execution=ExecutionPolicy.from_dict(data.get("execution") or {}),
+            axes=AxisGrid.from_dict(sections["axes"]),
+            enrichments=Enrichments.from_dict(sections["enrichments"]),
+            execution=ExecutionPolicy.from_dict(sections["execution"]),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -466,7 +503,6 @@ def _policy_cache(policy: ExecutionPolicy) -> Tuple[ResultCache, Optional[StoreB
 def iter_campaign(
     spec: CampaignSpec,
     cache: Optional[ResultCache] = None,
-    simulator_factory: Any = None,
 ) -> Iterator[Tuple[ScenarioRecord, CampaignProgress]]:
     """Stream one declarative campaign: validate, expand, simulate, yield.
 
@@ -481,17 +517,12 @@ def iter_campaign(
         spec: The campaign description; validated against the unified
             registries before anything simulates.
         cache: Override the cache the execution policy would build (e.g.
-            to share one in-memory cache across specs in tests).  When
-            given, the policy's ``store``/``resume`` fields are ignored —
-            the cache's own backing store governs persistence.
-        simulator_factory: As for
-            :func:`~repro.experiments.campaign.stream_campaign`.  Results
-            produced under a custom simulator must never mix into a
-            shared store (they are keyed by scenario only), so a policy
-            ``store`` — or an explicit ``cache`` — is rejected alongside
-            it.
+            to share one in-memory cache across specs, or to layer one
+            over a store opened elsewhere).  When given, the policy's
+            ``store``/``resume`` fields are ignored — the cache's own
+            backing store governs persistence.
     """
-    cache, events = _prepare_stream(spec, cache, simulator_factory)
+    cache, events = _prepare_stream(spec, cache)
     return events
 
 
@@ -500,7 +531,7 @@ def run_spec(
     cache: Optional[ResultCache] = None,
 ) -> CampaignResult:
     """Drain :func:`iter_campaign` into a batch :class:`CampaignResult`."""
-    cache, events = _prepare_stream(spec, cache, None)
+    cache, events = _prepare_stream(spec, cache)
     records: List[ScenarioRecord] = []
     progress: Optional[CampaignProgress] = None
     for record, progress in events:
@@ -516,7 +547,6 @@ def run_spec(
 def _prepare_stream(
     spec: CampaignSpec,
     cache: Optional[ResultCache],
-    simulator_factory: Any,
 ) -> Tuple[ResultCache, Iterator[Tuple[ScenarioRecord, CampaignProgress]]]:
     """Validate, resolve the policy's cache/store, and open the stream.
 
@@ -525,27 +555,10 @@ def _prepare_stream(
     exists.
     """
     spec.validate()
-    if simulator_factory is not None and (cache is not None or spec.execution.store is not None):
-        raise ValueError(
-            "a custom simulator_factory cannot be combined with a cache or a "
-            "policy store: persisted entries are keyed by scenario only and "
-            "would mix results from different simulator configurations"
-        )
     write_store = None
     if cache is None:
         cache, write_store = _policy_cache(spec.execution)
-    policy = spec.execution
-    events = stream_campaign(
-        spec.scenarios(),
-        max_workers=policy.max_workers,
-        cache=None if simulator_factory is not None else cache,
-        simulator_factory=simulator_factory,
-        executor=policy.executor,
-        chunksize=policy.chunksize,
-        with_accuracy=spec.enrichments.accuracy,
-        accuracy_settings=spec.enrichments.accuracy_settings,
-        with_measured=spec.enrichments.measured,
-        measurement_settings=spec.enrichments.measurement_settings,
-        write_store=write_store,
+    events = _stream_core(
+        spec.scenarios(), cache, spec.enrichments, spec.execution, write_store
     )
     return cache, events

@@ -621,7 +621,7 @@ class ArtifactStore:
     as an in-memory index afterwards (:meth:`refresh` drops it so another
     process's appends become visible).  Layer it under a
     :class:`~repro.experiments.campaign.ResultCache` (``ResultCache(store=...)``)
-    to make ``run_campaign`` incremental across processes.  For indexed
+    to make campaigns incremental across processes.  For indexed
     server-side queries and concurrent shard writers, migrate to the
     SQLite backend (``repro store migrate``).
     """

@@ -22,6 +22,10 @@ import pytest
 
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     ResultCache,
     Scenario,
     ScenarioRecord,
@@ -29,9 +33,8 @@ from repro.experiments import (
     accuracy_key,
     accuracy_scheme_for,
     evaluate_fidelity,
-    expand_grid,
     fidelity_digest,
-    run_campaign,
+    run_spec,
     supported_accuracy_schemes,
     supports_accuracy,
 )
@@ -177,9 +180,9 @@ class TestEvaluateFidelity:
         assert fidelity_digest(first) == fidelity_digest(second)
 
 
-def accuracy_grid():
+def accuracy_grid(**axes) -> AxisGrid:
     """One (model, task, scheme) accuracy key spread over hardware axes."""
-    return expand_grid(
+    defaults = dict(
         models=("bert-base",),
         tasks=("mnli",),
         sequence_lengths=(None, 64),
@@ -187,47 +190,61 @@ def accuracy_grid():
         designs=("mokey",),
         buffer_bytes=(512 * KB,),
     )
+    return AxisGrid(**{**defaults, **axes})
+
+
+#: The first point of :func:`accuracy_grid` alone.
+ONE_POINT = dict(sequence_lengths=(None,), batch_sizes=(1,))
+
+
+def accuracy_spec(axes=None, accuracy=True, **execution) -> CampaignSpec:
+    """An accuracy campaign (TINY settings) over ``axes``."""
+    return CampaignSpec(
+        axes=axes if axes is not None else accuracy_grid(),
+        enrichments=Enrichments(accuracy=accuracy, accuracy_settings=TINY),
+        execution=ExecutionPolicy(**execution),
+    )
 
 
 class TestAccuracyCampaign:
     def test_one_quantization_serves_many_points(self):
-        campaign = run_campaign(accuracy_grid(), with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec())
         assert len(campaign) == 4
         assert campaign.fidelity_evaluated == 1
         digests = {fidelity_digest(record.fidelity) for record in campaign}
         assert len(digests) == 1
 
     def test_records_without_accuracy_have_no_fidelity(self):
-        campaign = run_campaign(accuracy_grid()[:1])
+        campaign = run_spec(accuracy_spec(accuracy_grid(**ONE_POINT), accuracy=False))
         assert campaign.fidelity_evaluated == 0
         assert all(record.fidelity is None for record in campaign)
         assert "fp_score" not in campaign.to_dicts()[0]
 
     def test_rows_gain_fidelity_columns(self):
-        campaign = run_campaign(accuracy_grid()[:1], with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec(accuracy_grid(**ONE_POINT)))
         row = campaign.to_dicts()[0]
         assert row["fp_score"] == pytest.approx(100.0)
         assert "weight_only_err" in row and "weight_outlier_pct" in row
 
     def test_unsupported_scheme_fails_before_simulating(self, compute_only_scheme):
-        grid = expand_grid(schemes=(compute_only_scheme,), designs=("mokey",))
+        spec = accuracy_spec(AxisGrid(schemes=(compute_only_scheme,), designs=("mokey",)))
         cache = ResultCache()
         with pytest.raises(UnsupportedSchemeError):
-            run_campaign(grid, cache=cache, with_accuracy=True, accuracy_settings=TINY)
+            run_spec(spec, cache=cache)
         assert cache.misses == 0 and len(cache) == 0
 
     def test_unknown_task_fails_before_simulating(self):
         # The hardware side tolerates unknown tasks (they default the
         # sequence length), but the accuracy side cannot label a dataset
         # for them — the campaign must reject the grid up front.
-        grid = expand_grid(tasks=("not-a-task",), designs=("mokey",))
+        spec = accuracy_spec(AxisGrid(tasks=("not-a-task",), designs=("mokey",)))
         cache = ResultCache()
         with pytest.raises(ValueError):
-            run_campaign(grid, cache=cache, with_accuracy=True, accuracy_settings=TINY)
+            run_spec(spec, cache=cache)
         assert cache.misses == 0 and len(cache) == 0
 
     def test_scenario_record_round_trips_with_fidelity(self):
-        campaign = run_campaign(accuracy_grid()[:1], with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec(accuracy_grid(**ONE_POINT)))
         record = campaign.records[0]
         rebuilt = ScenarioRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert rebuilt.fidelity == record.fidelity
@@ -236,52 +253,31 @@ class TestAccuracyCampaign:
 
 class TestAccuracyStore:
     def test_fidelity_round_trips_through_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        campaign = run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=store),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        campaign = run_spec(accuracy_spec(store=str(tmp_path / "store")))
         fresh = ArtifactStore(tmp_path / "store")
         for record in campaign:
             assert fresh.get_fidelity(record.scenario) == record.fidelity
         assert all(entry.fidelity is not None for entry in fresh.records())
 
     def test_second_campaign_simulates_and_evaluates_nothing(self, tmp_path):
-        store_root = tmp_path / "store"
-        run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
-        again = run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        spec = accuracy_spec(store=str(tmp_path / "store"))
+        run_spec(spec)
+        again = run_spec(spec)
         assert again.simulated_count == 0
         assert again.fidelity_evaluated == 0
         assert all(record.fidelity is not None for record in again)
 
     def test_hardware_only_records_upgrade_in_place(self, tmp_path):
         store_root = tmp_path / "store"
-        grid = accuracy_grid()[:2]
-        first = run_campaign(grid, cache=ResultCache(store=ArtifactStore(store_root)))
+        grid = accuracy_grid(sequence_lengths=(None,))
+        first = run_spec(accuracy_spec(grid, accuracy=False, store=str(store_root)))
         assert all(record.fidelity is None for record in first)
 
-        upgraded = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        upgraded = run_spec(accuracy_spec(grid, store=str(store_root)))
         assert upgraded.simulated_count == 0  # hardware came from the store
         assert upgraded.fidelity_evaluated == 1
         fresh = ArtifactStore(store_root)
-        for scenario in grid:
+        for scenario in grid.scenarios():
             assert fresh.get_fidelity(scenario) is not None
             # The hardware result must be untouched by the upgrade.
             assert fresh.get(scenario) == first.result(
@@ -292,14 +288,9 @@ class TestAccuracyStore:
 
     def test_upgrade_appends_rather_than_rewrites(self, tmp_path):
         store_root = tmp_path / "store"
-        scenario = accuracy_grid()[0]
-        run_campaign([scenario], cache=ResultCache(store=ArtifactStore(store_root)))
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        grid = accuracy_grid(**ONE_POINT)
+        run_spec(accuracy_spec(grid, accuracy=False, store=str(store_root)))
+        run_spec(accuracy_spec(grid, store=str(store_root)))
         lines = (store_root / "records.jsonl").read_text().strip().splitlines()
         assert len(lines) == 2  # original + upgraded line under the same key
         assert "fidelity" not in json.loads(lines[0])
@@ -307,14 +298,8 @@ class TestAccuracyStore:
         assert len(ArtifactStore(store_root)) == 1  # last line wins
 
     def test_different_settings_never_serve_stale_fidelity(self, tmp_path):
-        store_root = tmp_path / "store"
-        scenario = accuracy_grid()[0]
-        first = run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        spec = accuracy_spec(accuracy_grid(**ONE_POINT), store=str(tmp_path / "store"))
+        first = run_spec(spec)
         other_settings = AccuracySettings(
             pool_samples=TINY.pool_samples + 8,
             profile_samples=TINY.profile_samples,
@@ -323,12 +308,7 @@ class TestAccuracyStore:
             golden_samples=TINY.golden_samples,
             golden_repeats=TINY.golden_repeats,
         )
-        second = run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=other_settings,
-        )
+        second = run_spec(spec.with_enrichments(accuracy_settings=other_settings))
         # The store holds TINY's fidelity; a differently-parameterised run
         # must re-evaluate rather than silently serve it.
         assert second.fidelity_evaluated == 1
@@ -341,13 +321,7 @@ class TestAccuracyStore:
     def test_same_seed_means_identical_store_digests(self, tmp_path):
         digests = []
         for name in ("a", "b"):
-            run_campaign(
-                accuracy_grid(),
-                cache=ResultCache(store=ArtifactStore(tmp_path / name)),
-                with_accuracy=True,
-                accuracy_settings=TINY,
-                executor="serial",
-            )
+            run_spec(accuracy_spec(executor="serial", store=str(tmp_path / name)))
             blob = (tmp_path / name / "records.jsonl").read_bytes()
             digests.append(hashlib.sha256(blob).hexdigest())
         assert digests[0] == digests[1]
@@ -356,7 +330,7 @@ class TestAccuracyStore:
 class TestAccuracyExecutorEquivalence:
     def equivalence_grid(self):
         # Two accuracy keys so the process pool actually fans out.
-        return expand_grid(
+        return AxisGrid(
             models=("bert-base", "bert-large"),
             tasks=("mnli",),
             designs=("mokey",),
@@ -365,18 +339,9 @@ class TestAccuracyExecutorEquivalence:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_matches_serial_bit_for_bit(self, executor):
-        serial = run_campaign(
-            self.equivalence_grid(),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-            executor="serial",
-        )
-        parallel = run_campaign(
-            self.equivalence_grid(),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-            executor=executor,
-            max_workers=2,
+        serial = run_spec(accuracy_spec(self.equivalence_grid(), executor="serial"))
+        parallel = run_spec(
+            accuracy_spec(self.equivalence_grid(), executor=executor, max_workers=2)
         )
         assert len(parallel) == len(serial)
         for expected, measured in zip(serial, parallel):

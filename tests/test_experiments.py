@@ -1,5 +1,7 @@
 """Tests for the scenario/campaign sweep engine."""
 
+import importlib
+
 import pytest
 
 from repro.accelerator.simulator import AcceleratorSimulator
@@ -7,14 +9,15 @@ from repro.accelerator.mokey_accel import mokey_design
 from repro.accelerator.tensor_cores import tensor_cores_design
 from repro.accelerator.workloads import model_workload
 from repro.experiments import (
+    AxisGrid,
+    CampaignSpec,
     ResultCache,
     Scenario,
     available_designs,
     build_design,
-    expand_grid,
     register_design,
-    run_campaign,
     run_scenario,
+    run_spec,
 )
 
 KB = 1024
@@ -76,36 +79,48 @@ class TestScenario:
             register_design("mokey", mokey_design)
 
 
-class TestExpandGrid:
+@pytest.mark.parametrize("module_name", ["repro", "repro.experiments"])
+def test_public_exports_resolve(module_name):
+    """Every name in ``__all__`` exists, so ``from module import *`` works."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def campaign_of(cache=None, **axes):
+    """Run the grid ``axes`` describe through the spec front door."""
+    return run_spec(CampaignSpec(axes=AxisGrid(**axes)), cache=cache)
+
+
+class TestAxisGridExpansion:
     def test_cross_product_counts(self):
-        scenarios = expand_grid(
+        scenarios = AxisGrid(
             models=("bert-base", "bert-large"),
             tasks=("mnli",),
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB, 1 * MB),
             batch_sizes=(1, 8),
-        )
+        ).scenarios()
         assert len(scenarios) == 2 * 2 * 2 * 2
         assert len(set(scenarios)) == len(scenarios)
 
     def test_workload_specs_override_cross_product(self):
-        scenarios = expand_grid(
+        scenarios = AxisGrid(
             models=("ignored",),
             workloads=[("bert-base", "mnli", None), ("bert-large", "squad", None)],
             designs=("mokey",),
-        )
+        ).scenarios()
         assert len(scenarios) == 2
         assert {s.model for s in scenarios} == {"bert-base", "bert-large"}
 
 
 class TestCampaign:
     def test_records_match_direct_simulation(self):
-        scenarios = expand_grid(
+        campaign = campaign_of(
             workloads=[("bert-base", "mnli", None)],
             designs=("mokey",),
             buffer_bytes=(512 * KB,),
         )
-        campaign = run_campaign(scenarios)
         direct = AcceleratorSimulator(mokey_design()).simulate(
             model_workload("bert-base", "mnli"), 512 * KB
         )
@@ -115,58 +130,47 @@ class TestCampaign:
         assert result.traffic_bytes == direct.traffic_bytes
 
     def test_record_order_follows_input(self):
-        scenarios = expand_grid(
+        spec = CampaignSpec(axes=AxisGrid(
             workloads=[("bert-base", "mnli", None)],
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB, 512 * KB),
-        )
-        campaign = run_campaign(scenarios)
-        assert [r.scenario for r in campaign] == scenarios
+        ))
+        campaign = run_spec(spec)
+        assert [r.scenario for r in campaign] == spec.scenarios()
 
     def test_cache_hits_on_second_campaign(self):
         cache = ResultCache()
-        scenarios = expand_grid(
+        spec = CampaignSpec(axes=AxisGrid(
             workloads=[("bert-base", "mnli", None)],
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB, 512 * KB),
-        )
-        first = run_campaign(scenarios, cache=cache)
+        ))
+        points = len(spec.scenarios())
+        first = run_spec(spec, cache=cache)
         assert not any(record.cached for record in first)
-        assert cache.misses == len(scenarios)
+        assert cache.misses == points
         assert cache.hits == 0
 
-        second = run_campaign(scenarios, cache=cache)
+        second = run_spec(spec, cache=cache)
         assert all(record.cached for record in second)
-        assert cache.hits == len(scenarios)
-        assert cache.misses == len(scenarios)  # unchanged
+        assert cache.hits == points
+        assert cache.misses == points  # unchanged
         for a, b in zip(first, second):
             assert a.result is b.result  # the very same object, not a re-run
 
-    def test_duplicate_scenarios_simulated_once(self):
-        cache = ResultCache()
-        scenario = Scenario(model="bert-base", task="mnli", design="mokey")
-        campaign = run_campaign([scenario, scenario, scenario], cache=cache)
-        assert len(campaign) == 3
-        assert len(cache) == 1
-        results = {id(record.result) for record in campaign}
-        assert len(results) == 1
-        # Only the first occurrence was actually simulated.
-        assert [record.cached for record in campaign] == [False, True, True]
-
     def test_cache_clear_resets_statistics(self):
         cache = ResultCache()
-        run_campaign([Scenario()], cache=cache)
+        campaign_of(cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 0
 
     def test_filter_and_to_dicts(self):
-        scenarios = expand_grid(
+        campaign = campaign_of(
             workloads=[("bert-base", "mnli", None)],
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB,),
         )
-        campaign = run_campaign(scenarios)
         mokey_only = campaign.filter(design="mokey")
         assert len(mokey_only) == 1
         row = mokey_only.to_dicts()[0]
@@ -175,25 +179,15 @@ class TestCampaign:
             assert key in row
 
     def test_result_requires_unique_match(self):
-        scenarios = expand_grid(
+        campaign = campaign_of(
             workloads=[("bert-base", "mnli", None)],
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB,),
         )
-        campaign = run_campaign(scenarios)
         with pytest.raises(LookupError):
             campaign.result(buffer_bytes=256 * KB)  # two designs match
         with pytest.raises(LookupError):
             campaign.result(design="gobo")  # none match
-
-    def test_shared_cache_with_simulator_factory_rejected(self):
-        cache = ResultCache()
-        with pytest.raises(ValueError):
-            run_campaign(
-                [Scenario()],
-                cache=cache,
-                simulator_factory=lambda s: AcceleratorSimulator(s.build_design()),
-            )
 
     def test_with_batch_size_relabels_cleanly(self):
         batched = model_workload("bert-base", "mnli", batch_size=2)
@@ -211,14 +205,12 @@ class TestCampaign:
 class TestBatchScalingInvariants:
     @pytest.fixture(scope="class")
     def batch_results(self):
-        cache = ResultCache()
-        scenarios = expand_grid(
+        return campaign_of(
             workloads=[("bert-base", "mnli", None)],
             designs=("tensor-cores", "mokey"),
             buffer_bytes=(256 * KB, 4 * MB),
             batch_sizes=(1, 2),
         )
-        return run_campaign(scenarios, cache=cache)
 
     @pytest.mark.parametrize("design", ["tensor-cores", "mokey"])
     @pytest.mark.parametrize("size", [256 * KB, 4 * MB])

@@ -31,15 +31,18 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from repro.accelerator.metrics import SimulationResult
 from repro.experiments import (
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     Scenario,
     available_designs,
-    expand_grid,
     fidelity_digest,
-    run_campaign,
+    run_spec,
 )
 from repro.schemes import available_schemes
 from repro.transformer.model_zoo import MODEL_CONFIGS, PAPER_MODELS
@@ -51,15 +54,15 @@ GOLDEN_BUFFER_BYTES = 512 * KB
 GOLDEN_TASK = "mnli"
 
 
-def golden_grid() -> List[Scenario]:
+def golden_spec() -> CampaignSpec:
     """Every registered scheme × design × model-zoo config, one buffer point."""
-    return expand_grid(
+    return CampaignSpec(axes=AxisGrid(
         models=tuple(sorted(MODEL_CONFIGS)),
         tasks=(GOLDEN_TASK,),
         schemes=available_schemes(),
         designs=available_designs(),
         buffer_bytes=(GOLDEN_BUFFER_BYTES,),
-    )
+    ))
 
 
 def golden_label(scenario: Scenario) -> str:
@@ -73,7 +76,7 @@ def result_digest(result: SimulationResult) -> str:
 
 
 def compute_goldens() -> Dict[str, str]:
-    campaign = run_campaign(golden_grid())
+    campaign = run_spec(golden_spec())
     return {golden_label(r.scenario): result_digest(r.result) for r in campaign}
 
 
@@ -82,12 +85,16 @@ def load_goldens() -> Dict[str, str]:
         return json.load(handle)
 
 
-def accuracy_golden_grid() -> List[Scenario]:
+def accuracy_golden_spec() -> CampaignSpec:
     """The paper's Table I grid: eight (model, task) pairs under Mokey."""
-    return expand_grid(
-        workloads=[(model, task, seq) for (model, task, seq, _head) in PAPER_MODELS],
-        designs=("mokey",),
-        buffer_bytes=(GOLDEN_BUFFER_BYTES,),
+    return CampaignSpec(
+        axes=AxisGrid(
+            workloads=[(model, task, seq) for (model, task, seq, _head) in PAPER_MODELS],
+            designs=("mokey",),
+            buffer_bytes=(GOLDEN_BUFFER_BYTES,),
+        ),
+        enrichments=Enrichments(accuracy=True),
+        execution=ExecutionPolicy(executor="serial"),
     )
 
 
@@ -96,7 +103,7 @@ def accuracy_golden_label(scenario: Scenario) -> str:
 
 
 def compute_accuracy_goldens() -> Dict[str, str]:
-    campaign = run_campaign(accuracy_golden_grid(), with_accuracy=True, executor="serial")
+    campaign = run_spec(accuracy_golden_spec())
     return {
         accuracy_golden_label(r.scenario): fidelity_digest(r.fidelity) for r in campaign
     }
@@ -109,7 +116,7 @@ def load_accuracy_goldens() -> Dict[str, str]:
 
 def test_goldens_cover_current_registries():
     """The goldens file names exactly the current scheme/design/model grid."""
-    expected = {golden_label(s) for s in golden_grid()}
+    expected = {golden_label(s) for s in golden_spec().scenarios()}
     recorded = set(load_goldens())
     missing = sorted(expected - recorded)
     stale = sorted(recorded - expected)
@@ -138,7 +145,7 @@ def test_goldens_no_numeric_drift():
 
 def test_accuracy_goldens_cover_table1_grid():
     """The accuracy goldens file names exactly the Table I grid."""
-    expected = {accuracy_golden_label(s) for s in accuracy_golden_grid()}
+    expected = {accuracy_golden_label(s) for s in accuracy_golden_spec().scenarios()}
     recorded = set(load_accuracy_goldens())
     missing = sorted(expected - recorded)
     stale = sorted(recorded - expected)

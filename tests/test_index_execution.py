@@ -7,7 +7,7 @@ Covers the three layers the measured pipeline spans:
    operation counts matching the analytic workload GEMM set exactly;
 2. :mod:`repro.experiments.measured` — the deterministic, serializable
    :class:`MeasuredStats` and its memo key;
-3. the campaign/store/CLI join — ``run_campaign(..., with_measured=True)``,
+3. the campaign/store/CLI join — ``Enrichments(measured=True)`` specs,
    record upgrades, and ``repro campaign run --with-measured-stats``.
 
 Campaign-level tests register a scaled-down ``nano`` model in the zoo so
@@ -26,16 +26,18 @@ from repro.accelerator.simulator import AcceleratorSimulator
 from repro.accelerator.workloads import encoder_gemms, model_workload
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     MeasuredStats,
     MeasurementSettings,
-    ResultCache,
     Scenario,
     ScenarioRecord,
     evaluate_measured,
-    expand_grid,
     measured_digest,
     measured_key,
-    run_campaign,
+    run_spec,
 )
 from repro.transformer.config import TransformerConfig
 from repro.transformer.index_execution import (
@@ -183,81 +185,75 @@ class TestMeasuredStats:
         assert TINY_SETTINGS.digest() != MeasurementSettings().digest()
 
 
-def nano_grid(model):
-    return expand_grid(
+def nano_grid(model, **axes) -> AxisGrid:
+    defaults = dict(
         models=(model,),
         sequence_lengths=(8,),
         designs=("mokey", "tensor-cores"),
         buffer_bytes=(256 * KB, 512 * KB),
     )
+    return AxisGrid(**{**defaults, **axes})
+
+
+#: The first point of :func:`nano_grid` alone.
+ONE_POINT = dict(designs=("mokey",), buffer_bytes=(256 * KB,))
+
+
+def measured_spec(axes, measured=True, **execution) -> CampaignSpec:
+    """A measured campaign (TINY settings) over ``axes``."""
+    return CampaignSpec(
+        axes=axes,
+        enrichments=Enrichments(measured=measured, measurement_settings=TINY_SETTINGS),
+        execution=ExecutionPolicy(**execution),
+    )
 
 
 class TestMeasuredCampaign:
     def test_one_measurement_serves_many_points(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model), with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        campaign = run_spec(measured_spec(nano_grid(nano_model)))
         assert len(campaign) == 4
         assert campaign.measured_evaluated == 1
         digests = {measured_digest(record.measured) for record in campaign}
         assert len(digests) == 1
 
     def test_rows_gain_measured_columns(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model)[:1], with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        one_point = nano_grid(nano_model, **ONE_POINT)
+        campaign = run_spec(measured_spec(one_point))
         row = campaign.to_dicts()[0]
         assert row["measured_gaussian_pairs"] > 0
         assert row["measured_outlier_pairs"] >= 0
         assert 0.0 <= row["measured_outlier_pct"] < 20.0
         # Hardware-only campaigns keep their column set.
-        bare = run_campaign(nano_grid(nano_model)[:1])
+        bare = run_spec(measured_spec(one_point, measured=False))
         assert "measured_gaussian_pairs" not in bare.to_dicts()[0]
         assert bare.records[0].measured is None
 
     def test_record_round_trips_with_measured(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model)[:1], with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        campaign = run_spec(measured_spec(nano_grid(nano_model, **ONE_POINT)))
         record = campaign.records[0]
         rebuilt = ScenarioRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert rebuilt.measured == record.measured
         assert rebuilt.scenario == record.scenario
 
     def test_store_round_trip_and_no_reevaluation(self, nano_model, tmp_path):
-        grid = nano_grid(nano_model)
-        first = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(tmp_path / "store")),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
-        again = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(tmp_path / "store")),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        spec = measured_spec(nano_grid(nano_model), store=str(tmp_path / "store"))
+        first = run_spec(spec)
+        again = run_spec(spec)
         assert again.simulated_count == 0
         assert again.measured_evaluated == 0
         for expected, rerun in zip(first, again):
             assert rerun.measured == expected.measured
 
     def test_hardware_only_records_upgrade_in_place(self, nano_model, tmp_path):
-        grid = nano_grid(nano_model)[:2]
-        store_root = tmp_path / "store"
-        bare = run_campaign(grid, cache=ResultCache(store=ArtifactStore(store_root)))
+        grid = nano_grid(nano_model, designs=("mokey",))
+        store = str(tmp_path / "store")
+        bare = run_spec(measured_spec(grid, measured=False, store=store))
         assert all(record.measured is None for record in bare)
-        upgraded = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        upgraded = run_spec(measured_spec(grid, store=store))
         assert upgraded.simulated_count == 0
         assert upgraded.measured_evaluated == 1
-        fresh = ArtifactStore(store_root)
-        for scenario in grid:
+        fresh = ArtifactStore(store)
+        for scenario in grid.scenarios():
             assert fresh.get_measured(scenario) is not None
             # The hardware result is untouched by the upgrade.
             assert fresh.get(scenario) == bare.result(
@@ -276,38 +272,20 @@ class TestMeasuredCampaign:
             golden_samples=3000,
             golden_repeats=1,
         )
-        scenario = nano_grid(nano_model)[0]
         store_root = tmp_path / "store"
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=accuracy_tiny,
+        spec = measured_spec(
+            nano_grid(nano_model, **ONE_POINT), measured=False, store=str(store_root)
         )
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        run_spec(spec.with_enrichments(accuracy=True, accuracy_settings=accuracy_tiny))
+        run_spec(spec.with_enrichments(measured=True))
         entry = list(ArtifactStore(store_root).records())[0]
         assert entry.fidelity is not None
         assert entry.measured is not None
 
     def test_executor_equivalence(self, nano_model):
-        serial = run_campaign(
-            nano_grid(nano_model),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="serial",
-        )
-        threaded = run_campaign(
-            nano_grid(nano_model),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="thread",
-            max_workers=2,
-        )
+        grid = nano_grid(nano_model)
+        serial = run_spec(measured_spec(grid, executor="serial"))
+        threaded = run_spec(measured_spec(grid, executor="thread", max_workers=2))
         for expected, measured in zip(serial, threaded):
             assert measured.measured == expected.measured
 
@@ -319,22 +297,9 @@ class TestMeasuredCampaign:
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("nano model registration does not survive spawn-based pools")
-        grid = expand_grid(
-            models=(nano_model,),
-            sequence_lengths=(8, 12),
-            designs=("mokey",),
-            buffer_bytes=(256 * KB,),
-        )
-        serial = run_campaign(
-            grid, with_measured=True, measurement_settings=TINY_SETTINGS, executor="serial"
-        )
-        pooled = run_campaign(
-            grid,
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="process",
-            max_workers=2,
-        )
+        grid = nano_grid(nano_model, sequence_lengths=(8, 12), **ONE_POINT)
+        serial = run_spec(measured_spec(grid, executor="serial"))
+        pooled = run_spec(measured_spec(grid, executor="process", max_workers=2))
         assert pooled.measured_evaluated == 2
         for expected, measured in zip(serial, pooled):
             assert measured.measured == expected.measured
@@ -390,13 +355,7 @@ class TestMeasuredCli:
         from repro.cli import main
 
         store = str(tmp_path / "store")
-        grid = nano_grid(nano_model)[:1]
-        run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        run_spec(measured_spec(nano_grid(nano_model, **ONE_POINT), store=store))
         code = main(["campaign", "report", "--store", store, "--format", "json"])
         captured = capsys.readouterr()
         assert code == 0

@@ -7,7 +7,8 @@ Four guarantees the spec layer must give:
    files too.
 2. **Validation** — unknown model/task/scheme/design names raise a
    :class:`~repro.registry.RegistryError` naming the registry and its
-   nearest match, before anything simulates.
+   nearest match, and malformed values raise a one-line ``ValueError``,
+   before anything simulates.
 3. **Streaming** — ``iter_campaign`` yields records in grid order with
    monotone progress, appends to the store *before* yielding, and a
    consumer that stops early (the kill case) simulates nothing past the
@@ -15,15 +16,10 @@ Four guarantees the spec layer must give:
 4. **Resume ≡ fresh** — an interrupted store, resumed, ends bit-identical
    (same keys, same record digests) to an uninterrupted run, with the
    persisted scenarios never re-simulated.
-
-Plus the back-compat contract: ``run_campaign`` legacy kwargs keep
-working verbatim but emit a one-time :class:`DeprecationWarning` carrying
-the spec-equivalent snippet.
 """
 
 import hashlib
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -35,14 +31,11 @@ from repro.experiments import (
     Enrichments,
     ExecutionPolicy,
     ResultCache,
-    Scenario,
     iter_campaign,
-    run_campaign,
     run_spec,
     scenario_key,
 )
 from repro.experiments.accuracy import AccuracySettings
-from repro.experiments.campaign import _reset_legacy_kwarg_warning
 from repro.experiments.measured import MeasurementSettings
 from repro.registry import DESIGNS, MODELS, SCHEMES, TASKS, RegistryError
 
@@ -251,6 +244,43 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown executor"):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "section, changes, message",
+        [
+            pytest.param("execution", {"resume": "no"}, "resume must be true or false",
+                         id="resume-string"),
+            pytest.param("enrichments", {"accuracy": "no"}, "accuracy must be true or false",
+                         id="accuracy-string"),
+            pytest.param("execution", {"executor": "process", "max_workers": "2"},
+                         "max_workers must be a positive integer", id="max-workers-string"),
+            pytest.param("execution", {"max_workers": 0},
+                         "max_workers must be a positive integer", id="max-workers-zero"),
+            pytest.param("execution", {"chunksize": 0},
+                         "chunksize must be a positive integer", id="chunksize-zero"),
+            pytest.param("axes", {"designs": "mokey"}, "designs must be a list",
+                         id="designs-string"),
+            pytest.param("axes", {"models": 5}, "models must be a list", id="models-scalar"),
+            pytest.param("axes", {"batch_sizes": [True]},
+                         "batch_sizes must be positive integers", id="batch-size-bool"),
+            pytest.param("axes", {"workloads": ["bert-base"]},
+                         "a workload triple must be a list", id="workload-string"),
+            pytest.param(None, "tiny", "a campaign spec must be an object", id="spec-string"),
+            pytest.param(None, {"axes": ["mokey"]}, "'axes' must be an object",
+                         id="axes-list"),
+        ],
+    )
+    def test_malformed_spec_values_fail_in_one_line(self, section, changes, message):
+        if section is None:
+            data = changes
+        else:
+            data = tiny_spec().to_dict()
+            data[section].update(changes)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            spec = CampaignSpec.from_dict(json.loads(json.dumps(data)))
+            # Saving must not launder a malformed value into a valid one.
+            CampaignSpec.from_json(spec.to_json()).validate()
+        assert "\n" not in str(excinfo.value)
+
 
 # --------------------------------------------------------------------------- #
 # Streaming
@@ -290,14 +320,21 @@ class TestStreaming:
         assert progress.completed == 1
         assert len(ArtifactStore(tmp_path / "s")) == 1
 
-    def test_duplicates_in_grid_count_as_cache_reuse(self):
-        from repro.experiments import stream_campaign
-
-        scenario = Scenario(design="mokey")
-        records = [r for r, _ in stream_campaign([scenario, scenario], executor="serial")]
-        assert records[0].cached is False
-        assert records[1].cached is True
-        assert records[1].result == records[0].result
+    def test_in_run_duplicates_simulate_once(self):
+        cache = ResultCache()
+        spec = CampaignSpec(
+            axes=AxisGrid(designs=("mokey",), buffer_bytes=(512 * KB,) * 3),
+            execution=ExecutionPolicy(executor="serial"),
+        )
+        events = list(iter_campaign(spec, cache=cache))
+        records = [record for record, _ in events]
+        assert len(records) == 3
+        assert len(cache) == 1
+        assert len({id(record.result) for record in records}) == 1
+        # Only the first occurrence was actually simulated; the repeats
+        # count as cache reuse.
+        assert [record.cached for record in records] == [False, True, True]
+        assert (events[-1][1].simulated, events[-1][1].cached) == (1, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -361,48 +398,6 @@ class TestResume:
         assert len(ArtifactStore(store_dir)) == 4
 
 
-# --------------------------------------------------------------------------- #
-# Back-compat
-# --------------------------------------------------------------------------- #
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_with_spec_snippet(self):
-        _reset_legacy_kwarg_warning()
-        scenarios = tiny_spec().scenarios()
-        with pytest.warns(DeprecationWarning) as captured:
-            run_campaign(scenarios, executor="serial", with_measured=False)
-        message = str(captured[0].message)
-        assert "CampaignSpec" in message
-        assert "ExecutionPolicy(executor='serial')" in message
-        assert "Enrichments(measured=False)" in message
-        # Second call: silent (once per process).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_campaign(scenarios, executor="serial")
-
-    def test_spec_free_calls_do_not_warn(self):
-        _reset_legacy_kwarg_warning()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_campaign(tiny_spec().scenarios())
-            run_campaign(tiny_spec().scenarios(), max_workers=2, cache=ResultCache())
-
-    def test_legacy_kwargs_behave_verbatim(self, tmp_path):
-        """The shim path and the spec path produce identical records/stores."""
-        _reset_legacy_kwarg_warning()
-        spec = tiny_spec(store=str(tmp_path / "spec"))
-        via_spec = run_spec(spec)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = run_campaign(
-                spec.scenarios(),
-                cache=ResultCache(store=ArtifactStore(tmp_path / "legacy")),
-                executor="serial",
-            )
-        assert [r.result for r in via_legacy] == [r.result for r in via_spec]
-        assert store_state(tmp_path / "legacy") == store_state(tmp_path / "spec")
-
-
 class TestSpecDerivation:
     def test_with_execution_and_with_enrichments(self):
         spec = tiny_spec()
@@ -412,25 +407,3 @@ class TestSpecDerivation:
         enriched = spec.with_enrichments(accuracy=True)
         assert enriched.enrichments.accuracy is True
         assert spec.enrichments.accuracy is False  # original untouched
-
-    def test_custom_simulator_factory_rejects_persistence(self, tmp_path):
-        def factory(scenario):  # pragma: no cover - never called
-            raise AssertionError
-
-        with pytest.raises(ValueError, match="simulator_factory"):
-            iter_campaign(tiny_spec(store=str(tmp_path)), simulator_factory=factory)
-        with pytest.raises(ValueError, match="simulator_factory"):
-            iter_campaign(tiny_spec(), cache=ResultCache(), simulator_factory=factory)
-
-    def test_run_campaign_accepts_factory_with_its_own_fresh_cache(self):
-        """The pre-spec contract: only a *caller-provided* cache clashes
-        with a custom simulator; cache-less calls keep working."""
-        from repro.accelerator.simulator import AcceleratorSimulator
-
-        def factory(scenario):
-            return AcceleratorSimulator(scenario.build_design())
-
-        campaign = run_campaign([Scenario()], simulator_factory=factory)
-        assert len(campaign) == 1 and campaign.simulated_count == 1
-        with pytest.raises(ValueError, match="shared cache"):
-            run_campaign([Scenario()], cache=ResultCache(), simulator_factory=factory)

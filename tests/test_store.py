@@ -21,13 +21,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.accelerator.metrics import AreaBreakdown, EnergyBreakdown, SimulationResult
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    ExecutionPolicy,
     ResultCache,
     Scenario,
     ScenarioRecord,
     available_designs,
-    expand_grid,
-    run_campaign,
     run_scenario,
+    run_spec,
     scenario_key,
 )
 from repro.experiments.store import SCHEMA_VERSION
@@ -220,17 +222,35 @@ class TestArtifactStore:
         assert list(stream) == []  # ends cleanly instead of yielding stale entries
 
 
+def _sub_axis(values):
+    """Any selection of ``values``, in any order, repeats allowed."""
+    return st.lists(st.sampled_from(values), max_size=3).map(tuple)
+
+
+#: Sub-grids of the 8-point pool bert-{base,large} x {mokey, tensor-cores}
+#: x {256 KB, 1 MB}, possibly empty or with repeated grid points.
+_pool_sub_grids = st.builds(
+    AxisGrid,
+    models=_sub_axis(("bert-base", "bert-large")),
+    designs=_sub_axis(("mokey", "tensor-cores")),
+    buffer_bytes=_sub_axis((256 * KB, 1 * MB)),
+)
+
+
 class TestStoreBackedCache:
     def test_store_hits_resolve_without_simulation(self, tmp_path):
-        grid = expand_grid(designs=("mokey", "tensor-cores"), buffer_bytes=(256 * KB, 1 * MB))
-        first = run_campaign(grid, cache=ResultCache(store=ArtifactStore(tmp_path)))
-        assert first.simulated_count == len(grid)
+        spec = CampaignSpec(
+            axes=AxisGrid(designs=("mokey", "tensor-cores"), buffer_bytes=(256 * KB, 1 * MB))
+        )
+        points = len(spec.scenarios())
+        first = run_spec(spec, cache=ResultCache(store=ArtifactStore(tmp_path)))
+        assert first.simulated_count == points
 
         # Fresh cache + fresh store instance: everything comes from disk.
         cache = ResultCache(store=ArtifactStore(tmp_path))
-        second = run_campaign(grid, cache=cache)
+        second = run_spec(spec, cache=cache)
         assert second.simulated_count == 0
-        assert cache.store_hits == len(grid)
+        assert cache.store_hits == points
         assert all(record.cached for record in second)
         for a, b in zip(first, second):
             assert a.result == b.result
@@ -238,30 +258,24 @@ class TestStoreBackedCache:
     def test_clear_keeps_backing_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
         cache = ResultCache(store=store)
-        run_campaign([Scenario()], cache=cache)
+        run_spec(CampaignSpec(), cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert len(store) == 1  # disk state is managed separately
 
-    @given(subsets=st.lists(st.lists(st.integers(min_value=0, max_value=7), max_size=12), max_size=6))
+    @given(grids=st.lists(_pool_sub_grids, max_size=6))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_cache_hit_monotonicity(self, tmp_path, subsets):
+    def test_cache_hit_monotonicity(self, tmp_path, grids):
         """Across any campaign sequence, each scenario simulates at most once."""
-        pool = expand_grid(
-            models=("bert-base", "bert-large"),
-            designs=("mokey", "tensor-cores"),
-            buffer_bytes=(256 * KB, 1 * MB),
-        )
-        assert len(pool) == 8
         # tmp_path is shared across hypothesis examples; each example needs
         # a virgin store or earlier examples' records leak in as hits.
         cache = ResultCache(store=ArtifactStore(tmp_path / f"case-{next(_CASES)}"))
         ever_seen = set()
         total_simulated = 0
         previous_hits = 0
-        for subset in subsets:
-            scenarios = [pool[i] for i in subset]
-            campaign = run_campaign(scenarios, cache=cache)
+        for grid in grids:
+            scenarios = grid.scenarios()
+            campaign = run_spec(CampaignSpec(axes=grid), cache=cache)
             total_simulated += campaign.simulated_count
             newly_seen = {s for s in scenarios if s not in ever_seen}
             assert campaign.simulated_count == len(newly_seen)
@@ -271,23 +285,29 @@ class TestStoreBackedCache:
         assert total_simulated == len(ever_seen)
 
 
-def fig10_grid():
+PAPER_WORKLOADS = tuple((m, t, s) for (m, t, s, _head) in PAPER_MODELS)
+
+
+def fig10_spec(workloads=PAPER_WORKLOADS, **execution) -> CampaignSpec:
     """The fig10 evaluation grid: Table I workloads × (TC, Mokey) × buffer sweep."""
-    return expand_grid(
-        workloads=[(m, t, s) for (m, t, s, _head) in PAPER_MODELS],
-        designs=("tensor-cores", "mokey"),
-        buffer_bytes=(256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB),
+    return CampaignSpec(
+        axes=AxisGrid(
+            workloads=workloads,
+            designs=("tensor-cores", "mokey"),
+            buffer_bytes=(256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB),
+        ),
+        execution=ExecutionPolicy(**execution),
     )
 
 
 class TestExecutorEquivalence:
     @pytest.fixture(scope="class")
     def serial_records(self):
-        return list(run_campaign(fig10_grid(), executor="serial"))
+        return list(run_spec(fig10_spec(executor="serial")))
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_matches_serial_bit_for_bit(self, serial_records, executor):
-        parallel = list(run_campaign(fig10_grid(), executor=executor, max_workers=4))
+        parallel = list(run_spec(fig10_spec(executor=executor, max_workers=4)))
         assert len(parallel) == len(serial_records) == 80
         for expected, measured in zip(serial_records, parallel):
             assert measured.scenario == expected.scenario  # same deterministic order
@@ -297,12 +317,14 @@ class TestExecutorEquivalence:
             )
 
     def test_process_executor_chunked_dispatch(self):
-        grid = fig10_grid()[:10]
-        chunked = run_campaign(grid, executor="process", max_workers=2, chunksize=3)
-        serial = run_campaign(grid, executor="serial")
+        # The first Table I workload: 2 designs x 5 buffers = 10 scenarios.
+        first = PAPER_WORKLOADS[:1]
+        chunked = run_spec(fig10_spec(first, executor="process", max_workers=2, chunksize=3))
+        serial = run_spec(fig10_spec(first, executor="serial"))
+        assert len(chunked) == len(serial) == 10
         for a, b in zip(chunked, serial):
             assert a.result == b.result
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
-            run_campaign([Scenario()], executor="rayon")
+            run_spec(CampaignSpec(execution=ExecutionPolicy(executor="rayon")))
