@@ -86,6 +86,29 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_bool(name: str, value: Any) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_execution(policy: "ExecutionPolicy") -> None:
+    """Reject a malformed execution policy in one ``ValueError`` line."""
+    from repro import registry  # deferred: registry imports this package
+
+    if policy.executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {policy.executor!r} "
+            f"(choose from {', '.join(EXECUTORS)})"
+        )
+    for label, value in (("max_workers", policy.max_workers),
+                         ("chunksize", policy.chunksize)):
+        if value is not None and (not _is_int(value) or value <= 0):
+            raise ValueError(f"{label} must be a positive integer or null, got {value!r}")
+    _check_bool("resume", policy.resume)
+    if policy.store_backend is not None:
+        registry.STORES.get(policy.store_backend)
+
+
 @dataclass(frozen=True)
 class AxisGrid:
     """The swept axes of a campaign; expands to the scenario list.
@@ -374,23 +397,10 @@ class CampaignSpec:
                 raise ValueError(
                     f"shard index must be in [0, {count}), got {index}"
                 )
-        policy = self.execution
-        if policy.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {policy.executor!r} "
-                f"(choose from {', '.join(EXECUTORS)})"
-            )
-        for label, value in (("max_workers", policy.max_workers),
-                             ("chunksize", policy.chunksize)):
-            if value is not None and (not _is_int(value) or value <= 0):
-                raise ValueError(f"{label} must be a positive integer or null, got {value!r}")
-        for label, value in (("resume", policy.resume),
-                             ("accuracy", self.enrichments.accuracy),
+        _check_execution(self.execution)
+        for label, value in (("accuracy", self.enrichments.accuracy),
                              ("measured", self.enrichments.measured)):
-            if not isinstance(value, bool):
-                raise ValueError(f"{label} must be true or false, got {value!r}")
-        if policy.store_backend is not None:
-            registry.STORES.get(policy.store_backend)
+            _check_bool(label, value)
         return self
 
     def scenarios(self) -> List[Scenario]:

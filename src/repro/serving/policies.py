@@ -81,8 +81,8 @@ class PolicySpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "max_batch": int(self.max_batch),
-            "timeout_ms": float(self.timeout_ms),
+            "max_batch": self.max_batch,
+            "timeout_ms": self.timeout_ms,
         }
 
     @classmethod

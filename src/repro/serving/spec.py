@@ -48,9 +48,15 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.campaign import EXECUTORS, ResultCache
+from repro.experiments.campaign import ResultCache
 from repro.experiments.scenario import KB, Scenario
-from repro.experiments.spec import ExecutionPolicy, _policy_cache
+from repro.experiments.spec import (
+    ExecutionPolicy,
+    _as_tuple,
+    _check_execution,
+    _is_int,
+    _policy_cache,
+)
 from repro.experiments.store import open_store
 from repro.serving.policies import PolicySpec
 from repro.serving.replay import BatchCostModel, ReplayResult, ServingMetrics, replay_trace
@@ -68,6 +74,10 @@ __all__ = [
 #: Schema version of the serialized serving-spec form (see
 #: :data:`repro.experiments.spec.SPEC_VERSION` for the convention).
 SERVING_SPEC_VERSION = 1
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,8 +115,8 @@ class ServingSpec:
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "designs", tuple(self.designs))
+        object.__setattr__(self, "schemes", _as_tuple("schemes", self.schemes))
+        object.__setattr__(self, "designs", _as_tuple("designs", self.designs))
 
     # -- validation ------------------------------------------------------
 
@@ -115,8 +125,9 @@ class ServingSpec:
 
         Raises :class:`~repro.registry.RegistryError` for unknown model /
         task / scheme / design / trace / policy names (with the nearest
-        match) and ``ValueError`` for malformed numbers — all before
-        anything simulates.  Returns ``self`` so it chains.
+        match) and ``ValueError`` for malformed numbers and flags (a
+        string, bool or fraction where an integer belongs) — each in one
+        line, before anything simulates.  Returns ``self`` so it chains.
         """
         from repro import registry  # deferred: registry imports this package
 
@@ -132,29 +143,25 @@ class ServingSpec:
         registry.TRACES.get(self.trace.kind)
         registry.POLICIES.get(self.policy.kind)
         seq = self.sequence_length
-        if seq is not None and (not isinstance(seq, int) or seq <= 0):
+        if seq is not None and (not _is_int(seq) or seq <= 0):
             raise ValueError(f"sequence_length must be positive or None, got {seq!r}")
-        if not isinstance(self.buffer_bytes, int) or self.buffer_bytes <= 0:
-            raise ValueError(f"buffer_bytes must be a positive integer, got {self.buffer_bytes!r}")
-        if self.trace.num_requests <= 0:
-            raise ValueError(f"trace.num_requests must be positive, got {self.trace.num_requests!r}")
-        if not self.trace.rate_rps > 0:
-            raise ValueError(f"trace.rate_rps must be positive, got {self.trace.rate_rps!r}")
-        if self.policy.max_batch < 1:
-            raise ValueError(f"policy.max_batch must be >= 1, got {self.policy.max_batch!r}")
-        if self.policy.timeout_ms < 0:
-            raise ValueError(f"policy.timeout_ms must be >= 0, got {self.policy.timeout_ms!r}")
-        if self.num_accelerators < 1:
-            raise ValueError(f"num_accelerators must be >= 1, got {self.num_accelerators!r}")
-        if self.slo_ms is not None and not self.slo_ms > 0:
+        trace, policy = self.trace, self.policy
+        for label, value, least in (
+            ("buffer_bytes", self.buffer_bytes, 1),
+            ("trace.num_requests", trace.num_requests, 1),
+            ("trace.seed", trace.seed, 0),
+            ("policy.max_batch", policy.max_batch, 1),
+            ("num_accelerators", self.num_accelerators, 1),
+        ):
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
+        if not _is_real(trace.rate_rps) or not trace.rate_rps > 0:
+            raise ValueError(f"trace.rate_rps must be positive, got {trace.rate_rps!r}")
+        if not _is_real(policy.timeout_ms) or not policy.timeout_ms >= 0:
+            raise ValueError(f"policy.timeout_ms must be >= 0, got {policy.timeout_ms!r}")
+        if self.slo_ms is not None and (not _is_real(self.slo_ms) or not self.slo_ms > 0):
             raise ValueError(f"slo_ms must be positive or None, got {self.slo_ms!r}")
-        if self.execution.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.execution.executor!r} "
-                f"(choose from {', '.join(EXECUTORS)})"
-            )
-        if self.execution.store_backend is not None:
-            registry.STORES.get(self.execution.store_backend)
+        _check_execution(self.execution)
         return self
 
     def combos(self) -> List[Scenario]:
@@ -190,32 +197,37 @@ class ServingSpec:
             "sequence_length": self.sequence_length,
             "schemes": list(self.schemes),
             "designs": list(self.designs),
-            "buffer_bytes": int(self.buffer_bytes),
-            "activation_buffer_fraction": float(self.activation_buffer_fraction),
+            "buffer_bytes": self.buffer_bytes,
+            "activation_buffer_fraction": self.activation_buffer_fraction,
             "trace": self.trace.to_dict(),
             "policy": self.policy.to_dict(),
-            "num_accelerators": int(self.num_accelerators),
+            "num_accelerators": self.num_accelerators,
             "slo_ms": self.slo_ms,
             "execution": self.execution.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingSpec":
-        """Rebuild a spec from :meth:`to_dict` output, ignoring unknown keys."""
-        simple = {
-            f.name for f in fields(cls)
-            if f.name not in ("trace", "policy", "execution", "schemes", "designs")
-        }
+        """Rebuild a spec from :meth:`to_dict` output, ignoring unknown keys.
+
+        Raises ``ValueError`` when the spec or one of its sections is not
+        a mapping (a JSON object), or an axis is not a list.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a serving spec must be an object, got {type(data).__name__}")
+        sections = {"trace": TraceSpec, "policy": PolicySpec, "execution": ExecutionPolicy}
         kwargs: Dict[str, Any] = {
-            key: value for key, value in dict(data).items() if key in simple
+            f.name: data[f.name]
+            for f in fields(cls)
+            if f.name in data and f.name not in sections
         }
-        if "schemes" in data:
-            kwargs["schemes"] = tuple(data["schemes"])
-        if "designs" in data:
-            kwargs["designs"] = tuple(data["designs"])
-        kwargs["trace"] = TraceSpec.from_dict(data.get("trace") or {})
-        kwargs["policy"] = PolicySpec.from_dict(data.get("policy") or {})
-        kwargs["execution"] = ExecutionPolicy.from_dict(data.get("execution") or {})
+        for key, section_cls in sections.items():
+            section = data.get(key) or {}
+            if not isinstance(section, Mapping):
+                raise ValueError(
+                    f"serving spec {key!r} must be an object, got {type(section).__name__}"
+                )
+            kwargs[key] = section_cls.from_dict(section)
         return cls(**kwargs)
 
     def to_json(self, indent: Optional[int] = 2) -> str:

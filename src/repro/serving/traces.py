@@ -106,9 +106,9 @@ class TraceSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "rate_rps": float(self.rate_rps),
-            "num_requests": int(self.num_requests),
-            "seed": int(self.seed),
+            "rate_rps": self.rate_rps,
+            "num_requests": self.num_requests,
+            "seed": self.seed,
             "params": self.params_dict(),
         }
 

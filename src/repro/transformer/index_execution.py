@@ -33,7 +33,7 @@ from __future__ import annotations
 import contextlib
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,11 +47,12 @@ from repro.core.index_compute import (
     use_plane_cache,
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
+from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
 from repro.transformer.config import TransformerConfig
 from repro.transformer.functional import gelu, softmax
 from repro.transformer.layers import Linear
 from repro.transformer.model_zoo import MODEL_CONFIGS
-from repro.transformer.prepared import PreparedLayer, prepare_model
+from repro.transformer.prepared import FPRunner, PreparedLayer, prepare_model
 
 __all__ = [
     "GemmMeasurement",
@@ -75,7 +76,9 @@ class GemmMeasurement:
         count: Instances executed (heads x batch for the attention
             score/context GEMMs, 1 otherwise).
         stats: Measured operation counts summed over all instances.
-        quantize_seconds: Wall time spent encoding the activation operands.
+        quantize_seconds: Wall time spent encoding the activation operands
+            (an operand family's one encode split evenly over its
+            operands, see :meth:`IndexDomainEncoderExecutor.gemm`).
         engine_seconds: Wall time spent in the index-domain engine.
     """
 
@@ -101,7 +104,8 @@ class LayerMeasurement:
         stats: Operation counts merged over every GEMM instance.
         quantize_seconds: Total activation-operand encode wall time.
         engine_seconds: Total index-domain compute wall time.
-        total_seconds: End-to-end wall time of the layer forward.
+        total_seconds: Wall time of the index-domain layer forward; the
+            FP reference forward is not included.
         output_rms_error: RMS error of the index-domain layer output
             against the FP forward, relative to the FP output RMS.
         plane_cache: Plane-cache counter delta over this measurement
@@ -178,6 +182,36 @@ def _activation_operands(
             yield operand, f"{name}.{role}"
 
 
+def _encode_family(
+    quantizer: MokeyQuantizer,
+    name: str,
+    operands: Sequence[np.ndarray],
+    dictionary: TensorDictionary,
+) -> List[QuantizedTensor]:
+    """Encode one operand family — operands sharing the profiled
+    dictionary ``name`` — with one ``quantize`` call.
+
+    Encoding is elementwise, so each operand's codes, split back out of
+    the family's one flat encoding, equal its own ``quantize`` call's
+    bit for bit.  A non-finite value in any operand fails the call.
+    """
+    flat = np.concatenate([np.ravel(operand) for operand in operands], dtype=np.float64)
+    codes = quantizer.quantize(flat, name, dictionary=dictionary).encoded
+    ends = np.cumsum([operand.size for operand in operands])[:-1]
+    parts = {f.name: np.split(getattr(codes, f.name), ends) for f in fields(codes)}
+    return [
+        QuantizedTensor(
+            name=name,
+            shape=tuple(operand.shape),
+            encoded=EncodedValues(
+                **{key: split[i].reshape(operand.shape) for key, split in parts.items()}
+            ),
+            dictionary=dictionary,
+        )
+        for i, operand in enumerate(operands)
+    ]
+
+
 class IndexDomainEncoderExecutor:
     """Runs prepared encoder layers with index-domain GEMMs.
 
@@ -235,10 +269,13 @@ class IndexDomainEncoderExecutor:
         or a float array (the encoder's activation-by-activation
         score/context GEMMs).  Each distinct activation operand is
         encoded once against its profiled dictionary (see
-        :func:`_activation_operands`), and all items share one
+        :func:`_activation_operands`); the operands sharing a dictionary
+        (an operand family, such as every head's score operand) are
+        encoded by one call, and all items share one
         :func:`index_domain_matmul_many` call.  Each item is recorded
         under its name: the engine time is split evenly over the items,
-        an operand's encode time evenly over the items reading it.
+        a family's encode time evenly over its operands, and an
+        operand's share evenly over the items reading it.
 
         Returns:
             One output array per item, in order.
@@ -262,21 +299,23 @@ class IndexDomainEncoderExecutor:
         names: Dict[int, str],
     ) -> List[np.ndarray]:
         """One :func:`index_domain_matmul_many` call over ``items``."""
+        families: Dict[str, List[np.ndarray]] = {}
+        for operand, _ in _activation_operands(items):
+            families.setdefault(names[id(operand)], []).append(operand)
         encoded: Dict[int, QuantizedTensor] = {}
         seconds: Dict[int, float] = {}
-        for operand, _ in _activation_operands(items):
-            name = names[id(operand)]
+        for name, operands in families.items():
             started = time.perf_counter()
-            quantized = self.quantizer.quantize(
-                np.asarray(operand, dtype=np.float64),
-                name,
-                dictionary=layer.dictionaries[name],
+            tensors = _encode_family(
+                self.quantizer, name, operands, layer.dictionaries[name]
             )
-            # A float right operand (an encoder K/V slice) serves this
-            # request only: keep its planes out of the digest cache.
-            quantized.per_request = name.endswith(".weight")
-            encoded[id(operand)] = quantized
-            seconds[id(operand)] = time.perf_counter() - started
+            share = (time.perf_counter() - started) / len(operands)
+            for operand, quantized in zip(operands, tensors):
+                # A float right operand (an encoder K/V slice) serves this
+                # request only: keep its planes out of the digest cache.
+                quantized.per_request = name.endswith(".weight")
+                encoded[id(operand)] = quantized
+                seconds[id(operand)] = share
         pairs = []
         for name, x, rhs in items:
             if isinstance(rhs, Linear):
@@ -335,7 +374,8 @@ def _encoder_layer(
 ) -> np.ndarray:
     """One encoder layer forward with every GEMM issued through ``runner.gemm``.
 
-    ``runner`` is an :class:`IndexDomainEncoderExecutor` or the FP
+    ``runner`` is an :class:`IndexDomainEncoderExecutor`, the FP
+    reference (:class:`~repro.transformer.prepared.FPRunner`) or the FP
     profiling pass, which records the operands this dataflow encodes.
     """
     block = layer.block
@@ -469,7 +509,8 @@ def execute_encoder_layer(
     ``seed``; see :func:`~repro.transformer.prepared.prepare_model`),
     feeds it normalised synthetic hidden states, runs every GEMM through
     the index-domain engine and returns the measured operation counts,
-    timings and output error against the FP forward of the same block.
+    timings and output error against the FP forward of the same block,
+    computed through the same layer dataflow with FP32 GEMMs.
 
     Args:
         model: Model-zoo name (full-size configuration) or an explicit
@@ -506,11 +547,12 @@ def execute_encoder_layer(
     started = time.perf_counter()
     output, gemms = executor.run_block(layer, hidden_states)
     total_seconds = time.perf_counter() - started
+    reference = _encoder_layer(FPRunner(), {}, layer, hidden_states)
     return LayerMeasurement.from_gemms(
         config.name,
         hidden_states,
         gemms,
         total_seconds,
-        _relative_rms(output, layer.block(hidden_states)),
+        _relative_rms(output, reference),
         _plane_cache_stats(executor, cache_before),
     )

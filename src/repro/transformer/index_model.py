@@ -10,7 +10,8 @@ every GEMM in the index domain; this module scales that to whole models:
   :class:`~repro.transformer.prepared.PreparedModel`, shared by every
   executor and decoder of the model, so every weight tensor is quantized
   exactly once per model and nothing is fitted at run time.  The FP
-  forward of the same blocks is the accuracy oracle at every depth.
+  forward of the same blocks, run through the same layer dataflow with
+  FP32 GEMMs, is the accuracy oracle at every depth.
 * :class:`IndexKVCache` / :func:`execute_decoder` — a GPT-style decoder
   attention path.  The cache stores the *encoded* K/V rows: prefill and
   every appended decode row encode against the layer's profiled K/V
@@ -53,6 +54,7 @@ from repro.transformer.index_execution import (
     GemmMeasurement,
     IndexDomainEncoderExecutor,
     LayerMeasurement,
+    _encoder_layer,
     _plane_cache_stats,
     _relative_rms,
     _resolve_config,
@@ -101,7 +103,8 @@ class ModelMeasurement:
         stats: Operation counts merged over every GEMM of every layer.
         quantize_seconds: Total activation-operand encode wall time.
         engine_seconds: Total index-domain compute wall time.
-        total_seconds: End-to-end wall time of the model forward.
+        total_seconds: Wall time of the index-domain model forward; the
+            FP reference forward is not included.
         output_rms_error: RMS error of the final hidden states against
             the FP forward, relative to the FP output RMS.
         weight_cache_hits: GEMMs served from stored weight encodings
@@ -190,8 +193,9 @@ class IndexDomainModelExecutor:
 
         Every GEMM of every layer runs in the index domain; each layer's
         index-domain output feeds the next layer.  The FP forward of the
-        same blocks over the same input is evaluated alongside as the
-        accuracy oracle at every depth.
+        same blocks over the same input — the same layer dataflow with
+        FP32 GEMMs (:class:`~repro.transformer.prepared.FPRunner`) — is
+        evaluated alongside as the accuracy oracle at every depth.
         """
         batch, seq, _hidden = hidden_states.shape
         hits_before = self.executor.weight_cache_hits
@@ -201,6 +205,7 @@ class IndexDomainModelExecutor:
         index_states = hidden_states
         started = time.perf_counter()
         fp_seconds = 0.0
+        fp_runner = FPRunner()
         for layer in self.prepared.layers:
             layer_started = time.perf_counter()
             index_states, gemms = self.executor.run_block(layer, index_states)
@@ -208,7 +213,7 @@ class IndexDomainModelExecutor:
 
             # The FP oracle trace rides along (excluded from the timings).
             fp_started = time.perf_counter()
-            fp_states = layer.block(fp_states)
+            fp_states = _encoder_layer(fp_runner, {}, layer, fp_states)
             fp_seconds += time.perf_counter() - fp_started
             layers.append(
                 LayerMeasurement.from_gemms(
@@ -774,8 +779,10 @@ class MultiStreamDecodeMeasurement:
         num_layers: Decoder layers executed.
         gemms: Per-GEMM measurements merged over prefill and all steps.
         stats: Operation counts merged over every GEMM.
-        prefill_seconds: Wall time of the batched prefill pass.
-        decode_seconds: Wall time of the lockstep decode loop.
+        prefill_seconds: Wall time of the batched prefill pass (index
+            path only; the FP reference forward is not included).
+        decode_seconds: Wall time of the lockstep decode loop (index path
+            only; the FP reference forward is not included).
         tokens_per_second: Aggregate decode throughput
             (``num_streams * decode_tokens / decode_seconds``).
         per_stream_tokens_per_second: Decode throughput of one stream.

@@ -169,10 +169,21 @@ def _block_linears(block: EncoderBlock) -> Dict[str, Linear]:
 
 
 class FPRunner:
-    """The executors' ``gemm`` contract in floating point.
+    """The executors' ``gemm`` contract in FP32: the reference forward.
 
-    Drives the executors' layer dataflow with plain float GEMMs: the FP
-    oracle of the decoder, and the engine of the profiling pass.
+    Drives the executors' layer dataflow with float GEMMs, as the
+    original FP32 model would run it: the reference every executor and
+    decoder measures ``output_rms_error`` against.  Items that share one
+    :class:`Linear` run as one row-concatenated GEMM (the decoder's
+    streams collapse to one call per weight), and each activation is
+    cast to the weight's dtype first, as an FP32 datapath would.  The
+    cast matters: under NumPy's NEP 50 promotion rules
+    :func:`~repro.transformer.functional.gelu` returns float64 for
+    float32 input (``np.sqrt(2.0)`` is a float64 scalar), which would
+    turn every ``ffn.output`` GEMM into a float64 copy of the weight and
+    a double-precision product.  ``gelu`` itself stays as it is: the FP
+    model's accuracy goldens pin its output.  Activation right operands
+    (the K/V of the score and context GEMMs) run one product per item.
     """
 
     def gemm(
@@ -181,15 +192,34 @@ class FPRunner:
         items: Sequence[Tuple[str, np.ndarray, Any]],
         layer: PreparedLayer,
     ) -> List[np.ndarray]:
-        return [
-            x @ rhs.weight + rhs.bias if isinstance(rhs, Linear) else x @ rhs
-            for _name, x, rhs in items
-        ]
+        outputs: List[Any] = [None] * len(items)
+        groups: Dict[int, List[int]] = {}
+        for position, (_name, x, rhs) in enumerate(items):
+            if isinstance(rhs, Linear):
+                groups.setdefault(id(rhs), []).append(position)
+            else:
+                outputs[position] = x @ rhs
+        for positions in groups.values():
+            linear = items[positions[0]][2]
+            rows = [items[position][1] for position in positions]
+            product = (
+                np.concatenate(rows, dtype=linear.weight.dtype) @ linear.weight
+                + linear.bias
+            )
+            ends = np.cumsum([len(x) for x in rows])[:-1]
+            for position, output in zip(positions, np.split(product, ends)):
+                outputs[position] = output
+        return outputs
 
 
-class _ProfilingRunner(FPRunner):
+class _ProfilingRunner:
     """The FP pass of Step 2: records each activation operand under the
-    name the executor encodes it by, per layer."""
+    name the executor encodes it by, per layer.
+
+    Its GEMMs are one product per item at the operands' own precision,
+    not :class:`FPRunner`'s grouped FP32 ones: these numerics define the
+    profiled dictionaries, so they stay fixed.
+    """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -215,7 +245,10 @@ class _ProfilingRunner(FPRunner):
         for operand, name in _activation_operands(items):
             profiler(name, operand)
             recorder(name, operand)
-        return super().gemm(measurements, items, layer)
+        return [
+            x @ rhs.weight + rhs.bias if isinstance(rhs, Linear) else x @ rhs
+            for _name, x, rhs in items
+        ]
 
     def dictionaries(
         self, quantizer: MokeyQuantizer, index: int

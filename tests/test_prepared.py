@@ -9,10 +9,13 @@ Locks the contract of :mod:`repro.transformer.prepared`:
    outputs and statistics;
 3. the memo is keyed by model identity, bounded, and dies with its
    quantizer;
-4. profiled dictionaries still reject non-finite activations in one line.
+4. profiled dictionaries still reject non-finite activations in one line;
+5. the profiling pass's numerics are pinned by a content digest of the
+   dictionaries it fits, and the FP reference runs its GEMMs in FP32.
 """
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -21,16 +24,19 @@ import pytest
 from repro.core.quantizer import MokeyQuantizer
 from repro.core.tensor_dictionary import TensorDictionary
 from repro.transformer.config import TransformerConfig
+from repro.transformer.functional import gelu
 from repro.transformer.index_execution import execute_encoder_layer
 from repro.transformer.index_model import (
     IndexDomainModelExecutor,
     MultiStreamDecoder,
     execute_model,
 )
+from repro.transformer.layers import Linear
 from repro.transformer.prepared import (
     KEY_OPERAND,
     PREPARED_PER_QUANTIZER,
     VALUE_OPERAND,
+    FPRunner,
     prepare_model,
 )
 
@@ -181,3 +187,58 @@ def test_non_finite_activation_rejected_in_one_line(fresh_quantizer):
     with pytest.raises(ValueError, match="1 non-finite") as info:
         fresh_quantizer.quantize(np.array([[1.0, np.inf]]), "x", dictionary=dictionary)
     assert "\n" not in str(info.value)
+
+
+def _dictionary_digest(prepared):
+    """Content digest of every profiled dictionary, at full precision."""
+    digest = hashlib.sha256()
+    for layer in prepared.layers:
+        for name in sorted(layer.dictionaries):
+            dictionary = layer.dictionaries[name]
+            scalars = (dictionary.mean, dictionary.std, dictionary.threshold)
+            digest.update(f"{layer.index}.{name}:{[repr(float(x)) for x in scalars]}".encode())
+            digest.update(repr(dictionary.fixed_point).encode())
+            digest.update(np.ascontiguousarray(dictionary.gaussian_half, np.float64).tobytes())
+            digest.update(
+                np.ascontiguousarray(dictionary.outlier_centroids, np.float64).tobytes()
+            )
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "causal, expected",
+    [
+        pytest.param(False, "1ea87bc57ef07693", id="bidirectional"),
+        pytest.param(True, "e3fbd05cf9ab67b2", id="causal"),
+    ],
+)
+def test_profiled_dictionaries_are_pinned(fresh_quantizer, causal, expected):
+    """The profiling pass defines every activation dictionary: a change to
+    its numerics (its GEMM grouping or precision included) moves this."""
+    prepared = prepare_model(NANO, 3, NANO.num_layers, fresh_quantizer, causal=causal)
+    assert _dictionary_digest(prepared) == expected
+
+
+def test_fp_reference_runs_grouped_float32_gemms():
+    rng = np.random.default_rng(11)
+    shared = Linear(rng.normal(size=(16, 8)), rng.normal(size=8))
+    other = Linear(rng.normal(size=(16, 8)), rng.normal(size=8))
+    # NEP 50: gelu of float32 rows is float64, like the FFN's second input.
+    hidden = gelu(rng.normal(size=(3, 16)).astype(np.float32))
+    assert hidden.dtype == np.float64
+    items = [
+        ("ffn.output", hidden, shared),
+        ("attention.query", rng.normal(size=(1, 16)).astype(np.float32), other),
+        ("ffn.output", rng.normal(size=(5, 16)), shared),
+        ("attention.scores", rng.normal(size=(2, 16)).astype(np.float32),
+         rng.normal(size=(16, 4)).astype(np.float32)),
+    ]
+    outputs = FPRunner().gemm({}, items, None)
+    assert len(outputs) == len(items)
+    for (_name, x, rhs), output in zip(items, outputs):
+        assert output.dtype == np.float32
+        if isinstance(rhs, Linear):
+            expected = x.astype(np.float32) @ rhs.weight + rhs.bias
+        else:
+            expected = x @ rhs
+        np.testing.assert_allclose(output, expected, rtol=1e-5, atol=1e-5)

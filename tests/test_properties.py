@@ -17,6 +17,7 @@ from repro.core.golden_dictionary import generate_golden_dictionary
 from repro.core.index_compute import index_domain_dot, index_domain_matmul
 from repro.core.quantizer import MokeyQuantizer
 from repro.memory.layout import pack_offchip, pack_onchip_5bit, unpack_offchip, unpack_onchip_5bit
+from repro.transformer.index_execution import _encode_family
 from repro.transformer.tasks import spearman_correlation
 
 # A module-level quantizer keeps hypothesis examples fast; the golden
@@ -141,6 +142,56 @@ class TestEncodeProperties:
                 dictionary.decode(encoded, apply_fixed_point=fixed),
                 dictionary.decode(reference, apply_fixed_point=fixed),
             )
+
+
+@st.composite
+def operand_families(draw):
+    """Operands of one family: mixed shapes and dtypes, transposed views
+    (like the encoder's K slices) and 1-element operands, plus the
+    profiled dictionary they share."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6)
+    )
+    operands = []
+    for rows, cols in shapes:
+        values = rng.normal(draw(finite_floats), 1.0 + abs(draw(finite_floats)), (rows, cols))
+        values[rng.random((rows, cols)) < 0.1] *= 30.0
+        values = values.astype(draw(st.sampled_from([np.float32, np.float64])))
+        operands.append(values.T if draw(st.booleans()) else values)
+    profile = rng.normal(0.0, 2.0, 256)
+    profile[:8] *= 20.0
+    return operands, _QUANTIZER.fit_dictionary("family", profile)
+
+
+class TestFamilyEncodeProperties:
+    @given(family=operand_families())
+    @settings(max_examples=40, deadline=None)
+    def test_family_codes_equal_per_operand_codes(self, family):
+        operands, dictionary = family
+        batched = _encode_family(_QUANTIZER, "family", operands, dictionary)
+        assert len(batched) == len(operands)
+        for operand, ours in zip(operands, batched):
+            alone = _QUANTIZER.quantize(
+                np.asarray(operand, dtype=np.float64), "family", dictionary=dictionary
+            )
+            assert ours.shape == alone.shape == operand.shape
+            assert ours.dictionary is dictionary
+            for name in ("is_outlier", "sign", "gaussian_index", "outlier_index"):
+                mine, theirs = getattr(ours.encoded, name), getattr(alone.encoded, name)
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs)
+
+    @given(family=operand_families(), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_non_finite_member_fails_in_one_line(self, family, data):
+        operands, dictionary = family
+        poisoned = data.draw(st.integers(0, len(operands) - 1))
+        operands[poisoned] = operands[poisoned].copy()
+        operands[poisoned].flat[0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="1 non-finite") as info:
+            _encode_family(_QUANTIZER, "family", operands, dictionary)
+        assert "\n" not in str(info.value)
 
 
 @st.composite

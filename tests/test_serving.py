@@ -8,6 +8,7 @@ the ServingSpec execution layer (executor bit-identity, store
 memoisation across backends, kill→resume without re-simulation).
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -298,6 +299,44 @@ class TestServingSpec:
         # iter_serving validates eagerly, before any simulation.
         with pytest.raises(RegistryError):
             iter_serving(replace(TINY, designs=("mokeyy",)))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param([1], "a serving spec must be an object", id="spec-list"),
+            pytest.param({"schemes": "mokey"}, "schemes must be a list",
+                         id="schemes-string"),
+            pytest.param({"schemes": 5}, "schemes must be a list", id="schemes-scalar"),
+            pytest.param({"trace": [1]}, "'trace' must be an object", id="trace-list"),
+            pytest.param({"trace": {"rate_rps": "200"}}, "trace.rate_rps must be positive",
+                         id="rate-string"),
+            pytest.param({"policy": {"max_batch": "4"}}, "policy.max_batch must be an integer",
+                         id="max-batch-string"),
+            pytest.param({"buffer_bytes": True}, "buffer_bytes must be an integer",
+                         id="buffer-bool"),
+            pytest.param({"trace": {"num_requests": 1.5}},
+                         "trace.num_requests must be an integer", id="requests-fraction"),
+            pytest.param({"trace": {"num_requests": True}},
+                         "trace.num_requests must be an integer", id="requests-bool"),
+            pytest.param({"execution": {"resume": "no"}}, "resume must be true or false",
+                         id="resume-string"),
+        ],
+    )
+    def test_malformed_spec_values_fail_in_one_line(self, changes, message):
+        if isinstance(changes, dict):
+            data = TINY.to_dict()
+            for key, value in changes.items():
+                if isinstance(value, dict):
+                    data[key].update(value)
+                else:
+                    data[key] = value
+        else:
+            data = changes
+        with pytest.raises(ValueError, match=message) as excinfo:
+            spec = ServingSpec.from_dict(json.loads(json.dumps(data)))
+            # Saving must not launder a malformed value into a valid one.
+            ServingSpec.from_json(spec.to_json()).validate()
+        assert "\n" not in str(excinfo.value)
 
     def test_combos_cross_schemes_and_designs(self):
         combos = TINY.combos()
