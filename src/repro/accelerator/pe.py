@@ -141,25 +141,26 @@ class MokeyTile:
 
         length = weight_column.size
         decoded_w = weight_dict.decode(weight_column, apply_fixed_point=False).ravel()
+        out_w = weight_column.is_outlier.ravel()
+        index_w = weight_column.gaussian_index.ravel().tolist()
+        sign_w = weight_column.sign.ravel().tolist()
         for pe_index, activation in enumerate(activation_rows):
             if activation.size != length:
                 raise ValueError("operand length mismatch")
             decoded_a = act_dict.decode(activation, apply_fixed_point=False).ravel()
+            outlier_pair = (activation.is_outlier.ravel() | out_w).tolist()
+            index_a = activation.gaussian_index.ravel().tolist()
+            sign_a = activation.sign.ravel().tolist()
             for position in range(length):
-                is_outlier = bool(
-                    activation.is_outlier.ravel()[position] or weight_column.is_outlier.ravel()[position]
-                )
-                if is_outlier:
+                if outlier_pair[position]:
                     opp.accumulator = 0.0
                     opp.process_outlier(decoded_a[position], decoded_w[position])
                     accumulators[pe_index] += opp.accumulator
                     outlier_events += 1
                 else:
                     pes[pe_index].process(
-                        int(activation.gaussian_index.ravel()[position]),
-                        int(activation.sign.ravel()[position]),
-                        int(weight_column.gaussian_index.ravel()[position]),
-                        int(weight_column.sign.ravel()[position]),
+                        index_a[position], sign_a[position],
+                        index_w[position], sign_w[position],
                         base,
                     )
 

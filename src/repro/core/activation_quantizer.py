@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.quantizer import QuantizedTensor
-from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
+from repro.core.tensor_dictionary import TensorDictionary
 
 __all__ = ["QuantizerStats", "OutputActivationQuantizer"]
 

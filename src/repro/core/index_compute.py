@@ -984,25 +984,12 @@ def _split_encoded(
 ) -> List[EncodedValues]:
     """All rows (axis=0) or columns (axis=1) of a 2-D encoding.
 
-    Reshapes each field exactly once and returns views, so slicing is
+    Reshapes the codes exactly once and returns views, so slicing is
     O(M + N) instead of re-reshaping the full encoding per output element.
     """
-    fields = (
-        encoded.is_outlier.reshape(shape),
-        encoded.sign.reshape(shape),
-        encoded.gaussian_index.reshape(shape),
-        encoded.outlier_index.reshape(shape),
-    )
-    count = shape[0] if axis == 0 else shape[1]
-    return [
-        EncodedValues(
-            *(
-                (matrix[index, :] if axis == 0 else matrix[:, index])
-                for matrix in fields
-            )
-        )
-        for index in range(count)
-    ]
+    matrix = encoded.codes.reshape(shape)
+    lines = matrix if axis == 0 else matrix.T
+    return [EncodedValues(line, encoded.half_entries) for line in lines]
 
 
 def index_domain_dot(

@@ -33,7 +33,7 @@ class QuantizedTensor:
     Attributes:
         name: Tensor name.
         shape: Original tensor shape.
-        encoded: Per-value sign / index / outlier encoding.
+        encoded: One code per value (see :class:`EncodedValues`).
         dictionary: The per-tensor Gaussian + outlier dictionaries.
         per_request: Encoded for one request only (an attention K/V
             operand): the index-domain engine never caches its planes,
@@ -91,7 +91,7 @@ class QuantizedTensor:
     def content_digest(self) -> str:
         """Content hash of the encoded stream plus its dictionary.
 
-        Two tensors share a digest exactly when their encoded fields,
+        Two tensors share a digest exactly when their code arrays,
         shape, and every dictionary parameter that influences decode or
         plane construction agree — so anything keyed by this digest (the
         plane cache) can never go stale: a different tensor is a
@@ -105,8 +105,7 @@ class QuantizedTensor:
         fit = d.golden.fit
         h = hashlib.sha1()
         h.update(repr(self.shape).encode())
-        for field in (enc.is_outlier, enc.sign, enc.gaussian_index, enc.outlier_index):
-            h.update(np.ascontiguousarray(field).tobytes())
+        h.update(np.ascontiguousarray(enc.codes).tobytes())
         h.update(
             np.array(
                 [d.mean, d.std, d.threshold, fit.a, fit.b], dtype=np.float64

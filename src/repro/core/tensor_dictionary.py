@@ -41,36 +41,54 @@ def non_finite_error(name: str, values: np.ndarray) -> ValueError:
 
 @dataclass
 class EncodedValues:
-    """The raw per-value encoding produced by :meth:`TensorDictionary.encode`.
+    """The per-value encoding produced by :meth:`TensorDictionary.encode`.
+
+    Each value is one ``uint8`` code into its dictionary's lookup table.
+    With ``G`` Gaussian half entries:
+
+    * ``0 <= code < G``: Gaussian half entry ``code``, positive sign;
+    * ``G <= code < 2G``: Gaussian half entry ``code - G``, negative sign;
+    * ``code >= 2G``: outlier-dictionary entry ``code - 2G``.
+
+    For the paper's ``G = 8`` this is exactly the 5-bit on-chip form of
+    Fig. 5: dictionary-select bit, sign bit, 3-bit index.
 
     Attributes:
-        is_outlier: Boolean array marking values encoded with the outlier
-            dictionary.
-        sign: +1 / -1 sign of the Gaussian-normalised value (meaningful for
-            Gaussian-encoded entries only).
-        gaussian_index: 3-bit magnitude index into the Gaussian half
-            dictionary (meaningful for Gaussian-encoded entries only).
-        outlier_index: 4-bit index into the outlier dictionary (meaningful
-            for outlier entries only; 0 elsewhere).
+        codes: ``uint8`` code per value, in the tensor's shape.
+        half_entries: ``G``, the size of the Gaussian half dictionary.
     """
 
-    is_outlier: np.ndarray
-    sign: np.ndarray
-    gaussian_index: np.ndarray
-    outlier_index: np.ndarray
+    codes: np.ndarray
+    half_entries: int
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return self.is_outlier.shape
+        return self.codes.shape
 
     @property
     def size(self) -> int:
-        return int(self.is_outlier.size)
+        return int(self.codes.size)
+
+    @property
+    def is_outlier(self) -> np.ndarray:
+        """Values encoded through the outlier dictionary."""
+        return self.codes >= 2 * self.half_entries
+
+    @property
+    def sign(self) -> np.ndarray:
+        """+1 / -1 sign of each Gaussian entry (+1 for outliers, which store none)."""
+        negative = (self.codes >= self.half_entries) & ~self.is_outlier
+        return np.where(negative, np.int8(-1), np.int8(1))
+
+    @property
+    def gaussian_index(self) -> np.ndarray:
+        """Index into the Gaussian half dictionary (meaningful for Gaussian entries only)."""
+        return (self.codes % self.half_entries).astype(np.int8)
 
     @property
     def outlier_count(self) -> int:
         """Number of values encoded through the outlier dictionary."""
-        return int(self.is_outlier.sum())
+        return int(np.count_nonzero(self.is_outlier))
 
     @property
     def outlier_fraction(self) -> float:
@@ -262,16 +280,19 @@ class TensorDictionary:
     # Encode / decode
     # ------------------------------------------------------------------ #
     def encode(self, values: np.ndarray) -> EncodedValues:
-        """Encode a tensor into sign/index/outlier form."""
+        """Encode a tensor into one code per value (see :class:`EncodedValues`)."""
+        half_entries = self.gaussian_half.size
+        if 2 * half_entries + self.outlier_centroids.size > 256:
+            raise ValueError(
+                f"tensor {self.name!r}: {half_entries} Gaussian half entries and "
+                f"{self.outlier_centroids.size} outlier entries exceed 256 uint8 codes"
+            )
         values = np.asarray(values, dtype=np.float64)
         centred = values - self.mean
         magnitude = np.abs(centred)
-        if self.has_outliers:
-            is_outlier = magnitude > self.threshold
-        else:
-            is_outlier = np.zeros(values.shape, dtype=bool)
+        is_outlier = magnitude > self.threshold if self.has_outliers else None
 
-        sign = np.where(centred >= 0, np.int8(1), np.int8(-1))
+        codes = np.where(centred >= 0, np.uint8(0), np.uint8(half_entries))
         # A value far outside a narrow profiled dictionary normalises to
         # inf and takes the outermost index, like any other clipped value.
         with np.errstate(over="ignore"):
@@ -279,25 +300,19 @@ class TensorDictionary:
         # Nearest Gaussian half magnitude: the count of midpoints below the
         # value (``searchsorted``'s left insertion point, in a few passes).
         midpoints = (self.gaussian_half[:-1] + self.gaussian_half[1:]) / 2.0
-        gaussian_index = np.zeros(values.shape, dtype=np.int8)
         for midpoint in midpoints:
-            gaussian_index += normalised > midpoint
+            codes += normalised > midpoint
 
         # Only outliers read an outlier index: search for those alone.
-        outlier_index = np.zeros(values.shape, dtype=np.int8)
-        if self.has_outliers:
+        if is_outlier is not None:
             ot_midpoints = (self.outlier_centroids[:-1] + self.outlier_centroids[1:]) / 2.0
-            outlier_index[is_outlier] = np.searchsorted(ot_midpoints, values[is_outlier])
-
-        return EncodedValues(
-            is_outlier=is_outlier,
-            sign=sign,
-            gaussian_index=gaussian_index,
-            outlier_index=outlier_index,
-        )
+            codes[is_outlier] = 2 * half_entries + np.searchsorted(
+                ot_midpoints, values[is_outlier]
+            )
+        return EncodedValues(codes=codes, half_entries=half_entries)
 
     def decode(self, encoded: EncodedValues, apply_fixed_point: bool = True) -> np.ndarray:
-        """Reconstruct tensor values from their encoding.
+        """Reconstruct tensor values from their encoding: one table lookup.
 
         Args:
             encoded: The per-value encoding.
@@ -306,16 +321,14 @@ class TensorDictionary:
                 the index-domain arithmetic disable this to compare exact
                 real-valued results.
         """
-        magnitudes = self.gaussian_half[encoded.gaussian_index]
-        gaussian_values = encoded.sign * magnitudes * self.std + self.mean
-        if self.has_outliers:
-            outlier_values = self.outlier_centroids[encoded.outlier_index]
-            decoded = np.where(encoded.is_outlier, outlier_values, gaussian_values)
-        else:
-            decoded = gaussian_values
+        half = self.gaussian_half
+        table = np.concatenate([
+            np.concatenate([half, -half]) * self.std + self.mean,
+            self.outlier_centroids,
+        ])
         if apply_fixed_point:
-            return self.fixed_point.quantize(decoded)
-        return decoded
+            table = self.fixed_point.quantize(table)
+        return table[encoded.codes]
 
     def quantize_dequantize(self, values: np.ndarray) -> np.ndarray:
         """Round-trip ``values`` through the 4-bit encoding ("fake quantization")."""

@@ -83,6 +83,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,16 +217,21 @@ class QueryField:
             computing the field's value.
         get: The same value computed from a :class:`StoreEntry` (what the
             JSONL backend — and the conformance suite — evaluates).
+        numeric: Values are numbers (else text); a filter value must match.
     """
 
     name: str
     kind: str
     sql: str
     get: Callable[[StoreEntry], Any]
+    numeric: bool = True
 
 
 def _axis_field(name: str) -> QueryField:
-    return QueryField(name, "axis", name, lambda e, _n=name: getattr(e.scenario, _n))
+    return QueryField(
+        name, "axis", name, lambda e, _n=name: getattr(e.scenario, _n),
+        numeric=name not in TEXT_AXES,
+    )
 
 
 def _result_metric(name: str) -> QueryField:
@@ -249,6 +255,8 @@ AXIS_FIELDS = (
     "buffer_bytes",
     "activation_buffer_fraction",
 )
+#: The axes holding names (text); the others hold numbers.
+TEXT_AXES = ("model", "task", "scheme", "design")
 
 #: Every field a query can filter or order by, axis columns first.
 QUERY_FIELDS: Dict[str, QueryField] = {name: _axis_field(name) for name in AXIS_FIELDS}
@@ -265,6 +273,7 @@ QUERY_FIELDS.update(
             "effective_scheme",
             lambda e: e.scenario.scheme if e.scenario.scheme is not None
             else e.result.design_name,
+            numeric=False,
         ),
         "compute_cycles": _result_metric("compute_cycles"),
         "memory_cycles": _result_metric("memory_cycles"),
@@ -304,6 +313,9 @@ FILTER_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 Filter = Tuple[str, str, Any]
 
+#: ``field<op>value``: the field runs up to the first operator character.
+_FILTER_RE = re.compile(r"([^<>=!]*)(<=|>=|!=|==|<|>|=)(.*)", re.DOTALL)
+
 
 def parse_filter(text: str) -> Filter:
     """Parse a CLI-style ``field<op>value`` string into a filter triple.
@@ -313,17 +325,20 @@ def parse_filter(text: str) -> Filter:
     ``= == != < <= > >=``, and the value parses as ``None`` (``none`` /
     ``null``), an int, a float, or falls back to a string.
     """
-    for op in ("<=", ">=", "!=", "==", "<", ">", "="):
-        if op in text:
-            field, raw = text.split(op, 1)
-            field = field.strip()
-            if not field:
-                raise ValueError(f"filter {text!r} is missing a field name")
-            return field, ("==" if op == "=" else op), _parse_filter_value(raw.strip())
-    raise ValueError(
-        f"filter {text!r} has no comparison operator "
-        f"(write field<op>value, e.g. model=bert-base or total_cycles<=1e9)"
-    )
+    match = _FILTER_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(
+            f"filter {text!r} has no comparison operator "
+            f"(write field<op>value, e.g. model=bert-base or total_cycles<=1e9)"
+        )
+    field, op, raw = match.group(1).strip(), match.group(2), match.group(3).strip()
+    if not field:
+        raise ValueError(f"filter {text!r} is missing a field name")
+    if not raw or raw[0] in "<>=!":
+        raise ValueError(
+            f"filter {text!r} needs one operator (= {' '.join(FILTER_OPS)}) and then a value"
+        )
+    return field, ("==" if op == "=" else op), _parse_filter_value(raw)
 
 
 def _parse_filter_value(raw: str) -> Any:
@@ -390,9 +405,12 @@ class _QueryPlan:
                 raise ValueError(
                     f"filter {name!r} {op} None: ordering comparisons need a non-null value"
                 )
-            if field.kind == "metric" and value is not None and not isinstance(value, (int, float)):
+            # Mixed-type comparisons differ between Python and SQLite
+            # (TypeError vs affinity rules): refuse them on both.
+            if value is not None and isinstance(value, str) == field.numeric:
+                kind = "a numeric" if field.numeric else "a text"
                 raise ValueError(
-                    f"filter on metric {name!r} needs a numeric value, got {value!r}"
+                    f"filter {name}{op}{value!r}: {field.kind} {name!r} needs {kind} value"
                 )
             parsed.append((field, op, value))
         group_fields: List[QueryField] = []
@@ -826,11 +844,16 @@ class ArtifactStore:
         key may both append it (last line per key wins on load, and shard
         workers write disjoint keys anyway).  For heavy concurrent
         writing, the SQLite backend — the service's default — takes real
-        transactions instead.
+        transactions instead.  A tail left unterminated (a writer killed
+        mid-append) is ended with a newline first, so it stays one skipped
+        line instead of swallowing this record.
         """
         data = (line + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
             os.write(fd, data)
         finally:
             os.close(fd)

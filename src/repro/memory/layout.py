@@ -11,6 +11,10 @@ Off-chip, every tensor is stored as two sequential streams:
 
 On-chip, values are expanded to a 5-bit form (1 bit dictionary select,
 1 bit sign, 3 bits index) so that a single stream per tensor suffices.
+That 5-bit form *is* the in-memory encoding: :class:`EncodedValues`
+holds one such code per value, so the off-chip nibble is its low four
+bits and the outlier pointers restore the select bit.  Both layouts
+assume the paper's 8 Gaussian half entries and at most 16 outliers.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ GROUP_SIZE = 64
 POSITION_BITS = 6
 #: Bits per per-group outlier count.
 COUNT_BITS = 6
-# Backwards-compatible private aliases.
-_POSITION_BITS = POSITION_BITS
-_COUNT_BITS = COUNT_BITS
+#: Gaussian half entries the Fig. 5 layout encodes (3-bit index).
+HALF_ENTRIES = 8
 
 
 @dataclass
@@ -117,17 +120,23 @@ class _BitReader:
         return value
 
 
-def _encoded_nibbles(encoded: EncodedValues) -> np.ndarray:
-    """The 4-bit payload per value: sign+index for Gaussian, index for outliers."""
-    sign_bit = (encoded.sign.ravel() < 0).astype(np.uint8)
-    gaussian_nibble = (sign_bit << 3) | encoded.gaussian_index.ravel().astype(np.uint8)
-    outlier_nibble = encoded.outlier_index.ravel().astype(np.uint8)
-    return np.where(encoded.is_outlier.ravel(), outlier_nibble, gaussian_nibble).astype(np.uint8)
+def _fig5_codes(encoded: EncodedValues) -> np.ndarray:
+    """The flat 5-bit codes, rejecting encodings the Fig. 5 layout cannot hold."""
+    codes = encoded.codes.ravel()
+    top = int(codes.max(initial=0))
+    if encoded.half_entries != HALF_ENTRIES or top >= 4 * HALF_ENTRIES:
+        raise ValueError(
+            f"the Fig. 5 layout holds {HALF_ENTRIES} Gaussian half entries and "
+            f"{2 * HALF_ENTRIES} outlier entries; this encoding has "
+            f"{encoded.half_entries} half entries and a largest code of {top}"
+        )
+    return codes
 
 
 def pack_offchip(encoded: EncodedValues) -> MokeyMemoryContainer:
     """Pack an encoded tensor into the Fig. 5 off-chip container."""
-    nibbles = _encoded_nibbles(encoded)
+    codes = _fig5_codes(encoded)
+    nibbles = codes & 0x0F
     num_values = nibbles.size
 
     # Two 4-bit values per byte, first value in the high nibble.
@@ -136,13 +145,13 @@ def pack_offchip(encoded: EncodedValues) -> MokeyMemoryContainer:
     value_stream = (nibbles[0::2] << 4) | nibbles[1::2]
 
     writer = _BitWriter()
-    outlier_flags = encoded.is_outlier.ravel()
+    outlier_flags = codes >= 2 * HALF_ENTRIES
     for start in range(0, num_values, GROUP_SIZE):
         group = outlier_flags[start:start + GROUP_SIZE]
         positions = np.flatnonzero(group)
-        writer.write(int(positions.size), _COUNT_BITS)
+        writer.write(int(positions.size), COUNT_BITS)
         for position in positions:
-            writer.write(int(position), _POSITION_BITS)
+            writer.write(int(position), POSITION_BITS)
     pointer_stream, pointer_bits = writer.to_bytes()
 
     return MokeyMemoryContainer(
@@ -154,70 +163,32 @@ def pack_offchip(encoded: EncodedValues) -> MokeyMemoryContainer:
 
 
 def unpack_offchip(container: MokeyMemoryContainer) -> EncodedValues:
-    """Reverse :func:`pack_offchip`, reconstructing the encoding exactly."""
-    high = container.value_stream >> 4
-    low = container.value_stream & 0x0F
-    nibbles = np.empty(container.value_stream.size * 2, dtype=np.uint8)
-    nibbles[0::2] = high
-    nibbles[1::2] = low
-    nibbles = nibbles[:container.num_values]
+    """Reverse :func:`pack_offchip`, reconstructing the (flat) codes exactly."""
+    codes = np.empty(container.value_stream.size * 2, dtype=np.uint8)
+    codes[0::2] = container.value_stream >> 4
+    codes[1::2] = container.value_stream & 0x0F
+    codes = codes[:container.num_values]
 
-    is_outlier = np.zeros(container.num_values, dtype=bool)
     reader = _BitReader(container.pointer_stream, container.pointer_bits)
     for start in range(0, container.num_values, GROUP_SIZE):
-        count = reader.read(_COUNT_BITS)
+        count = reader.read(COUNT_BITS)
         for _ in range(count):
-            position = reader.read(_POSITION_BITS)
-            is_outlier[start + position] = True
-
-    sign = np.where((nibbles >> 3) & 1, -1, 1).astype(np.int8)
-    gaussian_index = (nibbles & 0x07).astype(np.int8)
-    outlier_index = (nibbles & 0x0F).astype(np.int8)
-    # For outlier entries the sign/gaussian fields are meaningless; normalise
-    # them so a round-trip is bit-exact against the canonical encoding.
-    sign = np.where(is_outlier, 1, sign).astype(np.int8)
-    gaussian_index = np.where(is_outlier, 0, gaussian_index).astype(np.int8)
-    outlier_index = np.where(is_outlier, outlier_index, 0).astype(np.int8)
-
-    return EncodedValues(
-        is_outlier=is_outlier,
-        sign=sign,
-        gaussian_index=gaussian_index,
-        outlier_index=outlier_index,
-    )
+            position = reader.read(POSITION_BITS)
+            codes[start + position] |= 2 * HALF_ENTRIES
+    return EncodedValues(codes, HALF_ENTRIES)
 
 
 def pack_onchip_5bit(encoded: EncodedValues) -> np.ndarray:
-    """Expand an encoding to the 5-bit on-chip form (one value per byte).
+    """The 5-bit on-chip form (one value per byte): the codes themselves.
 
-    Layout per value: bit4 = dictionary select (1 = outlier), bit3 = sign,
-    bits2..0 = index.  Using one byte per value models the single-stream
-    on-chip access; footprint accounting still uses 5 bits per value.
+    Layout per value: bit4 = dictionary select (1 = outlier), bit3 = sign
+    (the outlier index's top bit for outliers), bits2..0 = index.  Using
+    one byte per value models the single-stream on-chip access; footprint
+    accounting still uses 5 bits per value.
     """
-    select = encoded.is_outlier.ravel().astype(np.uint8) << 4
-    sign_bit = (encoded.sign.ravel() < 0).astype(np.uint8) << 3
-    index = np.where(
-        encoded.is_outlier.ravel(),
-        encoded.outlier_index.ravel().astype(np.uint8) & 0x07,
-        encoded.gaussian_index.ravel().astype(np.uint8),
-    )
-    # Outlier indexes are 4-bit; the top bit rides in the sign position when
-    # the dictionary-select bit is set (sign is meaningless for outliers).
-    outlier_msb = ((encoded.outlier_index.ravel().astype(np.uint8) >> 3) & 1) << 3
-    payload = np.where(encoded.is_outlier.ravel(), outlier_msb, sign_bit)
-    return (select | payload | index).astype(np.uint8)
+    return _fig5_codes(encoded).copy()
 
 
 def unpack_onchip_5bit(packed: np.ndarray) -> EncodedValues:
     """Reverse :func:`pack_onchip_5bit`."""
-    packed = np.asarray(packed, dtype=np.uint8).ravel()
-    is_outlier = ((packed >> 4) & 1).astype(bool)
-    sign = np.where((packed >> 3) & 1, -1, 1).astype(np.int8)
-    index = (packed & 0x07).astype(np.int8)
-    outlier_index = ((((packed >> 3) & 1) << 3) | (packed & 0x07)).astype(np.int8)
-    return EncodedValues(
-        is_outlier=is_outlier,
-        sign=np.where(is_outlier, 1, sign).astype(np.int8),
-        gaussian_index=np.where(is_outlier, 0, index).astype(np.int8),
-        outlier_index=np.where(is_outlier, outlier_index, 0).astype(np.int8),
-    )
+    return EncodedValues(np.asarray(packed, dtype=np.uint8).ravel(), HALF_ENTRIES)

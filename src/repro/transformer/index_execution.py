@@ -33,7 +33,7 @@ from __future__ import annotations
 import contextlib
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -196,19 +196,17 @@ def _encode_family(
     bit for bit.  A non-finite value in any operand fails the call.
     """
     flat = np.concatenate([np.ravel(operand) for operand in operands], dtype=np.float64)
-    codes = quantizer.quantize(flat, name, dictionary=dictionary).encoded
+    encoded = quantizer.quantize(flat, name, dictionary=dictionary).encoded
     ends = np.cumsum([operand.size for operand in operands])[:-1]
-    parts = {f.name: np.split(getattr(codes, f.name), ends) for f in fields(codes)}
+    parts = np.split(encoded.codes, ends)
     return [
         QuantizedTensor(
             name=name,
             shape=tuple(operand.shape),
-            encoded=EncodedValues(
-                **{key: split[i].reshape(operand.shape) for key, split in parts.items()}
-            ),
+            encoded=EncodedValues(part.reshape(operand.shape), encoded.half_entries),
             dictionary=dictionary,
         )
-        for i, operand in enumerate(operands)
+        for part, operand in zip(parts, operands)
     ]
 
 

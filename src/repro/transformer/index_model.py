@@ -304,24 +304,17 @@ def _slice_quantized(
     """Column slice of a 2-D quantized tensor, sharing its dictionary.
 
     The encoding is elementwise, so any slice (and its transpose) of the
-    encoded fields is itself a valid encoding under the same dictionary —
-    this is what lets every attention head read its ``head_dim`` columns
-    of the cached K/V without re-quantizing.
+    codes is itself a valid encoding under the same dictionary — this is
+    what lets every attention head read its ``head_dim`` columns of the
+    cached K/V without re-quantizing.
     """
-    def pick(array: np.ndarray) -> np.ndarray:
-        matrix = array.reshape(tensor.shape)[:, columns]
-        return matrix.T if transpose else matrix
-
-    encoded = EncodedValues(
-        is_outlier=pick(tensor.encoded.is_outlier),
-        sign=pick(tensor.encoded.sign),
-        gaussian_index=pick(tensor.encoded.gaussian_index),
-        outlier_index=pick(tensor.encoded.outlier_index),
-    )
+    codes = tensor.encoded.codes.reshape(tensor.shape)[:, columns]
+    if transpose:
+        codes = codes.T
     return QuantizedTensor(
         name=f"{tensor.name}[{columns.start}:{columns.stop}]",
-        shape=encoded.is_outlier.shape,
-        encoded=encoded,
+        shape=codes.shape,
+        encoded=EncodedValues(codes, tensor.encoded.half_entries),
         dictionary=tensor.dictionary,
     )
 
@@ -331,19 +324,13 @@ def _concat_quantized(old: QuantizedTensor, new: QuantizedTensor) -> QuantizedTe
     if old.dictionary is not new.dictionary:
         raise ValueError("can only concatenate encodings that share a dictionary")
 
-    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([a.reshape(old.shape), b.reshape(new.shape)], axis=0)
-
-    encoded = EncodedValues(
-        is_outlier=join(old.encoded.is_outlier, new.encoded.is_outlier),
-        sign=join(old.encoded.sign, new.encoded.sign),
-        gaussian_index=join(old.encoded.gaussian_index, new.encoded.gaussian_index),
-        outlier_index=join(old.encoded.outlier_index, new.encoded.outlier_index),
+    codes = np.concatenate(
+        [old.encoded.codes.reshape(old.shape), new.encoded.codes.reshape(new.shape)], axis=0
     )
     return QuantizedTensor(
         name=old.name,
-        shape=(old.shape[0] + new.shape[0], old.shape[1]),
-        encoded=encoded,
+        shape=codes.shape,
+        encoded=EncodedValues(codes, old.encoded.half_entries),
         dictionary=old.dictionary,
     )
 
@@ -395,23 +382,10 @@ class _PlaneSlab:
         if total == start:
             return
         self._ensure(total)
-        enc = tensor.encoded
-        rows = slice(start, total)
-
-        def tail(array: np.ndarray) -> np.ndarray:
-            return array.reshape(tensor.shape)[rows]
-
-        out = tail(enc.is_outlier)
-        self._out[rows] = out
-        new = EncodedValues(
-            is_outlier=np.ascontiguousarray(out),
-            sign=np.ascontiguousarray(tail(enc.sign)),
-            gaussian_index=np.ascontiguousarray(tail(enc.gaussian_index)),
-            outlier_index=np.ascontiguousarray(tail(enc.outlier_index)),
-        )
-        self._dec[rows] = self._dictionary.decode(new, apply_fixed_point=False).reshape(
-            total - start, self._width
-        )
+        codes = tensor.encoded.codes.reshape(tensor.shape)[start:total]
+        new = EncodedValues(codes, tensor.encoded.half_entries)
+        self._out[start:total] = new.is_outlier
+        self._dec[start:total] = self._dictionary.decode(new, apply_fixed_point=False)
         self._rows = total
 
     def plane_set(self, columns: slice, transpose: bool = False) -> PlaneSet:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.golden_dictionary import generate_golden_dictionary
+from repro.core.quantizer import MokeyQuantizer
 from repro.memory.compression import (
     FootprintBreakdown,
     method_footprint,
@@ -34,15 +36,7 @@ class TestOffchipLayout:
         encoded = _encode(quantizer, rng)
         container = pack_offchip(encoded)
         restored = unpack_offchip(container)
-        assert np.array_equal(restored.is_outlier, encoded.is_outlier.ravel())
-        gaussian = ~encoded.is_outlier.ravel()
-        assert np.array_equal(
-            restored.gaussian_index[gaussian], encoded.gaussian_index.ravel()[gaussian]
-        )
-        assert np.array_equal(restored.sign[gaussian], encoded.sign.ravel()[gaussian])
-        assert np.array_equal(
-            restored.outlier_index[~gaussian], encoded.outlier_index.ravel()[~gaussian]
-        )
+        assert np.array_equal(restored.codes, encoded.codes.ravel())
 
     def test_value_stream_is_half_a_byte_per_value(self, quantizer, rng):
         encoded = _encode(quantizer, rng, n=640)
@@ -81,19 +75,26 @@ class TestOnchipLayout:
         encoded = _encode(quantizer, rng)
         packed = pack_onchip_5bit(encoded)
         restored = unpack_onchip_5bit(packed)
-        assert np.array_equal(restored.is_outlier, encoded.is_outlier.ravel())
-        gaussian = ~encoded.is_outlier.ravel()
-        assert np.array_equal(restored.sign[gaussian], encoded.sign.ravel()[gaussian])
-        assert np.array_equal(
-            restored.gaussian_index[gaussian], encoded.gaussian_index.ravel()[gaussian]
-        )
-        assert np.array_equal(
-            restored.outlier_index[~gaussian], encoded.outlier_index.ravel()[~gaussian]
-        )
+        assert np.array_equal(restored.codes, encoded.codes.ravel())
 
     def test_one_byte_per_value_staging(self, quantizer, rng):
         encoded = _encode(quantizer, rng, n=100)
         assert pack_onchip_5bit(encoded).size == 100
+
+
+class TestLayoutHalfEntries:
+    """The Fig. 5 layout has a 3-bit Gaussian index: any other half size
+    must be refused, not silently corrupted."""
+
+    @pytest.mark.parametrize("pack", [pack_offchip, pack_onchip_5bit])
+    def test_sixteen_half_entries_fail_in_one_line(self, pack, rng):
+        golden = generate_golden_dictionary(
+            num_entries=32, num_samples=4000, num_repeats=1, seed=3
+        )
+        encoded = MokeyQuantizer(golden).quantize(rng.normal(0, 1, 256), "t").encoded
+        with pytest.raises(ValueError, match="16 half entries") as info:
+            pack(encoded)
+        assert "\n" not in str(info.value)
 
 
 class TestCompressionAccounting:

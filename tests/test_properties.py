@@ -16,6 +16,7 @@ from repro.core.fixed_point import FixedPointFormat
 from repro.core.golden_dictionary import generate_golden_dictionary
 from repro.core.index_compute import index_domain_dot, index_domain_matmul
 from repro.core.quantizer import MokeyQuantizer
+from repro.core.tensor_dictionary import TensorDictionary
 from repro.memory.layout import pack_offchip, pack_onchip_5bit, unpack_offchip, unpack_onchip_5bit
 from repro.transformer.index_execution import _encode_family
 from repro.transformer.tasks import spearman_correlation
@@ -126,22 +127,68 @@ class TestEncodeProperties:
         halves = dictionary.gaussian_half
         normalised = np.abs(centred) / dictionary.std
         gaussian_index = np.searchsorted((halves[:-1] + halves[1:]) / 2.0, normalised)
+        gaussian = ~is_outlier
         assert np.array_equal(encoded.is_outlier, is_outlier)
-        assert np.array_equal(encoded.sign, np.where(centred >= 0, 1, -1))
-        assert np.array_equal(encoded.gaussian_index, gaussian_index)
-        assert encoded.sign.dtype == encoded.gaussian_index.dtype == np.int8
-        assert np.array_equal(encoded.outlier_index[is_outlier], full[is_outlier])
-        assert not encoded.outlier_index[~is_outlier].any()
-        # Decoding reads an outlier index only where the mask is set, so
-        # the full-array codes decode to the very same values.
-        reference = type(encoded)(
-            is_outlier, encoded.sign, encoded.gaussian_index, full.astype(np.int8)
+        # Outliers store no sign or Gaussian index (Fig. 5).
+        assert np.array_equal(encoded.sign[gaussian], np.where(centred >= 0, 1, -1)[gaussian])
+        assert np.array_equal(encoded.gaussian_index[gaussian], gaussian_index[gaussian])
+        # Every stored bit: sign * G + index for Gaussian values, 2G + index
+        # for outliers.
+        g = halves.size
+        expected = np.where(
+            is_outlier, 2 * g + full, np.where(centred >= 0, 0, g) + gaussian_index
         )
+        assert encoded.codes.dtype == np.uint8
+        assert np.array_equal(encoded.codes, expected)
+
+
+# Golden Dictionaries by their G, the number of Gaussian half entries.
+_GOLDENS = {
+    4: generate_golden_dictionary(num_entries=8, num_samples=4000, num_repeats=1, seed=21),
+    8: _GOLDEN,
+    16: generate_golden_dictionary(num_entries=32, num_samples=4000, num_repeats=1, seed=21),
+}
+
+
+def _arithmetic_decode(dictionary, encoded, fixed):
+    """Decode by the per-field arithmetic: sign * half * std + mean, or
+    the outlier centroid where the dictionary-select bit is set."""
+    g = dictionary.gaussian_half.size
+    codes = encoded.codes.astype(np.int64)
+    is_outlier = codes >= 2 * g
+    sign = np.where((codes >= g) & ~is_outlier, -1, 1).astype(np.int8)
+    decoded = sign * dictionary.gaussian_half[codes % g] * dictionary.std + dictionary.mean
+    if dictionary.has_outliers:
+        outliers = dictionary.outlier_centroids[np.where(is_outlier, codes - 2 * g, 0)]
+        decoded = np.where(is_outlier, outliers, decoded)
+    return dictionary.fixed_point.quantize(decoded) if fixed else decoded
+
+
+class TestDecodeProperties:
+    @given(
+        values=tensors_with_outliers(),
+        half_entries=st.sampled_from(sorted(_GOLDENS)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        outlier_entries=st.sampled_from([0, 16]),
+        transpose=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_equals_arithmetic_decode(
+        self, values, half_entries, dtype, outlier_entries, transpose
+    ):
+        dictionary = TensorDictionary.fit(
+            "t", _GOLDENS[half_entries], values=values, max_outlier_entries=outlier_entries
+        )
+        operand = values.astype(dtype)
+        if transpose and operand.size % 2 == 0:
+            operand = operand.reshape(2, -1).T
+        encoded = dictionary.encode(operand)
+        assert encoded.half_entries == half_entries
+        assert encoded.shape == operand.shape
         for fixed in (True, False):
-            assert np.array_equal(
-                dictionary.decode(encoded, apply_fixed_point=fixed),
-                dictionary.decode(reference, apply_fixed_point=fixed),
-            )
+            ours = dictionary.decode(encoded, apply_fixed_point=fixed)
+            assert ours.dtype == np.float64
+            assert np.array_equal(ours, _arithmetic_decode(dictionary, encoded, fixed))
 
 
 @st.composite
@@ -177,10 +224,10 @@ class TestFamilyEncodeProperties:
             )
             assert ours.shape == alone.shape == operand.shape
             assert ours.dictionary is dictionary
-            for name in ("is_outlier", "sign", "gaussian_index", "outlier_index"):
-                mine, theirs = getattr(ours.encoded, name), getattr(alone.encoded, name)
-                assert mine.dtype == theirs.dtype
-                assert np.array_equal(mine, theirs)
+            mine, theirs = ours.encoded.codes, alone.encoded.codes
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+            assert ours.encoded.half_entries == alone.encoded.half_entries
 
     @given(family=operand_families(), data=st.data())
     @settings(max_examples=20, deadline=None)
@@ -278,19 +325,14 @@ class TestMemoryLayoutProperties:
     def test_offchip_container_lossless(self, values):
         encoded = _QUANTIZER.quantize(values, "t").encoded
         restored = unpack_offchip(pack_offchip(encoded))
-        assert np.array_equal(restored.is_outlier, encoded.is_outlier.ravel())
-        gaussian = ~encoded.is_outlier.ravel()
-        assert np.array_equal(restored.sign[gaussian], encoded.sign.ravel()[gaussian])
-        assert np.array_equal(
-            restored.gaussian_index[gaussian], encoded.gaussian_index.ravel()[gaussian]
-        )
+        assert np.array_equal(restored.codes, encoded.codes.ravel())
 
     @given(values=value_arrays(min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_onchip_5bit_lossless(self, values):
         encoded = _QUANTIZER.quantize(values, "t").encoded
         restored = unpack_onchip_5bit(pack_onchip_5bit(encoded))
-        assert np.array_equal(restored.is_outlier, encoded.is_outlier.ravel())
+        assert np.array_equal(restored.codes, encoded.codes.ravel())
 
 
 class TestFixedPointProperties:

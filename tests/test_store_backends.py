@@ -25,6 +25,7 @@ import itertools
 import json
 import multiprocessing
 import random
+import re
 import sqlite3
 import threading
 import types
@@ -400,6 +401,32 @@ class TestBackendConformance:
             list(store.query(order_by="total_cycels"))
         with pytest.raises(ValueError, match="no comparison operator"):
             parse_filter("model")
+
+    @pytest.mark.parametrize(
+        "text", ["sequence_length>>3", "sequence_length>=", "a=<3", "model>=3"]
+    )
+    def test_malformed_filter_fails_in_one_line(self, make_store, text):
+        store = make_store()
+        scenario = Scenario()
+        store.put(scenario, fake_result(scenario))
+        with pytest.raises(ValueError, match=re.escape(text)) as info:
+            list(store.query([text]))
+        assert "\n" not in str(info.value)
+
+    def test_put_after_torn_tail_keeps_the_record(self, make_store):
+        store = make_store()
+        first, second = Scenario(model="first"), Scenario(model="second")
+        store.put(first, fake_result(first))
+        if store.backend_name == "jsonl":
+            # A writer killed mid-append leaves half a record, unterminated.
+            with store.path.open("a", encoding="utf-8") as handle:
+                handle.write('{"schema_version": ')
+            store.refresh()
+        store.put(second, fake_result(second))
+        reopened = make_store()
+        assert reopened.get(second) == fake_result(second)
+        assert len(reopened) == 2
+        assert reopened.skipped == (1 if store.backend_name == "jsonl" else 0)
 
     def test_refresh_makes_external_writes_visible(self, make_store):
         store = make_store()

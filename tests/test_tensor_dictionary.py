@@ -1,5 +1,7 @@
 """Tests for per-tensor dictionary fitting, encoding and decoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,17 @@ class TestEncodeDecode:
         dictionary = TensorDictionary.fit("t", golden, values=values)
         encoded = dictionary.encode(values)
         centred = values - dictionary.mean
-        assert np.all((encoded.sign >= 0) == (centred >= 0))
+        # Outliers store no sign (Fig. 5): only Gaussian entries carry one.
+        gaussian = ~encoded.is_outlier
+        assert np.all((encoded.sign[gaussian] >= 0) == (centred[gaussian] >= 0))
+
+    def test_more_codes_than_a_byte_fail_in_one_line(self, golden, rng):
+        values = _gaussian_with_outliers(rng)
+        dictionary = TensorDictionary.fit("t", golden, values=values)
+        wide = dataclasses.replace(dictionary, gaussian_half=np.linspace(0.0, 3.0, 128))
+        with pytest.raises(ValueError, match="exceed 256 uint8 codes") as info:
+            wide.encode(values)
+        assert "\n" not in str(info.value)
 
     def test_outlier_fraction_accounting(self, golden, rng):
         values = _gaussian_with_outliers(rng, outlier_fraction=0.03)
