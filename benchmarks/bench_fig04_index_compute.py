@@ -23,7 +23,7 @@ from repro.core.index_compute import (
     VectorizedIndexDomainEngine,
     index_domain_dot,
 )
-from repro.transformer.index_execution import execute_encoder_layer
+from repro.transformer.index_model import execute_model
 
 VECTOR_LENGTH = 1024 if TINY_MODE else 4096
 # Layer-scale GEMM for the scalar-vs-vectorized comparison; the scalar
@@ -111,8 +111,8 @@ def test_fig04_vectorized_engine_matches_scalar_at_gemm_scale(mokey_quantizer):
 def test_fig04_measured_operation_mix_flows_into_simulator(mokey_quantizer):
     """Measured layer stats land in the simulation detail next to the
     analytic (assumed-outlier-rate) counts the Mokey scheme reports."""
-    measurement = execute_encoder_layer(
-        "bert-base", sequence_length=MEASURED_SEQ, quantizer=mokey_quantizer
+    measurement = execute_model(
+        "bert-base", sequence_length=MEASURED_SEQ, num_layers=1, quantizer=mokey_quantizer
     )
     workload = model_workload("bert-base", sequence_length=MEASURED_SEQ)
     result = AcceleratorSimulator(mokey_design()).simulate(

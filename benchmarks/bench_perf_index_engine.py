@@ -32,7 +32,7 @@ is visible PR-over-PR:
   measurement and its time to first token (fresh decoder through
   prefill) under a ceiling;
 * ``decoder_multi_stream`` — several concurrent serving streams decoded
-  in lockstep through ``replay_decode_streams``, their independent
+  in lockstep through ``MultiStreamDecoder``, their independent
   GEMMs batched across streams, with the share of the serving call spent
   outside the index-domain prefill and decode (the FP reference forward
   that ``output_rms_error`` is measured against) **asserted** under a
@@ -65,14 +65,11 @@ from repro.core.index_compute import (
 )
 from repro.core.quantizer import MokeyQuantizer
 from repro.core.tensor_dictionary import TensorDictionary
-from repro.serving import replay_decode_streams
 from repro.transformer.config import TransformerConfig
-from repro.transformer.index_execution import execute_encoder_layer
 from repro.transformer.index_model import (
     GPT_DECODER_CONFIG,
     IndexDomainModelExecutor,
     MultiStreamDecoder,
-    execute_decoder,
     execute_model,
 )
 
@@ -246,15 +243,15 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
     else:
         model = "bert-base"
         sequence_length = 128
-    measurement = execute_encoder_layer(
-        model, sequence_length=sequence_length, quantizer=mokey_quantizer
-    )
+    executor = IndexDomainModelExecutor(model, num_layers=1, quantizer=mokey_quantizer)
+    states = np.random.default_rng(2).normal(
+        0.0, 1.0, size=(1, sequence_length, executor.config.hidden_size)
+    ).astype(np.float32)
+    measurement = executor.forward(states)
     # Warm forward: identical inputs and the same prepared layer, so every
     # weight plane digest hits — the "warm model forward" the plane cache
     # exists for.
-    warm = execute_encoder_layer(
-        model, sequence_length=sequence_length, quantizer=mokey_quantizer
-    )
+    warm = executor.forward(states)
     pairs = measurement.stats.total_pairs
     warm_cache = warm.plane_cache.to_dict() if warm.plane_cache else {}
     print(
@@ -486,13 +483,9 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
     measurement = decoder.run(prompt_length=PROMPT_LENGTH, decode_tokens=DECODE_TOKENS)
     time_to_first_token = construct_seconds + measurement.prefill_seconds
     cached_tokens = decoder.cache.cached_tokens((0, 0))
-    uncached = execute_decoder(
-        DECODER_SPEC,
-        prompt_length=PROMPT_LENGTH,
-        decode_tokens=DECODE_TOKENS,
-        quantizer=quantizer,
-        oracle=True,
-    )
+    uncached = MultiStreamDecoder(
+        DECODER_SPEC, num_streams=1, quantizer=quantizer, oracle=True
+    ).run(prompt_length=PROMPT_LENGTH, decode_tokens=DECODE_TOKENS)
     cache = measurement.plane_cache.to_dict() if measurement.plane_cache else {}
     print(
         f"\ndecoder ({measurement.model}, {measurement.num_layers} layers, "
@@ -534,7 +527,7 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
     assert measurement.output_rms_error < 0.5
     # Bit-identity: the incremental plane cache is a pure execution
     # strategy — outputs and op counts match the uncached oracle exactly.
-    assert np.array_equal(measurement.outputs[0], uncached.outputs)
+    assert np.array_equal(measurement.outputs[0], uncached.outputs[0])
     assert measurement.stats == uncached.stats
     assert time_to_first_token <= TTFT_CEILING, (
         f"time to first token {time_to_first_token:.2f}s (ceiling "
@@ -549,7 +542,7 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
 
 
 def test_perf_decoder_multi_stream(mokey_quantizer):
-    """Lockstep multi-stream decode through the serving entry point.
+    """Lockstep multi-stream decode through ``MultiStreamDecoder``.
 
     An untimed one-token call first prepares the model and caches its
     weight planes, as a deployment does before serving, so the timed
@@ -559,20 +552,12 @@ def test_perf_decoder_multi_stream(mokey_quantizer):
     bookkeeping.
     """
     quantizer = MokeyQuantizer(mokey_quantizer.golden)
-    replay_decode_streams(
-        model=DECODER_SPEC,
-        num_streams=1,
-        prompt_length=1,
-        decode_tokens=0,
-        quantizer=quantizer,
+    MultiStreamDecoder(DECODER_SPEC, num_streams=1, quantizer=quantizer).run(
+        prompt_length=1, decode_tokens=0
     )
     started = time.perf_counter()
-    result = replay_decode_streams(
-        model=DECODER_SPEC,
-        num_streams=STREAMS,
-        prompt_length=STREAM_PROMPT,
-        decode_tokens=STREAM_DECODE,
-        quantizer=quantizer,
+    result = MultiStreamDecoder(DECODER_SPEC, num_streams=STREAMS, quantizer=quantizer).run(
+        prompt_length=STREAM_PROMPT, decode_tokens=STREAM_DECODE
     )
     run_seconds = time.perf_counter() - started
     oracle_share = 1.0 - (result.prefill_seconds + result.decode_seconds) / run_seconds
@@ -589,7 +574,22 @@ def test_perf_decoder_multi_stream(mokey_quantizer):
     record_perf(
         "decoder_multi_stream",
         {
-            **result.to_dict(),
+            **{
+                field: getattr(result, field)
+                for field in (
+                    "num_streams",
+                    "prompt_length",
+                    "decode_tokens",
+                    "tokens_per_second",
+                    "per_stream_tokens_per_second",
+                    "prefill_seconds",
+                    "decode_seconds",
+                    "output_rms_error",
+                )
+            },
+            "plane_cache": (
+                None if result.plane_cache is None else result.plane_cache.to_dict()
+            ),
             "run_seconds": run_seconds,
             "oracle_share": oracle_share,
             "oracle_share_ceiling": ORACLE_SHARE_CEILING,

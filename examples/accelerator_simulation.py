@@ -50,9 +50,9 @@ def main(
         ),
         execution=ExecutionPolicy(store=store_dir),
     )
-    # An explicit cache keeps the hit counters for the summary below; its
-    # backing store is the same directory the spec's policy names, so the
-    # CLI (`repro campaign run --spec`) and this script share results.
+    # The result below holds this cache; its backing store is the same
+    # directory the spec's policy names, so the CLI (`repro campaign run
+    # --spec`) and this script share results.
     cache = ResultCache(store=None if store_dir is None else ArtifactStore(store_dir))
 
     records = []
@@ -67,7 +67,7 @@ def main(
     if store_dir is not None:
         print(
             f"store {store_dir}: {campaign.simulated_count} simulated, "
-            f"{cache.store_hits} served from disk"
+            f"{len(campaign) - campaign.simulated_count} served from disk"
         )
 
     scenarios = spec.scenarios()

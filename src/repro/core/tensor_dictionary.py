@@ -288,7 +288,10 @@ class TensorDictionary:
                 f"{self.outlier_centroids.size} outlier entries exceed 256 uint8 codes"
             )
         values = np.asarray(values, dtype=np.float64)
-        centred = values - self.mean
+        # Encode a flat view: a 0-d input would otherwise make the
+        # temporaries NumPy scalars, which cannot take ``out=``.
+        flat = values.reshape(-1)
+        centred = flat - self.mean
         magnitude = np.abs(centred)
         is_outlier = magnitude > self.threshold if self.has_outliers else None
 
@@ -307,9 +310,9 @@ class TensorDictionary:
         if is_outlier is not None:
             ot_midpoints = (self.outlier_centroids[:-1] + self.outlier_centroids[1:]) / 2.0
             codes[is_outlier] = 2 * half_entries + np.searchsorted(
-                ot_midpoints, values[is_outlier]
+                ot_midpoints, flat[is_outlier]
             )
-        return EncodedValues(codes=codes, half_entries=half_entries)
+        return EncodedValues(codes=codes.reshape(values.shape), half_entries=half_entries)
 
     def decode(self, encoded: EncodedValues, apply_fixed_point: bool = True) -> np.ndarray:
         """Reconstruct tensor values from their encoding: one table lookup.

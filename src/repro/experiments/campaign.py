@@ -82,10 +82,10 @@ class ResultCache:
 
     When constructed with a backing
     :class:`~repro.experiments.store.ArtifactStore`, lookups that miss in
-    memory fall through to disk (counted in :attr:`store_hits` as well as
-    :attr:`hits`) and stores write through, making the cache persistent
-    across processes.  :meth:`clear` drops only the in-memory state; the
-    backing store is managed separately (``repro campaign clean``).
+    memory fall through to disk and stores write through, making the
+    cache persistent across processes.  :meth:`clear` drops only the
+    in-memory state; the backing store is managed separately
+    (``repro campaign clean``).
     """
 
     def __init__(self, store: Optional[Any] = None) -> None:
@@ -100,15 +100,6 @@ class ResultCache:
         self._measured: Dict[Tuple[MeasuredKey, str], MeasuredStats] = {}
         self._lock = threading.Lock()
         self._store = store
-        self.hits = 0
-        self.misses = 0
-        self.store_hits = 0
-        self.fidelity_hits = 0
-        self.fidelity_misses = 0
-        self.fidelity_store_hits = 0
-        self.measured_hits = 0
-        self.measured_misses = 0
-        self.measured_store_hits = 0
 
     @property
     def backing_store(self) -> Optional[Any]:
@@ -137,24 +128,30 @@ class ResultCache:
                 return True
         return self._store is not None and scenario in self._store
 
+    def _memo_then_store(
+        self,
+        memo: Dict[Any, Any],
+        memo_key: Any,
+        from_store: Callable[[], Any],
+        accept: Callable[[Any], bool] = lambda value: True,
+    ) -> Any:
+        """``memo[memo_key]``, else the store's value (memoised) if accepted."""
+        with self._lock:
+            value = memo.get(memo_key)
+        if value is not None or self._store is None:
+            return value
+        value = from_store()
+        if value is None or not accept(value):
+            return None
+        with self._lock:
+            memo[memo_key] = value
+        return value
+
     def lookup(self, scenario: Scenario) -> Optional[SimulationResult]:
-        """Return the cached result, counting a hit or miss."""
-        with self._lock:
-            result = self._results.get(scenario)
-            if result is not None:
-                self.hits += 1
-                return result
-        if self._store is not None:
-            result = self._store.get(scenario)
-            if result is not None:
-                with self._lock:
-                    self._results[scenario] = result
-                    self.hits += 1
-                    self.store_hits += 1
-                return result
-        with self._lock:
-            self.misses += 1
-        return None
+        """The cached result: in memory, then in the backing store."""
+        return self._memo_then_store(
+            self._results, scenario, lambda: self._store.get(scenario)
+        )
 
     def store(
         self,
@@ -184,7 +181,7 @@ class ResultCache:
         key: Optional[AccuracyKey] = None,
         settings_digest: Optional[str] = None,
     ) -> Optional[FidelityResult]:
-        """The cached fidelity for ``scenario``, counting a hit or miss.
+        """The cached fidelity for ``scenario``, or ``None``.
 
         Resolution order: the in-memory memo by :func:`accuracy_key` (one
         evaluation serves every seq/batch/buffer point sharing the key),
@@ -195,23 +192,12 @@ class ResultCache:
         key = accuracy_key(scenario) if key is None else key
         if settings_digest is None:
             settings_digest = _DEFAULT_SETTINGS_DIGEST
-        memo_key = (key, settings_digest)
-        with self._lock:
-            fidelity = self._fidelity.get(memo_key)
-            if fidelity is not None:
-                self.fidelity_hits += 1
-                return fidelity
-        if self._store is not None:
-            fidelity = self._store.get_fidelity(scenario)
-            if fidelity is not None and fidelity.settings_digest == settings_digest:
-                with self._lock:
-                    self._fidelity[memo_key] = fidelity
-                    self.fidelity_hits += 1
-                    self.fidelity_store_hits += 1
-                return fidelity
-        with self._lock:
-            self.fidelity_misses += 1
-        return None
+        return self._memo_then_store(
+            self._fidelity,
+            (key, settings_digest),
+            lambda: self._store.get_fidelity(scenario),
+            lambda fidelity: fidelity.settings_digest == settings_digest,
+        )
 
     def lookup_measured(
         self,
@@ -219,7 +205,7 @@ class ResultCache:
         key: Optional[MeasuredKey] = None,
         settings_digest: Optional[str] = None,
     ) -> Optional[MeasuredStats]:
-        """The cached measured stats for ``scenario``, counting hit or miss.
+        """The cached measured stats for ``scenario``, or ``None``.
 
         Resolution order mirrors :meth:`lookup_fidelity`: the in-memory
         memo by :func:`~repro.experiments.measured.measured_key`, then the
@@ -229,39 +215,19 @@ class ResultCache:
         key = measured_key(scenario) if key is None else key
         if settings_digest is None:
             settings_digest = _DEFAULT_MEASUREMENT_DIGEST
-        memo_key = (key, settings_digest)
-        with self._lock:
-            measured = self._measured.get(memo_key)
-            if measured is not None:
-                self.measured_hits += 1
-                return measured
-        if self._store is not None:
-            measured = self._store.get_measured(scenario)
-            if measured is not None and measured.settings_digest == settings_digest:
-                with self._lock:
-                    self._measured[memo_key] = measured
-                    self.measured_hits += 1
-                    self.measured_store_hits += 1
-                return measured
-        with self._lock:
-            self.measured_misses += 1
-        return None
+        return self._memo_then_store(
+            self._measured,
+            (key, settings_digest),
+            lambda: self._store.get_measured(scenario),
+            lambda measured: measured.settings_digest == settings_digest,
+        )
 
     def clear(self) -> None:
-        """Reset the in-memory cache and counters (not the backing store)."""
+        """Reset the in-memory cache (not the backing store)."""
         with self._lock:
             self._results.clear()
             self._fidelity.clear()
             self._measured.clear()
-            self.hits = 0
-            self.misses = 0
-            self.store_hits = 0
-            self.fidelity_hits = 0
-            self.fidelity_misses = 0
-            self.fidelity_store_hits = 0
-            self.measured_hits = 0
-            self.measured_misses = 0
-            self.measured_store_hits = 0
 
 
 @dataclass

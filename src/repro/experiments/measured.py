@@ -3,10 +3,11 @@
 The schemes' analytic cost models count operations from GEMM shapes plus
 *assumed* outlier-pair fractions (``gaussian_pairs`` / ``outlier_pairs``
 in the Mokey scheme's compute detail).  This module produces the
-*measured* counterpart by actually running one encoder layer of the
-scenario's workload through the vectorized index-domain engine
-(:mod:`repro.transformer.index_execution`) and counting every Gaussian
-and outlier operand pair in the real encodings.
+*measured* counterpart by actually running one encoder layer (or the
+whole stack) of the scenario's workload through the vectorized
+index-domain engine
+(:class:`~repro.transformer.index_model.IndexDomainModelExecutor`) and
+counting every Gaussian and outlier operand pair in the real encodings.
 
 Measured statistics depend only on ``(model, sequence_length,
 batch_size)`` — not on the design point, scheme override or buffer
@@ -26,6 +27,8 @@ import json
 import threading
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.experiments.scenario import Scenario
 
@@ -57,16 +60,33 @@ class MeasurementSettings:
         golden_repeats: Repeats for the Golden Dictionary build.
         golden_seed: Seed for the Golden Dictionary build.
         scope: ``"layer"`` (default) measures one encoder layer;
-            ``"model"`` runs the whole encoder stack through
-            :func:`repro.transformer.index_model.execute_model` — every
-            layer's index-domain output feeding the next — and sums the
-            counts across the full depth.
+            ``"model"`` runs the whole encoder stack — every layer's
+            index-domain output feeding the next — and sums the counts
+            across the full depth.
+
+    Raises:
+        ValueError: an unknown scope, or golden sample/repeat counts that
+            are not positive integers (one line naming the field), when
+            the settings are built — so a malformed campaign spec fails
+            when it is parsed, not mid-campaign.
     """
 
     golden_samples: int = 12000
     golden_repeats: int = 2
     golden_seed: int = 7
     scope: str = "layer"
+
+    def __post_init__(self) -> None:
+        if self.scope not in ("layer", "model"):
+            raise ValueError(
+                f"measurement_settings.scope must be 'layer' or 'model', got {self.scope!r}"
+            )
+        for name in ("golden_samples", "golden_repeats"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"measurement_settings.{name} must be a positive integer, got {value!r}"
+                )
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -226,52 +246,34 @@ def evaluate_measured(
 ) -> MeasuredStats:
     """Measure the index-domain operation mix of one workload.
 
-    At the default layer scope, runs
-    :func:`repro.transformer.index_execution.execute_encoder_layer` at
-    the workload's full model width; at model scope
-    (``settings.scope == "model"``), runs the entire encoder stack
-    through :func:`repro.transformer.index_model.execute_model` and sums
-    the counts across the full depth.  Either way the outcome folds into
+    Runs the workload at its full model width through
+    :class:`~repro.transformer.index_model.IndexDomainModelExecutor`:
+    one encoder layer at the default layer scope, the entire encoder
+    stack (counts summed across the full depth) at model scope
+    (``settings.scope == "model"``).  Either way the outcome folds into
     a deterministic, serializable :class:`MeasuredStats`.
 
     Raises:
         KeyError: unknown model name.
-        ValueError: non-positive sequence length or batch size, or an
-            unknown measurement scope.
+        ValueError: non-positive sequence length or batch size.
     """
+    from repro.transformer.index_model import IndexDomainModelExecutor
+
     settings = settings or DEFAULT_MEASUREMENT_SETTINGS
-    if settings.scope not in ("layer", "model"):
-        raise ValueError(
-            f"unknown measurement scope {settings.scope!r} (choose 'layer' or 'model')"
-        )
+    if sequence_length < 1:
+        raise ValueError(f"sequence_length must be >= 1, got {sequence_length}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     seed = _stable_seed(model, sequence_length, batch_size)
-    quantizer = _measurement_quantizer(settings)
-    if settings.scope == "model":
-        from repro.transformer.index_model import execute_model
-
-        measurement = execute_model(
-            model,
-            sequence_length=sequence_length,
-            batch_size=batch_size,
-            quantizer=quantizer,
-            seed=seed,
-        )
-        gemm_instances = sum(
-            g.count for layer in measurement.layers for g in layer.gemms
-        )
-        layers_measured = measurement.num_layers
-    else:
-        from repro.transformer.index_execution import execute_encoder_layer
-
-        measurement = execute_encoder_layer(
-            model,
-            sequence_length=sequence_length,
-            batch_size=batch_size,
-            quantizer=quantizer,
-            seed=seed,
-        )
-        gemm_instances = sum(g.count for g in measurement.gemms)
-        layers_measured = 1
+    # The scope picks the depth and the input stream, nothing else.
+    depth, input_seed = (None, seed + 7919) if settings.scope == "model" else (1, seed + 2)
+    executor = IndexDomainModelExecutor(
+        model, num_layers=depth, quantizer=_measurement_quantizer(settings), seed=seed
+    )
+    hidden_states = np.random.default_rng(input_seed).normal(
+        0.0, 1.0, size=(batch_size, sequence_length, executor.config.hidden_size)
+    ).astype(np.float32)
+    measurement = executor.forward(hidden_states)
     stats = measurement.stats
     return MeasuredStats(
         model=model,
@@ -282,10 +284,10 @@ def evaluate_measured(
         index_additions=stats.index_additions,
         counter_updates=stats.counter_updates,
         post_processing_macs=stats.post_processing_macs,
-        gemm_instances=gemm_instances,
+        gemm_instances=sum(g.count for layer in measurement.layers for g in layer.gemms),
         output_rms_error=measurement.output_rms_error,
         seed=seed,
         settings_digest=settings.digest(),
         scope=settings.scope,
-        layers_measured=layers_measured,
+        layers_measured=measurement.num_layers,
     )

@@ -91,6 +91,13 @@ def _check_bool(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def _lookup(registry: Any, label: str, name: Any) -> Any:
+    """``registry.get(name)``, rejecting a non-string ``name`` as ``label``'s."""
+    if not isinstance(name, str):
+        raise ValueError(f"{label} must name registered entries, got {name!r}")
+    return registry.get(name)
+
+
 def _check_execution(policy: "ExecutionPolicy") -> None:
     """Reject a malformed execution policy in one ``ValueError`` line."""
     from repro import registry  # deferred: registry imports this package
@@ -106,7 +113,7 @@ def _check_execution(policy: "ExecutionPolicy") -> None:
             raise ValueError(f"{label} must be a positive integer or null, got {value!r}")
     _check_bool("resume", policy.resume)
     if policy.store_backend is not None:
-        registry.STORES.get(policy.store_backend)
+        _lookup(registry.STORES, "store_backend", policy.store_backend)
 
 
 @dataclass(frozen=True)
@@ -253,19 +260,19 @@ class Enrichments:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Enrichments":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
-        raw_accuracy = data.get("accuracy_settings")
-        raw_measurement = data.get("measurement_settings")
+        settings = {}
+        for key, settings_cls in (("accuracy_settings", AccuracySettings),
+                                  ("measurement_settings", MeasurementSettings)):
+            raw = data.get(key)
+            if raw is not None and not isinstance(raw, Mapping):
+                raise ValueError(
+                    f"enrichments {key!r} must be an object, got {type(raw).__name__}"
+                )
+            settings[key] = None if raw is None else settings_cls.from_dict(raw)
         return cls(
             accuracy=data.get("accuracy", False),
             measured=data.get("measured", False),
-            accuracy_settings=(
-                None if raw_accuracy is None else AccuracySettings.from_dict(raw_accuracy)
-            ),
-            measurement_settings=(
-                None
-                if raw_measurement is None
-                else MeasurementSettings.from_dict(raw_measurement)
-            ),
+            **settings,
         )
 
 
@@ -368,14 +375,14 @@ class CampaignSpec:
         else:
             models, tasks, seqs = list(axes.models), list(axes.tasks), list(axes.sequence_lengths)
         for model in models:
-            registry.MODELS.get(model)
+            _lookup(registry.MODELS, "models", model)
         for task in tasks:
-            registry.TASKS.get(task)
+            _lookup(registry.TASKS, "tasks", task)
         for scheme in axes.schemes:
             if scheme is not None:
-                registry.SCHEMES.get(scheme)
+                _lookup(registry.SCHEMES, "schemes", scheme)
         for design in axes.designs:
-            registry.DESIGNS.get(design)
+            _lookup(registry.DESIGNS, "designs", design)
         for seq in seqs:
             if seq is not None and (not _is_int(seq) or seq <= 0):
                 raise ValueError(f"sequence lengths must be positive or None, got {seq!r}")

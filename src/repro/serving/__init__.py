@@ -20,16 +20,20 @@ Layers (each independently usable):
 - :mod:`repro.serving.spec` — the declarative, JSON-round-trippable
   :class:`ServingSpec` with streaming, resumable, executor-fanned
   execution (``repro serve-sim`` on the CLI).
+
+Everything here times *simulated* accelerators.  The real index-domain
+software pipeline has two front doors in :mod:`repro.transformer.index_model`:
+:class:`~repro.transformer.index_model.IndexDomainModelExecutor` runs
+encoders and :class:`~repro.transformer.index_model.MultiStreamDecoder`
+decodes any number of lockstep streams.
 """
 
 from repro.serving.policies import POLICY_KINDS, PolicySpec, register_policy
 from repro.serving.replay import (
     BatchCost,
     BatchCostModel,
-    DecodeStreamsResult,
     ReplayResult,
     ServingMetrics,
-    replay_decode_streams,
     replay_trace,
 )
 from repro.serving.spec import (
@@ -55,8 +59,6 @@ __all__ = [
     "ServingMetrics",
     "ReplayResult",
     "replay_trace",
-    "DecodeStreamsResult",
-    "replay_decode_streams",
     "ServingSpec",
     "ServingRecord",
     "ServingProgress",

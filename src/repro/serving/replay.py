@@ -40,8 +40,6 @@ __all__ = [
     "ServingMetrics",
     "ReplayResult",
     "replay_trace",
-    "DecodeStreamsResult",
-    "replay_decode_streams",
 ]
 
 
@@ -310,96 +308,4 @@ def replay_trace(
     return ReplayResult(
         metrics=metrics,
         batch_size_counts=dict(sorted(size_counts.items())),
-    )
-
-
-@dataclass(frozen=True)
-class DecodeStreamsResult:
-    """What one lockstep multi-stream software decode measured.
-
-    Unlike :class:`ReplayResult` — which times *simulated* accelerators —
-    this runs the real index-domain software pipeline: ``num_streams``
-    concurrent requests share one model's quantized weights, weight
-    planes, and plane cache, and the prefill pass and every decode step
-    batch the streams' independent GEMMs through
-    ``index_domain_matmul_many``.
-
-    Attributes:
-        num_streams: Concurrent streams decoded in lockstep.
-        prompt_length: Prompt tokens per stream at prefill.
-        decode_tokens: Autoregressive steps executed per stream.
-        tokens_per_second: Aggregate decode throughput across streams.
-        per_stream_tokens_per_second: Decode throughput of one stream.
-        prefill_seconds: Wall time of the batched prefill pass.
-        decode_seconds: Wall time of the lockstep decode loop.
-        output_rms_error: Worst per-stream RMS error vs the FP oracle.
-        plane_cache: Plane-cache hit/miss counters for the run (mapping
-            form of ``PlaneCacheStats``), or ``None`` when caching was
-            disabled.
-    """
-
-    num_streams: int
-    prompt_length: int
-    decode_tokens: int
-    tokens_per_second: float
-    per_stream_tokens_per_second: float
-    prefill_seconds: float
-    decode_seconds: float
-    output_rms_error: float
-    plane_cache: Optional[Dict[str, Any]]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def replay_decode_streams(
-    model: Any = None,
-    num_streams: int = 4,
-    prompt_length: int = 16,
-    decode_tokens: int = 8,
-    num_layers: Optional[int] = None,
-    quantizer: Any = None,
-    engine: str = "vectorized",
-    device: Optional[str] = None,
-    seed: int = 0,
-) -> DecodeStreamsResult:
-    """Decode ``num_streams`` concurrent requests through the real pipeline.
-
-    A thin serving-facing wrapper over
-    :class:`~repro.transformer.index_model.MultiStreamDecoder` (imported
-    lazily so the serving package stays importable without the
-    transformer stack): all streams share quantized weights, weight
-    planes and the plane cache, and the prefill pass and each decode
-    step issue one batched GEMM call per GEMM family across streams.
-    Stream 0 reproduces a solo ``execute_decoder`` run with the same
-    seed.
-    """
-    from repro.transformer.index_model import GPT_DECODER_CONFIG, MultiStreamDecoder
-
-    decoder = MultiStreamDecoder(
-        model=GPT_DECODER_CONFIG if model is None else model,
-        num_streams=num_streams,
-        num_layers=num_layers,
-        quantizer=quantizer,
-        engine=engine,
-        device=device,
-        seed=seed,
-    )
-    measurement = decoder.run(
-        prompt_length=prompt_length, decode_tokens=decode_tokens
-    )
-    return DecodeStreamsResult(
-        num_streams=measurement.num_streams,
-        prompt_length=measurement.prompt_length,
-        decode_tokens=measurement.decode_tokens,
-        tokens_per_second=measurement.tokens_per_second,
-        per_stream_tokens_per_second=measurement.per_stream_tokens_per_second,
-        prefill_seconds=measurement.prefill_seconds,
-        decode_seconds=measurement.decode_seconds,
-        output_rms_error=measurement.output_rms_error,
-        plane_cache=(
-            None
-            if measurement.plane_cache is None
-            else measurement.plane_cache.to_dict()
-        ),
     )

@@ -55,6 +55,7 @@ from repro.experiments.spec import (
     _as_tuple,
     _check_execution,
     _is_int,
+    _lookup,
     _policy_cache,
 )
 from repro.experiments.store import open_store
@@ -131,17 +132,17 @@ class ServingSpec:
         """
         from repro import registry  # deferred: registry imports this package
 
-        registry.MODELS.get(self.model)
-        registry.TASKS.get(self.task)
+        _lookup(registry.MODELS, "model", self.model)
+        _lookup(registry.TASKS, "task", self.task)
         for scheme in self.schemes:
             if scheme is not None:
-                registry.SCHEMES.get(scheme)
+                _lookup(registry.SCHEMES, "schemes", scheme)
         if not self.designs:
             raise ValueError("ServingSpec.designs must name at least one design")
         for design in self.designs:
-            registry.DESIGNS.get(design)
-        registry.TRACES.get(self.trace.kind)
-        registry.POLICIES.get(self.policy.kind)
+            _lookup(registry.DESIGNS, "designs", design)
+        _lookup(registry.TRACES, "trace.kind", self.trace.kind)
+        _lookup(registry.POLICIES, "policy.kind", self.policy.kind)
         seq = self.sequence_length
         if seq is not None and (not _is_int(seq) or seq <= 0):
             raise ValueError(f"sequence_length must be positive or None, got {seq!r}")

@@ -83,15 +83,14 @@ class TraceSpec:
         # normalise to a sorted tuple so equal specs hash equally and
         # from_dict(to_dict()) round-trips to equality.
         raw = self.params
-        if isinstance(raw, Mapping):
-            items = raw.items()
-        else:
-            items = tuple(tuple(pair) for pair in raw)
-        object.__setattr__(
-            self,
-            "params",
-            tuple(sorted((str(name), float(value)) for name, value in items)),
-        )
+        try:
+            items = raw.items() if isinstance(raw, Mapping) else (tuple(p) for p in raw)
+            params = tuple(sorted((str(name), float(value)) for name, value in items))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"trace.params must map names to numbers, got {raw!r}"
+            ) from None
+        object.__setattr__(self, "params", params)
 
     def param(self, name: str, default: float) -> float:
         """The named generator parameter, or ``default``."""

@@ -9,17 +9,11 @@ activation *distributions* match what the paper relies on: bell-shaped
 """
 
 from repro.transformer.config import TransformerConfig
-from repro.transformer.index_execution import (
-    IndexDomainEncoderExecutor,
-    LayerMeasurement,
-    execute_encoder_layer,
-)
+from repro.transformer.index_execution import IndexDomainEncoderExecutor, LayerMeasurement
 from repro.transformer.index_model import (
-    DecodeMeasurement,
     IndexDomainModelExecutor,
     IndexKVCache,
     ModelMeasurement,
-    execute_decoder,
     execute_model,
 )
 from repro.transformer.model import TransformerModel
@@ -33,13 +27,10 @@ __all__ = [
     "TensorStatistics",
     "IndexDomainEncoderExecutor",
     "LayerMeasurement",
-    "execute_encoder_layer",
     "IndexDomainModelExecutor",
     "ModelMeasurement",
     "execute_model",
     "IndexKVCache",
-    "DecodeMeasurement",
-    "execute_decoder",
     "PreparedModel",
     "prepare_model",
 ]

@@ -14,12 +14,14 @@ projections.  Everything between GEMMs (bias, softmax, GELU, residuals,
 LayerNorm) runs in floating point, mirroring the accelerator's
 post-processing units.
 
-The outcome is a :class:`LayerMeasurement`: per-GEMM *measured*
+:class:`~repro.transformer.index_model.IndexDomainModelExecutor` is the
+front door (one layer or a whole stack); each layer it runs yields a
+:class:`LayerMeasurement`: per-GEMM *measured*
 :class:`~repro.core.index_compute.IndexComputeStats` (Gaussian vs outlier
 pair counts from the actual encodings, not the scheme's assumed
-fractions), wall-clock timings of the encode and compute phases, and
-the output error against the FP forward of the same block.  The campaign
-engine joins these measured counts to scenario records
+fractions), the layer's encode and compute wall time, and the output
+error against the FP forward of the same block.  The campaign engine
+joins these measured counts to scenario records
 (``enrichments=Enrichments(measured=True)`` on a campaign spec) next to
 the analytic counts the schemes report.
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -40,25 +41,20 @@ import numpy as np
 
 from repro.core.index_compute import (
     IndexComputeStats,
-    PlaneCacheStats,
-    get_plane_cache,
     index_domain_matmul_many,
     resolve_engine,
     use_plane_cache,
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
-from repro.transformer.config import TransformerConfig
 from repro.transformer.functional import gelu, softmax
 from repro.transformer.layers import Linear
-from repro.transformer.model_zoo import MODEL_CONFIGS
-from repro.transformer.prepared import FPRunner, PreparedLayer, prepare_model
+from repro.transformer.prepared import PreparedLayer
 
 __all__ = [
     "GemmMeasurement",
     "LayerMeasurement",
     "IndexDomainEncoderExecutor",
-    "execute_encoder_layer",
 ]
 
 #: A GEMM's right operand: a weight layer, an encoded tensor or raw values.
@@ -76,10 +72,6 @@ class GemmMeasurement:
         count: Instances executed (heads x batch for the attention
             score/context GEMMs, 1 otherwise).
         stats: Measured operation counts summed over all instances.
-        quantize_seconds: Wall time spent encoding the activation operands
-            (an operand family's one encode split evenly over its
-            operands, see :meth:`IndexDomainEncoderExecutor.gemm`).
-        engine_seconds: Wall time spent in the index-domain engine.
     """
 
     name: str
@@ -88,8 +80,6 @@ class GemmMeasurement:
     n: int
     count: int = 0
     stats: IndexComputeStats = field(default_factory=IndexComputeStats)
-    quantize_seconds: float = 0.0
-    engine_seconds: float = 0.0
 
 
 @dataclass
@@ -108,8 +98,6 @@ class LayerMeasurement:
             FP reference forward is not included.
         output_rms_error: RMS error of the index-domain layer output
             against the FP forward, relative to the FP output RMS.
-        plane_cache: Plane-cache counter delta over this measurement
-            (``None`` when the caller did not capture one).
     """
 
     model: str
@@ -121,35 +109,6 @@ class LayerMeasurement:
     engine_seconds: float
     total_seconds: float
     output_rms_error: float
-    plane_cache: Optional[PlaneCacheStats] = None
-
-    @classmethod
-    def from_gemms(
-        cls,
-        model: str,
-        hidden_states: np.ndarray,
-        gemms: List[GemmMeasurement],
-        total_seconds: float,
-        output_rms_error: float,
-        plane_cache: Optional[PlaneCacheStats] = None,
-    ) -> "LayerMeasurement":
-        """Fold one ``(batch, seq, hidden)`` forward's GEMM records."""
-        stats = IndexComputeStats()
-        for gemm in gemms:
-            stats.merge(gemm.stats)
-        batch, seq, _hidden = hidden_states.shape
-        return cls(
-            model=model,
-            sequence_length=seq,
-            batch_size=batch,
-            gemms=gemms,
-            stats=stats,
-            quantize_seconds=sum(g.quantize_seconds for g in gemms),
-            engine_seconds=sum(g.engine_seconds for g in gemms),
-            total_seconds=total_seconds,
-            output_rms_error=output_rms_error,
-            plane_cache=plane_cache,
-        )
 
     @property
     def measured_macs(self) -> int:
@@ -252,6 +211,9 @@ class IndexDomainEncoderExecutor:
         self.oracle = bool(oracle)
         #: GEMMs served from stored weight encodings (monotonic).
         self.weight_cache_hits = 0
+        # Encode and engine wall time over every GEMM call (monotonic).
+        self._quantize_seconds = 0.0
+        self._engine_seconds = 0.0
 
     def gemm(
         self,
@@ -270,10 +232,8 @@ class IndexDomainEncoderExecutor:
         :func:`_activation_operands`); the operands sharing a dictionary
         (an operand family, such as every head's score operand) are
         encoded by one call, and all items share one
-        :func:`index_domain_matmul_many` call.  Each item is recorded
-        under its name: the engine time is split evenly over the items,
-        a family's encode time evenly over its operands, and an
-        operand's share evenly over the items reading it.
+        :func:`index_domain_matmul_many` call.  Each item's counts are
+        recorded under its name; wall time is kept per call only.
 
         Returns:
             One output array per item, in order.
@@ -301,19 +261,17 @@ class IndexDomainEncoderExecutor:
         for operand, _ in _activation_operands(items):
             families.setdefault(names[id(operand)], []).append(operand)
         encoded: Dict[int, QuantizedTensor] = {}
-        seconds: Dict[int, float] = {}
+        started = time.perf_counter()
         for name, operands in families.items():
-            started = time.perf_counter()
             tensors = _encode_family(
                 self.quantizer, name, operands, layer.dictionaries[name]
             )
-            share = (time.perf_counter() - started) / len(operands)
             for operand, quantized in zip(operands, tensors):
                 # A float right operand (an encoder K/V slice) serves this
                 # request only: keep its planes out of the digest cache.
                 quantized.per_request = name.endswith(".weight")
                 encoded[id(operand)] = quantized
-                seconds[id(operand)] = share
+        self._quantize_seconds += time.perf_counter() - started
         pairs = []
         for name, x, rhs in items:
             if isinstance(rhs, Linear):
@@ -322,14 +280,13 @@ class IndexDomainEncoderExecutor:
             else:
                 weights = encoded.get(id(rhs), rhs)
             pairs.append((encoded[id(x)], weights))
-        readers = Counter(id(operand) for _, x, rhs in items for operand in (x, rhs))
 
         started = time.perf_counter()
         with use_plane_cache(None) if self.oracle else contextlib.nullcontext():
             results = index_domain_matmul_many(
                 pairs, engine=self.engine_cls, device=self.device
             )
-        engine_share = (time.perf_counter() - started) / len(items)
+        self._engine_seconds += time.perf_counter() - started
 
         outputs = []
         for (name, x, rhs), (_, wq), result in zip(items, pairs, results):
@@ -339,11 +296,6 @@ class IndexDomainEncoderExecutor:
                 measurements[name] = record
             record.count += 1
             record.stats.merge(result.stats)
-            record.quantize_seconds += sum(
-                seconds.get(id(operand), 0.0) / readers[id(operand)]
-                for operand in (x, rhs)
-            )
-            record.engine_seconds += engine_share
             if isinstance(rhs, Linear):
                 outputs.append(result.values + rhs.bias)
             else:
@@ -352,16 +304,23 @@ class IndexDomainEncoderExecutor:
 
     def run_block(
         self, layer: PreparedLayer, hidden_states: np.ndarray
-    ) -> "tuple[np.ndarray, List[GemmMeasurement]]":
+    ) -> Tuple[np.ndarray, List[GemmMeasurement], float, float]:
         """Forward ``(batch, seq, hidden)`` states through ``layer``.
 
         Returns:
-            The ``(batch, seq, hidden)`` block output and the per-GEMM
-            measurements in execution order.
+            The ``(batch, seq, hidden)`` block output, the per-GEMM
+            measurements in execution order, and the block's encode and
+            engine wall time.
         """
         measurements: Dict[str, GemmMeasurement] = {}
+        quantize_before, engine_before = self._quantize_seconds, self._engine_seconds
         output = _encoder_layer(self, measurements, layer, hidden_states)
-        return output, list(measurements.values())
+        return (
+            output,
+            list(measurements.values()),
+            self._quantize_seconds - quantize_before,
+            self._engine_seconds - engine_before,
+        )
 
 
 def _encoder_layer(
@@ -462,95 +421,4 @@ def _encoder_layer(
     )
     return block.output_norm(
         hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32)
-    )
-
-
-def _resolve_config(model: Union[str, TransformerConfig]) -> TransformerConfig:
-    if isinstance(model, TransformerConfig):
-        return model
-    if model not in MODEL_CONFIGS:
-        raise KeyError(f"unknown model {model!r}; known: {sorted(MODEL_CONFIGS)}")
-    return MODEL_CONFIGS[model]
-
-
-def _relative_rms(output: np.ndarray, reference: np.ndarray) -> float:
-    """RMS of ``output - reference`` relative to the reference RMS."""
-    reference_rms = float(np.sqrt(np.mean(np.square(reference)))) or 1.0
-    return float(np.sqrt(np.mean(np.square(output - reference)))) / reference_rms
-
-
-def _plane_cache_stats(
-    executor: IndexDomainEncoderExecutor, since: Optional[PlaneCacheStats] = None
-) -> Optional[PlaneCacheStats]:
-    """Plane-cache counters (minus ``since``); ``None`` when not in use."""
-    cache = None if executor.oracle else get_plane_cache()
-    if cache is None:
-        return None
-    stats = cache.stats()
-    return stats if since is None else stats.minus(since)
-
-
-def execute_encoder_layer(
-    model: Union[str, TransformerConfig] = "bert-base",
-    sequence_length: int = 128,
-    batch_size: int = 1,
-    quantizer: Optional[MokeyQuantizer] = None,
-    engine: str = "vectorized",
-    seed: int = 0,
-    device: Optional[str] = None,
-    oracle: bool = False,
-    executor: Optional[IndexDomainEncoderExecutor] = None,
-) -> LayerMeasurement:
-    """Execute one encoder layer end-to-end in the index domain.
-
-    Prepares a synthetic full-width encoder layer (deterministic in
-    ``seed``; see :func:`~repro.transformer.prepared.prepare_model`),
-    feeds it normalised synthetic hidden states, runs every GEMM through
-    the index-domain engine and returns the measured operation counts,
-    timings and output error against the FP forward of the same block,
-    computed through the same layer dataflow with FP32 GEMMs.
-
-    Args:
-        model: Model-zoo name (full-size configuration) or an explicit
-            :class:`TransformerConfig` (e.g. a scaled one for tests).
-        sequence_length: Tokens per input (the paper sweeps 128-512).
-        batch_size: Inputs per pass.
-        quantizer: Shared tensor quantizer; generated if omitted.
-        engine: Registered engine name (``"vectorized"``, ``"torch"``,
-            ``"scalar"``).
-        seed: Seed for the block weights and input activations.
-        device: Optional device for backends that take one.
-        oracle: Run the uncached per-GEMM reference path (see
-            :class:`IndexDomainEncoderExecutor`).
-        executor: Reuse an existing executor (and its quantizer's
-            prepared models) instead of constructing one; the other
-            engine options are then ignored.
-    """
-    config = _resolve_config(model)
-    if sequence_length < 1:
-        raise ValueError(f"sequence_length must be >= 1, got {sequence_length}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if executor is None:
-        executor = IndexDomainEncoderExecutor(
-            quantizer=quantizer, engine=engine, device=device, oracle=oracle
-        )
-    (layer,) = prepare_model(config, seed, 1, executor.quantizer).layers
-    rng = np.random.default_rng(seed + 2)
-    hidden_states = rng.normal(
-        0.0, 1.0, size=(batch_size, sequence_length, config.hidden_size)
-    ).astype(np.float32)
-
-    cache_before = _plane_cache_stats(executor)
-    started = time.perf_counter()
-    output, gemms = executor.run_block(layer, hidden_states)
-    total_seconds = time.perf_counter() - started
-    reference = _encoder_layer(FPRunner(), {}, layer, hidden_states)
-    return LayerMeasurement.from_gemms(
-        config.name,
-        hidden_states,
-        gemms,
-        total_seconds,
-        _relative_rms(output, reference),
-        _plane_cache_stats(executor, cache_before),
     )

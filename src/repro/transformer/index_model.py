@@ -3,8 +3,9 @@
 :mod:`repro.transformer.index_execution` runs *one* encoder layer with
 every GEMM in the index domain; this module scales that to whole models:
 
-* :class:`IndexDomainModelExecutor` / :func:`execute_model` — an entire
-  encoder stack (BERT-Base/Large depth) executes forward layer by layer,
+* :class:`IndexDomainModelExecutor` / :func:`execute_model` — the one
+  way to run an encoder: a stack of any depth (``num_layers=1`` for one
+  layer, up to BERT-Base/Large depth) executes forward layer by layer,
   each layer's index-domain output feeding the next.  Weights and
   activation dictionaries come from the model's
   :class:`~repro.transformer.prepared.PreparedModel`, shared by every
@@ -12,20 +13,20 @@ every GEMM in the index domain; this module scales that to whole models:
   exactly once per model and nothing is fitted at run time.  The FP
   forward of the same blocks, run through the same layer dataflow with
   FP32 GEMMs, is the accuracy oracle at every depth.
-* :class:`IndexKVCache` / :func:`execute_decoder` — a GPT-style decoder
-  attention path.  The cache stores the *encoded* K/V rows: prefill and
-  every appended decode row encode against the layer's profiled K/V
-  dictionaries, so the growing cache stays one valid
+* :class:`IndexKVCache` — a GPT-style decoder attention path.  The
+  cache stores the *encoded* K/V rows: prefill and every appended
+  decode row encode against the layer's profiled K/V dictionaries, so
+  the growing cache stays one valid
   :class:`~repro.core.quantizer.QuantizedTensor` per tensor and per-head
   slices share the dictionary (the index-domain engine requires both).
   Each decode step quantizes only the new query/probability rows and
   multiplies them against the cached encodings — the per-step work the
   accelerator would do.  A floating-point decoder with an FP KV cache,
   fed the identical synthetic inputs, is the correctness oracle.
-* :class:`MultiStreamDecoder` — the one decoder dataflow: a single
+* :class:`MultiStreamDecoder` — the one way to run a decoder: a single
   stream-batched layer function serves the prompt pass and every decode
-  step of any number of lockstep streams; :func:`execute_decoder` is its
-  one-stream case.
+  step of any number of lockstep streams (``num_streams=1`` is a solo
+  decode).
 
 Sequential layer dependencies mean a single forward issues its
 *independent* GEMMs (per-head score/context products, the Q/K/V
@@ -45,7 +46,12 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.index_compute import IndexComputeStats, PlaneCacheStats, PlaneSet
+from repro.core.index_compute import (
+    IndexComputeStats,
+    PlaneCacheStats,
+    PlaneSet,
+    get_plane_cache,
+)
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
 from repro.transformer.config import TransformerConfig
@@ -55,22 +61,18 @@ from repro.transformer.index_execution import (
     IndexDomainEncoderExecutor,
     LayerMeasurement,
     _encoder_layer,
-    _plane_cache_stats,
-    _relative_rms,
-    _resolve_config,
 )
+from repro.transformer.model_zoo import MODEL_CONFIGS
 from repro.transformer.prepared import FPKVCache, FPRunner, PreparedLayer, prepare_model
 
 __all__ = [
     "GPT_DECODER_CONFIG",
     "ModelMeasurement",
-    "DecodeMeasurement",
     "MultiStreamDecodeMeasurement",
     "IndexDomainModelExecutor",
     "IndexKVCache",
     "MultiStreamDecoder",
     "execute_model",
-    "execute_decoder",
 ]
 
 #: GPT-2-small-shaped decoder configuration for the KV-cache path.  Not
@@ -85,6 +87,31 @@ GPT_DECODER_CONFIG = TransformerConfig(
     vocab_size=50257,
     max_position_embeddings=1024,
 )
+
+
+def _resolve_config(model: Union[str, TransformerConfig]) -> TransformerConfig:
+    if isinstance(model, TransformerConfig):
+        return model
+    if model not in MODEL_CONFIGS:
+        raise KeyError(f"unknown model {model!r}; known: {sorted(MODEL_CONFIGS)}")
+    return MODEL_CONFIGS[model]
+
+
+def _relative_rms(output: np.ndarray, reference: np.ndarray) -> float:
+    """RMS of ``output - reference`` relative to the reference RMS."""
+    reference_rms = float(np.sqrt(np.mean(np.square(reference)))) or 1.0
+    return float(np.sqrt(np.mean(np.square(output - reference)))) / reference_rms
+
+
+def _plane_cache_stats(
+    executor: IndexDomainEncoderExecutor, since: Optional[PlaneCacheStats] = None
+) -> Optional[PlaneCacheStats]:
+    """Plane-cache counters (minus ``since``); ``None`` when not in use."""
+    cache = None if executor.oracle else get_plane_cache()
+    if cache is None:
+        return None
+    stats = cache.stats()
+    return stats if since is None else stats.minus(since)
 
 
 @dataclass
@@ -208,20 +235,29 @@ class IndexDomainModelExecutor:
         fp_runner = FPRunner()
         for layer in self.prepared.layers:
             layer_started = time.perf_counter()
-            index_states, gemms = self.executor.run_block(layer, index_states)
+            index_states, gemms, quantize_seconds, engine_seconds = (
+                self.executor.run_block(layer, index_states)
+            )
             layer_seconds = time.perf_counter() - layer_started
 
             # The FP oracle trace rides along (excluded from the timings).
             fp_started = time.perf_counter()
             fp_states = _encoder_layer(fp_runner, {}, layer, fp_states)
             fp_seconds += time.perf_counter() - fp_started
+            layer_stats = IndexComputeStats()
+            for gemm in gemms:
+                layer_stats.merge(gemm.stats)
             layers.append(
-                LayerMeasurement.from_gemms(
-                    self.config.name,
-                    hidden_states,
-                    gemms,
-                    layer_seconds,
-                    _relative_rms(index_states, fp_states),
+                LayerMeasurement(
+                    model=self.config.name,
+                    sequence_length=seq,
+                    batch_size=batch,
+                    gemms=gemms,
+                    stats=layer_stats,
+                    quantize_seconds=quantize_seconds,
+                    engine_seconds=engine_seconds,
+                    total_seconds=layer_seconds,
+                    output_rms_error=_relative_rms(index_states, fp_states),
                 )
             )
         total_seconds = time.perf_counter() - started - fp_seconds
@@ -525,55 +561,6 @@ class IndexKVCache:
         return key_slice, value_slice
 
 
-@dataclass
-class DecodeMeasurement:
-    """Measured index-domain decoder run (prefill + autoregressive steps).
-
-    Attributes:
-        model: Configuration name the decoder was built from.
-        prompt_length: Prompt tokens processed at prefill.
-        decode_tokens: Autoregressive steps executed.
-        num_layers: Decoder layers executed.
-        gemms: Per-GEMM measurements merged over prefill and all steps.
-        stats: Operation counts merged over every GEMM.
-        prefill_seconds: Wall time of the prompt pass (index path only).
-        decode_seconds: Wall time of all decode steps (index path only).
-        tokens_per_second: Decode throughput (``decode_tokens`` over
-            ``decode_seconds``).
-        output_rms_error: RMS error of the index-domain hidden states
-            (prefill plus every decoded position, final layer) against
-            the FP decoder with an FP KV cache, relative to the FP RMS.
-        cached_tokens: K/V rows held per layer after the run.
-        outputs: Final-layer index-domain hidden states, prefill rows
-            first then one row per decode step — what the bit-identity
-            property tests compare across cached/uncached runs.
-        plane_cache: Plane-cache counter delta over the run (``None``
-            when caching was disabled).
-    """
-
-    model: str
-    prompt_length: int
-    decode_tokens: int
-    num_layers: int
-    gemms: List[GemmMeasurement] = field(default_factory=list)
-    stats: IndexComputeStats = field(default_factory=IndexComputeStats)
-    prefill_seconds: float = 0.0
-    decode_seconds: float = 0.0
-    tokens_per_second: float = 0.0
-    output_rms_error: float = 0.0
-    cached_tokens: int = 0
-    outputs: Optional[np.ndarray] = None
-    plane_cache: Optional[PlaneCacheStats] = None
-
-    @property
-    def measured_macs(self) -> int:
-        return self.stats.total_pairs
-
-    @property
-    def outlier_pair_fraction(self) -> float:
-        return self.stats.outlier_pair_fraction
-
-
 def _decoder_layer(
     runner: Any,
     measurements: Dict[str, GemmMeasurement],
@@ -673,71 +660,6 @@ def _decoder_layer(
     ]
 
 
-def execute_decoder(
-    model: Union[str, TransformerConfig] = GPT_DECODER_CONFIG,
-    prompt_length: int = 16,
-    decode_tokens: int = 8,
-    num_layers: Optional[int] = None,
-    quantizer: Optional[MokeyQuantizer] = None,
-    engine: str = "vectorized",
-    device: Optional[str] = None,
-    seed: int = 0,
-    oracle: bool = False,
-) -> DecodeMeasurement:
-    """Run a GPT-style decoder with an index-domain KV cache.
-
-    Prefill processes the whole synthetic prompt causally (every GEMM in
-    the index domain, K/V encoded against the layer's profiled
-    dictionaries), then each of ``decode_tokens`` autoregressive steps
-    quantizes one new input row per layer, appends its K/V rows to the
-    encoded cache and attends against the full cache.  Both paths —
-    index-domain and the FP oracle with an FP KV cache — consume
-    identical synthetic inputs, so ``output_rms_error`` isolates the
-    quantization error of the cached attention path.  This is the one-stream case of
-    :class:`MultiStreamDecoder`.
-
-    Args:
-        model: Decoder configuration (defaults to a GPT-2-small shape)
-            or a model-zoo name.
-        prompt_length: Prompt tokens processed at prefill.
-        decode_tokens: Autoregressive steps to execute.
-        num_layers: Optional depth cap (tests and tiny benches).
-        quantizer: Shared tensor quantizer; generated if omitted.
-        engine: Registered engine name.
-        device: Optional device for backends that take one.
-        seed: Seed for the block weights and the synthetic inputs.
-        oracle: Run the uncached reference path — per-GEMM calls, no
-            plane cache, KV planes rebuilt every step.  Outputs and stats
-            are bit-identical to the default path.
-    """
-    decoder = MultiStreamDecoder(
-        model,
-        num_streams=1,
-        num_layers=num_layers,
-        quantizer=quantizer,
-        engine=engine,
-        device=device,
-        seed=seed,
-        oracle=oracle,
-    )
-    run = decoder.run(prompt_length=prompt_length, decode_tokens=decode_tokens)
-    return DecodeMeasurement(
-        model=run.model,
-        prompt_length=prompt_length,
-        decode_tokens=decode_tokens,
-        num_layers=run.num_layers,
-        gemms=run.gemms,
-        stats=run.stats,
-        prefill_seconds=run.prefill_seconds,
-        decode_seconds=run.decode_seconds,
-        tokens_per_second=run.tokens_per_second,
-        output_rms_error=run.output_rms_error,
-        cached_tokens=decoder.cache.cached_tokens((0, 0)),
-        outputs=run.outputs[0],
-        plane_cache=run.plane_cache,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Multi-stream lockstep decoding (independent GEMMs batched across streams)
 # --------------------------------------------------------------------------- #
@@ -798,14 +720,22 @@ class MultiStreamDecoder:
     row-concatenated BLAS call; the per-head score/context GEMMs run
     against each stream's own KV slices, one product each.
 
-    Stream ``s`` consumes the inputs ``default_rng(seed + 7919 +
-    104729 * s)`` would feed a solo decoder, so stream 0 reproduces
-    :func:`execute_decoder` with the same seed (values agree to
+    Stream ``s`` draws its inputs from ``default_rng(seed + 7919 +
+    104729 * s)``, so stream 0 of any decoder reproduces a
+    ``num_streams=1`` decoder with the same seed (values agree to
     floating-point round-off; GEMM grouping differs).  The block weights
     come from the construction-time ``seed``; the inputs from
     :attr:`seed` when :meth:`run` starts.
 
     Args:
+        model: Decoder configuration (defaults to a GPT-2-small shape)
+            or a model-zoo name.
+        num_streams: Concurrent streams decoded in lockstep.
+        num_layers: Optional depth cap (tests and tiny benches).
+        quantizer: Shared tensor quantizer; generated if omitted.
+        engine: Registered engine name.
+        device: Optional device for backends that take one.
+        seed: Seed for the block weights and the synthetic inputs.
         oracle: Run the uncached reference path (per-GEMM calls, no
             plane cache, KV planes rebuilt every step);
             outputs and stats equal the default path's.

@@ -229,9 +229,11 @@ class TestAccuracyCampaign:
     def test_unsupported_scheme_fails_before_simulating(self, compute_only_scheme):
         spec = accuracy_spec(AxisGrid(schemes=(compute_only_scheme,), designs=("mokey",)))
         cache = ResultCache()
+        looked_up = []
+        cache.lookup = looked_up.append  # records the lookup, then misses
         with pytest.raises(UnsupportedSchemeError):
             run_spec(spec, cache=cache)
-        assert cache.misses == 0 and len(cache) == 0
+        assert looked_up == [] and len(cache) == 0
 
     def test_unknown_task_fails_before_simulating(self):
         # The hardware side tolerates unknown tasks (they default the
@@ -239,9 +241,11 @@ class TestAccuracyCampaign:
         # for them — the campaign must reject the grid up front.
         spec = accuracy_spec(AxisGrid(tasks=("not-a-task",), designs=("mokey",)))
         cache = ResultCache()
+        looked_up = []
+        cache.lookup = looked_up.append  # records the lookup, then misses
         with pytest.raises(ValueError):
             run_spec(spec, cache=cache)
-        assert cache.misses == 0 and len(cache) == 0
+        assert looked_up == [] and len(cache) == 0
 
     def test_scenario_record_round_trips_with_fidelity(self):
         campaign = run_spec(accuracy_spec(accuracy_grid(**ONE_POINT)))

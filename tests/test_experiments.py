@@ -148,13 +148,11 @@ class TestCampaign:
         points = len(spec.scenarios())
         first = run_spec(spec, cache=cache)
         assert not any(record.cached for record in first)
-        assert cache.misses == points
-        assert cache.hits == 0
+        assert first.simulated_count == points
 
         second = run_spec(spec, cache=cache)
         assert all(record.cached for record in second)
-        assert cache.hits == points
-        assert cache.misses == points  # unchanged
+        assert second.simulated_count == 0
         for a, b in zip(first, second):
             assert a.result is b.result  # the very same object, not a re-run
 
@@ -163,7 +161,8 @@ class TestCampaign:
         campaign_of(cache=cache)
         cache.clear()
         assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 0
+        # Nothing survives the clear: the same grid simulates again.
+        assert campaign_of(cache=cache).simulated_count == 1
 
     def test_filter_and_to_dicts(self):
         campaign = campaign_of(

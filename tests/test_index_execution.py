@@ -3,8 +3,9 @@
 Covers the three layers the measured pipeline spans:
 
 1. :mod:`repro.transformer.index_execution` — an encoder-block forward
-   whose every GEMM runs through the index-domain engine, with measured
-   operation counts matching the analytic workload GEMM set exactly;
+   (one layer of :class:`IndexDomainModelExecutor`) whose every GEMM runs
+   through the index-domain engine, with measured operation counts
+   matching the analytic workload GEMM set exactly;
 2. :mod:`repro.experiments.measured` — the deterministic, serializable
    :class:`MeasuredStats` and its memo key;
 3. the campaign/store/CLI join — ``Enrichments(measured=True)`` specs,
@@ -40,10 +41,8 @@ from repro.experiments import (
     run_spec,
 )
 from repro.transformer.config import TransformerConfig
-from repro.transformer.index_execution import (
-    IndexDomainEncoderExecutor,
-    execute_encoder_layer,
-)
+from repro.transformer.index_execution import IndexDomainEncoderExecutor
+from repro.transformer.index_model import execute_model
 
 KB = 1024
 
@@ -71,9 +70,15 @@ def nano_model(monkeypatch):
     return NANO_MODEL
 
 
-class TestExecuteEncoderLayer:
+def execute_layer(model, **options):
+    """One encoder layer through the model executor's front door."""
+    (layer,) = execute_model(model, num_layers=1, **options).layers
+    return layer
+
+
+class TestOneLayerExecution:
     def test_measured_pairs_equal_analytic_layer_macs(self, quantizer):
-        measurement = execute_encoder_layer(
+        measurement = execute_layer(
             NANO_CONFIG, sequence_length=12, batch_size=2, quantizer=quantizer, seed=3
         )
         gemms = encoder_gemms(NANO_CONFIG, 12, 2)
@@ -85,10 +90,10 @@ class TestExecuteEncoderLayer:
         assert by_name["attention.query"].count == 1
 
     def test_scalar_and_vectorized_executors_agree(self, quantizer):
-        vectorized = execute_encoder_layer(
+        vectorized = execute_layer(
             NANO_CONFIG, sequence_length=8, quantizer=quantizer, seed=5
         )
-        scalar = execute_encoder_layer(
+        scalar = execute_layer(
             NANO_CONFIG, sequence_length=8, quantizer=quantizer, seed=5, engine="scalar"
         )
         assert scalar.stats == vectorized.stats
@@ -97,21 +102,21 @@ class TestExecuteEncoderLayer:
         )
 
     def test_deterministic_in_seed(self, quantizer):
-        first = execute_encoder_layer(
+        first = execute_layer(
             NANO_CONFIG, sequence_length=10, quantizer=quantizer, seed=11
         )
-        second = execute_encoder_layer(
+        second = execute_layer(
             NANO_CONFIG, sequence_length=10, quantizer=quantizer, seed=11
         )
         assert first.stats == second.stats
         assert first.output_rms_error == second.output_rms_error
-        different = execute_encoder_layer(
+        different = execute_layer(
             NANO_CONFIG, sequence_length=10, quantizer=quantizer, seed=12
         )
         assert different.stats != first.stats
 
     def test_output_tracks_fp_forward(self, quantizer):
-        measurement = execute_encoder_layer(
+        measurement = execute_layer(
             NANO_CONFIG, sequence_length=16, quantizer=quantizer, seed=7
         )
         assert 0.0 < measurement.output_rms_error < 0.5
@@ -129,7 +134,7 @@ class TestExecuteEncoderLayer:
             vocab_size=128,
             disentangled_attention=True,
         )
-        measurement = execute_encoder_layer(
+        measurement = execute_layer(
             config, sequence_length=8, quantizer=quantizer, seed=1
         )
         names = [g.name for g in measurement.gemms]
@@ -143,13 +148,22 @@ class TestExecuteEncoderLayer:
         with pytest.raises(ValueError):
             IndexDomainEncoderExecutor(quantizer=quantizer, engine="gpu")
         with pytest.raises(ValueError):
-            execute_encoder_layer(NANO_CONFIG, sequence_length=0, quantizer=quantizer)
+            execute_layer(NANO_CONFIG, sequence_length=0, quantizer=quantizer)
         with pytest.raises(ValueError):
-            execute_encoder_layer(
+            execute_layer(
                 NANO_CONFIG, sequence_length=8, batch_size=0, quantizer=quantizer
             )
         with pytest.raises(KeyError):
-            execute_encoder_layer("bert-nonexistent", quantizer=quantizer)
+            execute_layer("bert-nonexistent", quantizer=quantizer)
+
+    def test_gemms_carry_counts_and_the_layer_carries_time(self, quantizer):
+        measurement = execute_layer(NANO_CONFIG, sequence_length=8, quantizer=quantizer)
+        for gemm in measurement.gemms:
+            assert set(vars(gemm)) == {"name", "m", "k", "n", "count", "stats"}
+        assert 0.0 < measurement.quantize_seconds + measurement.engine_seconds
+        assert measurement.quantize_seconds + measurement.engine_seconds <= (
+            measurement.total_seconds
+        )
 
 
 class TestMeasuredStats:
@@ -183,6 +197,37 @@ class TestMeasuredStats:
 
     def test_different_settings_have_different_digests(self):
         assert TINY_SETTINGS.digest() != MeasurementSettings().digest()
+
+    @pytest.mark.parametrize(
+        "scope, digest", [("layer", "d803f383b8e18a88"), ("model", "065b3f9412e43ad4")]
+    )
+    def test_measured_digests_are_pinned(self, nano_model, scope, digest):
+        # Stored measured stats are keyed by these digests: any change to
+        # the executor, the inputs it is fed or the fold moves them.
+        settings = MeasurementSettings(golden_samples=3000, golden_repeats=1, scope=scope)
+        measured = evaluate_measured(nano_model, 8, 1, settings=settings)
+        assert measured_digest(measured) == digest
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scope", "layers"),
+            ("scope", 3),
+            ("golden_samples", -5),
+            ("golden_samples", 0),
+            ("golden_samples", 2.5),
+            ("golden_repeats", 0),
+            ("golden_repeats", True),
+        ],
+    )
+    def test_bad_settings_fail_when_the_spec_is_parsed(self, field, value):
+        data = {"name": "x", "enrichments": {
+            "measured": True, "measurement_settings": {field: value}}}
+        with pytest.raises(ValueError, match=field) as raised:
+            CampaignSpec.from_dict(data).validate()
+        assert "\n" not in str(raised.value)
+        with pytest.raises(ValueError, match=field):
+            MeasurementSettings(**{field: value})
 
 
 def nano_grid(model, **axes) -> AxisGrid:
@@ -307,7 +352,7 @@ class TestMeasuredCampaign:
 
 class TestSimulatorMeasuredDetail:
     def test_measured_stats_land_in_detail(self, quantizer):
-        measurement = execute_encoder_layer(
+        measurement = execute_layer(
             NANO_CONFIG, sequence_length=8, quantizer=quantizer, seed=2
         )
         workload = model_workload("bert-base", sequence_length=8)

@@ -40,14 +40,13 @@ from repro.core.index_compute import (
 from repro.experiments import MeasurementSettings, evaluate_measured
 from repro.registry import RegistryError
 from repro.transformer.config import TransformerConfig
-from repro.transformer.index_execution import execute_encoder_layer
 from repro.transformer.index_model import (
     GPT_DECODER_CONFIG,
     IndexDomainModelExecutor,
     IndexKVCache,
+    MultiStreamDecoder,
     _concat_quantized,
     _slice_quantized,
-    execute_decoder,
     execute_model,
 )
 
@@ -430,36 +429,31 @@ class TestKVCache:
             cache.prefill(0, rows, rows, dictionaries)
 
 
-class TestExecuteDecoder:
+class TestSoloDecoder:
     def test_cache_grows_to_prompt_plus_steps(self, quantizer):
-        measurement = execute_decoder(
-            NANO_DECODER, prompt_length=6, decode_tokens=3, quantizer=quantizer
-        )
-        assert measurement.cached_tokens == 9
+        decoder = MultiStreamDecoder(NANO_DECODER, num_streams=1, quantizer=quantizer)
+        measurement = decoder.run(prompt_length=6, decode_tokens=3)
+        assert decoder.cache.cached_tokens((0, 0)) == 9
         assert measurement.num_layers == NANO_DECODER.num_layers
         assert measurement.stats.total_pairs > 0
         assert measurement.output_rms_error < 0.5
 
     def test_deterministic_in_seed(self, quantizer):
-        first = execute_decoder(
-            NANO_DECODER, prompt_length=5, decode_tokens=2, quantizer=quantizer, seed=3
-        )
-        second = execute_decoder(
-            NANO_DECODER, prompt_length=5, decode_tokens=2, quantizer=quantizer, seed=3
+        first, second = (
+            MultiStreamDecoder(NANO_DECODER, num_streams=1, quantizer=quantizer, seed=3).run(
+                prompt_length=5, decode_tokens=2
+            )
+            for _ in range(2)
         )
         assert first.stats == second.stats
         assert first.output_rms_error == second.output_rms_error
 
     def test_batched_attention_matches_unbatched(self, quantizer):
-        batched = execute_decoder(
-            NANO_DECODER, prompt_length=5, decode_tokens=2, quantizer=quantizer
-        )
-        unbatched = execute_decoder(
-            NANO_DECODER,
-            prompt_length=5,
-            decode_tokens=2,
-            quantizer=quantizer,
-            oracle=True,
+        batched, unbatched = (
+            MultiStreamDecoder(
+                NANO_DECODER, num_streams=1, quantizer=quantizer, oracle=oracle
+            ).run(prompt_length=5, decode_tokens=2)
+            for oracle in (False, True)
         )
         assert batched.stats == unbatched.stats
         assert batched.output_rms_error == pytest.approx(
@@ -467,19 +461,19 @@ class TestExecuteDecoder:
         )
 
     def test_prefill_only(self, quantizer):
-        measurement = execute_decoder(
-            NANO_DECODER, prompt_length=4, decode_tokens=0, quantizer=quantizer
-        )
-        assert measurement.cached_tokens == 4
+        decoder = MultiStreamDecoder(NANO_DECODER, num_streams=1, quantizer=quantizer)
+        measurement = decoder.run(prompt_length=4, decode_tokens=0)
+        assert decoder.cache.cached_tokens((0, 0)) == 4
         assert measurement.decode_seconds == 0.0 or measurement.tokens_per_second == 0.0
 
     def test_validation(self, quantizer):
+        decoder = MultiStreamDecoder(NANO_DECODER, num_streams=1, quantizer=quantizer)
         with pytest.raises(ValueError):
-            execute_decoder(NANO_DECODER, prompt_length=0, quantizer=quantizer)
+            decoder.run(prompt_length=0)
         with pytest.raises(ValueError):
-            execute_decoder(NANO_DECODER, decode_tokens=-1, quantizer=quantizer)
+            decoder.run(decode_tokens=-1)
         with pytest.raises(ValueError):
-            execute_decoder(NANO_DECODER, num_layers=0, quantizer=quantizer)
+            MultiStreamDecoder(NANO_DECODER, num_layers=0, quantizer=quantizer)
 
     def test_default_config_is_gpt2_shaped_and_unregistered(self):
         from repro.transformer.model_zoo import MODEL_CONFIGS

@@ -41,7 +41,6 @@ from repro.transformer.index_model import (
     _concat_quantized,
     _PlaneSlab,
     _slice_quantized,
-    execute_decoder,
 )
 
 MICRO_DECODER = TransformerConfig(
@@ -150,15 +149,11 @@ class TestDecodeBitIdentity:
     def test_cached_decode_equals_uncached(
         self, quantizer, prompt_length, decode_tokens, seed
     ):
-        kwargs = dict(
-            prompt_length=prompt_length,
-            decode_tokens=decode_tokens,
-            quantizer=quantizer,
-            seed=seed,
-        )
-        cached = execute_decoder(MICRO_DECODER, **kwargs)
-        uncached = execute_decoder(MICRO_DECODER, oracle=True, **kwargs)
-        assert np.array_equal(cached.outputs, uncached.outputs)
+        options = dict(num_streams=1, quantizer=quantizer, seed=seed)
+        run = dict(prompt_length=prompt_length, decode_tokens=decode_tokens)
+        cached = MultiStreamDecoder(MICRO_DECODER, **options).run(**run)
+        uncached = MultiStreamDecoder(MICRO_DECODER, oracle=True, **options).run(**run)
+        assert np.array_equal(cached.outputs[0], uncached.outputs[0])
         assert cached.stats == uncached.stats
         assert cached.output_rms_error == uncached.output_rms_error
         assert uncached.plane_cache is None
@@ -167,27 +162,30 @@ class TestDecodeBitIdentity:
     def test_cached_decode_equals_uncached_per_engine(self, quantizer, engine):
         if engine == "torch":
             pytest.importorskip("torch")
-        kwargs = dict(
-            prompt_length=3,
-            decode_tokens=2,
+        options = dict(
+            num_streams=1,
             quantizer=quantizer,
             engine=engine,
             device="cpu" if engine == "torch" else None,
         )
-        cached = execute_decoder(MICRO_DECODER, **kwargs)
-        uncached = execute_decoder(MICRO_DECODER, oracle=True, **kwargs)
-        assert np.array_equal(cached.outputs, uncached.outputs)
+        cached = MultiStreamDecoder(MICRO_DECODER, **options).run(
+            prompt_length=3, decode_tokens=2
+        )
+        uncached = MultiStreamDecoder(MICRO_DECODER, oracle=True, **options).run(
+            prompt_length=3, decode_tokens=2
+        )
+        assert np.array_equal(cached.outputs[0], uncached.outputs[0])
         assert cached.stats == uncached.stats
 
     def test_multi_stream_stream0_matches_solo_decoder(self, quantizer):
-        solo = execute_decoder(
-            MICRO_DECODER, prompt_length=4, decode_tokens=2, quantizer=quantizer
-        )
+        solo = MultiStreamDecoder(
+            MICRO_DECODER, num_streams=1, quantizer=quantizer
+        ).run(prompt_length=4, decode_tokens=2)
         multi = MultiStreamDecoder(
             MICRO_DECODER, num_streams=3, quantizer=quantizer
         ).run(prompt_length=4, decode_tokens=2)
         assert multi.outputs is not None and len(multi.outputs) == 3
-        assert np.allclose(multi.outputs[0], solo.outputs, rtol=1e-9, atol=1e-9)
+        assert np.allclose(multi.outputs[0], solo.outputs[0], rtol=1e-9, atol=1e-9)
         assert multi.tokens_per_second > 0
         assert multi.output_rms_error < 0.5
 

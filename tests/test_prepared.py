@@ -25,7 +25,6 @@ from repro.core.quantizer import MokeyQuantizer
 from repro.core.tensor_dictionary import TensorDictionary
 from repro.transformer.config import TransformerConfig
 from repro.transformer.functional import gelu
-from repro.transformer.index_execution import execute_encoder_layer
 from repro.transformer.index_model import (
     IndexDomainModelExecutor,
     MultiStreamDecoder,
@@ -110,7 +109,9 @@ class TestSharing:
         assert counts == {"fit": 0, "fit_from_stats": 0, "weight_encodes": 0}
 
     def test_single_layer_entry_point_shares_the_one_layer_model(self, fresh_quantizer):
-        execute_encoder_layer(NANO, sequence_length=6, quantizer=fresh_quantizer, seed=4)
+        execute_model(
+            NANO, sequence_length=6, num_layers=1, quantizer=fresh_quantizer, seed=4
+        )
         executor = IndexDomainModelExecutor(
             NANO, num_layers=1, quantizer=fresh_quantizer, seed=4
         )

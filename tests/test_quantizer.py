@@ -31,6 +31,19 @@ class TestQuantizeTensor:
         assert "'act.in'" in message
         assert "2 non-finite" in message and "of 32 values" in message
 
+    @pytest.mark.parametrize("scalar", [np.float64(0.3), np.array(0.3), 0.3])
+    @pytest.mark.parametrize("path", ["fit", "supplied dictionary"])
+    def test_zero_dimensional_input_round_trips(self, quantizer, rng, scalar, path):
+        dictionary = None
+        if path == "supplied dictionary":
+            dictionary = quantizer.quantize(rng.normal(0, 1, 256), "act").dictionary
+        q = quantizer.quantize(scalar, "scalar", dictionary=dictionary)
+        assert q.shape == () and q.encoded.codes.shape == ()
+        # The scalar's code is the one a one-element tensor gets.
+        one = q.dictionary.encode(np.array([0.3]))
+        assert q.encoded.codes == one.codes[0]
+        assert q.dequantize() == q.dictionary.decode(one).astype(np.float32)[0]
+
     def test_dequantize_shape_and_dtype(self, quantizer, rng):
         values = rng.normal(0, 1, (8, 8))
         q = quantizer.quantize(values)

@@ -24,7 +24,7 @@ from repro.core.index_compute import (  # noqa: E402
     index_domain_matmul_many,
 )
 from repro.transformer.config import TransformerConfig  # noqa: E402
-from repro.transformer.index_model import execute_decoder, execute_model  # noqa: E402
+from repro.transformer.index_model import MultiStreamDecoder, execute_model  # noqa: E402
 
 NANO_CONFIG = TransformerConfig(
     name="bert-nano-torch-test",
@@ -105,12 +105,12 @@ class TestTorchFullModelParity:
             vocab_size=128,
             max_position_embeddings=64,
         )
-        numpy_run = execute_decoder(
-            decoder, prompt_length=5, decode_tokens=2, quantizer=quantizer
+        numpy_run = MultiStreamDecoder(decoder, num_streams=1, quantizer=quantizer).run(
+            prompt_length=5, decode_tokens=2
         )
-        torch_run = execute_decoder(
-            decoder, prompt_length=5, decode_tokens=2, quantizer=quantizer, engine="torch"
-        )
+        torch_run = MultiStreamDecoder(
+            decoder, num_streams=1, quantizer=quantizer, engine="torch"
+        ).run(prompt_length=5, decode_tokens=2)
         assert torch_run.stats == numpy_run.stats
         assert torch_run.output_rms_error == pytest.approx(
             numpy_run.output_rms_error, rel=1e-6
@@ -157,15 +157,14 @@ class TestDeviceResidentPlanes:
         )
         cache = PlaneCache(max_bytes=1 << 30)
         with use_plane_cache(cache):
-            torch_run = execute_decoder(
-                decoder, prompt_length=4, decode_tokens=3,
-                quantizer=quantizer, engine="torch", device="cpu",
-            )
-            numpy_run = execute_decoder(
-                decoder, prompt_length=4, decode_tokens=3, quantizer=quantizer
-            )
+            torch_run = MultiStreamDecoder(
+                decoder, num_streams=1, quantizer=quantizer, engine="torch", device="cpu"
+            ).run(prompt_length=4, decode_tokens=3)
+            numpy_run = MultiStreamDecoder(
+                decoder, num_streams=1, quantizer=quantizer
+            ).run(prompt_length=4, decode_tokens=3)
         assert torch_run.stats == numpy_run.stats
         assert np.allclose(
-            torch_run.outputs, numpy_run.outputs, rtol=1e-6, atol=1e-6
+            torch_run.outputs[0], numpy_run.outputs[0], rtol=1e-6, atol=1e-6
         )
         assert cache.stats().device_reuses > 0
