@@ -347,9 +347,10 @@ else:
     TTFT_CEILING = 20.0
     STREAMS, STREAM_PROMPT, STREAM_DECODE = 4, 16, 8
     # Between the measured shares (2-CPU x86_64 host): 0.39-0.44 with a
-    # float64 reference forward issuing one GEMV per stream, 0.19-0.29
-    # with grouped FP32 GEMMs.
-    ORACLE_SHARE_CEILING = 0.36
+    # float64 reference forward issuing one GEMV per stream, 0.19-0.44
+    # with grouped FP32 GEMMs replaying every decode step, 0.10-0.14 with
+    # one causal FP32 pass per run.
+    ORACLE_SHARE_CEILING = 0.25
 
 
 def _release_planes() -> None:
@@ -601,6 +602,6 @@ def test_perf_decoder_multi_stream(mokey_quantizer):
     assert result.tokens_per_second >= DECODER_TPS_FLOOR
     assert oracle_share <= ORACLE_SHARE_CEILING, (
         f"the FP reference forward took {oracle_share:.2f} of the serving call "
-        f"(ceiling {ORACLE_SHARE_CEILING}) — is it back to float64 weights "
-        f"or one GEMM per stream?"
+        f"(ceiling {ORACLE_SHARE_CEILING}) — is it back to float64 weights, "
+        f"one GEMM per stream, or replaying every decode step?"
     )

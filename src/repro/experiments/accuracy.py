@@ -105,6 +105,20 @@ class AccuracySettings:
     golden_repeats: int = 2
     golden_seed: int = 7
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 0 if f.name == "golden_seed" else 1  # a seed may be 0
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(
+                    f"accuracy_settings.{f.name} must be an integer >= {least}, got {value!r}"
+                )
+        if self.pool_samples <= self.profile_samples:  # evaluation reads pool[profile_samples:]
+            raise ValueError(
+                f"accuracy_settings.pool_samples must exceed profile_samples "
+                f"({self.profile_samples}), got {self.pool_samples!r}"
+            )
+
     def sequence_length_for(self, family: str) -> int:
         return self.qa_sequence_length if family == "qa" else self.classification_sequence_length
 

@@ -112,6 +112,8 @@ def _check_execution(policy: "ExecutionPolicy") -> None:
         if value is not None and (not _is_int(value) or value <= 0):
             raise ValueError(f"{label} must be a positive integer or null, got {value!r}")
     _check_bool("resume", policy.resume)
+    if policy.store is not None and not isinstance(policy.store, (str, os.PathLike)):
+        raise ValueError(f"execution.store must be a path or null, got {policy.store!r}")
     if policy.store_backend is not None:
         _lookup(registry.STORES, "store_backend", policy.store_backend)
 
@@ -304,7 +306,7 @@ class ExecutionPolicy:
     executor: str = "thread"
     max_workers: Optional[int] = None
     chunksize: Optional[int] = None
-    store: Optional[str] = None
+    store: Optional[Union[str, os.PathLike]] = None
     store_backend: Optional[str] = None
     resume: bool = True
 
@@ -313,7 +315,7 @@ class ExecutionPolicy:
             "executor": self.executor,
             "max_workers": self.max_workers,
             "chunksize": self.chunksize,
-            "store": self.store,
+            "store": os.fspath(self.store) if isinstance(self.store, os.PathLike) else self.store,
             "store_backend": self.store_backend,
             "resume": self.resume,
         }

@@ -111,11 +111,6 @@ class LayerMeasurement:
     output_rms_error: float
 
     @property
-    def measured_macs(self) -> int:
-        """Total operand pairs processed (equals the layer's MAC count)."""
-        return self.stats.total_pairs
-
-    @property
     def outlier_pair_fraction(self) -> float:
         return self.stats.outlier_pair_fraction
 

@@ -21,8 +21,8 @@ every GEMM in the index domain; this module scales that to whole models:
   slices share the dictionary (the index-domain engine requires both).
   Each decode step quantizes only the new query/probability rows and
   multiplies them against the cached encodings — the per-step work the
-  accelerator would do.  A floating-point decoder with an FP KV cache,
-  fed the identical synthetic inputs, is the correctness oracle.
+  accelerator would do.  The correctness oracle is one causal FP32 pass
+  over each stream's whole teacher-forced input sequence.
 * :class:`MultiStreamDecoder` — the one way to run a decoder: a single
   stream-batched layer function serves the prompt pass and every decode
   step of any number of lockstep streams (``num_streams=1`` is a solo
@@ -152,11 +152,6 @@ class ModelMeasurement:
     output_rms_error: float
     weight_cache_hits: int
     plane_cache: Optional[PlaneCacheStats] = None
-
-    @property
-    def measured_macs(self) -> int:
-        """Total operand pairs processed across the stack."""
-        return self.stats.total_pairs
 
     @property
     def outlier_pair_fraction(self) -> float:
@@ -578,7 +573,7 @@ def _decoder_layer(
     positions ``0..total - tokens + i``: the causal mask of a prefill,
     and no mask at all for a one-row step.  ``runner`` and ``cache`` are
     an executor and an :class:`IndexKVCache`, or an FP runner (the FP
-    oracle, the profiling pass) and an FP cache.
+    oracle, the profiling pass) and an FP cache, which only prefills.
     """
     block = layer.block
     attn = block.attention
@@ -814,21 +809,18 @@ class MultiStreamDecoder:
         decode_seconds = time.perf_counter() - decode_started
         plane_cache = _plane_cache_stats(self.executor, cache_before)
 
-        # The FP oracle: the same dataflow with float GEMMs and an FP
-        # cache, over identical inputs.
-        fp_runner, fp_cache = FPRunner(), FPKVCache()
-        fp_outputs = []
-        for rows in inputs:
-            for layer in self.prepared.layers:
-                rows = _decoder_layer(fp_runner, {}, fp_cache, layer, rows)
-            fp_outputs.append(rows)
-        worst_rms = 0.0
-        outputs: List[np.ndarray] = []
-        for s in range(self.num_streams):
-            index_all = np.concatenate([step[s] for step in index_outputs], axis=0)
-            fp_all = np.concatenate([step[s] for step in fp_outputs], axis=0)
-            worst_rms = max(worst_rms, _relative_rms(index_all, fp_all))
-            outputs.append(index_all)
+        # The FP oracle: the same dataflow with float GEMMs, one causal
+        # pass per layer over each stream's whole sequence.  No input
+        # depends on an output (teacher forcing), so row i of that pass
+        # is what the step that fed row i computes, and each weight
+        # streams once per run instead of once per step.
+        streams = range(self.num_streams)
+        reference = [np.concatenate([step[s] for step in inputs]) for s in streams]
+        fp_cache = FPKVCache()
+        for layer in self.prepared.layers:
+            reference = _decoder_layer(FPRunner(), {}, fp_cache, layer, reference)
+        outputs = [np.concatenate([step[s] for step in index_outputs]) for s in streams]
+        worst_rms = max(map(_relative_rms, outputs, reference))
 
         gemms = list(measurements.values())
         stats = IndexComputeStats()

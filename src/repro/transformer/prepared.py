@@ -268,8 +268,9 @@ class _ProfilingRunner:
 
 
 class FPKVCache:
-    """The :class:`~repro.transformer.index_model.IndexKVCache` contract on
-    float rows: the decoder's FP oracle and causal profiling pass."""
+    """The :class:`~repro.transformer.index_model.IndexKVCache` prefill
+    contract on float rows: the decoder's FP oracle and causal profiling
+    pass, each one causal pass over every stream's whole sequence."""
 
     def __init__(self) -> None:
         self._rows: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
@@ -284,13 +285,6 @@ class FPKVCache:
         self, layer: Hashable, keys: np.ndarray, values: np.ndarray, dictionaries: Any
     ) -> None:
         self._rows[layer] = (keys, values)
-
-    def append(self, layer: Hashable, keys: np.ndarray, values: np.ndarray) -> None:
-        old_keys, old_values = self._rows[layer]
-        self._rows[layer] = (
-            np.concatenate([old_keys, keys]),
-            np.concatenate([old_values, values]),
-        )
 
     def head_tensors(
         self, layer: Hashable, columns: slice

@@ -12,7 +12,8 @@ Covers the layers ISSUE 6 spans:
 3. :mod:`repro.transformer.index_model` — whole encoder stacks (counts
    equal depth x analytic layer MACs; batching and the weight cache
    change wall time, never numbers) and the GPT-style decoder with an
-   encoded KV cache (growth, determinism, accuracy bound);
+   encoded KV cache (growth, determinism, accuracy bound), whose one
+   causal FP pass per run equals a step-wise FP reference;
 4. the measured-stats join at model scope (``MeasurementSettings(scope=
    "model")``) through ``evaluate_measured`` and the CLI flag.
 
@@ -46,9 +47,12 @@ from repro.transformer.index_model import (
     IndexKVCache,
     MultiStreamDecoder,
     _concat_quantized,
+    _decoder_layer,
+    _relative_rms,
     _slice_quantized,
     execute_model,
 )
+from repro.transformer.prepared import FPKVCache, FPRunner
 
 TINY_SETTINGS = MeasurementSettings(golden_samples=3000, golden_repeats=1)
 
@@ -481,6 +485,95 @@ class TestSoloDecoder:
         assert GPT_DECODER_CONFIG.name == "gpt2-small"
         assert GPT_DECODER_CONFIG.num_layers == 12
         assert "gpt2-small" not in MODEL_CONFIGS
+
+
+def _stream_sequences(decoder, prompt_length, decode_tokens):
+    """Each stream's whole input sequence, drawn as ``run`` draws it."""
+    sequences = []
+    for s in range(decoder.num_streams):
+        rng = np.random.default_rng(decoder.seed + 7919 + 104729 * s)
+        sequences.append(np.concatenate([
+            rng.normal(0.0, 1.0, size=(tokens, decoder.config.hidden_size)).astype(np.float32)
+            for tokens in [prompt_length] + [1] * decode_tokens
+        ]))
+    return sequences
+
+
+def _causal_fp_pass(decoder, rows):
+    """One causal FP32 prefill of every stream's rows through the stack."""
+    cache = FPKVCache()
+    for layer in decoder.prepared.layers:
+        rows = _decoder_layer(FPRunner(), {}, cache, layer, rows)
+    return rows
+
+
+SHAPES = [
+    pytest.param(1, 1, 0, id="1x1+0"),
+    pytest.param(1, 5, 3, id="1x5+3"),
+    pytest.param(2, 3, 4, id="2x3+4"),
+    pytest.param(3, 4, 2, id="3x4+2"),
+    pytest.param(3, 1, 5, id="3x1+5"),
+]
+
+
+class TestCausalFPOracle:
+    """The decoder's FP oracle is one causal pass per run; the decode is
+    teacher-forced, so that pass equals a replay of every step."""
+
+    @pytest.mark.parametrize("num_streams, prompt_length, decode_tokens", SHAPES)
+    def test_error_equals_a_step_wise_reference(
+        self, quantizer, num_streams, prompt_length, decode_tokens
+    ):
+        default, uncached = (
+            MultiStreamDecoder(
+                NANO_DECODER,
+                num_streams=num_streams,
+                quantizer=quantizer,
+                seed=2,
+                oracle=oracle,
+            )
+            for oracle in (False, True)
+        )
+        result = default.run(prompt_length=prompt_length, decode_tokens=decode_tokens)
+        sequences = _stream_sequences(default, prompt_length, decode_tokens)
+        # Row t of the reference: a fresh prefill of rows [:t + 1], last row.
+        steps = [
+            _causal_fp_pass(default, [rows[: t + 1] for rows in sequences])
+            for t in range(prompt_length + decode_tokens)
+        ]
+        reference = [
+            np.stack([step[s][-1] for step in steps]) for s in range(num_streams)
+        ]
+        expected = max(
+            _relative_rms(output, ref) for output, ref in zip(result.outputs, reference)
+        )
+        assert result.output_rms_error == pytest.approx(expected, rel=1e-6)
+        # The reference's schedule moves no index-domain number.
+        check = uncached.run(prompt_length=prompt_length, decode_tokens=decode_tokens)
+        for output, check_output in zip(result.outputs, check.outputs):
+            assert np.array_equal(output, check_output)
+        assert result.stats == check.stats
+        assert result.output_rms_error == check.output_rms_error
+
+    @pytest.mark.parametrize("num_streams, prompt_length, decode_tokens", SHAPES[1:])
+    def test_later_rows_never_reach_earlier_outputs(
+        self, quantizer, num_streams, prompt_length, decode_tokens
+    ):
+        decoder = MultiStreamDecoder(
+            NANO_DECODER, num_streams=num_streams, quantizer=quantizer, seed=2
+        )
+        sequences = _stream_sequences(decoder, prompt_length, decode_tokens)
+        baseline = _causal_fp_pass(decoder, sequences)
+        split, stream = prompt_length, num_streams - 1
+        perturbed = [rows.copy() for rows in sequences]
+        perturbed[stream][split:] += np.random.default_rng(9).normal(
+            0.0, 3.0, size=perturbed[stream][split:].shape
+        ).astype(np.float32)
+        outputs = _causal_fp_pass(decoder, perturbed)
+        assert np.array_equal(outputs[stream][:split], baseline[stream][:split])
+        assert not np.array_equal(outputs[stream][split:], baseline[stream][split:])
+        for s in range(stream):
+            assert np.array_equal(outputs[s], baseline[s])
 
 
 class TestMeasuredModelScope:

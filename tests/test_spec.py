@@ -267,6 +267,33 @@ class TestValidation:
             pytest.param(None, "tiny", "a campaign spec must be an object", id="spec-string"),
             pytest.param(None, {"axes": ["mokey"]}, "'axes' must be an object",
                          id="axes-list"),
+            pytest.param("execution", {"store": 3, "executor": "serial"},
+                         "execution.store must be a path or null", id="store-int"),
+            pytest.param("execution", {"store": ["store-dir"]},
+                         "execution.store must be a path or null", id="store-list"),
+            pytest.param("enrichments",
+                         {"accuracy": True, "accuracy_settings": {"pool_samples": -1}},
+                         "accuracy_settings.pool_samples must be an integer >= 1",
+                         id="accuracy-pool-negative"),
+            pytest.param("enrichments", {"accuracy_settings": {"scale": 0}},
+                         "accuracy_settings.scale must be an integer >= 1",
+                         id="accuracy-scale-zero"),
+            pytest.param("enrichments", {"accuracy_settings": {"max_layers": True}},
+                         "accuracy_settings.max_layers must be an integer",
+                         id="accuracy-layers-bool"),
+            pytest.param("enrichments", {"accuracy_settings": {"golden_samples": 1.5}},
+                         "accuracy_settings.golden_samples must be an integer",
+                         id="accuracy-golden-float"),
+            pytest.param("enrichments", {"accuracy_settings": {"qa_sequence_length": "48"}},
+                         "accuracy_settings.qa_sequence_length must be an integer",
+                         id="accuracy-length-string"),
+            pytest.param("enrichments", {"accuracy_settings": {"golden_seed": -1}},
+                         "accuracy_settings.golden_seed must be an integer >= 0",
+                         id="accuracy-seed-negative"),
+            pytest.param("enrichments",
+                         {"accuracy_settings": {"pool_samples": 8, "profile_samples": 8}},
+                         "accuracy_settings.pool_samples must exceed profile_samples",
+                         id="accuracy-pool-not-above-profile"),
         ],
     )
     def test_malformed_spec_values_fail_in_one_line(self, section, changes, message):
@@ -280,6 +307,14 @@ class TestValidation:
             # Saving must not launder a malformed value into a valid one.
             CampaignSpec.from_json(spec.to_json()).validate()
         assert "\n" not in str(excinfo.value)
+
+    def test_store_accepts_a_path_and_a_zero_seed(self, tmp_path):
+        spec = tiny_spec(store=tmp_path / "store").with_enrichments(
+            accuracy_settings=AccuracySettings(golden_seed=0)
+        )
+        assert spec.validate() is spec
+        saved = CampaignSpec.from_json(spec.to_json()).validate()
+        assert saved.execution.store == str(tmp_path / "store")
 
 
 # --------------------------------------------------------------------------- #
