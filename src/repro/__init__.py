@@ -42,7 +42,7 @@ from repro.core.exponential_fit import ExponentialFit, fit_exponential
 from repro.transformer.config import TransformerConfig
 from repro.transformer.model import TransformerModel
 from repro.transformer import model_zoo
-from repro.schemes import QuantizationScheme, available_schemes, get_scheme, register_scheme
+from repro.schemes import QuantizationScheme
 from repro.experiments import (
     AxisGrid,
     CampaignSpec,
@@ -71,9 +71,6 @@ __all__ = [
     "TransformerModel",
     "model_zoo",
     "QuantizationScheme",
-    "available_schemes",
-    "get_scheme",
-    "register_scheme",
     "FidelityResult",
     "Scenario",
     "evaluate_fidelity",

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.accelerator.energy import DEFAULT_AREAS, DEFAULT_ENERGIES, OperationEnergies
+from repro.schemes.base import SCHEMES
 
 __all__ = ["AcceleratorDesign", "DEFAULT_REGISTER_REUSE"]
 
@@ -81,11 +82,7 @@ class AcceleratorDesign:
 
     def scheme(self):
         """The registered :class:`~repro.schemes.base.QuantizationScheme`."""
-        # Imported here: repro.schemes modules import this module for type
-        # hints/constants, so a top-level import would be circular.
-        from repro.schemes import get_scheme
-
-        return get_scheme(self.datapath)
+        return SCHEMES.get(self.datapath)
 
     def summary(self) -> str:
         """One-line human description (used by ``repro registry list designs``)."""
@@ -143,9 +140,7 @@ class AcceleratorDesign:
         reset to the scheme's defaults.  This is what the campaign engine
         uses to sweep schemes over a fixed design.
         """
-        from repro.schemes import get_scheme
-
-        storage = get_scheme(scheme_name).storage()
+        storage = SCHEMES.get(scheme_name).storage()
         return replace(
             self,
             name=name or f"{self.name}[{scheme_name}]",

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.schemes.base import SCHEMES
 from repro.transformer.model import TransformerModel
 from repro.transformer.tasks import SyntheticDataset
 
@@ -94,9 +95,7 @@ class BaselineQuantizer(abc.ABC):
         """The registered :class:`~repro.schemes.base.QuantizationScheme`."""
         if not self.scheme_name:
             raise ValueError(f"{type(self).__name__} does not declare a scheme_name")
-        from repro.schemes import get_scheme
-
-        return get_scheme(self.scheme_name)
+        return SCHEMES.get(self.scheme_name)
 
     @abc.abstractmethod
     def quantize(

@@ -26,7 +26,7 @@ so repeated runs only simulate new grid points::
     repro status campaign-0001                # one job, sharded progress
     repro results campaign-0001 --output out.ndjson
     repro cancel campaign-0001
-    repro registry list              # the nine pluggable-axis registries
+    repro registry list              # the eight pluggable-axis registries
     repro registry list schemes      # one registry's entries, described
     repro table1                 # the paper's eight Table I fidelity rows
     repro table1 --joint         # fidelity next to speedup/energy (Table IV style)
@@ -73,8 +73,6 @@ from repro.experiments import (
     ResultCache,
     ScenarioRecord,
     UnsupportedSchemeError,
-    available_designs,
-    available_store_backends,
     iter_campaign,
     migrate_store,
     open_store,
@@ -84,8 +82,15 @@ from repro.experiments import (
     supports_accuracy,
 )
 from repro.experiments import SCHEMA_VERSION
-from repro.registry import RegistryError, get_registry, registry_kinds
-from repro.schemes import available_schemes
+from repro.registry import (
+    DESIGNS,
+    POLICIES,
+    STORES,
+    TRACES,
+    RegistryError,
+    get_registry,
+    registry_kinds,
+)
 from repro.service import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -96,8 +101,6 @@ from repro.service import (
     run_daemon,
 )
 from repro.serving import (
-    POLICY_KINDS,
-    TRACE_GENERATORS,
     PolicySpec,
     ServingSpec,
     TraceSpec,
@@ -140,7 +143,7 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store-backend",
-        choices=available_store_backends(),
+        choices=STORES.names(),
         default=None,
         help="storage engine for the store directory (default: whatever "
         "layout the directory already holds, jsonl for a fresh one)",
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["mokey"],
         metavar="DESIGN",
-        help=f"accelerator-design axis (choices: {', '.join(available_designs())})",
+        help=f"accelerator-design axis (choices: {', '.join(DESIGNS.names())})",
     )
     run.add_argument(
         "--buffer-kb",
@@ -438,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("dest", metavar="DEST", help="destination store directory")
     migrate.add_argument(
         "--from-backend",
-        choices=available_store_backends(),
+        choices=STORES.names(),
         default=None,
         help="backend of SOURCE (default: detected from its layout)",
     )
     migrate.add_argument(
         "--to-backend",
-        choices=available_store_backends(),
+        choices=STORES.names(),
         default=None,
         help="backend of DEST (default: detected from its layout, jsonl if fresh)",
     )
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("path", metavar="PATH", help="store directory to summarise")
     stats.add_argument(
         "--store-backend",
-        choices=available_store_backends(),
+        choices=STORES.names(),
         default=None,
         help="backend of PATH (default: detected from its layout)",
     )
@@ -588,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["mokey"],
         metavar="DESIGN",
-        help=f"accelerator designs (choices: {', '.join(available_designs())})",
+        help=f"accelerator designs (choices: {', '.join(DESIGNS.names())})",
     )
     serve.add_argument(
         "--buffer-kb",
@@ -601,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default="poisson",
         metavar="KIND",
-        help=f"arrival-trace kind (choices: {', '.join(sorted(TRACE_GENERATORS))})",
+        help=f"arrival-trace kind (choices: {', '.join(TRACES.names())})",
     )
     serve.add_argument(
         "--rate",
@@ -636,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         default="timeout",
         metavar="KIND",
-        help=f"batching policy (choices: {', '.join(sorted(POLICY_KINDS))})",
+        help=f"batching policy (choices: {', '.join(POLICIES.names())})",
     )
     serve.add_argument(
         "--max-batch",
@@ -832,18 +835,6 @@ def _validate_run_axes(parser: argparse.ArgumentParser, args: argparse.Namespace
         if task not in TASK_SEQUENCE_LENGTHS:
             parser.error(
                 f"unknown task {task!r} (choices: {', '.join(sorted(TASK_SEQUENCE_LENGTHS))})"
-            )
-    known_designs = set(available_designs())
-    for design in args.designs:
-        if design not in known_designs:
-            parser.error(
-                f"unknown design {design!r} (choices: {', '.join(sorted(known_designs))})"
-            )
-    known_schemes = set(available_schemes())
-    for scheme in args.schemes:
-        if scheme is not None and scheme not in known_schemes:
-            parser.error(
-                f"unknown scheme {scheme!r} (choices: none, {', '.join(sorted(known_schemes))})"
             )
 
 

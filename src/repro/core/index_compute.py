@@ -66,6 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro._registry import Registry
 from repro.core.quantizer import QuantizedTensor
 from repro.core.tensor_dictionary import EncodedValues, TensorDictionary
 
@@ -82,11 +83,8 @@ __all__ = [
     "IndexDomainEngine",
     "VectorizedIndexDomainEngine",
     "TorchIndexDomainEngine",
-    "ENGINE_BACKENDS",
+    "ENGINES",
     "ENGINE_DESCRIPTIONS",
-    "available_engines",
-    "resolve_engine",
-    "make_engine",
     "index_domain_dot",
     "index_domain_matmul",
     "index_domain_matmul_many",
@@ -905,15 +903,6 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
 # Engine dispatch
 # --------------------------------------------------------------------------- #
 
-#: Backing mapping of the ``"engines"`` registry (:mod:`repro.registry`):
-#: engine name → engine class.  A live view — backends registered through
-#: the registry are immediately selectable by every ``engine=`` switch.
-ENGINE_BACKENDS: Dict[str, type] = {
-    "scalar": IndexDomainEngine,
-    "vectorized": VectorizedIndexDomainEngine,
-    "torch": TorchIndexDomainEngine,
-}
-
 #: One-line descriptions for ``repro registry list``.  Static strings on
 #: purpose: describing the torch backend must not import torch.
 ENGINE_DESCRIPTIONS: Dict[str, str] = {
@@ -923,47 +912,29 @@ ENGINE_DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-def available_engines() -> Tuple[str, ...]:
-    """All registered engine names, sorted."""
-    return tuple(sorted(ENGINE_BACKENDS))
+def _describe_engine(name: str, cls: Any) -> str:
+    # Static descriptions on purpose: describing the torch backend must
+    # not import torch.  Unknown (user-registered) backends fall back to
+    # the first docstring line.
+    described = ENGINE_DESCRIPTIONS.get(name)
+    if described is None:
+        doc = (cls.__doc__ or "index-domain engine backend").strip()
+        described = doc.splitlines()[0]
+    return described
 
 
-def resolve_engine(engine: str) -> type:
-    """Engine name → engine class, with registry did-you-mean errors.
-
-    Raises:
-        RegistryError: (a ``ValueError``) when the name is unknown, naming
-            the nearest registered engine when one is close.
-    """
-    # Lazy import: repro.registry imports this module at load time to wrap
-    # ENGINE_BACKENDS; reaching back only inside the function keeps the
-    # modules acyclic.
-    from repro.registry import ENGINES
-
-    return ENGINES.get(engine)
-
-
-def make_engine(
-    engine,
-    activation_dictionary: TensorDictionary,
-    weight_dictionary: TensorDictionary,
-    device: Optional[str] = None,
-) -> IndexDomainEngine:
-    """Instantiate an engine by name (or class) for one dictionary pair.
-
-    Args:
-        engine: Registered engine name (``"vectorized"``, ``"scalar"``,
-            ``"torch"``) or an engine class.
-        activation_dictionary: Dictionary of the activation tensor.
-        weight_dictionary: Dictionary of the weight tensor.
-        device: Optional device for backends that take one (the torch
-            engine); passing a device to a backend that does not accept
-            it raises ``TypeError``.
-    """
-    cls = resolve_engine(engine) if isinstance(engine, str) else engine
-    if device is not None:
-        return cls(activation_dictionary, weight_dictionary, device=device)
-    return cls(activation_dictionary, weight_dictionary)
+#: Engine name → engine class: the index-domain compute backends every
+#: ``engine=`` switch (``index_domain_matmul``, the encoder/model
+#: executors, measured campaigns) resolves through.
+ENGINES = Registry(
+    "engines",
+    {
+        "scalar": IndexDomainEngine,
+        "vectorized": VectorizedIndexDomainEngine,
+        "torch": TorchIndexDomainEngine,
+    },
+    _describe_engine,
+)
 
 
 def _check_matmul_shapes(
@@ -1013,13 +984,16 @@ def index_domain_matmul(
         weights: Quantized ``(K, N)`` weight matrix.
         engine: Registered engine name — ``"vectorized"`` (default;
             whole-GEMM NumPy array ops), ``"torch"`` (optional einsum
-            backend) or ``"scalar"`` (the faithful per-output reference).
-            Unknown names raise a registry error with a did-you-mean
-            suggestion.
-        device: Optional device for backends that take one.
+            backend) or ``"scalar"`` (the faithful per-output reference)
+            — or an engine class.  Unknown names raise a registry error
+            with a did-you-mean suggestion.
+        device: Optional device for backends that take one; passing a
+            device to a backend that does not accept it raises
+            ``TypeError``.
     """
-    resolved = make_engine(engine, activations.dictionary, weights.dictionary, device=device)
-    out = resolved.matmul(activations, weights)
+    cls = ENGINES.get(engine) if isinstance(engine, str) else engine
+    kwargs = {} if device is None else {"device": device}
+    out = cls(activations.dictionary, weights.dictionary, **kwargs).matmul(activations, weights)
     if isinstance(out, IndexMatmulResult):
         return out.values, out.stats
     return out
@@ -1047,8 +1021,8 @@ def index_domain_matmul_many(
             tensor pairs.  Per-pair dictionaries may differ (each tensor
             keeps its own std/mean scales), but all must derive from the
             same Golden Dictionary fit.
-        engine: Registered engine name; the scalar reference has no
-            grouped path and runs pair by pair.
+        engine: Registered engine name or engine class; the scalar
+            reference has no grouped path and runs pair by pair.
         device: Optional device for backends that take one.
 
     Returns:
@@ -1057,6 +1031,8 @@ def index_domain_matmul_many(
     pairs = list(pairs)
     if not pairs:
         return []
+    cls = ENGINES.get(engine) if isinstance(engine, str) else engine
+    kwargs = {} if device is None else {"device": device}
     # One engine per distinct (activation, weight) dictionary pair: the
     # heads of one layer share both their profiled dictionaries.
     by_dictionaries: Dict[Tuple[int, int], IndexDomainEngine] = {}
@@ -1065,7 +1041,7 @@ def index_domain_matmul_many(
         key = (id(act.dictionary), id(weights.dictionary))
         resolved = by_dictionaries.get(key)
         if resolved is None:
-            resolved = make_engine(engine, act.dictionary, weights.dictionary, device=device)
+            resolved = cls(act.dictionary, weights.dictionary, **kwargs)
             by_dictionaries[key] = resolved
         engines.append(resolved)
     base = engines[0]

@@ -65,10 +65,10 @@ Usage::
                                batch_size=1, buffer_bytes=1024 * 1024)
     print(mokey.speedup_over(baseline))
 
-New designs register through
-:func:`~repro.experiments.scenario.register_design`; new numerics methods
-register a scheme (see :mod:`repro.schemes`) and are immediately sweepable
-via the ``schemes=`` axis.
+New designs register in the ``designs`` registry
+(``get_registry("designs").register(name, factory)``); new numerics
+methods register in the ``schemes`` registry (see :mod:`repro.schemes`)
+and are immediately sweepable via the ``schemes=`` axis.
 """
 
 from repro.experiments.accuracy import (
@@ -92,13 +92,7 @@ from repro.experiments.measured import (
     measured_digest,
     measured_key,
 )
-from repro.experiments.scenario import (
-    DESIGN_FACTORIES,
-    Scenario,
-    available_designs,
-    build_design,
-    register_design,
-)
+from repro.experiments.scenario import Scenario
 from repro.experiments.campaign import (
     EXECUTORS,
     CampaignProgress,
@@ -112,18 +106,16 @@ from repro.experiments.store import (
     ArtifactStore,
     StoreBackend,
     StoreEntry,
-    available_store_backends,
     detect_store_backend,
     entry_digest,
     migrate_store,
     open_store,
     parse_filter,
-    register_store_backend,
     scenario_key,
     store_digest,
 )
 
-# Importing the SQLite backend registers it in STORE_BACKENDS; it must
+# Importing the SQLite backend registers it in STORES; it must
 # come after ``store`` (it imports the protocol from there), which Python
 # guarantees by importing the parent package first.
 from repro.experiments.store_sqlite import SqliteStoreBackend
@@ -155,11 +147,7 @@ __all__ = [
     "register_fidelity_evaluator",
     "supported_accuracy_schemes",
     "supports_accuracy",
-    "DESIGN_FACTORIES",
     "Scenario",
-    "available_designs",
-    "build_design",
-    "register_design",
     "EXECUTORS",
     "CampaignProgress",
     "CampaignResult",
@@ -171,13 +159,11 @@ __all__ = [
     "SqliteStoreBackend",
     "StoreBackend",
     "StoreEntry",
-    "available_store_backends",
     "detect_store_backend",
     "entry_digest",
     "migrate_store",
     "open_store",
     "parse_filter",
-    "register_store_backend",
     "scenario_key",
     "store_digest",
     "AxisGrid",

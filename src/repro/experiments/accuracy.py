@@ -37,14 +37,15 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, NamedTuple, Opti
 
 import numpy as np
 
-from repro.experiments.scenario import Scenario, build_design
+from repro.experiments.scenario import DESIGNS, Scenario
+from repro.schemes.base import SCHEMES
 from repro.transformer.tasks import (
     TASK_METRICS,
+    TASKS,
     SyntheticDataset,
     evaluate,
     generate_inputs,
     label_with_model,
-    task_family,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -153,7 +154,7 @@ def accuracy_scheme_for(scenario: Scenario) -> str:
     design's own datapath scheme."""
     if scenario.scheme is not None:
         return scenario.scheme
-    return build_design(scenario.design).datapath
+    return DESIGNS.get(scenario.design)().datapath
 
 
 def accuracy_key(scenario: Scenario) -> AccuracyKey:
@@ -393,9 +394,7 @@ def _tensor_fidelity(
     fractions come from the scheme's declared storage model — these
     numerics don't expose measured fractions.
     """
-    from repro.schemes import get_scheme
-
-    scheme = get_scheme(scheme_name)
+    scheme = SCHEMES.get(scheme_name)
     quantized = fp_model.copy()
     for name, values in fp_model.weight_matrices().items():
         quantized.set_parameter(
@@ -454,7 +453,7 @@ def evaluate_fidelity(
             f"scheme {scheme!r} has no accuracy-side numerics evaluator "
             f"(schemes supporting accuracy campaigns: {supported})"
         )
-    family = task_family(task)
+    family = TASKS.get(task)
     seed = _stable_seed(model, task)
     try:
         fp_model = build_simulation_model(

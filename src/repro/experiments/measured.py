@@ -65,10 +65,11 @@ class MeasurementSettings:
             across the full depth.
 
     Raises:
-        ValueError: an unknown scope, or golden sample/repeat counts that
-            are not positive integers (one line naming the field), when
-            the settings are built — so a malformed campaign spec fails
-            when it is parsed, not mid-campaign.
+        ValueError: an unknown scope, golden sample/repeat counts that
+            are not positive integers, or a golden seed that is not an
+            integer >= 0 (one line naming the field), when the settings
+            are built — so a malformed campaign spec fails when it is
+            parsed, not mid-campaign.
     """
 
     golden_samples: int = 12000
@@ -81,11 +82,11 @@ class MeasurementSettings:
             raise ValueError(
                 f"measurement_settings.scope must be 'layer' or 'model', got {self.scope!r}"
             )
-        for name in ("golden_samples", "golden_repeats"):
+        for name, least in (("golden_samples", 1), ("golden_repeats", 1), ("golden_seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(
-                    f"measurement_settings.{name} must be a positive integer, got {value!r}"
+                    f"measurement_settings.{name} must be an integer >= {least}, got {value!r}"
                 )
 
     def to_dict(self) -> Dict[str, object]:

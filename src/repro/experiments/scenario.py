@@ -6,16 +6,17 @@ accelerator design, with which quantization scheme, and how much on-chip
 buffer the chip has.  Scenarios are hashable, so they key the campaign
 result cache directly.
 
-Designs are looked up by name in :data:`DESIGN_FACTORIES`; registering a
-new design point (:func:`register_design`) immediately makes it sweepable
-by every campaign.
+Designs are looked up by name in the :data:`DESIGNS` registry; registering
+a new design point (``DESIGNS.register(name, factory)``) immediately makes
+it sweepable by every campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
+from repro._registry import Registry
 from repro.accelerator.compression_modes import (
     COMPRESSION_MODE_DESIGNS,
     CompressionMode,
@@ -29,55 +30,26 @@ from repro.accelerator.workloads import TASK_SEQUENCE_LENGTHS, Workload, model_w
 
 __all__ = [
     "Scenario",
-    "DESIGN_FACTORIES",
-    "register_design",
-    "available_designs",
-    "build_design",
+    "DESIGNS",
 ]
 
 KB = 1024
 
-DESIGN_FACTORIES: Dict[str, Callable[[], AcceleratorDesign]] = {}
+
+def _describe_design(name: str, factory: Any) -> str:
+    return factory().summary()
 
 
-def register_design(
-    name: str, factory: Callable[[], AcceleratorDesign], replace: bool = False
-) -> None:
-    """Register a zero-argument design factory under ``name``."""
-    if name in DESIGN_FACTORIES and not replace:
-        raise ValueError(f"design {name!r} is already registered")
-    DESIGN_FACTORIES[name] = factory
-
-
-def available_designs() -> Tuple[str, ...]:
-    """Names of all registered designs, sorted."""
-    return tuple(sorted(DESIGN_FACTORIES))
-
-
-def build_design(name: str) -> AcceleratorDesign:
-    """Instantiate a registered design by name."""
-    try:
-        factory = DESIGN_FACTORIES[name]
-    except KeyError:
-        import difflib
-
-        matches = difflib.get_close_matches(str(name), list(DESIGN_FACTORIES), n=1, cutoff=0.6)
-        hint = f" — did you mean {matches[0]!r}?" if matches else ""
-        known = ", ".join(available_designs()) or "none"
-        raise ValueError(
-            f"unknown design {name!r}{hint} (registered designs: {known})"
-        ) from None
-    return factory()
-
-
-register_design("tensor-cores", tensor_cores_design)
-register_design("gobo", gobo_design)
-register_design("mokey", mokey_design)
-register_design(
+#: Design name → zero-argument :class:`AcceleratorDesign` factory.
+DESIGNS = Registry("designs", {}, _describe_design)
+DESIGNS.register("tensor-cores", tensor_cores_design)
+DESIGNS.register("gobo", gobo_design)
+DESIGNS.register("mokey", mokey_design)
+DESIGNS.register(
     COMPRESSION_MODE_DESIGNS[CompressionMode.OFF_CHIP],
     lambda: tensor_cores_with_mokey_compression(CompressionMode.OFF_CHIP),
 )
-register_design(
+DESIGNS.register(
     COMPRESSION_MODE_DESIGNS[CompressionMode.OFF_CHIP_AND_ON_CHIP],
     lambda: tensor_cores_with_mokey_compression(CompressionMode.OFF_CHIP_AND_ON_CHIP),
 )
@@ -97,7 +69,7 @@ class Scenario:
             storage widths with that scheme's defaults (fixed PE array,
             different numerics) via
             :meth:`~repro.accelerator.designs.AcceleratorDesign.with_scheme`.
-        design: Registered design name (see :data:`DESIGN_FACTORIES`).
+        design: Registered design name (see :data:`DESIGNS`).
         buffer_bytes: On-chip buffer capacity.
         activation_buffer_fraction: Buffer fraction reserved for activations.
     """
@@ -134,7 +106,7 @@ class Scenario:
         )
 
     def build_design(self) -> AcceleratorDesign:
-        design = build_design(self.design)
+        design = DESIGNS.get(self.design)()
         if self.scheme is not None and self.scheme != design.datapath:
             design = design.with_scheme(self.scheme)
         return design

@@ -59,8 +59,11 @@ from repro.experiments.campaign import (
     _stream_core,
 )
 from repro.experiments.measured import MeasurementSettings
-from repro.experiments.scenario import KB, Scenario
-from repro.experiments.store import StoreBackend, open_store
+from repro.experiments.scenario import DESIGNS, KB, Scenario
+from repro.experiments.store import STORES, StoreBackend, open_store
+from repro.schemes.base import SCHEMES
+from repro.transformer.model_zoo import MODELS
+from repro.transformer.tasks import TASKS
 
 __all__ = [
     "AxisGrid",
@@ -100,8 +103,6 @@ def _lookup(registry: Any, label: str, name: Any) -> Any:
 
 def _check_execution(policy: "ExecutionPolicy") -> None:
     """Reject a malformed execution policy in one ``ValueError`` line."""
-    from repro import registry  # deferred: registry imports this package
-
     if policy.executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {policy.executor!r} "
@@ -115,7 +116,7 @@ def _check_execution(policy: "ExecutionPolicy") -> None:
     if policy.store is not None and not isinstance(policy.store, (str, os.PathLike)):
         raise ValueError(f"execution.store must be a path or null, got {policy.store!r}")
     if policy.store_backend is not None:
-        _lookup(registry.STORES, "store_backend", policy.store_backend)
+        _lookup(STORES, "store_backend", policy.store_backend)
 
 
 @dataclass(frozen=True)
@@ -362,8 +363,6 @@ class CampaignSpec:
         before anything simulates.  Returns ``self`` so it chains:
         ``iter_campaign(spec.validate())``.
         """
-        from repro import registry  # deferred: registry imports this package
-
         axes = self.axes
         if axes.workloads is not None:
             for triple in axes.workloads:
@@ -377,14 +376,14 @@ class CampaignSpec:
         else:
             models, tasks, seqs = list(axes.models), list(axes.tasks), list(axes.sequence_lengths)
         for model in models:
-            _lookup(registry.MODELS, "models", model)
+            _lookup(MODELS, "models", model)
         for task in tasks:
-            _lookup(registry.TASKS, "tasks", task)
+            _lookup(TASKS, "tasks", task)
         for scheme in axes.schemes:
             if scheme is not None:
-                _lookup(registry.SCHEMES, "schemes", scheme)
+                _lookup(SCHEMES, "schemes", scheme)
         for design in axes.designs:
-            _lookup(registry.DESIGNS, "designs", design)
+            _lookup(DESIGNS, "designs", design)
         for seq in seqs:
             if seq is not None and (not _is_int(seq) or seq <= 0):
                 raise ValueError(f"sequence lengths must be positive or None, got {seq!r}")

@@ -7,8 +7,7 @@ campaigns — in this process or any other — resolve identical grid points
 from disk instead of re-simulating them.
 
 Two backends ship behind one :class:`StoreBackend` contract, registered
-in :data:`STORE_BACKENDS` (and surfaced as the ``stores`` registry of
-:mod:`repro.registry`):
+in the :data:`STORES` registry:
 
 * :class:`ArtifactStore` — the append-only JSONL backend (the default):
   one self-describing JSON object per line in ``<root>/records.jsonl``,
@@ -78,7 +77,6 @@ field mapping, so it is stable across processes, platforms, and
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import itertools
 import json
@@ -104,6 +102,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro._registry import Registry, describe_by_docstring, nearest_match
 from repro.accelerator.metrics import SimulationResult
 from repro.experiments.accuracy import FidelityResult
 from repro.experiments.measured import MeasuredStats
@@ -123,10 +122,8 @@ __all__ = [
     "GROUP_METRICS",
     "GROUP_AGGREGATES",
     "parse_filter",
-    "STORE_BACKENDS",
+    "STORES",
     "DEFAULT_STORE_BACKEND",
-    "register_store_backend",
-    "available_store_backends",
     "detect_store_backend",
     "open_store",
     "migrate_store",
@@ -355,11 +352,6 @@ def _parse_filter_value(raw: str) -> Any:
     return raw
 
 
-def _suggest(name: Any, candidates: Iterable[str]) -> str:
-    matches = difflib.get_close_matches(str(name), list(candidates), n=1, cutoff=0.6)
-    return f" — did you mean {matches[0]!r}?" if matches else ""
-
-
 @dataclass(frozen=True)
 class _QueryPlan:
     """A validated query, executable both in Python and as SQL.
@@ -392,8 +384,10 @@ class _QueryPlan:
             name, op, value = item
             field = QUERY_FIELDS.get(name)
             if field is None:
+                match = nearest_match(name, QUERY_FIELDS)
+                hint = f" — did you mean {match!r}?" if match else ""
                 raise ValueError(
-                    f"unknown query field {name!r}{_suggest(name, QUERY_FIELDS)} "
+                    f"unknown query field {name!r}{hint} "
                     f"(fields: {', '.join(QUERY_FIELDS)})"
                 )
             op = "==" if op == "=" else op
@@ -422,9 +416,11 @@ class _QueryPlan:
                     groupable = tuple(
                         f.name for f in QUERY_FIELDS.values() if f.kind == "axis"
                     )
+                    match = nearest_match(name, groupable)
+                    hint = f" — did you mean {match!r}?" if match else ""
                     raise ValueError(
                         f"group_by field {name!r} must be a scenario axis"
-                        f"{_suggest(name, groupable)} (axes: {', '.join(groupable)})"
+                        f"{hint} (axes: {', '.join(groupable)})"
                     )
                 group_fields.append(field)
         order_field: Optional[str] = None
@@ -441,18 +437,22 @@ class _QueryPlan:
                 descending, order_field = True, order_field[: -len(":desc")]
             elif order_field.endswith(":asc"):
                 descending, order_field = False, order_field[: -len(":asc")]
-            if group_fields:
-                valid = tuple(f.name for f in group_fields) + GROUP_AGGREGATES
-                if order_field not in valid:
+            valid = (
+                tuple(f.name for f in group_fields) + GROUP_AGGREGATES
+                if group_fields
+                else tuple(QUERY_FIELDS)
+            )
+            if order_field not in valid:
+                match = nearest_match(order_field, valid)
+                hint = f" — did you mean {match!r}?" if match else ""
+                if group_fields:
                     raise ValueError(
                         f"order_by {order_field!r} must be a group field or aggregate"
-                        f"{_suggest(order_field, valid)} (choices: {', '.join(valid)})"
+                        f"{hint} (choices: {', '.join(valid)})"
                     )
-            elif order_field not in QUERY_FIELDS:
                 raise ValueError(
-                    f"unknown order_by field {order_field!r}"
-                    f"{_suggest(order_field, QUERY_FIELDS)} "
-                    f"(fields: {', '.join(QUERY_FIELDS)})"
+                    f"unknown order_by field {order_field!r}{hint} "
+                    f"(fields: {', '.join(valid)})"
                 )
         if limit is not None:
             limit = int(limit)
@@ -889,28 +889,13 @@ class ArtifactStore:
 # Backend registry, detection, and migration.
 # --------------------------------------------------------------------------- #
 
-#: Registered backend name → backend class (``repro.registry`` exposes a
-#: live ``stores`` registry view over this mapping).
-STORE_BACKENDS: Dict[str, Callable[[Union[str, os.PathLike]], StoreBackend]] = {}
+#: Backend name → backend class: what ``open_store``/``--store-backend``
+#: resolve through (JSONL default, indexed WAL-mode SQLite for big grids
+#: and concurrent writers).
+STORES = Registry("stores", {}, describe_by_docstring("artifact-store backend"))
 
 #: The backend ``open_store`` falls back to for a fresh directory.
 DEFAULT_STORE_BACKEND = "jsonl"
-
-
-def register_store_backend(
-    name: str,
-    backend: Callable[[Union[str, os.PathLike]], StoreBackend],
-    replace: bool = False,
-) -> None:
-    """Register a store backend class/factory under ``name``."""
-    if name in STORE_BACKENDS and not replace:
-        raise ValueError(f"store backend {name!r} is already registered")
-    STORE_BACKENDS[name] = backend
-
-
-def available_store_backends() -> Tuple[str, ...]:
-    """Names of all registered store backends, sorted."""
-    return tuple(sorted(STORE_BACKENDS))
 
 
 def detect_store_backend(root: Union[str, os.PathLike]) -> Optional[str]:
@@ -922,10 +907,10 @@ def detect_store_backend(root: Union[str, os.PathLike]) -> Optional[str]:
     the other.
     """
     root = Path(root)
-    preferred = [name for name in ("sqlite", "jsonl") if name in STORE_BACKENDS]
-    others = [name for name in sorted(STORE_BACKENDS) if name not in preferred]
+    preferred = [name for name in ("sqlite", "jsonl") if name in STORES]
+    others = [name for name in STORES.names() if name not in preferred]
     for name in preferred + others:
-        filename = getattr(STORE_BACKENDS[name], "FILENAME", None)
+        filename = getattr(STORES.get(name), "FILENAME", None)
         if filename is not None and (root / filename).exists():
             return name
     return None
@@ -943,14 +928,7 @@ def open_store(
     """
     if backend is None:
         backend = detect_store_backend(root) or DEFAULT_STORE_BACKEND
-    try:
-        factory = STORE_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {backend!r}{_suggest(backend, STORE_BACKENDS)} "
-            f"(registered: {', '.join(available_store_backends())})"
-        ) from None
-    return factory(root)
+    return STORES.get(backend)(root)
 
 
 def migrate_store(source: StoreBackend, dest: StoreBackend) -> int:
@@ -971,4 +949,4 @@ def migrate_store(source: StoreBackend, dest: StoreBackend) -> int:
     return dest.put_many(source.records())
 
 
-register_store_backend("jsonl", ArtifactStore)
+STORES.register("jsonl", ArtifactStore)

@@ -55,10 +55,10 @@ from repro.experiments.store import (
     GROUP_METRICS,
     QUERY_FIELDS,
     SCHEMA_VERSION,
+    STORES,
     Filter,
     StoreEntry,
     _QueryPlan,
-    register_store_backend,
     scenario_key,
 )
 
@@ -539,4 +539,4 @@ class SqliteStoreBackend:
         return count
 
 
-register_store_backend("sqlite", SqliteStoreBackend)
+STORES.register("sqlite", SqliteStoreBackend)

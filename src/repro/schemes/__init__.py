@@ -4,14 +4,15 @@ Every numerics method the evaluation sweeps — Mokey, the FP16 baseline,
 GOBO, the memory-compression-only deployments, and the Table IV baselines
 — is a :class:`~repro.schemes.base.QuantizationScheme` registered by name.
 The accelerator simulator dispatches to the scheme object through
-:func:`~repro.schemes.base.get_scheme`; adding a method to the evaluation
+:data:`~repro.schemes.base.SCHEMES`; adding a method to the evaluation
 is a registration, not a simulator edit.
 
 Usage::
 
-    from repro.schemes import get_scheme, available_schemes
+    from repro.schemes import SCHEMES
 
-    scheme = get_scheme("mokey")
+    SCHEMES.names()                                  # ('fp16', 'gobo', 'mokey', ...)
+    scheme = SCHEMES.get("mokey")
     phase = scheme.layer_compute(workload, design)   # cycles + joules
     recon = scheme.quantize_dequantize(tensor)       # numerics round-trip
 """
@@ -20,10 +21,8 @@ from repro.schemes.base import (
     ComputePhase,
     GemmAggregates,
     QuantizationScheme,
+    SCHEMES,
     SchemeStorage,
-    available_schemes,
-    get_scheme,
-    register_scheme,
     scheme,
 )
 from repro.schemes.fp16 import Fp16Scheme, MokeyFullCompressionScheme, MokeyOffChipCompressionScheme
@@ -35,10 +34,8 @@ __all__ = [
     "ComputePhase",
     "GemmAggregates",
     "QuantizationScheme",
+    "SCHEMES",
     "SchemeStorage",
-    "available_schemes",
-    "get_scheme",
-    "register_scheme",
     "scheme",
     "Fp16Scheme",
     "MokeyOffChipCompressionScheme",

@@ -10,16 +10,17 @@ that the rest of the codebase used to keep apart:
   on-chip/off-chip storage widths the dataflow should assume, and any
   lookup-table/outlier side costs (the Figures 9-15 axis).
 
-Schemes are looked up by name through a module-level registry, so adding a
-new method to the simulator is a registration (:func:`register_scheme` or
-the :func:`scheme` decorator), not an edit of the simulator core:
+Schemes are looked up by name through the :data:`SCHEMES` registry, so
+adding a new method to the simulator is a registration
+(``SCHEMES.register`` or the :func:`scheme` decorator), not an edit of
+the simulator core:
 
-    >>> from repro.schemes import QuantizationScheme, register_scheme
+    >>> from repro import QuantizationScheme, get_registry
     >>> class Int4Scheme(QuantizationScheme):
     ...     name = "int4"
     ...     def layer_compute(self, workload, design):
     ...         ...
-    >>> register_scheme(Int4Scheme())
+    >>> get_registry("schemes").register("int4", Int4Scheme())
 
 The :class:`~repro.accelerator.designs.AcceleratorDesign` ``datapath``
 field is a registry key; the simulator dispatches to the scheme object and
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
+
+from repro._registry import Registry, RegistryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (designs -> schemes)
     from repro.accelerator.designs import AcceleratorDesign
@@ -43,10 +46,8 @@ __all__ = [
     "ComputePhase",
     "GemmAggregates",
     "QuantizationScheme",
-    "register_scheme",
+    "SCHEMES",
     "scheme",
-    "get_scheme",
-    "available_schemes",
 ]
 
 
@@ -169,45 +170,24 @@ class QuantizationScheme(abc.ABC):
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
-_REGISTRY: Dict[str, QuantizationScheme] = {}
+def _describe_scheme(name: str, scheme: Any) -> str:
+    return scheme.describe()
 
 
-def register_scheme(instance: QuantizationScheme, replace: bool = False) -> QuantizationScheme:
-    """Register a scheme instance under its :attr:`~QuantizationScheme.name`.
+def _check_scheme(name: str, scheme: Any) -> None:
+    if getattr(scheme, "name", None) != name:
+        raise RegistryError(
+            f"scheme instance names itself {getattr(scheme, 'name', None)!r} "
+            f"but is being registered as {name!r} in the 'schemes' registry",
+            kind="schemes", name=name,
+        )
 
-    Args:
-        instance: The scheme to register.
-        replace: Allow overwriting an existing registration.
-    """
-    if not instance.name:
-        raise ValueError("scheme must define a non-empty name")
-    if instance.name in _REGISTRY and not replace:
-        raise ValueError(f"scheme {instance.name!r} is already registered")
-    _REGISTRY[instance.name] = instance
-    return instance
+
+#: Scheme name → scheme instance; ``AcceleratorDesign.datapath`` is a key.
+SCHEMES = Registry("schemes", {}, _describe_scheme, on_register=_check_scheme)
 
 
 def scheme(cls):
     """Class decorator: instantiate with no arguments and register."""
-    register_scheme(cls())
+    SCHEMES.register(cls.name, cls())
     return cls
-
-
-def get_scheme(name: str) -> QuantizationScheme:
-    """Look up a registered scheme; raises ``ValueError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        import difflib
-
-        matches = difflib.get_close_matches(str(name), list(_REGISTRY), n=1, cutoff=0.6)
-        hint = f" — did you mean {matches[0]!r}?" if matches else ""
-        known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise ValueError(
-            f"unknown datapath {name!r}{hint} (registered schemes: {known})"
-        ) from None
-
-
-def available_schemes() -> Tuple[str, ...]:
-    """Names of all registered schemes, sorted."""
-    return tuple(sorted(_REGISTRY))

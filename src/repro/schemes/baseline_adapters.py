@@ -19,8 +19,8 @@ from repro.schemes.base import (
     ComputePhase,
     GemmAggregates,
     QuantizationScheme,
+    SCHEMES,
     SchemeStorage,
-    register_scheme,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,7 +115,10 @@ def _ternary_tensor(values: np.ndarray) -> np.ndarray:
 
 BASELINE_SCHEME_NAMES = ("q8bert", "ibert", "qbert", "ternarybert")
 
-register_scheme(BaselineScheme("q8bert", 8, 8, _q8bert_tensor))
-register_scheme(BaselineScheme("ibert", 8, 8, _q8bert_tensor, integer_compute=True))
-register_scheme(BaselineScheme("qbert", 4, 8, _qbert_tensor, weight_lut=True))
-register_scheme(BaselineScheme("ternarybert", 2, 8, _ternary_tensor, integer_compute=True))
+for _baseline in (
+    BaselineScheme("q8bert", 8, 8, _q8bert_tensor),
+    BaselineScheme("ibert", 8, 8, _q8bert_tensor, integer_compute=True),
+    BaselineScheme("qbert", 4, 8, _qbert_tensor, weight_lut=True),
+    BaselineScheme("ternarybert", 2, 8, _ternary_tensor, integer_compute=True),
+):
+    SCHEMES.register(_baseline.name, _baseline)

@@ -28,7 +28,7 @@ encoders and :class:`~repro.transformer.index_model.MultiStreamDecoder`
 decodes any number of lockstep streams.
 """
 
-from repro.serving.policies import POLICY_KINDS, PolicySpec, register_policy
+from repro.serving.policies import PolicySpec
 from repro.serving.replay import (
     BatchCost,
     BatchCostModel,
@@ -44,16 +44,12 @@ from repro.serving.spec import (
     iter_serving,
     run_serving,
 )
-from repro.serving.traces import TRACE_GENERATORS, TraceSpec, generate_trace, register_trace
+from repro.serving.traces import TraceSpec, generate_trace
 
 __all__ = [
     "TraceSpec",
-    "TRACE_GENERATORS",
     "generate_trace",
-    "register_trace",
     "PolicySpec",
-    "POLICY_KINDS",
-    "register_policy",
     "BatchCost",
     "BatchCostModel",
     "ServingMetrics",

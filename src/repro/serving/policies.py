@@ -23,8 +23,8 @@ Three kinds ship by default:
     waited ``timeout_ms``, whichever comes first — the classic
     dynamic-batching compromise (TF-Serving / Triton style).
 
-New kinds register through :func:`register_policy` (or the ``policies``
-registry in :mod:`repro.registry`).  A policy is a pure function
+New kinds register through the :data:`POLICIES` registry
+(``POLICIES.register(name, rule)``).  A policy is a pure function
 ``(spec, queue_head_s, fill_s, last_arrival_s) -> release_s`` — it sees
 when the oldest request arrived, when the batch would fill, and when the
 final trace arrival lands, and answers the earliest instant a batch may
@@ -35,31 +35,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Dict, Mapping
+
+from repro._registry import Registry, describe_by_docstring
 
 __all__ = [
     "PolicySpec",
-    "POLICY_KINDS",
-    "register_policy",
+    "POLICIES",
     "release_time",
 ]
 
-#: name -> release-time rule ``(spec, queue_head_s, fill_s, last_arrival_s)
-#: -> release_s``.  ``fill_s`` is ``math.inf`` when the batch can never
-#: fill (trace exhausted).  The ``policies`` registry in
-#: :mod:`repro.registry` is a live view over this mapping.
-POLICY_KINDS: Dict[str, Callable[["PolicySpec", float, float, float], float]] = {}
 
-
-def register_policy(
-    name: str,
-    rule: Callable[["PolicySpec", float, float, float], float],
-    replace: bool = False,
-) -> None:
-    """Register a batching-policy release rule under ``name``."""
-    if name in POLICY_KINDS and not replace:
-        raise ValueError(f"policy kind {name!r} is already registered")
-    POLICY_KINDS[name] = rule
+#: Policy kind → release-time rule ``(spec, queue_head_s, fill_s,
+#: last_arrival_s) -> release_s``: what ``ServingSpec.policy`` /
+#: ``repro serve-sim --policy`` resolve through.  ``fill_s`` is
+#: ``math.inf`` when the batch can never fill (trace exhausted).
+POLICIES = Registry("policies", {}, describe_by_docstring("batching-policy release rule"))
 
 
 @dataclass(frozen=True)
@@ -111,13 +102,7 @@ def release_time(
         last_arrival_s: Arrival time of the final request in the trace
             (lets fill-based policies flush the tail).
     """
-    try:
-        rule = POLICY_KINDS[spec.kind]
-    except KeyError:
-        from repro.registry import POLICIES  # deferred: registry imports this module
-
-        raise POLICIES._unknown(spec.kind) from None
-    return rule(spec, queue_head_s, fill_s, last_arrival_s)
+    return POLICIES.get(spec.kind)(spec, queue_head_s, fill_s, last_arrival_s)
 
 
 def continuous_policy(
@@ -143,6 +128,6 @@ def timeout_policy(
     return min(fill_s, queue_head_s + spec.timeout_ms / 1000.0)
 
 
-register_policy("continuous", continuous_policy)
-register_policy("max-batch", max_batch_policy)
-register_policy("timeout", timeout_policy)
+POLICIES.register("continuous", continuous_policy)
+POLICIES.register("max-batch", max_batch_policy)
+POLICIES.register("timeout", timeout_policy)

@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.campaign import ResultCache
-from repro.experiments.scenario import KB, Scenario
+from repro.experiments.scenario import DESIGNS, KB, Scenario
 from repro.experiments.spec import (
     ExecutionPolicy,
     _as_tuple,
@@ -59,9 +59,12 @@ from repro.experiments.spec import (
     _policy_cache,
 )
 from repro.experiments.store import open_store
-from repro.serving.policies import PolicySpec
+from repro.schemes.base import SCHEMES
+from repro.serving.policies import POLICIES, PolicySpec
 from repro.serving.replay import BatchCostModel, ReplayResult, ServingMetrics, replay_trace
-from repro.serving.traces import TraceSpec, generate_trace
+from repro.serving.traces import TRACES, TraceSpec, generate_trace
+from repro.transformer.model_zoo import MODELS
+from repro.transformer.tasks import TASKS
 
 __all__ = [
     "ServingSpec",
@@ -130,19 +133,17 @@ class ServingSpec:
         string, bool or fraction where an integer belongs) — each in one
         line, before anything simulates.  Returns ``self`` so it chains.
         """
-        from repro import registry  # deferred: registry imports this package
-
-        _lookup(registry.MODELS, "model", self.model)
-        _lookup(registry.TASKS, "task", self.task)
+        _lookup(MODELS, "model", self.model)
+        _lookup(TASKS, "task", self.task)
         for scheme in self.schemes:
             if scheme is not None:
-                _lookup(registry.SCHEMES, "schemes", scheme)
+                _lookup(SCHEMES, "schemes", scheme)
         if not self.designs:
             raise ValueError("ServingSpec.designs must name at least one design")
         for design in self.designs:
-            _lookup(registry.DESIGNS, "designs", design)
-        _lookup(registry.TRACES, "trace.kind", self.trace.kind)
-        _lookup(registry.POLICIES, "policy.kind", self.policy.kind)
+            _lookup(DESIGNS, "designs", design)
+        _lookup(TRACES, "trace.kind", self.trace.kind)
+        _lookup(POLICIES, "policy.kind", self.policy.kind)
         seq = self.sequence_length
         if seq is not None and (not _is_int(seq) or seq <= 0):
             raise ValueError(f"sequence_length must be positive or None, got {seq!r}")

@@ -22,8 +22,8 @@ Three kinds ship by default:
     day-curve, sampled by Lewis–Shedler thinning.  Models the
     peak/trough load cycle of a user-facing service.
 
-New kinds register through :func:`register_trace` (or the ``traces``
-registry in :mod:`repro.registry`) and become immediately usable from
+New kinds register through the :data:`TRACES` registry
+(``TRACES.register(name, generator)``) and become immediately usable from
 ``ServingSpec`` and ``repro serve-sim --trace``.
 """
 
@@ -31,30 +31,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
+from repro._registry import Registry, describe_by_docstring
+
 __all__ = [
     "TraceSpec",
-    "TRACE_GENERATORS",
-    "register_trace",
+    "TRACES",
     "generate_trace",
 ]
 
-#: name -> generator callable ``(spec: TraceSpec) -> np.ndarray`` of
-#: sorted arrival times in seconds.  The ``traces`` registry in
-#: :mod:`repro.registry` is a live view over this mapping.
-TRACE_GENERATORS: Dict[str, Callable[["TraceSpec"], np.ndarray]] = {}
 
-
-def register_trace(
-    name: str, generator: Callable[["TraceSpec"], np.ndarray], replace: bool = False
-) -> None:
-    """Register an arrival-trace generator under ``name``."""
-    if name in TRACE_GENERATORS and not replace:
-        raise ValueError(f"trace kind {name!r} is already registered")
-    TRACE_GENERATORS[name] = generator
+#: Trace kind → generator callable ``(spec: TraceSpec) -> np.ndarray`` of
+#: sorted arrival times in seconds: what ``ServingSpec.trace`` /
+#: ``repro serve-sim --trace`` resolve through.
+TRACES = Registry("traces", {}, describe_by_docstring("arrival-trace generator"))
 
 
 @dataclass(frozen=True)
@@ -130,12 +123,7 @@ def generate_trace(spec: TraceSpec) -> np.ndarray:
     ``numpy.random.default_rng(spec.seed)``, so serial / thread / process
     replays of the same spec see the same requests at the same instants.
     """
-    try:
-        generator = TRACE_GENERATORS[spec.kind]
-    except KeyError:
-        from repro.registry import TRACES  # deferred: registry imports this module
-
-        raise TRACES._unknown(spec.kind) from None
+    generator = TRACES.get(spec.kind)
     if spec.num_requests <= 0:
         raise ValueError(f"num_requests must be positive, got {spec.num_requests!r}")
     if not spec.rate_rps > 0:
@@ -220,6 +208,6 @@ def diurnal_trace(spec: TraceSpec) -> np.ndarray:
     return arrivals
 
 
-register_trace("poisson", poisson_trace)
-register_trace("bursty", bursty_trace)
-register_trace("diurnal", diurnal_trace)
+TRACES.register("poisson", poisson_trace)
+TRACES.register("bursty", bursty_trace)
+TRACES.register("diurnal", diurnal_trace)

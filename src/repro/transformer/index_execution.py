@@ -40,9 +40,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.index_compute import (
+    ENGINES,
     IndexComputeStats,
     index_domain_matmul_many,
-    resolve_engine,
     use_plane_cache,
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
@@ -196,7 +196,7 @@ class IndexDomainEncoderExecutor:
         device: Optional[str] = None,
         oracle: bool = False,
     ) -> None:
-        self.engine_cls = resolve_engine(engine)
+        self.engine_cls = ENGINES.get(engine)
         ensure = getattr(self.engine_cls, "ensure_available", None)
         if ensure is not None:
             ensure()

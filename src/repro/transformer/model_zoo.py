@@ -19,10 +19,11 @@ fraction of large-magnitude outliers, per tensor.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro._registry import Registry
 from repro.transformer.attention import MultiHeadSelfAttention
 from repro.transformer.config import TransformerConfig
 from repro.transformer.embeddings import TransformerEmbeddings
@@ -36,6 +37,7 @@ __all__ = [
     "roberta_large",
     "deberta_xl",
     "MODEL_CONFIGS",
+    "MODELS",
     "PAPER_MODELS",
     "gaussian_with_outliers",
     "build_model",
@@ -102,6 +104,14 @@ MODEL_CONFIGS: Dict[str, TransformerConfig] = {
     "roberta-large": roberta_large(),
     "deberta-xl": deberta_xl(),
 }
+
+
+def _describe_model(name: str, config: Any) -> str:
+    return config.summary()
+
+
+#: Model name → configuration, over ``MODEL_CONFIGS``.
+MODELS = Registry("models", MODEL_CONFIGS, _describe_model)
 
 # The (model, task, sequence length, metric) combinations of Table I.
 PAPER_MODELS = (

@@ -17,6 +17,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro._registry import Registry, RegistryError
+from repro.accelerator.workloads import TASK_SEQUENCE_LENGTHS as _TASK_SEQUENCE_LENGTHS
 from repro.transformer.model import TransformerModel
 
 __all__ = [
@@ -29,7 +31,7 @@ __all__ = [
     "evaluate",
     "TASK_METRICS",
     "TASK_FAMILIES",
-    "task_family",
+    "TASKS",
 ]
 
 TASK_METRICS: Dict[str, str] = {
@@ -46,15 +48,35 @@ TASK_FAMILIES: Dict[str, str] = {
 }
 
 
-def task_family(task: str) -> str:
-    """The task family for a dataset name (``"mnli"``) or family name itself."""
-    if task in TASK_METRICS:
-        return task
-    try:
-        return TASK_FAMILIES[task]
-    except KeyError:
-        known = ", ".join(sorted(set(TASK_FAMILIES) | set(TASK_METRICS)))
-        raise ValueError(f"unknown task {task!r} (known tasks: {known})") from None
+def _describe_task(name: str, family: str) -> str:
+    metric = TASK_METRICS[family]
+    if name == family:
+        return f"task family (metric: {metric})"
+    seq = _TASK_SEQUENCE_LENGTHS.get(name)
+    default = f", default seq {seq}" if seq is not None else ""
+    return f"dataset task — family {family!r} (metric: {metric}{default})"
+
+
+def _check_task(name: str, family: str) -> None:
+    if family not in TASK_METRICS:
+        raise RegistryError(
+            f"task {name!r} must map to a family in "
+            f"{sorted(TASK_METRICS)}, got {family!r}",
+            kind="tasks", name=name,
+        )
+
+
+#: Task name → family, over ``TASK_FAMILIES`` (a task registered here is
+#: accepted by specs and accuracy campaigns).  The family names themselves
+#: ride along as read-only virtual entries: ``TASKS.get`` maps a dataset
+#: task or a family name to its family.
+TASKS = Registry(
+    "tasks",
+    TASK_FAMILIES,
+    _describe_task,
+    on_register=_check_task,
+    virtual_entries={family: family for family in TASK_METRICS},
+)
 
 
 @dataclass

@@ -39,8 +39,7 @@ from repro.experiments import (
     supports_accuracy,
 )
 from repro.experiments.accuracy import AccuracySettings, FidelityResult
-from repro.schemes import QuantizationScheme, register_scheme
-from repro.schemes.base import _REGISTRY as _SCHEME_REGISTRY
+from repro.schemes import SCHEMES, QuantizationScheme
 
 KB = 1024
 
@@ -66,9 +65,9 @@ def compute_only_scheme():
         def layer_compute(self, workload, design):  # pragma: no cover - never run
             raise NotImplementedError
 
-    register_scheme(ComputeOnlyScheme(), replace=True)
+    SCHEMES.register("compute-only-test", ComputeOnlyScheme(), replace=True)
     yield "compute-only-test"
-    _SCHEME_REGISTRY.pop("compute-only-test", None)
+    SCHEMES._entries.pop("compute-only-test", None)
 
 
 class TestAccuracyKey:
@@ -96,9 +95,7 @@ class TestAccuracyKey:
         assert accuracy_key(Scenario(design="gobo")) != accuracy_key(base)
 
     def test_every_builtin_scheme_supports_accuracy(self):
-        from repro.schemes import available_schemes
-
-        for scheme in available_schemes():
+        for scheme in SCHEMES.names():
             assert supports_accuracy(scheme), scheme
         assert not supports_accuracy("not-a-scheme")
         assert "mokey" in supported_accuracy_schemes()

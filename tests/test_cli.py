@@ -91,15 +91,29 @@ class TestCampaignRun:
         assert code == 0
         assert "8 records" in err
 
-    def test_unknown_design_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "run", "--designs", "nonexistent", "--store", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_unknown_design_is_a_one_line_error(self, tmp_path, capsys):
+        code, _out, err = run_cli(
+            ["campaign", "run", "--designs", "nonexistent", "--store", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "'designs' registry" in err
 
-    def test_unknown_scheme_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "run", "--schemes", "int3", "--store", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_unknown_scheme_is_a_one_line_error(self, tmp_path, capsys):
+        code, _out, err = run_cli(
+            ["campaign", "run", "--schemes", "int3", "--store", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "'schemes' registry" in err
+
+    @pytest.mark.parametrize("flag", ["--designs", "--schemes"])
+    def test_misspelt_design_or_scheme_suggests_the_nearest(self, flag, capsys):
+        code, _out, err = run_cli(["campaign", "run", flag, "mokeyy", "--no-store"], capsys)
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "did you mean 'mokey'" in lines[0]
 
     def test_unknown_task_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -176,8 +190,7 @@ class TestReportListClean:
 class TestAccuracyRun:
     @pytest.fixture()
     def compute_only_scheme(self):
-        from repro.schemes import QuantizationScheme, register_scheme
-        from repro.schemes.base import _REGISTRY
+        from repro.schemes import SCHEMES, QuantizationScheme
 
         class ComputeOnlyScheme(QuantizationScheme):
             name = "compute-only-cli"
@@ -185,9 +198,9 @@ class TestAccuracyRun:
             def layer_compute(self, workload, design):  # pragma: no cover
                 raise NotImplementedError
 
-        register_scheme(ComputeOnlyScheme(), replace=True)
+        SCHEMES.register("compute-only-cli", ComputeOnlyScheme(), replace=True)
         yield "compute-only-cli"
-        _REGISTRY.pop("compute-only-cli", None)
+        SCHEMES._entries.pop("compute-only-cli", None)
 
     def test_with_accuracy_persists_joint_records(self, tmp_path, capsys):
         args = [

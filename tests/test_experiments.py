@@ -13,12 +13,10 @@ from repro.experiments import (
     CampaignSpec,
     ResultCache,
     Scenario,
-    available_designs,
-    build_design,
-    register_design,
     run_scenario,
     run_spec,
 )
+from repro.registry import DESIGNS
 
 KB = 1024
 MB = 1024 * 1024
@@ -63,7 +61,7 @@ class TestScenario:
         assert design.weight_bits_offchip == pytest.approx(4.4)
 
     def test_design_registry_contents(self):
-        names = available_designs()
+        names = DESIGNS.names()
         for expected in (
             "tensor-cores",
             "gobo",
@@ -72,11 +70,11 @@ class TestScenario:
             "tensor-cores+mokey-oc+on",
         ):
             assert expected in names
-        assert build_design("gobo").name == "gobo"
+        assert DESIGNS.get("gobo")().name == "gobo"
 
-    def test_register_design_duplicate_rejected(self):
+    def test_duplicate_design_rejected(self):
         with pytest.raises(ValueError):
-            register_design("mokey", mokey_design)
+            DESIGNS.register("mokey", mokey_design)
 
 
 @pytest.mark.parametrize("module_name", ["repro", "repro.experiments"])

@@ -40,11 +40,10 @@ from repro.experiments import (
     Enrichments,
     ExecutionPolicy,
     Scenario,
-    available_designs,
     fidelity_digest,
     run_spec,
 )
-from repro.schemes import available_schemes
+from repro.registry import DESIGNS, SCHEMES
 from repro.transformer.model_zoo import MODEL_CONFIGS, PAPER_MODELS
 
 GOLDENS_PATH = Path(__file__).parent / "goldens.json"
@@ -59,8 +58,8 @@ def golden_spec() -> CampaignSpec:
     return CampaignSpec(axes=AxisGrid(
         models=tuple(sorted(MODEL_CONFIGS)),
         tasks=(GOLDEN_TASK,),
-        schemes=available_schemes(),
-        designs=available_designs(),
+        schemes=SCHEMES.names(),
+        designs=DESIGNS.names(),
         buffer_bytes=(GOLDEN_BUFFER_BYTES,),
     ))
 

@@ -27,15 +27,13 @@ import numpy as np
 import pytest
 
 from repro.accelerator.workloads import encoder_gemms
-from repro.core import index_compute
 from repro.core.index_compute import (
+    ENGINES,
     IndexDomainEngine,
     PlaneCache,
     VectorizedIndexDomainEngine,
     index_domain_matmul,
     index_domain_matmul_many,
-    make_engine,
-    resolve_engine,
     use_plane_cache,
 )
 from repro.experiments import MeasurementSettings, evaluate_measured
@@ -128,7 +126,7 @@ class TestMatmulMany:
             assert s.stats == v.stats
             np.testing.assert_allclose(s.values, v.values, rtol=1e-9, atol=1e-8)
 
-    def test_one_engine_per_distinct_dictionary_pair(self, quantizer, rng, monkeypatch):
+    def test_one_engine_per_distinct_dictionary_pair(self, quantizer, rng):
         # Per-head GEMMs share both dictionaries, as profiled operands do.
         act = quantizer.fit_dictionary_from_stats("act", 0.0, 1.0, -4.0, 4.0)
         wgt = quantizer.fit_dictionary_from_stats("wgt", 0.0, 0.5, -2.0, 2.0)
@@ -141,14 +139,13 @@ class TestMatmulMany:
         ]
         pairs.append(_operands(quantizer, rng, 3, 6, 4, "own"))
         built = []
-        make = index_compute.make_engine
 
-        def counting(*args, **kwargs):
-            built.append(args[1:3])
-            return make(*args, **kwargs)
+        class CountingEngine(VectorizedIndexDomainEngine):
+            def __init__(self, act_dict, wgt_dict):
+                built.append((act_dict, wgt_dict))
+                super().__init__(act_dict, wgt_dict)
 
-        monkeypatch.setattr(index_compute, "make_engine", counting)
-        results = index_domain_matmul_many(pairs)
+        results = index_domain_matmul_many(pairs, engine=CountingEngine)
         assert len(built) == 2
         self._assert_matches_per_pair(pairs, results)
 
@@ -249,25 +246,26 @@ class TestMatmulMany:
 
 class TestEngineDispatch:
     def test_resolve_known_engines(self):
-        assert resolve_engine("scalar") is IndexDomainEngine
-        assert resolve_engine("vectorized") is VectorizedIndexDomainEngine
+        assert ENGINES.get("scalar") is IndexDomainEngine
+        assert ENGINES.get("vectorized") is VectorizedIndexDomainEngine
 
     def test_unknown_engine_suggests_nearest(self):
         with pytest.raises(RegistryError, match="did you mean 'vectorized'"):
-            resolve_engine("vectorised")
+            ENGINES.get("vectorised")
 
     def test_unknown_engine_is_value_error(self):
         # Pre-registry callers caught ValueError; that contract holds.
         with pytest.raises(ValueError):
-            resolve_engine("gpu")
+            ENGINES.get("gpu")
 
-    def test_make_engine_accepts_name_or_class(self, quantizer, rng):
+    def test_matmul_accepts_engine_name_or_class(self, quantizer, rng):
         aq, wq = _operands(quantizer, rng, 3, 6, 4, "mk")
-        by_name = make_engine("vectorized", aq.dictionary, wq.dictionary)
-        by_class = make_engine(
-            VectorizedIndexDomainEngine, aq.dictionary, wq.dictionary
+        by_name_values, by_name_stats = index_domain_matmul(aq, wq, engine="vectorized")
+        by_class_values, by_class_stats = index_domain_matmul(
+            aq, wq, engine=VectorizedIndexDomainEngine
         )
-        assert type(by_name) is type(by_class)
+        np.testing.assert_array_equal(by_name_values, by_class_values)
+        assert by_name_stats == by_class_stats
 
     def test_executor_rejects_unknown_engine(self):
         from repro.transformer.index_execution import IndexDomainEncoderExecutor

@@ -1,8 +1,13 @@
 """Tests for the unified registry surface (:mod:`repro.registry`)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.experiments.scenario import DESIGN_FACTORIES, available_designs, build_design
+import repro
+from repro.experiments.scenario import Scenario
 from repro.registry import (
     DESIGNS,
     ENGINES,
@@ -16,7 +21,6 @@ from repro.registry import (
     nearest_match,
     registry_kinds,
 )
-from repro.schemes import available_schemes, get_scheme
 
 
 class TestProtocol:
@@ -35,16 +39,6 @@ class TestProtocol:
             assert list(registry) == list(registry.names())
             assert len(registry) == len(registry.names())
 
-    def test_schemes_view_matches_legacy_registry(self):
-        assert SCHEMES.names() == available_schemes()
-        for name in SCHEMES.names():
-            assert SCHEMES.get(name) is get_scheme(name)
-
-    def test_designs_view_matches_legacy_registry(self):
-        assert DESIGNS.names() == available_designs()
-        for name in DESIGNS.names():
-            assert DESIGNS.get(name) is DESIGN_FACTORIES[name]
-
     def test_describe_returns_one_line_per_entry(self):
         for kind in registry_kinds():
             registry = get_registry(kind)
@@ -61,13 +55,6 @@ class TestProtocol:
         assert "mnli" in TASKS and "classification" in TASKS
         assert "vectorized" in ENGINES and "torch" in ENGINES
         assert "nope" not in SCHEMES
-
-    def test_engines_view_matches_backend_mapping(self):
-        from repro.core.index_compute import ENGINE_BACKENDS, available_engines
-
-        assert ENGINES.names() == available_engines()
-        for name in ENGINES.names():
-            assert ENGINES.get(name) is ENGINE_BACKENDS[name]
 
     def test_engine_descriptions_are_static_strings(self):
         # This suite must pass in torch-less environments: describing the
@@ -106,15 +93,15 @@ class TestErrors:
         assert "did you mean 'designs'?" in str(excinfo.value)
 
     def test_registry_error_is_a_value_error(self):
-        # Callers that caught ValueError from the legacy helpers keep working.
+        # Callers that catch ValueError for a bad name keep working.
         with pytest.raises(ValueError):
             SCHEMES.get("nonexistent")
 
-    def test_legacy_lookup_errors_gained_suggestions(self):
+    def test_scheme_and_design_lookups_suggest(self):
         with pytest.raises(ValueError, match="did you mean 'mokey'"):
-            get_scheme("mokeyy")
+            SCHEMES.get("mokeyy")
         with pytest.raises(ValueError, match="did you mean 'tensor-cores'"):
-            build_design("tensor-core")
+            Scenario(design="tensor-core").build_design()
 
     def test_nearest_match_helper(self):
         assert nearest_match("mokeyy", ("mokey", "gobo")) == "mokey"
@@ -122,21 +109,22 @@ class TestErrors:
 
 
 class TestRegistration:
-    def test_register_is_visible_to_legacy_helpers_and_back(self):
+    def test_registered_design_builds_through_a_scenario(self):
         from repro.accelerator.mokey_accel import mokey_design
 
         DESIGNS.register("test-registry-design", mokey_design)
         try:
-            assert "test-registry-design" in available_designs()
-            assert build_design("test-registry-design").datapath == "mokey"
+            assert "test-registry-design" in DESIGNS.names()
+            scenario = Scenario(design="test-registry-design")
+            assert scenario.build_design().datapath == "mokey"
         finally:
-            del DESIGN_FACTORIES["test-registry-design"]
+            DESIGNS._entries.pop("test-registry-design")
         assert "test-registry-design" not in DESIGNS
 
     def test_duplicate_registration_needs_replace(self):
         with pytest.raises(RegistryError, match="already registered"):
-            DESIGNS.register("mokey", DESIGN_FACTORIES["mokey"])
-        DESIGNS.register("mokey", DESIGN_FACTORIES["mokey"], replace=True)
+            DESIGNS.register("mokey", DESIGNS.get("mokey"))
+        DESIGNS.register("mokey", DESIGNS.get("mokey"), replace=True)
 
     def test_entry_decorator(self):
         from repro.accelerator.gobo_accel import gobo_design
@@ -148,7 +136,7 @@ class TestRegistration:
         try:
             assert DESIGNS.get("test-entry-design") is factory
         finally:
-            del DESIGN_FACTORIES["test-entry-design"]
+            DESIGNS._entries.pop("test-entry-design")
 
     def test_scheme_registration_checks_instance_name(self):
         scheme = SCHEMES.get("mokey")
@@ -162,24 +150,25 @@ class TestRegistration:
 
 class TestLiveView:
     def test_registry_is_a_live_view_not_a_copy(self):
-        before = DESIGNS.names()
-        DESIGN_FACTORIES["test-live-design"] = DESIGN_FACTORIES["mokey"]
-        try:
-            assert "test-live-design" in DESIGNS
-            assert "test-live-design" in DESIGNS.names()
-        finally:
-            del DESIGN_FACTORIES["test-live-design"]
-        assert DESIGNS.names() == before
+        from repro.transformer.model_zoo import MODEL_CONFIGS
 
-    def test_task_registration_reaches_the_task_helpers(self):
-        """TASKS is a live view over TASK_FAMILIES: a task registered here
-        resolves through task_family (so it actually runs), and one added
-        there is immediately validatable here."""
-        from repro.transformer.tasks import TASK_FAMILIES, task_family
+        before = MODELS.names()
+        MODEL_CONFIGS["test-live-model"] = MODEL_CONFIGS["bert-base"]
+        try:
+            assert "test-live-model" in MODELS
+            assert "test-live-model" in MODELS.names()
+        finally:
+            del MODEL_CONFIGS["test-live-model"]
+        assert MODELS.names() == before
+
+    def test_task_registration_reaches_the_task_families(self):
+        """TASKS wraps TASK_FAMILIES: a task registered here lands in the
+        zoo's data, and one added there is immediately validatable here."""
+        from repro.transformer.tasks import TASK_FAMILIES
 
         TASKS.register("test-boolq", "classification")
         try:
-            assert task_family("test-boolq") == "classification"
+            assert TASK_FAMILIES["test-boolq"] == "classification"
             assert "test-boolq" in TASKS
             assert TASKS.get("test-boolq") == "classification"
         finally:
@@ -203,3 +192,46 @@ class TestLiveView:
             TASKS.register("mnli", "classification")
         with pytest.raises(RegistryError, match="already registered"):
             TASKS.register("classification", "classification")  # virtual name
+
+
+#: Every axis module and the names its registry holds once ``repro`` loads.
+AXIS_MODULES = {
+    "schemes": ("repro.schemes.base", (
+        "fp16", "gobo", "ibert", "mokey", "mokey-oc", "mokey-oc+on",
+        "q8bert", "qbert", "ternarybert",
+    )),
+    "designs": ("repro.experiments.scenario", (
+        "gobo", "mokey", "tensor-cores", "tensor-cores+mokey-oc",
+        "tensor-cores+mokey-oc+on",
+    )),
+    "stores": ("repro.experiments.store", ("jsonl", "sqlite")),
+    "traces": ("repro.serving.traces", ("bursty", "diurnal", "poisson")),
+    "policies": ("repro.serving.policies", ("continuous", "max-batch", "timeout")),
+    "engines": ("repro.core.index_compute", ("scalar", "torch", "vectorized")),
+    "models": ("repro.transformer.model_zoo", (
+        "bert-base", "bert-large", "deberta-xl", "roberta-large",
+    )),
+    "tasks": ("repro.transformer.tasks", (
+        "classification", "mnli", "qa", "regression", "squad", "stsb",
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AXIS_MODULES))
+def test_each_axis_module_imports_first_without_a_cycle(kind):
+    """A fresh interpreter that imports the axis module before anything
+    else sees every registry fully populated."""
+    module, expected = AXIS_MODULES[kind]
+    code = (
+        f"import {module}\n"
+        "from repro.registry import get_registry\n"
+        f"print(','.join(get_registry({kind!r}).names()))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert tuple(out.strip().split(",")) == expected

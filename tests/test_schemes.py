@@ -21,13 +21,7 @@ from repro.accelerator.simulator import (
 from repro.accelerator.tensor_cores import tensor_cores_design
 from repro.accelerator.workloads import model_workload
 from repro.baselines import ALL_BASELINES
-from repro.schemes import (
-    ComputePhase,
-    QuantizationScheme,
-    available_schemes,
-    get_scheme,
-    register_scheme,
-)
+from repro.schemes import SCHEMES, ComputePhase, QuantizationScheme
 
 KB = 1024
 
@@ -91,29 +85,29 @@ PARITY_GOLDENS = {
 
 class TestRegistry:
     def test_builtin_schemes_registered(self):
-        names = available_schemes()
+        names = SCHEMES.names()
         for expected in ("fp16", "gobo", "mokey", "mokey-oc", "mokey-oc+on",
                          "q8bert", "ibert", "qbert", "ternarybert"):
             assert expected in names
 
-    def test_get_scheme_returns_singleton(self):
-        assert get_scheme("mokey") is get_scheme("mokey")
+    def test_lookup_returns_singleton(self):
+        assert SCHEMES.get("mokey") is SCHEMES.get("mokey")
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            get_scheme("tpu")
+            SCHEMES.get("tpu")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            register_scheme(get_scheme("fp16"))
+            SCHEMES.register("fp16", SCHEMES.get("fp16"))
 
     def test_invalid_design_datapath_still_rejected(self):
         with pytest.raises(ValueError):
             AcceleratorDesign(name="x", datapath="tpu", num_units=8, unit_area_mm2=0.01)
 
     def test_design_resolves_its_scheme(self):
-        assert mokey_design().scheme() is get_scheme("mokey")
-        assert tensor_cores_design().scheme() is get_scheme("fp16")
+        assert mokey_design().scheme() is SCHEMES.get("mokey")
+        assert tensor_cores_design().scheme() is SCHEMES.get("fp16")
 
 
 class TestParity:
@@ -139,12 +133,12 @@ class TestParity:
 class TestSchemeNumerics:
     def test_fp16_identity(self):
         values = np.linspace(-1, 1, 32)
-        assert np.array_equal(get_scheme("fp16").quantize_dequantize(values), values)
+        assert np.array_equal(SCHEMES.get("fp16").quantize_dequantize(values), values)
 
     def test_gobo_reduces_unique_values(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 1, 4096)
-        recon = get_scheme("gobo").quantize_dequantize(values)
+        recon = SCHEMES.get("gobo").quantize_dequantize(values)
         assert recon.shape == values.shape
         # 8 centroids + a handful of FP32 outliers.
         assert np.unique(recon).size < 64
@@ -152,21 +146,21 @@ class TestSchemeNumerics:
     def test_ternary_three_levels(self):
         rng = np.random.default_rng(1)
         values = rng.normal(0, 1, 1024)
-        recon = get_scheme("ternarybert").quantize_dequantize(values)
+        recon = SCHEMES.get("ternarybert").quantize_dequantize(values)
         assert np.unique(recon).size <= 3
 
     def test_q8bert_reduces_error_vs_ternary(self):
         rng = np.random.default_rng(2)
         values = rng.normal(0, 1, 1024)
-        err8 = np.abs(get_scheme("q8bert").quantize_dequantize(values) - values).mean()
-        err2 = np.abs(get_scheme("ternarybert").quantize_dequantize(values) - values).mean()
+        err8 = np.abs(SCHEMES.get("q8bert").quantize_dequantize(values) - values).mean()
+        err2 = np.abs(SCHEMES.get("ternarybert").quantize_dequantize(values) - values).mean()
         assert err8 < err2
 
     def test_baseline_classes_declare_registered_schemes(self):
         for cls in ALL_BASELINES:
             instance = cls()
             scheme = instance.as_scheme()
-            assert scheme is get_scheme(cls.scheme_name)
+            assert scheme is SCHEMES.get(cls.scheme_name)
 
 
 class TestExtension:
@@ -183,21 +177,26 @@ class TestExtension:
                     energy_joules=macs * design.energies.int16_mac * 0.5 * 1e-12,
                 )
 
-        if "test-int8" not in available_schemes():
-            register_scheme(Int8TestScheme())
-
-        design = AcceleratorDesign(
-            name="test-int8",
-            datapath="test-int8",
-            num_units=2048,
-            unit_area_mm2=0.005,
-            weight_bits_offchip=8.0,
-            activation_bits_offchip=8.0,
-            weight_bits_onchip=8.0,
-            activation_bits_onchip=8.0,
-            buffer_interface_bits=8,
-        )
-        result = AcceleratorSimulator(design).simulate(model_workload("bert-base", "mnli"), 512 * KB)
+        SCHEMES.register("test-int8", Int8TestScheme())
+        try:
+            design = AcceleratorDesign(
+                name="test-int8",
+                datapath="test-int8",
+                num_units=2048,
+                unit_area_mm2=0.005,
+                weight_bits_offchip=8.0,
+                activation_bits_offchip=8.0,
+                weight_bits_onchip=8.0,
+                activation_bits_onchip=8.0,
+                buffer_interface_bits=8,
+            )
+            result = AcceleratorSimulator(design).simulate(
+                model_workload("bert-base", "mnli"), 512 * KB
+            )
+        finally:
+            # Left registered, the scheme would join the golden grid of any
+            # test that runs later.
+            SCHEMES._entries.pop("test-int8")
         assert result.compute_cycles > 0
         assert result.energy.total > 0
 
@@ -213,14 +212,12 @@ class TestExtension:
         assert variant.activation_outlier_fraction == pytest.approx(0.045)
 
     def test_compression_designs_match_scheme_storage(self):
-        from repro.schemes import get_scheme
-
         for mode, scheme_name in (
             (CompressionMode.OFF_CHIP, "mokey-oc"),
             (CompressionMode.OFF_CHIP_AND_ON_CHIP, "mokey-oc+on"),
         ):
             design = tensor_cores_with_mokey_compression(mode)
-            storage = get_scheme(scheme_name).storage()
+            storage = SCHEMES.get(scheme_name).storage()
             assert design.datapath == scheme_name
             assert design.weight_bits_offchip == storage.weight_bits_offchip
             assert design.weight_bits_onchip == storage.weight_bits_onchip

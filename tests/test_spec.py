@@ -294,6 +294,15 @@ class TestValidation:
                          {"accuracy_settings": {"pool_samples": 8, "profile_samples": 8}},
                          "accuracy_settings.pool_samples must exceed profile_samples",
                          id="accuracy-pool-not-above-profile"),
+            *(
+                pytest.param("enrichments",
+                             {"measured": True,
+                              "measurement_settings": {"golden_seed": seed}},
+                             "measurement_settings.golden_seed must be an integer >= 0",
+                             id=f"measured-seed-{label}")
+                for label, seed in (("negative", -1), ("bool", True),
+                                    ("float", 1.5), ("string", "7"))
+            ),
         ],
     )
     def test_malformed_spec_values_fail_in_one_line(self, section, changes, message):
@@ -310,7 +319,8 @@ class TestValidation:
 
     def test_store_accepts_a_path_and_a_zero_seed(self, tmp_path):
         spec = tiny_spec(store=tmp_path / "store").with_enrichments(
-            accuracy_settings=AccuracySettings(golden_seed=0)
+            accuracy_settings=AccuracySettings(golden_seed=0),
+            measurement_settings=MeasurementSettings(golden_seed=0),
         )
         assert spec.validate() is spec
         saved = CampaignSpec.from_json(spec.to_json()).validate()

@@ -29,13 +29,12 @@ from repro.experiments import (
     ResultCache,
     Scenario,
     ScenarioRecord,
-    available_designs,
     run_scenario,
     run_spec,
     scenario_key,
 )
 from repro.experiments.store import SCHEMA_VERSION
-from repro.schemes import available_schemes
+from repro.registry import DESIGNS, SCHEMES
 from repro.transformer.model_zoo import PAPER_MODELS
 
 KB = 1024
@@ -49,8 +48,8 @@ scenarios_st = st.builds(
     task=st.sampled_from(["mnli", "stsb", "squad"]),
     sequence_length=st.sampled_from([None, 64, 128, 384]),
     batch_size=st.integers(min_value=1, max_value=4),
-    scheme=st.sampled_from((None,) + available_schemes()),
-    design=st.sampled_from(available_designs()),
+    scheme=st.sampled_from((None,) + SCHEMES.names()),
+    design=st.sampled_from(DESIGNS.names()),
     buffer_bytes=st.sampled_from([256 * KB, 512 * KB, 1 * MB, 4 * MB]),
 )
 

@@ -44,7 +44,6 @@ from repro.experiments import (
     Scenario,
     SqliteStoreBackend,
     StoreBackend,
-    available_store_backends,
     detect_store_backend,
     iter_campaign,
     migrate_store,
@@ -54,7 +53,7 @@ from repro.experiments import (
 )
 from repro.experiments import store_sqlite as store_sqlite_module
 from repro.experiments.store import SCHEMA_VERSION, ArtifactStore, parse_filter
-from repro.registry import RegistryError
+from repro.registry import STORES, RegistryError
 
 KB = 1024
 BACKENDS = ("jsonl", "sqlite")
@@ -213,7 +212,7 @@ def make_store(backend, tmp_path):
 # --------------------------------------------------------------------------- #
 class TestBackendConformance:
     def test_both_backends_are_registered_and_satisfy_the_protocol(self, make_store):
-        assert set(BACKENDS) <= set(available_store_backends())
+        assert set(BACKENDS) <= set(STORES.names())
         assert isinstance(make_store(), StoreBackend)
 
     def test_round_trip_across_instances(self, make_store):
