@@ -7,6 +7,7 @@ so repeated runs only simulate new grid points::
     repro campaign run --models bert-base bert-large --designs mokey \\
         --buffer-kb 256 512 --executor process
     repro campaign run --spec spec.json --progress
+    repro campaign run --spec spec.json --designs mokey gobo   # flag overrides the spec
     repro campaign resume --spec spec.json   # skip already-persisted keys
     repro campaign run --paper-workloads --with-accuracy
     repro campaign run --models bert-base --with-measured-stats
@@ -33,10 +34,19 @@ so repeated runs only simulate new grid points::
 
 (or ``python -m repro ...`` without installing the console script.)
 
-Axis flags and ``--spec FILE`` both build the same declarative
-:class:`~repro.experiments.spec.CampaignSpec`; with ``--spec`` the axis
-flags are ignored and the execution flags (``--executor``, ``--workers``,
-``--chunksize``, ``--store``) override the spec's execution policy.
+The CLI is a front end to the declarative specs.  ``campaign run``,
+``campaign resume`` and ``serve-sim`` each build one spec dict: the
+``--spec FILE`` JSON object, or the spec's defaults when there is no
+file.  Every flag the user gave is laid over its field — ``--models``
+over ``axes.models``, ``--executor`` over ``execution.executor``,
+``--rate`` over ``trace.rate_rps`` — and a flag left out leaves its field
+alone.  :class:`~repro.experiments.spec.CampaignSpec` (or
+:class:`~repro.serving.ServingSpec`) then validates the result, so a
+flag and the same value in a spec file are accepted alike, or rejected
+with the same one-line error.  :func:`main` is the one error boundary: a
+handler's ``ValueError`` (registry misses and unsupported schemes
+included), ``ServiceError`` or ``OSError`` becomes one ``error:`` line
+on stderr and exit status 2.
 Results stream: each scenario is appended to the store the moment it
 completes, so an interrupted run (Ctrl-C, ``--limit``) is resumed by
 ``repro campaign resume`` — or simply re-running — with persisted keys
@@ -58,8 +68,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.fidelity import joint_rows, table1_rows
 from repro.analysis.reporting import RECORD_FORMATS, format_records
@@ -69,7 +78,6 @@ from repro.experiments import (
     CampaignSpec,
     Enrichments,
     ExecutionPolicy,
-    MeasurementSettings,
     ResultCache,
     ScenarioRecord,
     UnsupportedSchemeError,
@@ -78,14 +86,14 @@ from repro.experiments import (
     open_store,
     parse_filter,
     run_spec,
-    supported_accuracy_schemes,
-    supports_accuracy,
 )
 from repro.experiments import SCHEMA_VERSION
 from repro.registry import (
     DESIGNS,
+    MODELS,
     POLICIES,
     STORES,
+    TASKS,
     TRACES,
     RegistryError,
     get_registry,
@@ -100,14 +108,8 @@ from repro.service import (
     make_server,
     run_daemon,
 )
-from repro.serving import (
-    PolicySpec,
-    ServingSpec,
-    TraceSpec,
-    iter_serving,
-)
-from repro.accelerator.workloads import TASK_SEQUENCE_LENGTHS
-from repro.transformer.model_zoo import MODEL_CONFIGS, PAPER_MODELS
+from repro.serving import ServingSpec, iter_serving
+from repro.transformer.model_zoo import PAPER_MODELS
 
 __all__ = ["main"]
 
@@ -115,16 +117,36 @@ KB = 1024
 
 DEFAULT_STORE = ".repro-store"
 
+#: The paper's Table I ``(model, task, sequence_length)`` pairs.
+_PAPER_WORKLOADS = tuple((model, task, seq) for (model, task, seq, _head) in PAPER_MODELS)
+
+#: Prefix of the ``dest`` of a flag that overlays a spec field.
+_FIELD = "field:"
+
+#: Spec fields whose flag is not in the field's units.
+_TO_FIELD: Dict[str, Callable[[Any], Any]] = {
+    "axes.buffer_bytes": lambda kbs: [kb * KB for kb in kbs],
+    "buffer_bytes": lambda kb: kb * KB,
+    "trace.params": dict,
+}
+
 
 def _default_store() -> str:
     return os.environ.get("REPRO_STORE", DEFAULT_STORE)
 
 
-def _parse_sequence_length(value: str) -> Optional[int]:
-    """``"none"``/``"default"`` → task default; otherwise a positive int."""
+def _parse_sequence_length(value: str) -> Union[int, str, None]:
+    """``"none"``/``"default"`` → task default; an integer → itself.
+
+    Any other text reaches the spec as typed, and the spec's validation
+    rejects it in one line (``... must be positive or None, got 'abc'``).
+    """
     if value.lower() in ("none", "default"):
         return None
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        return value
 
 
 def _parse_scheme(value: str) -> Optional[str]:
@@ -134,55 +156,22 @@ def _parse_scheme(value: str) -> Optional[str]:
     return value
 
 
-def _add_store_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="artifact store directory (default: $REPRO_STORE or ./.repro-store)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=STORES.names(),
-        default=None,
-        help="storage engine for the store directory (default: whatever "
-        "layout the directory already holds, jsonl for a fresh one)",
-    )
+def _parse_trace_param(text: str) -> Tuple[str, str]:
+    """``KEY=VALUE`` → ``(KEY, VALUE)``; the spec checks VALUE is a number."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"wants KEY=VALUE, got {text!r}")
+    return key, value
 
 
-def _open_cli_store(args: argparse.Namespace):
-    """Open the command's store under the chosen (or detected) backend."""
-    return open_store(
-        args.store or _default_store(), backend=getattr(args, "store_backend", None)
-    )
+def _field(parser: argparse.ArgumentParser, path: str, *flags: str, **kwargs: Any) -> None:
+    """Add a flag that, when given, overrides the spec field at ``path``.
 
-
-def _add_format_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=RECORD_FORMATS,
-        default="table",
-        help="output format for the result records (default: table)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the formatted records to FILE instead of stdout",
-    )
-
-
-def _add_filter_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default=None, help="only records for this model")
-    parser.add_argument("--task", default=None, help="only records for this task")
-    parser.add_argument("--design", default=None, help="only records for this design")
-    parser.add_argument(
-        "--scheme",
-        default=None,
-        help="only records whose scheme column matches (the override if set, else the design name)",
-    )
-    parser.add_argument("--batch-size", type=int, default=None, help="only this batch size")
-    parser.add_argument("--buffer-kb", type=int, default=None, help="only this buffer size (KB)")
+    ``path`` is dotted (``axes.models``, ``trace.rate_rps``).  A flag left
+    out sets no attribute, so its field keeps the spec file's value, else
+    the spec class's default.
+    """
+    parser.add_argument(*flags, dest=_FIELD + path, default=argparse.SUPPRESS, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,26 +181,87 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Flag blocks shared by several commands (argparse ``parents=``).
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    spec_file = shared()
+    spec_file.add_argument(
+        "--spec", metavar="FILE",
+        help="start from this spec JSON file (a CampaignSpec for campaign run, "
+        "a ServingSpec for serve-sim); each flag given overrides its field",
+    )
+    spec_required = shared()
+    spec_required.add_argument("--spec", required=True, metavar="FILE", help="spec JSON file")
+    pool = shared()
+    _field(
+        pool, "execution.executor", "--executor", metavar="EXECUTOR",
+        help=f"how to fan the work out ({', '.join(EXECUTORS)}; all three are "
+        "bit-identical, process is fastest for large grids; default: the "
+        "spec's policy, else thread)",
+    )
+    _field(
+        pool, "execution.max_workers", "--workers", type=int, metavar="N",
+        help="pool width (default: automatic)",
+    )
+    grid_pool = shared(pool)
+    _field(
+        grid_pool, "execution.chunksize", "--chunksize", type=int, metavar="N",
+        help="scenarios per process-pool work item (process executor only)",
+    )
+    progress = shared()
+    progress.add_argument(
+        "--progress", action="store_true",
+        help="print one streaming progress line per completed scenario "
+        "(serve-sim: per combo) to stderr",
+    )
+    no_store = shared()
+    no_store.add_argument(
+        "--no-store", action="store_true", help="do not read or write the artifact store"
+    )
+    backends = ", ".join(STORES.names())
+    store = shared()
+    store.add_argument(
+        "--store", metavar="DIR",
+        help="artifact store directory (default: $REPRO_STORE or ./.repro-store)",
+    )
+    store.add_argument(
+        "--store-backend", metavar="BACKEND",
+        help=f"storage engine for the store directory ({backends}; default: "
+        "whatever layout the directory already holds, jsonl for a fresh one)",
+    )
+    formats = shared()
+    formats.add_argument(
+        "--format", choices=RECORD_FORMATS, default="table",
+        help="output format for the result records (default: table)",
+    )
+    formats.add_argument(
+        "--output", metavar="FILE",
+        help="write the formatted records to FILE instead of stdout",
+    )
+    url = shared()
+    url.add_argument(
+        "--url", metavar="URL",
+        help="campaign-service URL (default: $REPRO_SERVICE_URL or "
+        f"http://{DEFAULT_HOST}:{DEFAULT_PORT})",
+    )
+
     campaign = commands.add_parser("campaign", help="run and inspect simulation campaigns")
     actions = campaign.add_subparsers(dest="action", required=True)
 
     run = actions.add_parser(
         "run",
+        parents=[spec_file, grid_pool, progress, no_store, store, formats],
         help="simulate a scenario grid (store hits are not re-simulated)",
         description=(
-            "Expand the axis flags — or load a declarative --spec file — into "
-            "a scenario grid and simulate it, streaming each result into the "
+            "Build a CampaignSpec from a declarative --spec file (or the "
+            "defaults) with every flag given laid over its field, and "
+            "simulate its scenario grid, streaming each result into the "
             "artifact store as it completes. Grid points already stored are "
             "served from disk, so an identical second run simulates nothing."
         ),
     )
-    run.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILE",
-        help="load a CampaignSpec JSON file instead of the axis flags "
-        "(axis flags are ignored; execution flags override the spec's policy)",
-    )
+    run.set_defaults(handler=_cmd_run)
     run.add_argument(
         "--limit",
         type=int,
@@ -220,107 +270,65 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N records (everything emitted stays persisted; "
         "'repro campaign resume' picks up where the run stopped)",
     )
-    run.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one streaming progress line per completed scenario to stderr",
+    _field(
+        run, "axes.models", "--models", nargs="+", metavar="MODEL",
+        help=f"model-zoo axis (choices: {', '.join(MODELS.names())})",
     )
-    run.add_argument(
-        "--models",
-        nargs="+",
-        default=["bert-base"],
-        choices=sorted(MODEL_CONFIGS),
-        metavar="MODEL",
-        help=f"model-zoo axis (choices: {', '.join(sorted(MODEL_CONFIGS))})",
+    _field(
+        run, "axes.tasks", "--tasks", nargs="+", metavar="TASK",
+        help=f"task axis (choices: {', '.join(TASKS.names())})",
     )
-    run.add_argument("--tasks", nargs="+", default=["mnli"], metavar="TASK", help="task axis")
-    run.add_argument(
+    _field(
+        run,
+        "axes.sequence_lengths",
         "--sequence-lengths",
         nargs="+",
         type=_parse_sequence_length,
-        default=[None],
         metavar="LEN",
         help="sequence-length axis; 'none' uses each task's default length",
     )
-    run.add_argument(
-        "--batch-sizes", nargs="+", type=int, default=[1], metavar="N", help="batch-size axis"
+    _field(
+        run, "axes.batch_sizes", "--batch-sizes", nargs="+", type=int, metavar="N",
+        help="batch-size axis",
     )
-    run.add_argument(
-        "--schemes",
-        nargs="+",
-        type=_parse_scheme,
-        default=[None],
-        metavar="SCHEME",
+    _field(
+        run, "axes.schemes", "--schemes", nargs="+", type=_parse_scheme, metavar="SCHEME",
         help="quantization-scheme axis; 'none' keeps each design's own scheme",
     )
-    run.add_argument(
-        "--designs",
-        nargs="+",
-        default=["mokey"],
-        metavar="DESIGN",
+    _field(
+        run, "axes.designs", "--designs", nargs="+", metavar="DESIGN",
         help=f"accelerator-design axis (choices: {', '.join(DESIGNS.names())})",
     )
-    run.add_argument(
-        "--buffer-kb",
-        nargs="+",
-        type=int,
-        default=[512],
-        metavar="KB",
+    _field(
+        run, "axes.buffer_bytes", "--buffer-kb", nargs="+", type=int, metavar="KB",
         help="on-chip buffer capacity axis, in KB",
     )
-    run.add_argument(
-        "--paper-workloads",
-        action="store_true",
+    _field(
+        run, "axes.workloads", "--paper-workloads", action="store_const", const=_PAPER_WORKLOADS,
         help="use the paper's Table I (model, task, seq) pairs instead of "
         "crossing --models/--tasks/--sequence-lengths",
     )
-    run.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="how to fan the grid out (process = fastest for large grids; "
-        "default: the spec's policy, else thread)",
-    )
-    run.add_argument(
-        "--workers", type=int, default=None, metavar="N", help="pool width (default: automatic)"
-    )
-    run.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scenarios per process-pool work item (process executor only)",
-    )
-    run.add_argument(
-        "--with-accuracy",
-        action="store_true",
+    _field(
+        run, "enrichments.accuracy", "--with-accuracy", action="store_true",
         help="also evaluate task fidelity per (model, task, scheme) and join it "
         "to each record (one quantization serves every seq/batch/buffer point)",
     )
-    run.add_argument(
-        "--with-measured-stats",
-        action="store_true",
+    _field(
+        run, "enrichments.measured", "--with-measured-stats", action="store_true",
         help="also execute one encoder layer per (model, seq, batch) through the "
         "vectorized index-domain engine and join the measured Gaussian/outlier "
         "operation counts to each record, next to the analytic ones",
     )
-    run.add_argument(
-        "--measured-scope",
-        choices=("layer", "model"),
-        default=None,
-        metavar="SCOPE",
+    _field(
+        run, "enrichments.measurement_settings.scope", "--measured-scope", metavar="SCOPE",
         help="what the measured stats cover: 'layer' (one encoder layer, the "
         "default) or 'model' (the whole encoder stack, every layer's "
         "index-domain output feeding the next); implies --with-measured-stats",
     )
-    run.add_argument(
-        "--no-store", action="store_true", help="do not read or write the artifact store"
-    )
-    _add_store_argument(run)
-    _add_format_arguments(run)
 
     resume = actions.add_parser(
         "resume",
+        parents=[spec_required, grid_pool, progress, store, formats],
         help="resume an interrupted spec-driven campaign from its store",
         description=(
             "Re-run a CampaignSpec against its artifact store: scenarios whose "
@@ -329,33 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
             "uninterrupted run."
         ),
     )
-    resume.add_argument("--spec", required=True, metavar="FILE", help="CampaignSpec JSON file")
-    resume.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="override the spec's executor",
-    )
-    resume.add_argument(
-        "--workers", type=int, default=None, metavar="N", help="pool width (default: automatic)"
-    )
-    resume.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scenarios per process-pool work item (process executor only)",
-    )
-    resume.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one streaming progress line per completed scenario to stderr",
-    )
-    _add_store_argument(resume)
-    _add_format_arguments(resume)
+    resume.set_defaults(handler=_cmd_resume)
 
     report = actions.add_parser(
         "report",
+        parents=[store, formats],
         help="format stored records (filters/grouping push down into the store)",
         description=(
             "Render records from the artifact store, optionally filtered, "
@@ -365,8 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
             "deserializing every record."
         ),
     )
-    _add_store_argument(report)
-    _add_filter_arguments(report)
+    report.set_defaults(handler=_cmd_report)
+    report.add_argument("--model", default=None, help="only records for this model")
+    report.add_argument("--task", default=None, help="only records for this task")
+    report.add_argument("--design", default=None, help="only records for this design")
+    report.add_argument(
+        "--scheme", default=None,
+        help="only records whose scheme column matches (the override if set, else the design name)",
+    )
+    report.add_argument("--batch-size", type=int, default=None, help="only this batch size")
+    report.add_argument("--buffer-kb", type=int, default=None, help="only this buffer size (KB)")
     report.add_argument(
         "--where",
         action="append",
@@ -401,22 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="keep only the first N records (or grouped rows)",
     )
-    _add_format_arguments(report)
 
     list_cmd = actions.add_parser(
         "list",
+        parents=[store],
         help="summarise the artifact store",
         description="Show record counts per model/design in the artifact store.",
     )
-    _add_store_argument(list_cmd)
+    list_cmd.set_defaults(handler=_cmd_list)
 
     clean = actions.add_parser(
         "clean",
+        parents=[store],
         help="delete the artifact store's records",
         description="Delete every stored record (requires --yes).",
     )
+    clean.set_defaults(handler=_cmd_clean)
     clean.add_argument("--yes", action="store_true", help="actually delete (no prompt)")
-    _add_store_argument(clean)
 
     store_cmd = commands.add_parser(
         "store",
@@ -437,19 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
             "merge under the normal upgrade semantics."
         ),
     )
+    migrate.set_defaults(handler=_cmd_store_migrate)
     migrate.add_argument("source", metavar="SOURCE", help="source store directory")
     migrate.add_argument("dest", metavar="DEST", help="destination store directory")
     migrate.add_argument(
-        "--from-backend",
-        choices=STORES.names(),
-        default=None,
-        help="backend of SOURCE (default: detected from its layout)",
+        "--from-backend", metavar="BACKEND",
+        help=f"backend of SOURCE ({backends}; default: detected from its layout)",
     )
     migrate.add_argument(
-        "--to-backend",
-        choices=STORES.names(),
-        default=None,
-        help="backend of DEST (default: detected from its layout, jsonl if fresh)",
+        "--to-backend", metavar="BACKEND",
+        help=f"backend of DEST ({backends}; default: detected from its layout, "
+        "jsonl if fresh)",
     )
     stats = store_actions.add_parser(
         "stats",
@@ -461,12 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
             "they run server-side over indexed columns, no payloads read."
         ),
     )
+    stats.set_defaults(handler=_cmd_store_stats)
     stats.add_argument("path", metavar="PATH", help="store directory to summarise")
     stats.add_argument(
-        "--store-backend",
-        choices=STORES.names(),
-        default=None,
-        help="backend of PATH (default: detected from its layout)",
+        "--store-backend", metavar="BACKEND",
+        help=f"backend of PATH ({backends}; default: detected from its layout)",
     )
     stats.add_argument(
         "--format",
@@ -491,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list",
         help="list all registries, or one registry's entries with descriptions",
     )
+    registry_list.set_defaults(handler=_cmd_registry_list)
     registry_list.add_argument(
         "kind",
         nargs="?",
@@ -506,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table1 = commands.add_parser(
         "table1",
+        parents=[pool, no_store, store, formats],
         help="reproduce the paper's Table I task-fidelity rows",
         description=(
             "Run the accuracy campaign over the paper's eight Table I "
@@ -515,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
             "second invocation simulates and evaluates nothing."
         ),
     )
+    table1.set_defaults(handler=_cmd_table1)
     table1.add_argument(
         "--scheme",
         default="mokey",
@@ -527,23 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the joint accuracy-vs-speedup/energy view (Table IV style) "
         "instead of the Table I fidelity rows",
     )
-    table1.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="thread",
-        help="how to fan the grid out",
-    )
-    table1.add_argument(
-        "--workers", type=int, default=None, metavar="N", help="pool width (default: automatic)"
-    )
-    table1.add_argument(
-        "--no-store", action="store_true", help="do not read or write the artifact store"
-    )
-    _add_store_argument(table1)
-    _add_format_arguments(table1)
 
     serve = commands.add_parser(
         "serve-sim",
+        parents=[spec_file, pool, progress, no_store, store, formats],
         help="replay a seeded request-arrival trace through the batching "
         "simulator (p50/p99 latency, goodput, energy-per-request)",
         description=(
@@ -553,154 +535,82 @@ def build_parser() -> argparse.ArgumentParser:
             "size is emergent — each distinct formed size costs one real "
             "simulation, memoised through the artifact store, so a "
             "million-request trace needs only a handful of sims and a "
-            "re-run over a warm store simulates nothing."
+            "re-run over a warm store simulates nothing. With --spec, "
+            "each flag given overrides its ServingSpec field."
         ),
     )
-    serve.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILE",
-        help="load a ServingSpec JSON file instead of the flags below "
-        "(execution flags still override the spec's policy)",
+    serve.set_defaults(handler=_cmd_serve_sim)
+    _field(
+        serve, "model", "--model", metavar="MODEL",
+        help=f"served model (choices: {', '.join(MODELS.names())})",
     )
-    serve.add_argument(
-        "--model",
-        default="bert-base",
-        choices=sorted(MODEL_CONFIGS),
-        metavar="MODEL",
-        help=f"served model (choices: {', '.join(sorted(MODEL_CONFIGS))})",
-    )
-    serve.add_argument("--task", default="mnli", metavar="TASK", help="served task")
-    serve.add_argument(
-        "--sequence-length",
-        type=_parse_sequence_length,
-        default=None,
-        metavar="LEN",
+    _field(serve, "task", "--task", metavar="TASK", help="served task")
+    _field(
+        serve, "sequence_length", "--sequence-length", type=_parse_sequence_length, metavar="LEN",
         help="request sequence length; 'none' (default) uses the task's",
     )
-    serve.add_argument(
-        "--schemes",
-        nargs="+",
-        type=_parse_scheme,
-        default=[None],
-        metavar="SCHEME",
+    _field(
+        serve, "schemes", "--schemes", nargs="+", type=_parse_scheme, metavar="SCHEME",
         help="quantization schemes to compare; 'none' keeps each design's own",
     )
-    serve.add_argument(
-        "--designs",
-        nargs="+",
-        default=["mokey"],
-        metavar="DESIGN",
+    _field(
+        serve, "designs", "--designs", nargs="+", metavar="DESIGN",
         help=f"accelerator designs (choices: {', '.join(DESIGNS.names())})",
     )
-    serve.add_argument(
-        "--buffer-kb",
-        type=int,
-        default=512,
-        metavar="KB",
+    _field(
+        serve, "buffer_bytes", "--buffer-kb", type=int, metavar="KB",
         help="on-chip buffer capacity per accelerator, in KB (default: 512)",
     )
-    serve.add_argument(
-        "--trace",
-        default="poisson",
-        metavar="KIND",
+    _field(
+        serve, "trace.kind", "--trace", metavar="KIND",
         help=f"arrival-trace kind (choices: {', '.join(TRACES.names())})",
     )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=100.0,
-        metavar="RPS",
+    _field(
+        serve, "trace.rate_rps", "--rate", type=float, metavar="RPS",
         help="mean request arrival rate, requests/second (default: 100)",
     )
-    serve.add_argument(
-        "--requests",
-        type=int,
-        default=10_000,
-        metavar="N",
+    _field(
+        serve, "trace.num_requests", "--requests", type=int, metavar="N",
         help="trace length in requests (default: 10000)",
     )
-    serve.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="SEED",
+    _field(
+        serve, "trace.seed", "--seed", type=int, metavar="SEED",
         help="trace RNG seed; same seed + spec = bit-identical metrics",
     )
-    serve.add_argument(
+    _field(
+        serve,
+        "trace.params",
         "--trace-param",
         action="append",
-        default=[],
+        type=_parse_trace_param,
         metavar="KEY=VALUE",
         help="trace-kind parameter, e.g. burst_factor=6 (repeatable; see "
         "'repro registry list traces')",
     )
-    serve.add_argument(
-        "--policy",
-        default="timeout",
-        metavar="KIND",
+    _field(
+        serve, "policy.kind", "--policy", metavar="KIND",
         help=f"batching policy (choices: {', '.join(POLICIES.names())})",
     )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
+    _field(
+        serve, "policy.max_batch", "--max-batch", type=int, metavar="N",
         help="largest batch a policy may form (default: 8)",
     )
-    serve.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=10.0,
-        metavar="MS",
+    _field(
+        serve, "policy.timeout_ms", "--timeout-ms", type=float, metavar="MS",
         help="timeout policy: longest the queue head waits for fill (default: 10)",
     )
-    serve.add_argument(
-        "--accelerators",
-        type=int,
-        default=1,
-        metavar="N",
+    _field(
+        serve, "num_accelerators", "--accelerators", type=int, metavar="N",
         help="identical engines served from one queue (default: 1)",
     )
-    serve.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        metavar="MS",
+    _field(
+        serve, "slo_ms", "--slo-ms", type=float, metavar="MS",
         help="latency objective; goodput counts only requests within it",
     )
-    serve.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="how to fan the scheme × design combos out (default: the "
-        "spec's policy, else thread); all three are bit-identical",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N", help="pool width (default: automatic)"
-    )
-    serve.add_argument(
-        "--progress",
-        action="store_true",
-        help="print one streaming progress line per completed combo to stderr",
-    )
-    serve.add_argument(
-        "--no-store", action="store_true", help="do not read or write the artifact store"
-    )
-    _add_store_argument(serve)
-    _add_format_arguments(serve)
-
-    def _add_url_argument(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--url",
-            default=None,
-            metavar="URL",
-            help="campaign-service URL (default: $REPRO_SERVICE_URL or "
-            f"http://{DEFAULT_HOST}:{DEFAULT_PORT})",
-        )
 
     serve_daemon = commands.add_parser(
         "serve",
+        parents=[store],
         help="run the campaign service: an HTTP daemon executing submitted "
         "specs as sharded multi-worker jobs over one shared store",
         description=(
@@ -715,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and flushes in-flight shard writes before exiting."
         ),
     )
+    serve_daemon.set_defaults(handler=_cmd_serve)
     serve_daemon.add_argument(
         "--host", default=DEFAULT_HOST, help=f"bind address (default: {DEFAULT_HOST})"
     )
@@ -736,10 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_daemon.add_argument(
         "--verbose", action="store_true", help="log each HTTP request to stderr"
     )
-    _add_store_argument(serve_daemon)
 
     submit = commands.add_parser(
         "submit",
+        parents=[spec_required, url],
         help="submit a campaign/serving spec to a running campaign service",
         description=(
             "POST a CampaignSpec or ServingSpec JSON file to the daemon and "
@@ -748,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
             "on completion."
         ),
     )
-    submit.add_argument("--spec", required=True, metavar="FILE", help="spec JSON file")
+    submit.set_defaults(handler=_cmd_submit)
     submit.add_argument(
         "--kind",
         choices=("campaign", "serving"),
@@ -774,10 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="--wait deadline in seconds (default: 3600)",
     )
-    _add_url_argument(submit)
 
     status = commands.add_parser(
         "status",
+        parents=[url],
         help="show campaign-service job progress (all jobs, or one in full)",
         description=(
             "Without an id: one summary line per submitted job. With an id: "
@@ -785,6 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
             "progress, and per-shard completed/total/restarts/pid."
         ),
     )
+    status.set_defaults(handler=_cmd_service_status)
     status.add_argument(
         "id", nargs="?", default=None, metavar="ID", help="job id (default: list all)"
     )
@@ -794,10 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="listing format when no id is given (default: table)",
     )
-    _add_url_argument(status)
 
     results = commands.add_parser(
         "results",
+        parents=[url],
         help="stream a service job's completed records as NDJSON",
         description=(
             "Fetch the job's completed records as newline-delimited JSON in "
@@ -806,6 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
             "mid-run: scenarios not yet persisted are simply absent."
         ),
     )
+    results.set_defaults(handler=_cmd_results)
     results.add_argument("id", metavar="ID", help="job id")
     results.add_argument(
         "--output",
@@ -813,10 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the NDJSON lines to FILE instead of stdout",
     )
-    _add_url_argument(results)
 
     cancel = commands.add_parser(
         "cancel",
+        parents=[url],
         help="cancel a campaign-service job (persisted records remain)",
         description=(
             "Ask the job's workers to stop after their in-flight record. "
@@ -824,18 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
             "the same spec later resumes from it."
         ),
     )
+    cancel.set_defaults(handler=_cmd_cancel)
     cancel.add_argument("id", metavar="ID", help="job id")
-    _add_url_argument(cancel)
 
     return parser
-
-
-def _validate_run_axes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    for task in args.tasks:
-        if task not in TASK_SEQUENCE_LENGTHS:
-            parser.error(
-                f"unknown task {task!r} (choices: {', '.join(sorted(TASK_SEQUENCE_LENGTHS))})"
-            )
 
 
 def _emit(records_text: str, summary: str, output: Optional[str]) -> None:
@@ -850,72 +755,54 @@ def _emit(records_text: str, summary: str, output: Optional[str]) -> None:
         print(summary, file=sys.stderr)
 
 
-def _load_spec(path: str) -> CampaignSpec:
-    try:
-        return CampaignSpec.load(path)
-    except OSError as exc:
-        print(f"error: cannot read spec {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: spec {path!r} does not parse as a CampaignSpec: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+def _load_spec_dict(path: str) -> Dict[str, Any]:
+    """The JSON object in spec file ``path`` (an ``OSError`` if unreadable)."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"spec {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"spec {path!r} must hold a JSON object")
+    return payload
 
 
-def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> CampaignSpec:
-    """Build the campaign spec: from ``--spec FILE`` or the axis flags.
+def _overlay(spec: Dict[str, Any], path: str, value: Any) -> None:
+    """Set the field at dotted ``path`` in ``spec``, adding missing sections.
 
-    Execution flags (``--executor``/``--workers``/``--chunksize``) and the
-    enrichment flags override the spec's own policy either way.
+    A section that is present but not an object is left alone:
+    ``from_dict`` rejects it in one line.
     """
-    if getattr(args, "spec", None):
-        spec = _load_spec(args.spec)
-    else:
-        _validate_run_axes(parser, args)
-        workloads = None
-        if args.paper_workloads:
-            workloads = tuple(
-                (model, task, seq) for (model, task, seq, _head) in PAPER_MODELS
-            )
-        spec = CampaignSpec(
-            name="cli",
-            axes=AxisGrid(
-                models=tuple(args.models),
-                tasks=tuple(args.tasks),
-                sequence_lengths=tuple(args.sequence_lengths),
-                batch_sizes=tuple(args.batch_sizes),
-                schemes=tuple(args.schemes),
-                designs=tuple(args.designs),
-                buffer_bytes=tuple(size * KB for size in args.buffer_kb),
-                workloads=workloads,
-            ),
-        )
-    execution_overrides = {}
-    if getattr(args, "executor", None) is not None:
-        execution_overrides["executor"] = args.executor
-    if getattr(args, "workers", None) is not None:
-        execution_overrides["max_workers"] = args.workers
-    if getattr(args, "chunksize", None) is not None:
-        execution_overrides["chunksize"] = args.chunksize
-    if execution_overrides:
-        spec = spec.with_execution(**execution_overrides)
-    enrichment_overrides = {}
-    if getattr(args, "with_accuracy", False):
-        enrichment_overrides["accuracy"] = True
-    if getattr(args, "with_measured_stats", False):
-        enrichment_overrides["measured"] = True
-    measured_scope = getattr(args, "measured_scope", None)
-    if measured_scope is not None:
-        base_settings = spec.enrichments.measurement_settings or MeasurementSettings()
-        enrichment_overrides["measured"] = True
-        enrichment_overrides["measurement_settings"] = replace(
-            base_settings, scope=measured_scope
-        )
-    if enrichment_overrides:
-        spec = spec.with_enrichments(**enrichment_overrides)
+    *sections, leaf = path.split(".")
+    node = spec
+    for key in sections:
+        if not node.get(key):
+            node[key] = {}
+        node = node[key]
+        if not isinstance(node, dict):
+            return
+    node[leaf] = value
+
+
+def _spec_dict(args: argparse.Namespace, base: Dict[str, Any]) -> Dict[str, Any]:
+    """The command's spec as one dict: the ``--spec`` file's object, else
+    ``base``, with every flag the user gave laid over its field."""
+    spec = _load_spec_dict(args.spec) if getattr(args, "spec", None) else base
+    given = {
+        dest[len(_FIELD):]: value
+        for dest, value in vars(args).items()
+        if dest.startswith(_FIELD)
+    }
+    if "enrichments.measurement_settings.scope" in given:
+        given["enrichments.measured"] = True  # --measured-scope implies the join
+    for path, value in given.items():
+        _overlay(spec, path, _TO_FIELD.get(path, lambda flag: flag)(value))
     return spec
 
 
-def _resolve_spec_store(args: argparse.Namespace, spec: CampaignSpec) -> CampaignSpec:
+def _resolve_spec_store(
+    args: argparse.Namespace, spec: Union[CampaignSpec, ServingSpec]
+) -> Union[CampaignSpec, ServingSpec]:
     """Pin the spec's store: ``--store`` > spec policy > $REPRO_STORE > default.
 
     ``--no-store`` clears it.  The returned spec is what actually runs —
@@ -925,33 +812,42 @@ def _resolve_spec_store(args: argparse.Namespace, spec: CampaignSpec) -> Campaig
     if getattr(args, "no_store", False):
         return spec.with_execution(store=None)
     changes = {"store": args.store or spec.execution.store or _default_store()}
-    backend = getattr(args, "store_backend", None)
-    if backend is not None:
-        changes["store_backend"] = backend
+    if args.store_backend is not None:
+        changes["store_backend"] = args.store_backend
     return spec.with_execution(**changes)
 
 
-def _stream_records(
-    spec: CampaignSpec,
+def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
+    """``campaign run``/``resume``'s spec: flags over the file, validated."""
+    spec = CampaignSpec.from_dict(_spec_dict(args, {"name": "cli"}))
+    return _resolve_spec_store(args, spec).validate()
+
+
+def _open_cli_store(args: argparse.Namespace):
+    """Open the command's store under the chosen (or detected) backend."""
+    return open_store(args.store or _default_store(), backend=args.store_backend)
+
+
+def _drain(
+    events: Generator[Tuple[Any, Any], None, None],
+    label: Callable[[Any], str],
     limit: Optional[int] = None,
     progress_to_stderr: bool = False,
-) -> Tuple[List[ScenarioRecord], Optional[object]]:
-    """Drain ``iter_campaign``, optionally stopping after ``limit`` records.
+) -> Tuple[List[Any], Optional[Any]]:
+    """Drain a ``(record, progress)`` stream, optionally stopping after ``limit``.
 
-    Everything emitted before the stop is already persisted (the engine
-    appends to the store before yielding), which is exactly what makes
+    Everything emitted before the stop is already persisted (the engines
+    append to the store before yielding), which is exactly what makes
     ``--limit``/Ctrl-C resumable.
     """
-    records: List[ScenarioRecord] = []
+    records: List[Any] = []
     last_progress = None
-    events = iter_campaign(spec)
     try:
-        for record, progress in events:
+        for record, last_progress in events:
             records.append(record)
-            last_progress = progress
             if progress_to_stderr:
-                print(f"{progress} {record.scenario.label}", file=sys.stderr)
-            if limit is not None and progress.completed >= limit:
+                print(f"{last_progress} {label(record)}", file=sys.stderr)
+            if limit is not None and last_progress.completed >= limit:
                 break
     finally:
         events.close()
@@ -1000,32 +896,29 @@ def _run_summary(
     return summary
 
 
-def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    spec = _resolve_spec_store(args, _spec_from_args(parser, args))
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit <= 0:
+        raise ValueError(f"--limit must be positive, got {args.limit}")
+    spec = _campaign_spec(args)
     started = time.perf_counter()
-    try:
-        records, last_progress = _stream_records(
-            spec, limit=args.limit, progress_to_stderr=args.progress
-        )
-    except (UnsupportedSchemeError, RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, last_progress = _drain(
+        iter_campaign(spec), lambda record: record.scenario.label, args.limit, args.progress
+    )
     elapsed = time.perf_counter() - started
     summary = _run_summary(spec, records, last_progress, elapsed)
     _emit(format_records([r.to_row() for r in records], args.format), summary, args.output)
     return 0
 
 
-def _cmd_resume(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_resume(args: argparse.Namespace) -> int:
     # Resuming is the whole point of this command, whatever the spec says.
-    spec = _resolve_spec_store(args, _spec_from_args(parser, args)).with_execution(resume=True)
+    spec = _campaign_spec(args).with_execution(resume=True)
     already_stored = len(open_store(spec.execution.store, backend=spec.execution.store_backend))
     started = time.perf_counter()
-    try:
-        records, last_progress = _stream_records(spec, progress_to_stderr=args.progress)
-    except (UnsupportedSchemeError, RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, last_progress = _drain(
+        iter_campaign(spec), lambda record: record.scenario.label,
+        progress_to_stderr=args.progress,
+    )
     elapsed = time.perf_counter() - started
     summary = (
         f"resumed from {already_stored} stored records: "
@@ -1036,64 +929,52 @@ def _cmd_resume(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_registry_list(args: argparse.Namespace) -> int:
-    try:
-        if args.kind is None:
-            if args.format == "json":
-                payload = {
-                    kind: list(get_registry(kind).names()) for kind in registry_kinds()
-                }
-                print(json.dumps(payload, indent=2, sort_keys=True))
-            else:
-                for kind in registry_kinds():
-                    registry = get_registry(kind)
-                    print(f"{kind} ({len(registry)}): {', '.join(registry.names())}")
-            return 0
-        registry = get_registry(args.kind)
-        descriptions = registry.describe()
+    if args.kind is None:
         if args.format == "json":
-            print(json.dumps(descriptions, indent=2, sort_keys=True))
+            payload = {kind: list(get_registry(kind).names()) for kind in registry_kinds()}
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"{registry.kind} registry — {len(registry)} entries")
-            width = max(len(name) for name in descriptions) if descriptions else 0
-            for name, description in descriptions.items():
-                print(f"  {name:<{width}}  {description}")
+            for kind in registry_kinds():
+                registry = get_registry(kind)
+                print(f"{kind} ({len(registry)}): {', '.join(registry.names())}")
         return 0
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    registry = get_registry(args.kind)
+    descriptions = registry.describe()
+    if args.format == "json":
+        print(json.dumps(descriptions, indent=2, sort_keys=True))
+    else:
+        print(f"{registry.kind} registry — {len(registry)} entries")
+        width = max(len(name) for name in descriptions) if descriptions else 0
+        for name, description in descriptions.items():
+            print(f"  {name:<{width}}  {description}")
+    return 0
 
 
-def _cmd_table1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not supports_accuracy(args.scheme):
-        known = ", ".join(supported_accuracy_schemes())
-        print(
-            f"error: scheme {args.scheme!r} has no accuracy-side numerics evaluator "
-            f"(choices: {known})",
-            file=sys.stderr,
-        )
-        return 2
+def _cmd_table1(args: argparse.Namespace) -> int:
     # The target rows run the scheme's numerics on the Mokey design with
     # fidelity; the Tensor Cores baseline rides along hardware-only (its
-    # fidelity is never read) so --joint can pair speedup/energy.
-    scheme = None if args.scheme == "mokey" else args.scheme
-    workloads = tuple((model, task, seq) for (model, task, seq, _head) in PAPER_MODELS)
+    # fidelity is never read) so --joint can pair speedup/energy.  An
+    # unknown scheme, or one without an accuracy evaluator, fails in the
+    # target campaign before anything simulates.
+    execution = ExecutionPolicy.from_dict(_spec_dict(args, {}).get("execution", {}))
+    target_spec = CampaignSpec(
+        name="table1",
+        axes=AxisGrid(
+            workloads=_PAPER_WORKLOADS,
+            schemes=(None if args.scheme == "mokey" else args.scheme,),
+            designs=("mokey",),
+        ),
+        enrichments=Enrichments(accuracy=True),
+        execution=execution,
+    ).validate()
     store = None if args.no_store else _open_cli_store(args)
     cache = ResultCache(store=store)
-    execution = ExecutionPolicy(executor=args.executor, max_workers=args.workers)
     started = time.perf_counter()
-    target = run_spec(
-        CampaignSpec(
-            name="table1",
-            axes=AxisGrid(workloads=workloads, schemes=(scheme,), designs=("mokey",)),
-            enrichments=Enrichments(accuracy=True),
-            execution=execution,
-        ),
-        cache=cache,
-    )
+    target = run_spec(target_spec, cache=cache)
     baseline = run_spec(
         CampaignSpec(
             name="table1-baseline",
-            axes=AxisGrid(workloads=workloads, designs=("tensor-cores",)),
+            axes=AxisGrid(workloads=_PAPER_WORKLOADS, designs=("tensor-cores",)),
             execution=execution,
         ),
         cache=cache,
@@ -1140,24 +1021,20 @@ def _report_filters(args: argparse.Namespace) -> List[Tuple[str, str, object]]:
     return filters
 
 
-def _cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     store = _open_cli_store(args)
-    try:
-        filters = _report_filters(args)
-        if args.group_by is not None:
-            rows = store.query(
-                filters, group_by=args.group_by, order_by=args.order_by, limit=args.top
-            )
-            if not rows:
-                print("no matching records in the store", file=sys.stderr)
-                return 1
-            summary = f"{len(rows)} groups from {store.root}"
-            _emit(format_records(rows, args.format), summary, args.output)
-            return 0
-        entries = store.query(filters, order_by=args.order_by, limit=args.top)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    filters = _report_filters(args)
+    if args.group_by is not None:
+        rows = store.query(
+            filters, group_by=args.group_by, order_by=args.order_by, limit=args.top
+        )
+        if not rows:
+            print("no matching records in the store", file=sys.stderr)
+            return 1
+        summary = f"{len(rows)} groups from {store.root}"
+        _emit(format_records(rows, args.format), summary, args.output)
+        return 0
+    entries = store.query(filters, order_by=args.order_by, limit=args.top)
     records = [
         ScenarioRecord(
             scenario=entry.scenario,
@@ -1200,14 +1077,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
     source = open_store(args.source, backend=args.from_backend)
     if not source.path.exists():
-        print(f"error: no {source.backend_name} store at {source.path}", file=sys.stderr)
-        return 2
-    try:
-        dest = open_store(args.dest, backend=args.to_backend)
-        stored = migrate_store(source, dest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no {source.backend_name} store at {source.path}")
+    dest = open_store(args.dest, backend=args.to_backend)
+    stored = migrate_store(source, dest)
     summary = (
         f"migrated {stored} records: {source.root} ({source.backend_name}) "
         f"-> {dest.root} ({dest.backend_name})"
@@ -1235,8 +1107,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 def _cmd_store_stats(args: argparse.Namespace) -> int:
     store = open_store(args.path, backend=args.store_backend)
     if not store.path.exists():
-        print(f"error: no {store.backend_name} store at {store.path}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no {store.backend_name} store at {store.path}")
     # One grouped pushdown query yields every counter — no record payloads
     # are deserialized (with SQLite it runs server-side over indexed
     # columns).
@@ -1281,12 +1152,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The service defaults to SQLite: it is the backend proven under
     # concurrent shard writers (WAL mode, immediate-transaction retries).
     backend = args.store_backend or "sqlite"
+    STORES.get(backend)  # an unknown backend fails here, not in the first job
     coordinator = Coordinator(store, store_backend=backend, default_workers=args.workers)
-    try:
-        server = make_server(args.host, args.port, coordinator, quiet=not args.verbose)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = make_server(args.host, args.port, coordinator, quiet=not args.verbose)
     host, port = server.server_address[:2]
     print(
         f"repro service listening on http://{host}:{port} "
@@ -1300,38 +1168,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec_dict(path: str) -> Dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        print(f"error: cannot read spec {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    except json.JSONDecodeError as exc:
-        print(f"error: spec {path!r} is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    if not isinstance(payload, dict):
-        print(f"error: spec {path!r} must hold a JSON object", file=sys.stderr)
-        raise SystemExit(2)
-    return payload
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
-    spec_dict = _load_spec_dict(args.spec)
     client = ServiceClient(args.url)
-    try:
-        job_id = client.submit(spec_dict, kind=args.kind, workers=args.workers)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job_id = client.submit(_load_spec_dict(args.spec), kind=args.kind, workers=args.workers)
     print(job_id)
     if not args.wait:
         return 0
-    try:
-        final = client.wait(job_id, timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    final = client.wait(job_id, timeout=args.timeout)
     progress = final["progress"]
     print(
         f"{job_id}: {final['state']} "
@@ -1345,140 +1188,49 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_service_status(args: argparse.Namespace) -> int:
     client = ServiceClient(args.url)
-    try:
-        if args.id is not None:
-            print(json.dumps(client.status(args.id), indent=2, sort_keys=True))
-            return 0
-        jobs = client.jobs()
-        if args.format == "json":
-            print(json.dumps(jobs, indent=2, sort_keys=True))
-            return 0
-        if not jobs:
-            print("no jobs submitted", file=sys.stderr)
-            return 0
-        for job in jobs:
-            progress = job["progress"]
-            print(
-                f"{job['id']}: {job['state']} "
-                f"{progress['completed']}/{progress['total']} "
-                f"[{job['kind']} {job['name']!r}, workers={job['workers']}, "
-                f"restarts={job['restarts']}]"
-            )
+    if args.id is not None:
+        print(json.dumps(client.status(args.id), indent=2, sort_keys=True))
         return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    jobs = client.jobs()
+    if args.format == "json":
+        print(json.dumps(jobs, indent=2, sort_keys=True))
+        return 0
+    if not jobs:
+        print("no jobs submitted", file=sys.stderr)
+        return 0
+    for job in jobs:
+        progress = job["progress"]
+        print(
+            f"{job['id']}: {job['state']} "
+            f"{progress['completed']}/{progress['total']} "
+            f"[{job['kind']} {job['name']!r}, workers={job['workers']}, "
+            f"restarts={job['restarts']}]"
+        )
+    return 0
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
     client = ServiceClient(args.url)
-    try:
-        lines = [json.dumps(record, sort_keys=True) for record in client.results(args.id)]
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lines = [json.dumps(record, sort_keys=True) for record in client.results(args.id)]
     _emit("\n".join(lines), f"{len(lines)} records from {client.url}", args.output)
     return 0
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
-    try:
-        status = client.cancel(args.id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    status = ServiceClient(args.url).cancel(args.id)
     print(f"{args.id}: cancellation requested (state: {status['state']})")
     return 0
 
 
-def _parse_trace_params(
-    parser: argparse.ArgumentParser, texts: Sequence[str]
-) -> Dict[str, float]:
-    params: Dict[str, float] = {}
-    for text in texts:
-        key, sep, value = text.partition("=")
-        if not sep or not key:
-            parser.error(f"--trace-param wants KEY=VALUE, got {text!r}")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            parser.error(f"--trace-param {key!r} wants a number, got {value!r}")
-    return params
-
-
-def _serving_spec_from_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> ServingSpec:
-    """Build the serving spec: from ``--spec FILE`` or the flags.
-
-    Execution flags (``--executor``/``--workers``) override the spec's
-    policy either way, mirroring ``campaign run``.
-    """
-    if args.spec:
-        try:
-            spec = ServingSpec.load(args.spec)
-        except OSError as exc:
-            print(f"error: cannot read spec {args.spec!r}: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            print(
-                f"error: spec {args.spec!r} does not parse as a ServingSpec: {exc}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-    else:
-        spec = ServingSpec(
-            name="cli",
-            model=args.model,
-            task=args.task,
-            sequence_length=args.sequence_length,
-            schemes=tuple(args.schemes),
-            designs=tuple(args.designs),
-            buffer_bytes=args.buffer_kb * KB,
-            trace=TraceSpec(
-                kind=args.trace,
-                rate_rps=args.rate,
-                num_requests=args.requests,
-                seed=args.seed,
-                params=_parse_trace_params(parser, args.trace_param),
-            ),
-            policy=PolicySpec(
-                kind=args.policy,
-                max_batch=args.max_batch,
-                timeout_ms=args.timeout_ms,
-            ),
-            num_accelerators=args.accelerators,
-            slo_ms=args.slo_ms,
-        )
-    overrides = {}
-    if args.executor is not None:
-        overrides["executor"] = args.executor
-    if args.workers is not None:
-        overrides["max_workers"] = args.workers
-    if overrides:
-        spec = spec.with_execution(**overrides)
-    return spec
-
-
-def _cmd_serve_sim(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    spec = _resolve_spec_store(args, _serving_spec_from_args(parser, args))
+def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    # The CLI's trace is longer than TraceSpec's own default of 1,000.
+    base = {"name": "cli", "trace": {"num_requests": 10_000}}
+    spec = ServingSpec.from_dict(_spec_dict(args, base))
+    spec = _resolve_spec_store(args, spec).validate()
     started = time.perf_counter()
-    records = []
-    last_progress = None
-    try:
-        events = iter_serving(spec)
-        try:
-            for record, progress in events:
-                records.append(record)
-                last_progress = progress
-                if args.progress:
-                    print(f"{progress} {record.base.label}", file=sys.stderr)
-        finally:
-            events.close()
-    except (RegistryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, last_progress = _drain(
+        iter_serving(spec), lambda record: record.base.label, progress_to_stderr=args.progress
+    )
     elapsed = time.perf_counter() - started
     store = spec.execution.store
     trace, policy = spec.trace, spec.policy
@@ -1495,42 +1247,12 @@ def _cmd_serve_sim(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "campaign":
-        if args.action == "run":
-            return _cmd_run(parser, args)
-        if args.action == "resume":
-            return _cmd_resume(parser, args)
-        if args.action == "report":
-            return _cmd_report(parser, args)
-        if args.action == "list":
-            return _cmd_list(args)
-        if args.action == "clean":
-            return _cmd_clean(args)
-    if args.command == "store":
-        if args.action == "migrate":
-            return _cmd_store_migrate(args)
-        if args.action == "stats":
-            return _cmd_store_stats(args)
-    if args.command == "registry":
-        return _cmd_registry_list(args)
-    if args.command == "table1":
-        return _cmd_table1(parser, args)
-    if args.command == "serve-sim":
-        return _cmd_serve_sim(parser, args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_service_status(args)
-    if args.command == "results":
-        return _cmd_results(args)
-    if args.command == "cancel":
-        return _cmd_cancel(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (RegistryError, ServiceError, UnsupportedSchemeError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

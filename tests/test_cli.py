@@ -1,11 +1,16 @@
 """Tests for the ``repro`` CLI (``python -m repro``)."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 
@@ -115,10 +120,103 @@ class TestCampaignRun:
         assert len(lines) == 1
         assert "did you mean 'mokey'" in lines[0]
 
-    def test_unknown_task_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "run", "--tasks", "sqaud", "--store", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_unknown_task_is_a_one_line_error(self, tmp_path, capsys):
+        code, _out, err = run_cli(
+            ["campaign", "run", "--tasks", "sqaud", "--store", str(tmp_path)], capsys
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "did you mean 'squad'" in lines[0]
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_is_a_one_line_error(self, limit, tmp_path, capsys):
+        code, _out, err = run_cli(
+            ["campaign", "run", "--limit", limit, "--store", str(tmp_path / "s"),
+             "--designs", "mokey", "gobo"],
+            capsys,
+        )
+        assert code == 2
+        assert err.strip().splitlines() == [f"error: --limit must be positive, got {limit}"]
+        assert not (tmp_path / "s").exists()
+
+
+def run_quietly(args):
+    """``main(args)`` with its output captured: ``(code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Each drawn axis: registered names plus misspellings the spec must reject.
+AXIS_VALUES = {
+    "models": st.sampled_from(["bert-base", "bert-large", "bert-bse"]),
+    "tasks": st.sampled_from(["mnli", "squad", "classification", "sqaud"]),
+    "sequence_lengths": st.sampled_from([None, 0, 64, "abc"]),
+    "batch_sizes": st.sampled_from([0, 1, 4]),
+    "schemes": st.sampled_from([None, "mokey-oc", "fp16", "mokeyy"]),
+    "designs": st.sampled_from(["mokey", "gobo", "tensor-cores", "mokeyy"]),
+    "buffer_kb": st.sampled_from([0, 256, 512]),
+}
+
+
+class TestFlagsAndSpecAreOnePath:
+    """Axis flags and the same axes in a ``--spec`` file are one path."""
+
+    FLAGS = {
+        "models": "--models", "tasks": "--tasks", "sequence_lengths": "--sequence-lengths",
+        "batch_sizes": "--batch-sizes", "schemes": "--schemes", "designs": "--designs",
+        "buffer_kb": "--buffer-kb",
+    }
+    COMMON = ["--no-store", "--executor", "serial", "--format", "csv"]
+
+    @given(axes=st.fixed_dictionaries(
+        {}, optional={name: st.lists(values, min_size=1, max_size=2)
+                      for name, values in AXIS_VALUES.items()}
+    ))
+    @example(axes={"tasks": ["classification"]})
+    @example(axes={"tasks": ["sqaud"]})
+    @example(axes={"models": ["bert-bse"]})
+    @example(axes={"sequence_lengths": ["abc"]})
+    @example(axes={"batch_sizes": [0]})
+    @settings(max_examples=30, deadline=None)
+    def test_flags_and_spec_agree(self, axes):
+        flags = ["campaign", "run"] + self.COMMON
+        spec_axes = {}
+        for name, values in axes.items():
+            flags += [self.FLAGS[name]] + ["none" if v is None else str(v) for v in values]
+            if name == "buffer_kb":
+                spec_axes["buffer_bytes"] = [kb * 1024 for kb in values]
+            else:
+                spec_axes[name] = values
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps({"axes": spec_axes}))
+            by_spec = run_quietly(["campaign", "run", "--spec", str(path)] + self.COMMON)
+        by_flags = run_quietly(flags)
+        assert by_flags[0] == by_spec[0]
+        if by_spec[0] == 0:
+            assert by_flags[1] == by_spec[1]
+        else:
+            assert len(by_spec[2].splitlines()) == 1
+            assert by_flags[2] == by_spec[2]
+
+    def test_axis_flag_overrides_its_spec_field(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"axes": {"tasks": ["squad"], "designs": ["mokey"]}}))
+        code, out, _err = run_cli(
+            ["campaign", "run", "--spec", str(path), "--designs", "gobo", "tensor-cores",
+             "--no-store", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["design"] for row in rows] == ["gobo", "tensor-cores"]
+        assert {row["task"] for row in rows} == {"squad"}  # fields not flagged stay
 
 
 class TestReportListClean:
@@ -298,6 +396,23 @@ class TestTable1:
         assert len(err.strip().splitlines()) == 1
 
 
+def test_table1_bad_workers_subprocess_has_no_traceback(tmp_path):
+    """A malformed pool width fails in one stderr line, not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "table1", "--workers", "0", "--no-store"],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "error: max_workers must be a positive integer or null, got 0"
+    ]
+
+
 class TestSpecDrivenRun:
     @pytest.fixture()
     def spec_file(self, tmp_path):
@@ -377,12 +492,14 @@ class TestSpecDrivenRun:
     def test_unreadable_spec_is_a_usage_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "run", "--spec", str(path), "--no-store"])
-        assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "run", "--spec", str(tmp_path / "missing.json")])
-        assert excinfo.value.code == 2
+        code, _out, err = run_cli(["campaign", "run", "--spec", str(path), "--no-store"], capsys)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        code, _out, err = run_cli(
+            ["campaign", "run", "--spec", str(tmp_path / "missing.json")], capsys
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
 
     def test_spec_resume_false_resimulates_through_the_cli(self, tmp_path, capsys):
         spec = {
@@ -532,6 +649,21 @@ class TestServeSim:
         )
         assert code == 2
         assert "did you mean 'continuous'?" in err
+
+    def test_flag_overrides_its_spec_field_and_default_trace_length(self, tmp_path, capsys):
+        path = tmp_path / "serving.json"
+        path.write_text(json.dumps({"trace": {"num_requests": 300, "seed": 2}}))
+        code, out, err = run_cli(
+            ["serve-sim", "--spec", str(path), "--requests", "200", "--no-store",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)[0]["requests"] == 200
+        assert "seed=2" in err  # fields not flagged stay
+        code, out, _err = run_cli(["serve-sim", "--no-store", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)[0]["requests"] == 10_000
 
     def test_malformed_trace_param_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
