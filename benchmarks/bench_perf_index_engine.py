@@ -24,7 +24,8 @@ is visible PR-over-PR:
   so GEMM batching and the plane cache can never silently stop paying
   off, and the cold start (preparing the model — weights encoded,
   activations profiled — plus the first forward) **asserted** under a
-  ceiling;
+  ceiling, and the warm plane cache **asserted** at exactly 5 bytes
+  per cached weight element (a float32 plane plus its outlier mask);
 * ``decoder_kv_cache`` — a GPT-style decoder (prefill + autoregressive
   steps) attending against the encoded index-domain KV cache, with the
   incremental plane cache on (and the ``oracle=True`` rebuild path next
@@ -50,7 +51,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TINY_MODE, record_perf
+from conftest import TINY_MODE, Float64IndexDomainEngine, record_perf
 
 from repro.core.golden_dictionary import (
     DEFAULT_NUM_REPEATS,
@@ -219,9 +220,11 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
             "vectorized_pairs_per_second": macs / vector_seconds,
         },
     )
-    # Equivalence: same values (fp tolerance), identical statistics.
-    assert np.allclose(scalar_values, result.values, rtol=1e-9, atol=1e-8)
-    assert result.stats == scalar_stats
+    # Equivalence: same values (fp tolerance, on the float64 variant),
+    # identical statistics.
+    reference = Float64IndexDomainEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+    assert np.allclose(scalar_values, reference.values, rtol=1e-9, atol=1e-8)
+    assert result.stats == reference.stats == scalar_stats
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized engine only {speedup:.1f}x over scalar "
         f"(floor {SPEEDUP_FLOOR}x) — did a code path fall back to Python loops?"
@@ -445,6 +448,16 @@ def test_perf_full_model_index_domain(mokey_quantizer):
     # of every forward, cold or warm, reads a stored encoding.
     assert warm.weight_cache_hits == 6 * warm.num_layers
     assert cold.weight_cache_hits == 6 * cold.num_layers
+    # Deterministic ceiling: the cache holds each weight once, as a float32
+    # plane plus a boolean outlier mask — 5 bytes per element (BERT-Base:
+    # 424,673,280 bytes).
+    weight_elements = sum(
+        weights.size for layer in executor.prepared.layers for weights in layer.weights.values()
+    )
+    assert warm_cache["bytes_cached"] == 5 * weight_elements, (
+        f"plane cache holds {warm_cache['bytes_cached']} bytes for "
+        f"{weight_elements} weight elements (expected 5 bytes each)"
+    )
     assert cold_start_seconds <= COLD_START_CEILING, (
         f"cold start took {cold_start_seconds:.2f}s (ceiling "
         f"{COLD_START_CEILING}s) — is the model fitting at run time again?"

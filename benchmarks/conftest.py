@@ -32,6 +32,7 @@ from repro.accelerator.simulator import AcceleratorSimulator
 from repro.accelerator.tensor_cores import tensor_cores_design
 from repro.accelerator.workloads import paper_workloads
 from repro.core.golden_dictionary import generate_golden_dictionary
+from repro.core.index_compute import VectorizedIndexDomainEngine
 from repro.core.model_quantizer import MokeyModelQuantizer
 from repro.core.quantizer import MokeyQuantizer
 from repro.experiments import AxisGrid, CampaignSpec, ResultCache, run_spec
@@ -47,6 +48,15 @@ BUFFER_SWEEP = (256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB)
 # campaign grids and every qualitative assertion are unchanged.  Used by
 # tests/test_bench_smoke.py and the CI benchmark-smoke job.
 TINY_MODE = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
+
+
+class Float64IndexDomainEngine(VectorizedIndexDomainEngine):
+    """The vectorized engine with float64 planes: the reference that
+    ``rtol=1e-9`` checks against the scalar engine run on (the default
+    engine computes in float32)."""
+
+    plane_dtype = np.float64
+
 
 # The paper's Table I (model, task, sequence length) pairs as campaign
 # workload specs.

@@ -823,9 +823,23 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     return _resolve_spec_store(args, spec).validate()
 
 
-def _open_cli_store(args: argparse.Namespace):
-    """Open the command's store under the chosen (or detected) backend."""
-    return open_store(args.store or _default_store(), backend=args.store_backend)
+def _open_existing_store(root: str, backend: Optional[str]):
+    """Open the store at ``root``; a path with no store there is an error.
+
+    The commands that read or clear a store take this check, so a
+    mistyped path fails in one line instead of reading as an empty
+    store.  A store exists while its backend's file does (a cleared
+    store keeps an empty one).
+    """
+    store = open_store(root, backend=backend)
+    if not store.path.exists():
+        raise ValueError(f"no {store.backend_name} store at {store.path}")
+    return store
+
+
+def _cli_store(args: argparse.Namespace) -> str:
+    """The command's ``--store`` path, else ``$REPRO_STORE`` or the default."""
+    return args.store or _default_store()
 
 
 def _drain(
@@ -967,7 +981,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         enrichments=Enrichments(accuracy=True),
         execution=execution,
     ).validate()
-    store = None if args.no_store else _open_cli_store(args)
+    store = None if args.no_store else open_store(_cli_store(args), backend=args.store_backend)
     cache = ResultCache(store=store)
     started = time.perf_counter()
     target = run_spec(target_spec, cache=cache)
@@ -1022,7 +1036,7 @@ def _report_filters(args: argparse.Namespace) -> List[Tuple[str, str, object]]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    store = _open_cli_store(args)
+    store = _open_existing_store(_cli_store(args), args.store_backend)
     filters = _report_filters(args)
     if args.group_by is not None:
         rows = store.query(
@@ -1054,7 +1068,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    store = _open_cli_store(args)
+    store = _open_existing_store(_cli_store(args), args.store_backend)
     # One grouped pushdown query answers the whole summary — per
     # (model, design) counts plus the fidelity/measured tallies — without
     # deserializing any record payloads.
@@ -1075,9 +1089,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    source = open_store(args.source, backend=args.from_backend)
-    if not source.path.exists():
-        raise ValueError(f"no {source.backend_name} store at {source.path}")
+    source = _open_existing_store(args.source, args.from_backend)
     dest = open_store(args.dest, backend=args.to_backend)
     stored = migrate_store(source, dest)
     summary = (
@@ -1091,7 +1103,7 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    store = _open_cli_store(args)
+    store = _open_existing_store(_cli_store(args), args.store_backend)
     count = len(store)
     if not args.yes:
         print(
@@ -1105,9 +1117,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = open_store(args.path, backend=args.store_backend)
-    if not store.path.exists():
-        raise ValueError(f"no {store.backend_name} store at {store.path}")
+    store = _open_existing_store(args.path, args.store_backend)
     # One grouped pushdown query yields every counter — no record payloads
     # are deserialized (with SQLite it runs server-side over indexed
     # columns).

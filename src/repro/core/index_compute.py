@@ -33,11 +33,22 @@ decodes to exactly ``theta * (a**i + b) * s + m`` and an outlier to its
 16-bit centroid, so the counter terms plus the OPP's outlier MACs sum to
 the same number as one dense product of the decoded operands.  The
 rewrite is what makes the hardware datapath narrow; a host gains nothing
-from it, so the vectorized engine computes values as that one float64
-GEMM (outlier pairs included).  Both engines therefore accept only
+from it, so the vectorized engine computes values as that one GEMM
+(outlier pairs included).  Both engines therefore accept only
 exponential-centroid dictionaries (``MokeyQuantizer(use_exponential=True)``,
 the default), and the property test vectorized == scalar is what proves
 the two formulations agree.
+
+**Float32 planes.**  The PE multiplies 16-bit fixed-point centroids and
+keeps exact integer counters, so nothing asks for a float64 datapath: the
+vectorized engine decodes operands to float32
+(:attr:`VectorizedIndexDomainEngine.plane_dtype`, the one place the dtype
+is chosen), every product is an sgemm and its values come back float32.
+An operand whose values lie outside float32's safe range keeps float64
+planes and its products promote to float64 (see :func:`_plane_table`).
+The statistics never depend on the dtype.  A subclass with
+``plane_dtype = np.float64`` is the float64 reference the tests check the
+default against.
 
 **Statistics from masks.**  Operation counts are exact integers derived
 from the outlier masks alone — the Gaussian pair count of output
@@ -251,12 +262,16 @@ class PlaneSet:
 
     ``role="lhs"`` holds an activation's ``(M, K)`` arrays, ``role="rhs"``
     a weight's ``(K, N)`` arrays.  :attr:`dec` is the operand decoded to
-    its 16-bit centroids (without the fixed-point rounding), the one
-    array the engine's dense product reads; :attr:`out` is the boolean
-    outlier mask the exact statistics are counted from.  The weight role
-    also keeps :attr:`gauss_per_k`, the Gaussian count of every ``k``
-    row.  :attr:`device_tensors` is scratch space for device backends to
-    pin an uploaded copy of :attr:`dec` (keyed by device).
+    its 16-bit centroids (without the fixed-point rounding) in the
+    engine's plane dtype (float32 by default; float64 for an operand
+    outside float32's safe range), the one array the engine's dense
+    product reads; :attr:`out` is the boolean outlier mask the exact
+    statistics are counted from.  The weight role also keeps
+    :attr:`gauss_per_k`, the Gaussian count of every ``k`` row.
+    :attr:`fit_key` is the Golden fit and requested plane dtype the
+    planes were built for (see :func:`_plane_fit_key`).
+    :attr:`device_tensors` is scratch space for device backends to pin an
+    uploaded copy of :attr:`dec` (keyed by device).
     """
 
     __slots__ = ("role", "fit_key", "plane_shape", "dec", "out", "gauss_per_k", "device_tensors")
@@ -266,7 +281,7 @@ class PlaneSet:
         dec: np.ndarray,
         out: np.ndarray,
         role: str,
-        fit_key: Tuple[float, float, int],
+        fit_key: Tuple[float, float, int, str],
     ) -> None:
         if role not in ("lhs", "rhs"):
             raise ValueError(f"role must be 'lhs' or 'rhs', got {role!r}")
@@ -297,10 +312,11 @@ DEFAULT_PLANE_CACHE_MB = 4096.0
 class PlaneCache:
     """Cross-call LRU cache of weight-side :class:`PlaneSet` artifacts.
 
-    Keys are the operand's content digest (plus role), so an entry can
-    never serve stale planes: a tensor with different encoded values or a
-    different dictionary has a different digest *by construction* — there
-    is no invalidation protocol to get wrong.  The byte budget covers the
+    Keys are the operand's content digest plus role and plane dtype (the
+    float32 default and a float64 reference engine never share planes),
+    so an entry can never serve stale planes: a tensor with different
+    encoded values or a different dictionary has a different digest *by
+    construction* — there is no invalidation protocol to get wrong.  The byte budget covers the
     host plane arrays (decoded plane and outlier mask); least-recently-used
     entries are dropped when the budget is exceeded, and any
     device-resident copies go with them.
@@ -324,7 +340,7 @@ class PlaneCache:
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[Tuple[str, str], PlaneSet]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, str, str], PlaneSet]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -343,7 +359,7 @@ class PlaneCache:
         with self._lock:
             return self._bytes
 
-    def get(self, key: Tuple[str, str]) -> Optional[PlaneSet]:
+    def get(self, key: Tuple[str, str, str]) -> Optional[PlaneSet]:
         """The cached plane set for ``key``, counting the hit or miss."""
         with self._lock:
             plane_set = self._entries.get(key)
@@ -354,7 +370,7 @@ class PlaneCache:
             self.hits += 1
             return plane_set
 
-    def put(self, key: Tuple[str, str], plane_set: PlaneSet) -> None:
+    def put(self, key: Tuple[str, str, str], plane_set: PlaneSet) -> None:
         """Insert ``plane_set`` under ``key``, evicting LRU entries over budget."""
         with self._lock:
             previous = self._entries.pop(key, None)
@@ -496,9 +512,6 @@ class IndexDomainEngine:
         # the OPP multiplies the SoI histogram with during post-processing).
         self.soi_bases = self.a ** np.arange(2 * self.num_entries - 1, dtype=np.float64)
         self.half_bases = self.a ** np.arange(self.num_entries, dtype=np.float64)
-        #: Golden-fit identity of the planes this engine builds; plane sets
-        #: attached to tensors are only accepted when their fit matches.
-        self._fit_key = (float(self.a), float(self.b), int(self.num_entries))
 
     @property
     def post_processing_macs_per_output(self) -> int:
@@ -632,6 +645,34 @@ class IndexDomainEngine:
         return result, stats
 
 
+#: Peak decode-table magnitudes a narrow plane dtype keeps.  Inside this
+#: range any product of two values, summed over up to 2**31 terms, stays
+#: finite and normal in float32 (2**96 * 2**31 < 2**128; 2**-96 > 2**-126).
+_NARROW_PEAK_RANGE = (2.0**-48, 2.0**48)
+
+
+def _plane_table(dictionary: TensorDictionary, plane_dtype: Any) -> np.ndarray:
+    """``dictionary``'s decode table, unrounded, in the dtype its planes take.
+
+    ``plane_dtype`` unless the table's peak magnitude lies outside
+    :data:`_NARROW_PEAK_RANGE`: such an operand (a huge-range or
+    subnormal tensor) keeps float64 planes, so its products promote to
+    float64 instead of overflowing or flushing to zero.  Gathering
+    ``table[codes]`` then decodes straight into the plane dtype.
+    """
+    table = dictionary.decode_table(apply_fixed_point=False)
+    peak = float(np.max(np.abs(table), initial=0.0))
+    low, high = _NARROW_PEAK_RANGE
+    if peak and not low <= peak <= high:
+        return table
+    return table.astype(plane_dtype)
+
+
+def _plane_fit_key(fit: Any, plane_dtype: Any) -> Tuple[float, float, int, str]:
+    """What a plane set is built for: the Golden fit and the plane dtype."""
+    return (float(fit.a), float(fit.b), int(fit.num_entries), np.dtype(plane_dtype).str)
+
+
 class VectorizedIndexDomainEngine(IndexDomainEngine):
     """Whole-GEMM index-domain compute: one decoded GEMM plus mask statistics.
 
@@ -648,7 +689,30 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
     statistics (NumPy again, from the outlier masks alone).  Any backend
     therefore reports *identical* :class:`IndexComputeStats` to this
     oracle by construction.
+
+    Operands decode to :attr:`plane_dtype`, so every product runs at that
+    precision; a subclass that sets ``plane_dtype = np.float64`` is the
+    float64 reference of the same engine.
     """
+
+    #: Dtype of the decoded planes and so of every product: float32 carries
+    #: a 16-bit centroid exactly, with 8 bits of accumulation headroom.
+    plane_dtype: Any = np.float32
+
+    def __init__(
+        self,
+        activation_dictionary: TensorDictionary,
+        weight_dictionary: TensorDictionary,
+    ) -> None:
+        super().__init__(activation_dictionary, weight_dictionary)
+        #: What the planes this engine builds are for; attached plane sets
+        #: are only used when theirs matches (same fit, same dtype).
+        self._fit_key = _plane_fit_key(activation_dictionary.golden.fit, self.plane_dtype)
+        #: Decode table of each role's dictionary, in its plane dtype.
+        self._tables = {
+            "lhs": _plane_table(activation_dictionary, self.plane_dtype),
+            "rhs": _plane_table(weight_dictionary, self.plane_dtype),
+        }
 
     # ------------------------------------------------------------------ #
     # Backend seam: the only dense floating-point product in the engine
@@ -670,21 +734,18 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
     # Stages
     # ------------------------------------------------------------------ #
     def _build_plane_set(
-        self,
-        tensor: QuantizedTensor,
-        role: str,
-        shape: Tuple[int, int],
-        dictionary: TensorDictionary,
+        self, tensor: QuantizedTensor, role: str, shape: Tuple[int, int]
     ) -> PlaneSet:
         """Decode one operand and take its outlier mask (always NumPy).
 
         The decode skips the fixed-point rounding, exactly like the scalar
         engine's outlier MAC, so Gaussian entries carry the exact
-        exponential-curve values Eq. 3-6 regenerate.
+        exponential-curve values Eq. 3-6 regenerate; it gathers straight
+        into the plane dtype (see :func:`_plane_table`).
         """
         encoded = tensor.encoded
         return PlaneSet(
-            dec=dictionary.decode(encoded, apply_fixed_point=False).reshape(shape),
+            dec=self._tables[role][encoded.codes].reshape(shape),
             out=encoded.is_outlier.reshape(shape),
             role=role,
             fit_key=self._fit_key,
@@ -696,11 +757,12 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         """Resolve one operand's planes: attached → digest cache → build.
 
         An operand carrying pre-built planes (``tensor._plane_sets`` — the
-        KV cache's incremental slabs) wins when its fit and shape match.
-        Otherwise the weight (``rhs``) role consults the process plane
-        cache keyed by the tensor's content digest; activations — and
-        right operands encoded for one request (``per_request``) — are
-        built fresh (they change every call, hashing them would only add
+        KV cache's incremental slabs) wins when its fit key (Golden fit
+        and plane dtype) and shape match.  Otherwise the weight (``rhs``)
+        role consults the process plane cache keyed by the tensor's
+        content digest and the plane dtype; activations — and right
+        operands encoded for one request (``per_request``) — are built
+        fresh (they change every call, hashing them would only add
         cost and cache entries nothing reads again).
         """
         cache = get_plane_cache()
@@ -715,16 +777,15 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
                 if cache is not None:
                     cache.note_attached_hit()
                 return candidate
-        dictionary = self.act_dict if role == "lhs" else self.weight_dict
         if cache is not None and role == "rhs" and not tensor.per_request:
-            key = (tensor.content_digest(), role)
+            key = (tensor.content_digest(), role, self._fit_key[3])
             cached = cache.get(key)
             if cached is not None:
                 return cached
-            built = self._build_plane_set(tensor, role, shape, dictionary)
+            built = self._build_plane_set(tensor, role, shape)
             cache.put(key, built)
             return built
-        return self._build_plane_set(tensor, role, shape, dictionary)
+        return self._build_plane_set(tensor, role, shape)
 
     def _stats_from_planes(self, act: PlaneSet, wgt: PlaneSet) -> IndexComputeStats:
         """Exact integer statistics from the outlier masks alone.
@@ -783,6 +844,14 @@ def _weight_group_matmul(
     weight's one decoded plane, so the group costs one backend product
     however many GEMMs it holds.  Slicing rows back out is exact — GEMM
     output rows are independent.
+
+    NumPy runs a one-row product as gemv, whose last bit differs from
+    gemm's.  A one-row product against a weight that other GEMMs may share
+    (any right operand not encoded ``per_request``) gets a zero second
+    row, so it rounds like the same row inside a larger group: the
+    per-GEMM oracle and a lone stream then match the grouped path bit for
+    bit.  Per-request operands (attention K/V) are never shared, so both
+    paths already issue the same shape for them.
     """
     for _, activations in members:
         _check_matmul_shapes(activations, weights)
@@ -795,6 +864,8 @@ def _weight_group_matmul(
     ]
     # A lone GEMM passes its decoded rows through uncopied; a group copies once.
     rows = acts[0].dec if len(acts) == 1 else np.concatenate([act.dec for act in acts])
+    if rows.shape[0] == 1 and not weights.per_request:
+        rows = np.concatenate([rows, np.zeros_like(rows)])
     values = base._product(rows, base._plane_operand(wgt))
 
     results = []
@@ -828,9 +899,10 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
     reports :class:`IndexComputeStats` *identical* to the vectorized
     oracle by construction — while each weight group's one dense product
     of decoded operands (see :meth:`_product`) runs through
-    ``torch.einsum`` in float64 on ``device``, with the weight's decoded
-    plane pinned there by :meth:`_plane_operand`.  Values agree with the
-    oracle to floating-point round-off.
+    ``torch.einsum`` on ``device`` at the planes' dtype (``plane_dtype``),
+    with the weight's decoded plane pinned there by
+    :meth:`_plane_operand`.  Values agree with the oracle to
+    floating-point round-off.
 
     Args:
         activation_dictionary: Dictionary of the activation tensor.
@@ -866,9 +938,9 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
         self.device = str(device)
 
     def _tensor(self, array: np.ndarray):
-        return self._torch.as_tensor(
-            np.ascontiguousarray(array), dtype=self._torch.float64
-        ).to(self.device)
+        # The array's own dtype: the plane dtype, or float64 for an
+        # operand outside float32's safe range.
+        return self._torch.as_tensor(np.ascontiguousarray(array)).to(self.device)
 
     def _as_device(self, value: Any):
         """Accept either a host ndarray or an already-resident tensor."""
@@ -895,8 +967,12 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
         return resident
 
     def _product(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        out = self._torch.einsum("mk,kn->mn", self._as_device(lhs), self._as_device(rhs))
-        return out.cpu().numpy()
+        lhs, rhs = self._as_device(lhs), self._as_device(rhs)
+        if lhs.dtype != rhs.dtype:
+            # torch does not promote: a float64 operand makes both float64,
+            # as NumPy's product would.
+            lhs, rhs = lhs.double(), rhs.double()
+        return self._torch.einsum("mk,kn->mn", lhs, rhs).cpu().numpy()
 
 
 # --------------------------------------------------------------------------- #
@@ -907,8 +983,8 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
 #: purpose: describing the torch backend must not import torch.
 ENGINE_DESCRIPTIONS: Dict[str, str] = {
     "scalar": "faithful per-output reference engine (np.add.at histograms; tests only)",
-    "vectorized": "whole-GEMM NumPy decoded-operand BLAS engine — the correctness oracle",
-    "torch": "optional torch einsum backend (CPU/GPU) — identical stats to the oracle",
+    "vectorized": "whole-GEMM NumPy float32 decoded-operand BLAS engine — the correctness oracle",
+    "torch": "optional torch einsum backend (CPU/GPU, float32) — identical stats to the oracle",
 }
 
 

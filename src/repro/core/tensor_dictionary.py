@@ -324,6 +324,18 @@ class TensorDictionary:
                 the index-domain arithmetic disable this to compare exact
                 real-valued results.
         """
+        return self.decode_table(apply_fixed_point)[encoded.codes]
+
+    def decode_table(self, apply_fixed_point: bool = True) -> np.ndarray:
+        """The float64 value of every code, indexed by code.
+
+        Positive Gaussian halves, negative Gaussian halves, then the
+        outlier centroids (see :class:`EncodedValues`).
+
+        Args:
+            apply_fixed_point: Round the values to the per-layer 16-bit
+                fixed-point grid, as :meth:`decode` does.
+        """
         half = self.gaussian_half
         table = np.concatenate([
             np.concatenate([half, -half]) * self.std + self.mean,
@@ -331,7 +343,7 @@ class TensorDictionary:
         ])
         if apply_fixed_point:
             table = self.fixed_point.quantize(table)
-        return table[encoded.codes]
+        return table
 
     def quantize_dequantize(self, values: np.ndarray) -> np.ndarray:
         """Round-trip ``values`` through the 4-bit encoding ("fake quantization")."""

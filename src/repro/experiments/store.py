@@ -869,17 +869,20 @@ class ArtifactStore:
         )
 
     def clear(self) -> int:
-        """Delete every record (and the log file); returns how many existed.
+        """Delete every record; returns how many existed.
 
-        The in-memory index is *invalidated*, not replaced: the next
-        access re-reads the log from disk, so records appended by another
-        process after the clear — and an accurate :attr:`skipped` count —
-        are picked up instead of reporting the pre-clear state.
+        The log is truncated, not removed: like the SQLite backend's
+        database file, it stays behind as the marker that the directory
+        holds a (now empty) store.  The in-memory index is *invalidated*,
+        not replaced: the next access re-reads the log from disk, so
+        records appended by another process after the clear — and an
+        accurate :attr:`skipped` count — are picked up instead of
+        reporting the pre-clear state.
         """
         with self._lock:
             count = len(self._load_locked())
             if self.path.exists():
-                self.path.unlink()
+                self.path.write_bytes(b"")
             self._index = None
             self.skipped = 0
             return count

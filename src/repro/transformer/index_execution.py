@@ -404,7 +404,7 @@ def _encoder_layer(
         measurements, [("attention.output", merged, attn.output)], layer
     )
     hidden_states = block.attention_norm(
-        hidden_states + attn_out.reshape(batch, seq, hidden).astype(np.float32)
+        hidden_states + attn_out.reshape(batch, seq, hidden).astype(np.float32, copy=False)
     )
 
     flat2 = hidden_states.reshape(batch * seq, hidden)
@@ -415,5 +415,5 @@ def _encoder_layer(
         measurements, [("ffn.output", gelu(inter), block.ffn.output)], layer
     )
     return block.output_norm(
-        hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32)
+        hidden_states + ffn_out.reshape(batch, seq, hidden).astype(np.float32, copy=False)
     )

@@ -50,6 +50,9 @@ from repro.core.index_compute import (
     IndexComputeStats,
     PlaneCacheStats,
     PlaneSet,
+    VectorizedIndexDomainEngine,
+    _plane_fit_key,
+    _plane_table,
     get_plane_cache,
 )
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
@@ -374,20 +377,23 @@ class _PlaneSlab:
     full encoding — that is the whole correctness argument, and the
     property tests lock it.  Buffers double in capacity (amortised O(1)
     per appended row) and hold the outlier mask and the decoded centroids
-    for every cached row; per-head plane sets are contiguous column
-    slices of these buffers.
+    for every cached row, gathered from the dictionary's decode table in
+    :attr:`VectorizedIndexDomainEngine.plane_dtype` exactly as the
+    engine's own build does; per-head plane sets are contiguous column
+    slices of these buffers.  An engine with another plane dtype sees a
+    different fit key and rebuilds its planes instead.
     """
 
     def __init__(self, dictionary: TensorDictionary, width: int) -> None:
-        fit = dictionary.golden.fit
+        plane_dtype = VectorizedIndexDomainEngine.plane_dtype
         # The engine's fit key, so its attached-plane check accepts ours.
-        self.fit_key = (float(fit.a), float(fit.b), int(fit.num_entries))
-        self._dictionary = dictionary
+        self.fit_key = _plane_fit_key(dictionary.golden.fit, plane_dtype)
+        self._table = _plane_table(dictionary, plane_dtype)
         self._width = int(width)
         self._rows = 0
         capacity = 16
         self._out = np.empty((capacity, self._width), dtype=bool)
-        self._dec = np.empty((capacity, self._width), dtype=np.float64)
+        self._dec = np.empty((capacity, self._width), dtype=self._table.dtype)
 
     def _ensure(self, rows: int) -> None:
         capacity = self._out.shape[0]
@@ -414,9 +420,8 @@ class _PlaneSlab:
             return
         self._ensure(total)
         codes = tensor.encoded.codes.reshape(tensor.shape)[start:total]
-        new = EncodedValues(codes, tensor.encoded.half_entries)
-        self._out[start:total] = new.is_outlier
-        self._dec[start:total] = self._dictionary.decode(new, apply_fixed_point=False)
+        self._out[start:total] = EncodedValues(codes, tensor.encoded.half_entries).is_outlier
+        self._dec[start:total] = self._table[codes]
         self._rows = total
 
     def plane_set(self, columns: slice, transpose: bool = False) -> PlaneSet:
@@ -542,10 +547,13 @@ class IndexKVCache:
         to be the score GEMM's right operand; the value slice is
         ``(tokens, head_dim)`` for the context GEMM.  When incremental
         planes are on, both carry their slab-assembled plane sets, which
-        the engine picks up instead of rebuilding.
+        the engine picks up instead of rebuilding.  Both are
+        ``per_request``: one stream's K/V, never shared with another
+        GEMM's rows.
         """
         key_slice = _slice_quantized(self._keys[layer], columns, transpose=True)
         value_slice = _slice_quantized(self._values[layer], columns)
+        key_slice.per_request = value_slice.per_request = True
         if self.incremental_planes:
             key_slice._plane_sets = {
                 "rhs": self._slabs[(layer, "key")].plane_set(columns, transpose=True)

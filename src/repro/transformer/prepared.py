@@ -177,13 +177,13 @@ class FPRunner:
     :class:`Linear` run as one row-concatenated GEMM (the decoder's
     streams collapse to one call per weight), and each activation is
     cast to the weight's dtype first, as an FP32 datapath would.  The
-    cast matters: under NumPy's NEP 50 promotion rules
-    :func:`~repro.transformer.functional.gelu` returns float64 for
-    float32 input (``np.sqrt(2.0)`` is a float64 scalar), which would
-    turn every ``ffn.output`` GEMM into a float64 copy of the weight and
-    a double-precision product.  ``gelu`` itself stays as it is: the FP
-    model's accuracy goldens pin its output.  Activation right operands
-    (the K/V of the score and context GEMMs) run one product per item.
+    cast matters: :func:`~repro.transformer.functional.gelu` returns
+    float64 for float32 input (see its docstring), which would turn every
+    ``ffn.output`` GEMM into a float64 copy of the weight and a
+    double-precision product.  ``gelu`` keeps that promotion: the FP
+    model's accuracy goldens and the profiled dictionaries pin its
+    output.  Activation right operands (the K/V of the score and context
+    GEMMs) run one product per item.
     """
 
     def gemm(

@@ -25,10 +25,21 @@ import numpy as np
 import pytest
 
 from repro.core.golden_dictionary import GoldenDictionary, generate_golden_dictionary
+from repro.core.index_compute import VectorizedIndexDomainEngine
 from repro.core.quantizer import MokeyQuantizer
 from repro.transformer.config import TransformerConfig
 from repro.transformer.model_zoo import build_model
 from repro.transformer.tasks import generate_inputs, label_with_model
+
+
+class Float64Engine(VectorizedIndexDomainEngine):
+    """The vectorized engine with float64 planes: the float64 reference.
+
+    The default engine computes in float32; engine checks held to
+    ``rtol=1e-9`` run on this class (``from conftest import Float64Engine``).
+    """
+
+    plane_dtype = np.float64
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -284,6 +284,30 @@ class TestReportListClean:
         assert code == 0
         assert "0 records" in out
 
+    @staticmethod
+    def _assert_missing_store_fails(command, tmp_path, capsys):
+        typo = tmp_path / "typo-store"
+        code, out, err = run_cli(["campaign", *command, "--store", str(typo)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no jsonl store at {typo / 'records.jsonl'}\n"
+        assert not typo.exists()
+
+    def test_list_of_a_missing_store_fails(self, tmp_path, capsys):
+        self._assert_missing_store_fails(["list"], tmp_path, capsys)
+
+    def test_report_of_a_missing_store_fails(self, tmp_path, capsys):
+        self._assert_missing_store_fails(["report"], tmp_path, capsys)
+
+    def test_clean_of_a_missing_store_fails(self, tmp_path, capsys):
+        self._assert_missing_store_fails(["clean", "--yes"], tmp_path, capsys)
+
+    def test_clean_of_a_directory_without_a_store_fails(self, tmp_path, capsys):
+        code, out, err = run_cli(["campaign", "clean", "--store", str(tmp_path), "--yes"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no jsonl store at {tmp_path / 'records.jsonl'}\n"
+
 
 class TestAccuracyRun:
     @pytest.fixture()
@@ -832,6 +856,19 @@ class TestStoreBackendsCli:
         )
         assert code == 2
         assert "no jsonl store at" in err
+
+    def test_store_migrate_from_a_backend_the_source_lacks_fails(self, tmp_path, capsys):
+        jsonl_store = tmp_path / "a"
+        self._run_grid(str(jsonl_store), capsys)  # default jsonl
+        code, out, err = run_cli(
+            ["store", "migrate", str(jsonl_store), str(tmp_path / "dst"),
+             "--from-backend", "sqlite"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no sqlite store at {jsonl_store / 'records.sqlite'}\n"
+        assert not (tmp_path / "dst").exists()
 
     def test_registry_list_stores(self, capsys):
         code, out, _err = run_cli(["registry", "list", "stores"], capsys)

@@ -31,6 +31,59 @@ class TestErfGelu:
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
+def _textbook_erf(x):
+    """The one-expression form ``erf`` evaluated before it went in place."""
+    from repro.transformer import functional as f
+
+    x = np.asarray(x)
+    sign = np.sign(x)
+    ax = np.abs(x)
+    t = 1.0 / (1.0 + f._ERF_P * ax)
+    poly = ((((f._ERF_A5 * t + f._ERF_A4) * t) + f._ERF_A3) * t + f._ERF_A2) * t + f._ERF_A1
+    y = 1.0 - poly * t * np.exp(-ax * ax)
+    return sign * y
+
+
+def _textbook_gelu(x):
+    x = np.asarray(x)
+    return 0.5 * x * (1.0 + _textbook_erf(x / np.sqrt(2.0)))
+
+
+class TestInPlaceErfGeluBitIdentical:
+    """The in-place ``erf``/``gelu`` equal the one-expression form bit for bit."""
+
+    @staticmethod
+    def _inputs(dtype):
+        rng = np.random.default_rng(5)
+        dense = rng.normal(0.0, 3.0, (16, 48)).astype(dtype)
+        dense.ravel()[:6] = [0.0, -0.0, 1e-30, -40.0, np.inf, -np.inf]
+        return {
+            "dense": dense,
+            "0-d": np.asarray(dtype(-1.3)),
+            "empty": np.empty((0, 5), dtype=dtype),
+            "strided": dense[::2, 1::3],
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "ours, oracle", [(erf, _textbook_erf), (gelu, _textbook_gelu)], ids=["erf", "gelu"]
+    )
+    def test_matches_the_textbook_form(self, dtype, ours, oracle):
+        for name, x in self._inputs(dtype).items():
+            before = x.copy()
+            with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0
+                got, want = ours(x), oracle(x)
+            assert np.array_equal(x, before), f"{name}: input mutated"
+            assert got.dtype == want.dtype, name
+            assert np.shape(got) == np.shape(want), name
+            assert np.array_equal(got, want, equal_nan=True), name
+
+    def test_gelu_of_float32_stays_float64(self):
+        # The FP goldens and the profiled dictionaries pin this promotion.
+        assert gelu(np.ones(3, dtype=np.float32)).dtype == np.float64
+        assert erf(np.ones(3, dtype=np.float32)).dtype == np.float32
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
         x = rng.normal(0, 5, (4, 7))

@@ -6,13 +6,18 @@ histograms plus a handful of constants.  These tests verify that claim by
 comparing the index-domain result against the dot product of the decoded
 (dequantized) operands, and lock the vectorized engine's guarantee —
 values equal to the scalar reference within fp tolerance, operation
-statistics *identical* — with hypothesis property tests.
+statistics *identical* — with hypothesis property tests.  Checks at
+``rtol=1e-9`` run on :class:`Float64Engine`, the vectorized engine with
+float64 planes; the float32 default is held to a derived accumulation
+bound against it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import Float64Engine
 
 from repro.core.index_compute import (
     IndexComputeStats,
@@ -24,6 +29,10 @@ from repro.core.index_compute import (
     vectorized_index_domain_matmul,
 )
 from repro.core.quantizer import MokeyQuantizer
+
+
+def _float64_matmul(aq, wq):
+    return Float64Engine(aq.dictionary, wq.dictionary).matmul(aq, wq)
 
 
 def _quantized_pair(quantizer, rng, n=512, act_outliers=0.04, w_outliers=0.01):
@@ -139,7 +148,7 @@ class TestMatmul:
         w = rng.normal(0, 0.05, (24, 3))
         aq = quantizer.quantize(a, "a")
         wq = quantizer.quantize(w, "w")
-        result, stats = index_domain_matmul(aq, wq)
+        result, stats = index_domain_matmul(aq, wq, engine=Float64Engine)
         a_dec = aq.dictionary.decode(aq.encoded, apply_fixed_point=False).reshape(a.shape)
         w_dec = wq.dictionary.decode(wq.encoded, apply_fixed_point=False).reshape(w.shape)
         assert np.allclose(result, a_dec @ w_dec, rtol=1e-9, atol=1e-9)
@@ -186,21 +195,23 @@ class TestVectorizedEngine:
     def test_matches_scalar_values_and_stats(self, quantizer, rng):
         aq, wq = _quantized_matrices(quantizer, rng, 9, 64, 7)
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _float64_matmul(aq, wq)
         assert isinstance(result, IndexMatmulResult)
         assert np.allclose(result.values, scalar_values, rtol=1e-9, atol=1e-9)
         assert result.stats == scalar_stats
 
     def test_matches_decoded_matmul(self, quantizer, rng):
         aq, wq = _quantized_matrices(quantizer, rng, 6, 48, 5)
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _float64_matmul(aq, wq)
         assert np.allclose(result.values, _decoded_matmul(aq, wq), rtol=1e-9, atol=1e-9)
 
     def test_default_matmul_engine_is_vectorized_and_equivalent(self, quantizer, rng):
         aq, wq = _quantized_matrices(quantizer, rng, 4, 32, 3)
         default_values, default_stats = index_domain_matmul(aq, wq)
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        assert np.allclose(default_values, scalar_values, rtol=1e-9, atol=1e-9)
+        float64_values, _ = index_domain_matmul(aq, wq, engine=Float64Engine)
+        assert np.array_equal(default_values, vectorized_index_domain_matmul(aq, wq).values)
+        assert np.allclose(float64_values, scalar_values, rtol=1e-9, atol=1e-9)
         assert default_stats == scalar_stats
 
     def test_unknown_engine_rejected(self, quantizer, rng):
@@ -260,10 +271,46 @@ class TestVectorizedEngine:
             quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=0.05
         )
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _float64_matmul(aq, wq)
         scale = max(1.0, float(np.abs(scalar_values).max()))
         assert np.allclose(result.values, scalar_values, rtol=1e-9, atol=1e-9 * scale)
         assert result.stats == scalar_stats
+
+
+class TestFloat32Contract:
+    """The float32 default against the float64 engine on the same operands.
+
+    Decoding a 16-bit centroid to float32 rounds it by at most 2**-24
+    relative, and a K-term float32 dot product accumulates at most K
+    more roundings, so every value lies within ``(K + 2) * 2**-24`` of
+    ``|A| @ |W|`` of the float64 result.  The statistics come from the
+    outlier masks alone and are identical.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=1, max_value=96),
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        act_outliers=st.sampled_from([0.0, 0.1]),
+    )
+    def test_float32_within_accumulation_bound_of_float64(
+        self, quantizer, m, k, n, seed, act_outliers
+    ):
+        rng = np.random.default_rng(seed)
+        aq, wq = _quantized_matrices(
+            quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=0.05
+        )
+        default = vectorized_index_domain_matmul(aq, wq)
+        reference = _float64_matmul(aq, wq)
+        assert default.values.dtype == np.float32
+        assert reference.values.dtype == np.float64
+        assert default.stats == reference.stats
+        a = np.abs(aq.dictionary.decode(aq.encoded, apply_fixed_point=False)).reshape(aq.shape)
+        w = np.abs(wq.dictionary.decode(wq.encoded, apply_fixed_point=False)).reshape(wq.shape)
+        bound = (k + 2) * 2.0**-24 * (a @ w)
+        assert np.all(np.abs(default.values - reference.values) <= bound)
 
 
 class TestEdgeCases:
@@ -316,7 +363,7 @@ class TestEdgeCases:
     def test_length_one_matmul(self, quantizer, rng):
         aq, wq = _quantized_matrices(quantizer, rng, 1, 1, 1, act_outliers=0, w_outliers=0)
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _float64_matmul(aq, wq)
         assert result.values.shape == (1, 1)
         assert np.allclose(result.values, scalar_values, rtol=1e-9, atol=1e-12)
         assert result.stats == scalar_stats
@@ -332,7 +379,7 @@ class TestEdgeCases:
         assert bool(aq.encoded.is_outlier.all())
         wq = quantizer.quantize(rng.normal(0, 0.02, (6, 3)), "w")
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _float64_matmul(aq, wq)
         assert scalar_stats.gaussian_pairs == 0
         assert scalar_stats.outlier_pairs == 4 * 6 * 3
         assert result.stats == scalar_stats

@@ -199,7 +199,7 @@ class TestMeasuredStats:
         assert TINY_SETTINGS.digest() != MeasurementSettings().digest()
 
     @pytest.mark.parametrize(
-        "scope, digest", [("layer", "d803f383b8e18a88"), ("model", "065b3f9412e43ad4")]
+        "scope, digest", [("layer", "db2f52ab693efe8f"), ("model", "d390b5f8a6e653a3")]
     )
     def test_measured_digests_are_pinned(self, nano_model, scope, digest):
         # Stored measured stats are keyed by these digests: any change to

@@ -26,6 +26,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import Float64Engine
+
 from repro.accelerator.workloads import encoder_gemms
 from repro.core.index_compute import (
     ENGINES,
@@ -51,6 +53,7 @@ from repro.transformer.index_model import (
     execute_model,
 )
 from repro.transformer.prepared import FPKVCache, FPRunner
+
 
 TINY_SETTINGS = MeasurementSettings(golden_samples=3000, golden_repeats=1)
 
@@ -121,7 +124,7 @@ class TestMatmulMany:
     def test_scalar_engine_falls_back_per_pair(self, quantizer, rng):
         pairs = [_operands(quantizer, rng, 3, 6, 4, f"s{i}") for i in range(2)]
         scalar = index_domain_matmul_many(pairs, engine="scalar")
-        vectorized = index_domain_matmul_many(pairs)
+        vectorized = index_domain_matmul_many(pairs, engine=Float64Engine)
         for s, v in zip(scalar, vectorized):
             assert s.stats == v.stats
             np.testing.assert_allclose(s.values, v.values, rtol=1e-9, atol=1e-8)

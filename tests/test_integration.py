@@ -9,6 +9,8 @@ confirm the accelerator-level conclusions follow from the same artefacts.
 import numpy as np
 import pytest
 
+from conftest import Float64Engine
+
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.accelerator.mokey_accel import mokey_design
 from repro.accelerator.tensor_cores import tensor_cores_design
@@ -81,7 +83,7 @@ class TestEndToEndQuantizedInference:
         )[0, :, :24]
         aq = quantizer.quantize(activations, "act")
         wq = quantizer.quantize(weight, "w")
-        result, stats = index_domain_matmul(aq, wq)
+        result, stats = index_domain_matmul(aq, wq, engine=Float64Engine)
         a_dec = aq.dictionary.decode(aq.encoded, apply_fixed_point=False).reshape(activations.shape)
         w_dec = wq.dictionary.decode(wq.encoded, apply_fixed_point=False).reshape(weight.shape)
         assert np.allclose(result, a_dec @ w_dec, rtol=1e-8, atol=1e-8)

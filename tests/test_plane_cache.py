@@ -17,7 +17,8 @@ or operation counts.  This file locks that contract three ways:
    streams independent of one another and its GEMMs counted per stream);
 3. unit tests of the :class:`~repro.core.index_compute.PlaneCache`
    itself — LRU eviction under a byte budget, counters, the scoped
-   override, and the digest/attached resolution order.
+   override, the digest/attached resolution order, and the plane dtype
+   as part of every plane identity.
 """
 
 from dataclasses import replace
@@ -26,6 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import Float64Engine
 
 from repro.core.index_compute import (
     PlaneCache,
@@ -42,6 +45,7 @@ from repro.transformer.index_model import (
     _PlaneSlab,
     _slice_quantized,
 )
+
 
 MICRO_DECODER = TransformerConfig(
     name="gpt-micro-planes",
@@ -92,9 +96,7 @@ class TestSlabEqualsRebuild:
         columns = slice(2, 6)  # one "head" of the hidden width
         sliced = _slice_quantized(tensor, columns, transpose=transpose)
         engine = VectorizedIndexDomainEngine(tensor.dictionary, tensor.dictionary)
-        rebuilt = engine._build_plane_set(
-            sliced, "rhs", sliced.shape, sliced.dictionary
-        )
+        rebuilt = engine._build_plane_set(sliced, "rhs", sliced.shape)
         incremental = slab.plane_set(columns, transpose=transpose)
         for name in ("out", "dec"):
             ours, oracle = getattr(incremental, name), getattr(rebuilt, name)
@@ -247,7 +249,7 @@ class TestPlaneCacheUnit:
         rng = np.random.default_rng(seed)
         tensor = quantizer.quantize(rng.normal(0, 0.5, (rows, cols)), f"w.{seed}")
         engine = VectorizedIndexDomainEngine(tensor.dictionary, tensor.dictionary)
-        return engine._build_plane_set(tensor, "rhs", tensor.shape, tensor.dictionary)
+        return engine._build_plane_set(tensor, "rhs", tensor.shape)
 
     def test_lru_eviction_under_byte_budget(self, quantizer):
         sets = [self._plane_set(quantizer, seed=s) for s in range(3)]
@@ -347,7 +349,7 @@ class TestPlaneCacheUnit:
         act = quantizer.quantize(rng.normal(0, 1.0, (2, 4)), "a")
         wgt = quantizer.quantize(rng.normal(0, 0.3, (4, 3)), "w")
         engine = VectorizedIndexDomainEngine(act.dictionary, wgt.dictionary)
-        good = engine._build_plane_set(wgt, "rhs", wgt.shape, wgt.dictionary)
+        good = engine._build_plane_set(wgt, "rhs", wgt.shape)
         with use_plane_cache(None):
             oracle_values, oracle_stats = index_domain_matmul(act, wgt)
             bogus = type(good)(
@@ -359,5 +361,39 @@ class TestPlaneCacheUnit:
             wgt._plane_sets = {"rhs": bogus}
             values, stats = index_domain_matmul(act, wgt)
         del wgt._plane_sets
+        assert np.array_equal(values, oracle_values)
+        assert stats == oracle_stats
+
+    def test_plane_dtype_is_part_of_the_cache_key(self, quantizer):
+        """The float32 default and a float64 engine never share cached planes."""
+        rng = np.random.default_rng(17)
+        act = quantizer.quantize(rng.normal(0, 1.0, (3, 5)), "a")
+        wgt = quantizer.quantize(rng.normal(0, 0.4, (5, 4)), "w")
+        cache = PlaneCache(max_bytes=1 << 30)
+        with use_plane_cache(cache):
+            for engine_cls in (VectorizedIndexDomainEngine, Float64Engine) * 2:
+                engine = engine_cls(act.dictionary, wgt.dictionary)
+                planes = engine._plane_set(wgt, "rhs", wgt.shape)
+                assert planes.dec.dtype == engine_cls.plane_dtype
+                assert engine.matmul(act, wgt).values.dtype == engine_cls.plane_dtype
+        stats = cache.stats()
+        assert stats.entries == 2
+        assert stats.misses == 2  # one build per dtype; every later read hits
+
+    def test_attached_planes_of_another_dtype_are_rebuilt(self, quantizer):
+        """A float32 slab attachment is not used by a float64 engine."""
+        rng = np.random.default_rng(19)
+        slab, tensor = _slab_and_tensor(quantizer, rng, [3, 2], 8)
+        act = quantizer.quantize(rng.normal(0.2, 1.0, (2, 4)), "q")
+        with use_plane_cache(None):
+            plain = _slice_quantized(tensor, slice(0, 4), transpose=True)
+            oracle_values, oracle_stats = index_domain_matmul(act, plain, engine=Float64Engine)
+            attached = _slice_quantized(tensor, slice(0, 4), transpose=True)
+            attached._plane_sets = {"rhs": slab.plane_set(slice(0, 4), transpose=True)}
+            assert attached._plane_sets["rhs"].dec.dtype == np.float32
+            engine = Float64Engine(act.dictionary, attached.dictionary)
+            assert engine._plane_set(attached, "rhs", attached.shape).dec.dtype == np.float64
+            values, stats = index_domain_matmul(act, attached, engine=Float64Engine)
+        assert values.dtype == np.float64
         assert np.array_equal(values, oracle_values)
         assert stats == oracle_stats

@@ -14,7 +14,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.fixed_point import FixedPointFormat
 from repro.core.golden_dictionary import generate_golden_dictionary
-from repro.core.index_compute import index_domain_dot, index_domain_matmul
+from repro.core.index_compute import (
+    VectorizedIndexDomainEngine,
+    index_domain_dot,
+    index_domain_matmul,
+)
 from repro.core.quantizer import MokeyQuantizer
 from repro.core.tensor_dictionary import TensorDictionary
 from repro.memory.layout import pack_offchip, pack_onchip_5bit, unpack_offchip, unpack_onchip_5bit
@@ -312,6 +316,35 @@ class TestAdversarialTensorProperties:
         assert np.all(np.abs(decoded.reshape(activations.shape) - activations) <= error_a)
         k = activations.shape[1]
         bound = k * (
+            np.max(np.abs(activations)) * error_w
+            + np.max(np.abs(weights)) * error_a
+            + error_a * error_w
+        )
+        assert np.all(np.abs(values - activations @ weights) <= bound * (1 + 1e-9))
+
+    @pytest.mark.parametrize(
+        "activations",
+        [
+            # A falsifying huge-range draw: 9.57e93 decodes outside float32.
+            np.array([[9.57e93, -2.4e-71, 3.1e12], [-6.6e40, 1.8e-140, -4.2e93]]),
+            np.array([[1.5e-310, -2.0e-309, 7.0e-311], [3.3e-310, -1.1e-310, 2.2e-309]]),
+        ],
+        ids=["huge-range", "subnormal"],
+    )
+    def test_operand_outside_float32_keeps_float64_planes(self, activations):
+        weights = np.random.default_rng(0).normal(0.0, 0.5, (3, 2))
+        aq = _QUANTIZER.quantize(activations, "a")
+        wq = _QUANTIZER.quantize(weights, "w")
+        values, stats = index_domain_matmul(aq, wq)
+        assert values.dtype == np.float64
+        assert np.isfinite(values).all()
+        assert stats.total_pairs == activations.size * weights.shape[1]
+        engine = VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary)
+        assert engine._plane_set(aq, "lhs", aq.shape).dec.dtype == np.float64
+        assert engine._plane_set(wq, "rhs", wq.shape).dec.dtype == np.float32
+        error_a = self._error_bound(activations, aq)
+        error_w = self._error_bound(weights, wq)
+        bound = activations.shape[1] * (
             np.max(np.abs(activations)) * error_w
             + np.max(np.abs(weights)) * error_a
             + error_a * error_w

@@ -169,7 +169,7 @@ class TestArtifactStore:
         store.put(scenario, run_scenario(scenario))
         assert store.clear() == 1
         assert len(store) == 0
-        assert not store.path.exists()
+        assert store.path.read_bytes() == b""
         assert store.get(scenario) is None
 
     def test_clear_then_external_writes_report_fresh_state(self, tmp_path):

@@ -6,7 +6,8 @@ in the shared base class, so against the NumPy oracle the contract is:
 
 * **identical** :class:`~repro.core.index_compute.IndexComputeStats`
   (not approximately — by construction), and
-* values equal to floating-point round-off.
+* values equal to floating-point round-off (checked at ``rtol=1e-9`` on
+  the float64 variants of both engines; the defaults compute in float32).
 
 The whole module skips cleanly when torch is not installed (it is an
 optional dependency; CI exercises this file in a dedicated matrix leg).
@@ -17,6 +18,8 @@ import pytest
 
 torch = pytest.importorskip("torch")
 
+from conftest import Float64Engine  # noqa: E402
+
 from repro.core.index_compute import (  # noqa: E402
     TorchIndexDomainEngine,
     VectorizedIndexDomainEngine,
@@ -25,6 +28,11 @@ from repro.core.index_compute import (  # noqa: E402
 )
 from repro.transformer.config import TransformerConfig  # noqa: E402
 from repro.transformer.index_model import MultiStreamDecoder, execute_model  # noqa: E402
+
+
+class Float64TorchEngine(TorchIndexDomainEngine):
+    plane_dtype = np.float64
+
 
 NANO_CONFIG = TransformerConfig(
     name="bert-nano-torch-test",
@@ -50,8 +58,8 @@ def _operands(quantizer, rng, m, k, n, tag):
 class TestTorchEngineParity:
     def test_matmul_matches_numpy_oracle(self, quantizer, rng):
         aq, wq = _operands(quantizer, rng, 8, 24, 12, "torch0")
-        oracle = VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
-        result = TorchIndexDomainEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+        oracle = Float64Engine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+        result = Float64TorchEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
         assert result.stats == oracle.stats
         np.testing.assert_allclose(result.values, oracle.values, rtol=1e-9, atol=1e-9)
 
@@ -60,13 +68,16 @@ class TestTorchEngineParity:
         numpy_values, numpy_stats = index_domain_matmul(aq, wq, engine="vectorized")
         torch_values, torch_stats = index_domain_matmul(aq, wq, engine="torch")
         assert torch_stats == numpy_stats
+        assert torch_values.dtype == numpy_values.dtype == np.float32
+        numpy_values, _ = index_domain_matmul(aq, wq, engine=Float64Engine)
+        torch_values, _ = index_domain_matmul(aq, wq, engine=Float64TorchEngine)
         np.testing.assert_allclose(torch_values, numpy_values, rtol=1e-9, atol=1e-9)
 
     def test_batched_matmul_many_matches(self, quantizer, rng):
         pairs = [_operands(quantizer, rng, 5, 12, 6, f"tb{i}") for i in range(3)]
         pairs.append(_operands(quantizer, rng, 3, 7, 4, "tb-odd"))
-        numpy_results = index_domain_matmul_many(pairs, engine="vectorized")
-        torch_results = index_domain_matmul_many(pairs, engine="torch")
+        numpy_results = index_domain_matmul_many(pairs, engine=Float64Engine)
+        torch_results = index_domain_matmul_many(pairs, engine=Float64TorchEngine)
         for n, t in zip(numpy_results, torch_results):
             assert t.stats == n.stats
             np.testing.assert_allclose(t.values, n.values, rtol=1e-9, atol=1e-9)
@@ -76,8 +87,8 @@ class TestTorchEngineParity:
         rng = np.random.default_rng(4000 + seed)
         m, k, n = rng.integers(2, 16, size=3)
         aq, wq = _operands(quantizer, rng, int(m), int(k), int(n), f"tp{seed}")
-        oracle = VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
-        result = TorchIndexDomainEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+        oracle = Float64Engine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+        result = Float64TorchEngine(aq.dictionary, wq.dictionary).matmul(aq, wq)
         assert result.stats == oracle.stats
         np.testing.assert_allclose(result.values, oracle.values, rtol=1e-9, atol=1e-9)
 
