@@ -9,7 +9,10 @@ is visible PR-over-PR:
 * ``cold_path`` — the default Golden Dictionary build (4 x 50,000
   samples), its seconds **asserted** under a 1 s ceiling so the clustering
   can never silently fall back to a merge-at-a-time loop, plus one
-  BERT-Base-width activation fit dominated by its outlier clustering;
+  BERT-Base-width activation fit dominated by its outlier clustering, and
+  a fresh interpreter's ``import`` + ``MokeyQuantizer()`` (which loads the
+  pinned dictionary), its seconds and peak RSS **asserted** under
+  ceilings and ``scipy`` **asserted** never imported;
 * ``index_matmul`` — the scalar reference engine vs the vectorized
   engine on a layer-scale GEMM, with the speedup **asserted** against a
   conservative floor so vectorization can never silently regress back to
@@ -46,6 +49,10 @@ reruns the identical workload so every weight plane digest hits.  Tiny mode
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -147,9 +154,56 @@ def test_perf_quantization(mokey_quantizer):
 
 # The default Golden Dictionary measured ~0.15 s with batched clustering
 # on a 2-vCPU container (4.7-5.5 s with the heap it replaced); the ceiling
-# leaves ~5x headroom either way.  The same in tiny mode: the default build
-# is what every MokeyQuantizer() pays.
+# leaves ~5x headroom either way.  The same in tiny mode: it is the build
+# behind the pinned default that MokeyQuantizer() loads.
 GOLDEN_SECONDS_CEILING = 1.0
+# A fresh interpreter's `import` + MokeyQuantizer() measured ~0.27 s and
+# ~37 MB peak RSS on a 2-vCPU x86_64 container (~1.0 s and ~84 MB when it
+# still built the dictionary, scipy.optimize included); the ceilings sit
+# between the two.  The same in tiny mode.
+DEFAULT_QUANTIZER_SECONDS_CEILING = 0.75
+DEFAULT_QUANTIZER_RSS_MB_CEILING = 60.0
+
+# Runs in a fresh interpreter: what a process pays for its first quantizer.
+# Linux's ru_maxrss carries the forking parent's peak across exec, so the
+# peak is read from VmHWM (this process's own) where /proc has it.
+_DEFAULT_QUANTIZER_SCRIPT = """
+import json, resource, sys, time
+started = time.perf_counter()
+from repro.core.quantizer import MokeyQuantizer
+MokeyQuantizer()
+seconds = time.perf_counter() - started
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kib /= 1024 if sys.platform == "darwin" else 1  # bytes on macOS
+print(json.dumps({
+    "seconds": seconds,
+    "rss_mb": kib / 1024,
+    "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def _default_quantizer_cold_start() -> dict:
+    """Best-of-3 seconds and peak RSS of a fresh ``MokeyQuantizer()``."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _DEFAULT_QUANTIZER_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout)
+        for _ in range(3)
+    ]
+    return {
+        "seconds": min(run["seconds"] for run in runs),
+        "rss_mb": max(run["rss_mb"] for run in runs),
+        "scipy": sorted({name for run in runs for name in run["scipy"]}),
+    }
 
 
 def test_perf_cold_path():
@@ -164,10 +218,13 @@ def test_perf_cold_path():
     fit_seconds = _best_of(lambda: TensorDictionary.fit("activation", golden, values=activations))
     dictionary = TensorDictionary.fit("activation", golden, values=activations)
     outliers = int(np.count_nonzero(np.abs(flat - dictionary.mean) > dictionary.threshold))
+    fresh = _default_quantizer_cold_start()
     print(
         f"\ncold path: default golden dictionary {golden_seconds:.3f} s "
         f"(ceiling {GOLDEN_SECONDS_CEILING} s), activation fit {activations.shape} "
-        f"with {outliers} outliers {fit_seconds * 1e3:.1f} ms"
+        f"with {outliers} outliers {fit_seconds * 1e3:.1f} ms, fresh-interpreter "
+        f"MokeyQuantizer() {fresh['seconds']:.3f} s / {fresh['rss_mb']:.1f} MB peak RSS "
+        f"(ceilings {DEFAULT_QUANTIZER_SECONDS_CEILING} s / {DEFAULT_QUANTIZER_RSS_MB_CEILING} MB)"
     )
     record_perf(
         "cold_path",
@@ -180,7 +237,20 @@ def test_perf_cold_path():
             "activation_shape": list(activations.shape),
             "activation_outliers": outliers,
             "outlier_centroids": int(dictionary.outlier_centroids.size),
+            "default_quantizer_seconds": fresh["seconds"],
+            "default_quantizer_seconds_ceiling": DEFAULT_QUANTIZER_SECONDS_CEILING,
+            "default_quantizer_peak_rss_mb": fresh["rss_mb"],
+            "default_quantizer_peak_rss_mb_ceiling": DEFAULT_QUANTIZER_RSS_MB_CEILING,
         },
+    )
+    assert fresh["scipy"] == [], f"MokeyQuantizer() imported {fresh['scipy'][:3]}"
+    assert fresh["seconds"] <= DEFAULT_QUANTIZER_SECONDS_CEILING, (
+        f"fresh MokeyQuantizer() took {fresh['seconds']:.2f} s "
+        f"(ceiling {DEFAULT_QUANTIZER_SECONDS_CEILING} s) — is it building the dictionary again?"
+    )
+    assert fresh["rss_mb"] <= DEFAULT_QUANTIZER_RSS_MB_CEILING, (
+        f"fresh MokeyQuantizer() peaked at {fresh['rss_mb']:.1f} MB "
+        f"(ceiling {DEFAULT_QUANTIZER_RSS_MB_CEILING} MB)"
     )
     assert dictionary.outlier_centroids.size == 16
     assert golden_seconds <= GOLDEN_SECONDS_CEILING, (

@@ -96,10 +96,11 @@ def fit_exponential(
         a, b = params
         return np.sqrt(weights) * (a ** ints + b - half)
 
-    # Imported here, not at module level: scipy is most of ``import repro``
-    # (~0.7 s and ~40 MB on a 2-vCPU x86_64 host), and processes that never
-    # fit a curve (the campaign service and its workers, the simulators)
-    # should not pay for it.
+    # Imported here, not at module level: the import alone costs ~0.5 s
+    # and ~49 MB RSS (2-vCPU x86_64 host), and only an explicit Golden
+    # Dictionary build fits a curve.  Default quantizers load the pinned
+    # dictionary (``load_golden_dictionary``), so neither they nor the
+    # campaign service, its workers or the simulators import scipy.
     from scipy import optimize
 
     result = optimize.least_squares(

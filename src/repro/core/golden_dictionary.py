@@ -2,7 +2,7 @@
 
 The Golden Dictionary is the single, model-independent dictionary from
 which every per-tensor dictionary is derived by a linear transformation
-``GD * s + m``.  It is produced once by:
+``GD * s + m``.  :func:`generate_golden_dictionary` produces it by:
 
 1. sampling a random Gaussian distribution (50,000 samples, mean 0, std 1),
 2. applying agglomerative clustering to reduce it to 16 centroids,
@@ -14,12 +14,18 @@ The stored centroids are 16-bit fixed-point values, and the positive half
 is additionally approximated by an exponential curve ``a**int + b``
 (see :mod:`repro.core.exponential_fit`), which is what enables the
 index-domain computation.
+
+Because the build is deterministic and model-independent, the exact bits
+of the parameterisations the code uses by default are pinned below, and
+:func:`load_golden_dictionary` returns them without clustering or
+fitting again (so a default :class:`~repro.core.quantizer.MokeyQuantizer`
+never imports ``scipy``); any other parameterisation is generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -27,11 +33,43 @@ from repro.core.agglomerative import agglomerative_cluster_1d
 from repro.core.exponential_fit import ExponentialFit, fit_exponential
 from repro.core.fixed_point import FixedPointFormat
 
-__all__ = ["GoldenDictionary", "generate_golden_dictionary"]
+__all__ = ["GoldenDictionary", "generate_golden_dictionary", "load_golden_dictionary"]
 
 DEFAULT_NUM_SAMPLES = 50_000
 DEFAULT_NUM_REPEATS = 4
 DEFAULT_NUM_ENTRIES = 16
+
+#: ``generate_golden_dictionary`` output, bit for bit, keyed by its
+#: ``(num_entries, num_samples, num_repeats, seed, fixed_point_bits)``:
+#: the ``half`` centroids, then ``fit.a`` and ``fit.b``, as ``float.hex``.
+#: ``fit.num_entries`` is ``len(half)`` and the fixed-point format is
+#: derived from ``half[-1]``, as the generator derives them.  The first
+#: key is the quantizer default, the second the ``MeasurementSettings``
+#: and ``AccuracySettings`` default; ``tests/test_golden_dictionary.py``
+#: regenerates both.
+_PinnedBits = Tuple[Tuple[str, ...], str, str]
+PINNED_GOLDEN_DICTIONARIES: Dict[Tuple[int, int, int, int, int], _PinnedBits] = {
+    (DEFAULT_NUM_ENTRIES, DEFAULT_NUM_SAMPLES, DEFAULT_NUM_REPEATS, 0, 16): (
+        (
+            "0x1.beef3b9fb265bp-4", "0x1.6ea9b26ff5dafp-2",
+            "0x1.4f2abd266cd71p-1", "0x1.e91f7252e764ap-1",
+            "0x1.45c153cb23942p+0", "0x1.a971f9a806b03p+0",
+            "0x1.113777883bbecp+1", "0x1.67b7f644d0958p+1",
+        ),
+        "0x1.35a8a7cadf8ecp+0",
+        "-0x1.bbde58cfe3e88p-1",
+    ),
+    (DEFAULT_NUM_ENTRIES, 12_000, 2, 7, 16): (
+        (
+            "0x1.43642419ea1c8p-3", "0x1.d19f956b2e7f8p-2",
+            "0x1.7e006bdfd4202p-1", "0x1.0c0dc3f87ca30p+0",
+            "0x1.5f16793c74d7ep+0", "0x1.bc4ae8c573accp+0",
+            "0x1.10aa01810b125p+1", "0x1.5c0a6f85e4fc3p+1",
+        ),
+        "0x1.35c7821a75a05p+0",
+        "-0x1.9872fdfcc0378p-1",
+    ),
+}
 
 
 @dataclass
@@ -155,6 +193,35 @@ def generate_golden_dictionary(
         halves.append(result.centroids)
     half = np.mean(np.stack(halves, axis=0), axis=0)
 
-    fit = fit_exponential(half)
+    return _assemble(half, fit_exponential(half), fixed_point_bits)
+
+
+def load_golden_dictionary(
+    num_entries: int = DEFAULT_NUM_ENTRIES,
+    num_samples: int = DEFAULT_NUM_SAMPLES,
+    num_repeats: int = DEFAULT_NUM_REPEATS,
+    seed: int = 0,
+    fixed_point_bits: int = 16,
+) -> GoldenDictionary:
+    """The Golden Dictionary :func:`generate_golden_dictionary` builds.
+
+    A pinned parameterisation (:data:`PINNED_GOLDEN_DICTIONARIES`) is
+    returned from its stored bits, as a fresh object; any other is
+    generated.  The result is bit-identical either way.
+    """
+    pinned = PINNED_GOLDEN_DICTIONARIES.get(
+        (num_entries, num_samples, num_repeats, seed, fixed_point_bits)
+    )
+    if pinned is None:
+        return generate_golden_dictionary(
+            num_entries, num_samples, num_repeats, seed, fixed_point_bits
+        )
+    half_hex, a_hex, b_hex = pinned
+    half = np.array([float.fromhex(h) for h in half_hex])
+    fit = ExponentialFit(a=float.fromhex(a_hex), b=float.fromhex(b_hex), num_entries=half.size)
+    return _assemble(half, fit, fixed_point_bits)
+
+
+def _assemble(half: np.ndarray, fit: ExponentialFit, fixed_point_bits: int) -> GoldenDictionary:
     fixed_point = FixedPointFormat.for_range(-half[-1], half[-1], total_bits=fixed_point_bits)
     return GoldenDictionary(half=half, fit=fit, fixed_point=fixed_point)

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.golden_dictionary import GoldenDictionary, generate_golden_dictionary
+from repro.core.golden_dictionary import GoldenDictionary, load_golden_dictionary
 from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
 from repro.core.tensor_dictionary import TensorDictionary
 from repro.transformer.model import TransformerModel
@@ -153,7 +153,8 @@ class MokeyModelQuantizer:
     """Quantizes whole transformer models with the Mokey method.
 
     Args:
-        golden: Pre-generated Golden Dictionary (generated once if omitted).
+        golden: Pre-generated Golden Dictionary (the pinned default, loaded
+            by ``load_golden_dictionary()``, if omitted).
         quantizer: Tensor-level quantizer; constructed from ``golden`` if
             omitted.
         activation_sample_values: Number of values sub-sampled per activation
@@ -166,7 +167,7 @@ class MokeyModelQuantizer:
         quantizer: Optional[MokeyQuantizer] = None,
         activation_sample_values: int = 65536,
     ) -> None:
-        self.golden = golden or generate_golden_dictionary()
+        self.golden = golden or load_golden_dictionary()
         self.quantizer = quantizer or MokeyQuantizer(self.golden)
         self.activation_sample_values = activation_sample_values
 

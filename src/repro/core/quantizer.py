@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.golden_dictionary import GoldenDictionary, generate_golden_dictionary
+from repro.core.golden_dictionary import GoldenDictionary, load_golden_dictionary
 from repro.core.tensor_dictionary import (
     EncodedValues,
     TensorDictionary,
@@ -103,17 +103,14 @@ class QuantizedTensor:
             return memoised
         enc, d = self.encoded, self.dictionary
         fit = d.golden.fit
+        # hashlib reads each C-contiguous array's buffer in place: no copy.
         h = hashlib.sha1()
         h.update(repr(self.shape).encode())
-        h.update(np.ascontiguousarray(enc.codes).tobytes())
-        h.update(
-            np.array(
-                [d.mean, d.std, d.threshold, fit.a, fit.b], dtype=np.float64
-            ).tobytes()
-        )
-        h.update(np.array([fit.num_entries], dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(d.gaussian_half, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(d.outlier_centroids, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(enc.codes))
+        h.update(np.array([d.mean, d.std, d.threshold, fit.a, fit.b], dtype=np.float64))
+        h.update(np.array([fit.num_entries], dtype=np.int64))
+        h.update(np.ascontiguousarray(d.gaussian_half, dtype=np.float64))
+        h.update(np.ascontiguousarray(d.outlier_centroids, dtype=np.float64))
         digest = h.hexdigest()
         self._content_digest = digest
         return digest
@@ -136,8 +133,9 @@ class MokeyQuantizer:
     """Quantize tensors to 4-bit dictionary indexes (paper Section II).
 
     Args:
-        golden: A pre-generated Golden Dictionary; one is generated with the
-            default parameters if omitted.
+        golden: A pre-generated Golden Dictionary; the default one
+            (:func:`~repro.core.golden_dictionary.load_golden_dictionary`,
+            loaded from its pinned bits) if omitted.
         use_exponential: Snap Gaussian centroids to the fitted exponential
             curve (required for index-domain compute).
         fixed_point_bits: Per-layer fixed-point width for centroids/outputs.
@@ -153,7 +151,7 @@ class MokeyQuantizer:
         fit_memo: bool = True,
         fit_memo_entries: int = 256,
     ) -> None:
-        self.golden = golden or generate_golden_dictionary()
+        self.golden = golden or load_golden_dictionary()
         self.use_exponential = use_exponential
         self.fixed_point_bits = fixed_point_bits
         self.max_outlier_entries = max_outlier_entries
@@ -181,8 +179,7 @@ class MokeyQuantizer:
     @staticmethod
     def _fit_digest(values: np.ndarray) -> str:
         # No shape: the fit only sees the flattened value distribution.
-        data = np.ascontiguousarray(values, dtype=np.float64)
-        return hashlib.sha1(data.tobytes()).hexdigest()
+        return hashlib.sha1(np.ascontiguousarray(values, dtype=np.float64)).hexdigest()
 
     def fit_dictionary(self, name: str, values: np.ndarray) -> TensorDictionary:
         """Fit per-tensor dictionaries from the full tensor (weights path).

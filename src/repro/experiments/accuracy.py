@@ -300,18 +300,19 @@ _QUANTIZER_CACHE: Dict[Tuple[int, int, int], "MokeyModelQuantizer"] = {}
 def _model_quantizer(settings: AccuracySettings) -> "MokeyModelQuantizer":
     """One shared MokeyModelQuantizer per Golden-Dictionary parameterisation.
 
-    The Golden Dictionary build is the expensive, deterministic prefix of
-    every Mokey-family evaluation; sharing it across the campaign keeps the
+    The Golden Dictionary is the deterministic prefix of every Mokey-family
+    evaluation (loaded from its pinned bits for the default settings,
+    generated otherwise); sharing it across the campaign keeps the
     per-scenario cost at the quantize+evaluate level.
     """
-    from repro.core.golden_dictionary import generate_golden_dictionary
+    from repro.core.golden_dictionary import load_golden_dictionary
     from repro.core.model_quantizer import MokeyModelQuantizer
 
     key = (settings.golden_samples, settings.golden_repeats, settings.golden_seed)
     with _QUANTIZER_LOCK:
         quantizer = _QUANTIZER_CACHE.get(key)
         if quantizer is None:
-            golden = generate_golden_dictionary(
+            golden = load_golden_dictionary(
                 num_samples=settings.golden_samples,
                 num_repeats=settings.golden_repeats,
                 seed=settings.golden_seed,

@@ -222,14 +222,14 @@ _QUANTIZER_CACHE: Dict[Tuple[int, int, int], "MokeyQuantizer"] = {}
 
 def _measurement_quantizer(settings: MeasurementSettings) -> "MokeyQuantizer":
     """One shared quantizer per Golden-Dictionary parameterisation."""
-    from repro.core.golden_dictionary import generate_golden_dictionary
+    from repro.core.golden_dictionary import load_golden_dictionary
     from repro.core.quantizer import MokeyQuantizer
 
     key = (settings.golden_samples, settings.golden_repeats, settings.golden_seed)
     with _QUANTIZER_LOCK:
         quantizer = _QUANTIZER_CACHE.get(key)
         if quantizer is None:
-            golden = generate_golden_dictionary(
+            golden = load_golden_dictionary(
                 num_samples=settings.golden_samples,
                 num_repeats=settings.golden_repeats,
                 seed=settings.golden_seed,

@@ -50,19 +50,36 @@ def _textbook_gelu(x):
 
 
 class TestInPlaceErfGeluBitIdentical:
-    """The in-place ``erf``/``gelu`` equal the one-expression form bit for bit."""
+    """The in-place ``erf``/``gelu`` equal the one-expression form bit for bit.
+
+    Inputs above ``_GELU_BLOCK_ELEMENTS`` take ``gelu``'s row-blocked
+    path: several blocks with a short last one, 3-D, a transposed view,
+    rows longer than a block.
+    """
 
     @staticmethod
     def _inputs(dtype):
+        from repro.transformer.functional import _GELU_BLOCK_ELEMENTS
+
+        specials = [0.0, -0.0, 1e-30, -40.0, np.inf, -np.inf]
         rng = np.random.default_rng(5)
         dense = rng.normal(0.0, 3.0, (16, 48)).astype(dtype)
-        dense.ravel()[:6] = [0.0, -0.0, 1e-30, -40.0, np.inf, -np.inf]
-        return {
+        dense.ravel()[:6] = specials
+        ragged = rng.normal(0.0, 3.0, (129, 3071)).astype(dtype)
+        ragged.ravel()[-6:] = specials
+        inputs = {
             "dense": dense,
             "0-d": np.asarray(dtype(-1.3)),
             "empty": np.empty((0, 5), dtype=dtype),
             "strided": dense[::2, 1::3],
+            "blocks-ragged": ragged,
+            "blocks-3d": ragged[:120].reshape(3, 40, 3071),
+            "blocks-transposed-view": ragged.T,
+            "rows-longer-than-a-block": ragged.ravel()[: 3 * 40_000].reshape(3, 40_000),
+            "empty-wide": np.empty((0, 40_000), dtype=dtype),
         }
+        assert ragged.size > 10 * _GELU_BLOCK_ELEMENTS and 129 % (_GELU_BLOCK_ELEMENTS // 3071)
+        return inputs
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(

@@ -1,9 +1,19 @@
 """Tests for Golden Dictionary generation (paper Step 1, Fig. 2)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.golden_dictionary import GoldenDictionary, generate_golden_dictionary
+import repro
+from repro.core.golden_dictionary import (
+    PINNED_GOLDEN_DICTIONARIES,
+    GoldenDictionary,
+    generate_golden_dictionary,
+    load_golden_dictionary,
+)
 
 
 class TestGeneration:
@@ -39,15 +49,48 @@ class TestGeneration:
         b = generate_golden_dictionary(num_samples=4000, num_repeats=1, seed=5)
         assert np.allclose(a.half, b.half)
 
-    def test_default_dictionary_is_pinned(self):
-        """The default build every MokeyQuantizer() uses, bit for bit."""
-        expected = [
-            "0x1.beef3b9fb265bp-4", "0x1.6ea9b26ff5dafp-2",
-            "0x1.4f2abd266cd71p-1", "0x1.e91f7252e764ap-1",
-            "0x1.45c153cb23942p+0", "0x1.a971f9a806b03p+0",
-            "0x1.113777883bbecp+1", "0x1.67b7f644d0958p+1",
-        ]
-        assert [float(x).hex() for x in generate_golden_dictionary().half] == expected
+    @pytest.mark.parametrize(
+        "key", sorted(PINNED_GOLDEN_DICTIONARIES), ids=lambda k: f"{k[1]}x{k[2]}-seed{k[3]}"
+    )
+    def test_default_dictionary_is_pinned(self, key):
+        """Each pinned dictionary is what the generator builds, bit for bit."""
+        params = dict(zip(
+            ("num_entries", "num_samples", "num_repeats", "seed", "fixed_point_bits"), key
+        ))
+        built, loaded = generate_golden_dictionary(**params), load_golden_dictionary(**params)
+        half_hex, a_hex, b_hex = PINNED_GOLDEN_DICTIONARIES[key]
+        assert [float(x).hex() for x in built.half] == list(half_hex)
+        assert loaded.half.dtype == built.half.dtype
+        assert loaded.half.tobytes() == built.half.tobytes()
+        assert (loaded.fit.a.hex(), loaded.fit.b.hex()) == (built.fit.a.hex(), built.fit.b.hex())
+        assert (a_hex, b_hex) == (built.fit.a.hex(), built.fit.b.hex())
+        assert loaded.fit.num_entries == built.fit.num_entries == key[0] // 2
+        assert loaded.num_entries == built.num_entries == key[0]
+        assert loaded.fixed_point == built.fixed_point
+
+    def test_default_parameterisations_are_the_pinned_ones(self):
+        """Every default a caller builds through loads pinned bits."""
+        from repro.experiments.accuracy import AccuracySettings
+        from repro.experiments.measured import MeasurementSettings
+
+        defaults = {(16, 50_000, 4, 0, 16)}
+        for settings in (MeasurementSettings(), AccuracySettings()):
+            defaults.add(
+                (16, settings.golden_samples, settings.golden_repeats, settings.golden_seed, 16)
+            )
+        assert defaults == set(PINNED_GOLDEN_DICTIONARIES)
+
+    def test_loaded_dictionaries_are_fresh_objects(self):
+        first = load_golden_dictionary()
+        first.half[0] = 0.0
+        assert load_golden_dictionary().half[0] > 0
+        assert load_golden_dictionary() is not load_golden_dictionary()
+
+    def test_unpinned_parameters_are_generated(self):
+        loaded = load_golden_dictionary(num_samples=4000, num_repeats=1, seed=5)
+        built = generate_golden_dictionary(num_samples=4000, num_repeats=1, seed=5)
+        assert loaded.half.tobytes() == built.half.tobytes()
+        assert loaded.fit == built.fit and loaded.fixed_point == built.fixed_point
 
     def test_different_seed_changes_little(self):
         """The Golden Dictionary is stable across generated distributions.
@@ -115,3 +158,40 @@ class TestValidation:
                 fit=golden.fit,
                 fixed_point=golden.fixed_point,
             )
+
+
+# A fresh interpreter with scipy unimportable runs every default path:
+# quantizers, an encoder forward, a decode and a measured scenario.
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from repro.core.model_quantizer import MokeyModelQuantizer
+from repro.core.quantizer import MokeyQuantizer
+from repro.experiments.measured import MeasurementSettings, evaluate_measured
+from repro.transformer.config import TransformerConfig
+from repro.transformer.index_model import IndexDomainModelExecutor, MultiStreamDecoder
+
+nano = TransformerConfig(
+    name="nano-no-scipy", num_layers=1, hidden_size=32, num_heads=4,
+    intermediate_size=64, vocab_size=128, max_position_embeddings=64,
+)
+quantizer = MokeyQuantizer()
+MokeyModelQuantizer()
+states = np.random.default_rng(0).normal(size=(1, 8, 32)).astype(np.float32)
+IndexDomainModelExecutor(nano, quantizer=quantizer).forward(states)
+MultiStreamDecoder(nano, num_streams=1, quantizer=quantizer).run(prompt_length=4, decode_tokens=2)
+evaluate_measured("bert-base", 8, settings=MeasurementSettings())
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_default_paths_never_import_scipy():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "['scipy']"  # only the blocking None entry
