@@ -39,14 +39,18 @@ DEFAULT_NUM_SAMPLES = 50_000
 DEFAULT_NUM_REPEATS = 4
 DEFAULT_NUM_ENTRIES = 16
 
-#: ``generate_golden_dictionary`` output, bit for bit, keyed by its
+#: ``generate_golden_dictionary`` output keyed by its
 #: ``(num_entries, num_samples, num_repeats, seed, fixed_point_bits)``:
 #: the ``half`` centroids, then ``fit.a`` and ``fit.b``, as ``float.hex``.
 #: ``fit.num_entries`` is ``len(half)`` and the fixed-point format is
 #: derived from ``half[-1]``, as the generator derives them.  The first
 #: key is the quantizer default, the second the ``MeasurementSettings``
 #: and ``AccuracySettings`` default; ``tests/test_golden_dictionary.py``
-#: regenerates both.
+#: regenerates both.  ``half`` is pinned bit for bit.  ``fit.a`` and
+#: ``fit.b`` are the bits scipy 1.17.1 (numpy 2.4.6) fits; ``least_squares``
+#: stops at its ``xtol`` of 1e-8, so another scipy build may land up to
+#: ~1e-8 (relative) elsewhere.  Loading the pin keeps every default path
+#: on these exact bits whatever scipy is installed.
 _PinnedBits = Tuple[Tuple[str, ...], str, str]
 PINNED_GOLDEN_DICTIONARIES: Dict[Tuple[int, int, int, int, int], _PinnedBits] = {
     (DEFAULT_NUM_ENTRIES, DEFAULT_NUM_SAMPLES, DEFAULT_NUM_REPEATS, 0, 16): (
@@ -207,7 +211,9 @@ def load_golden_dictionary(
 
     A pinned parameterisation (:data:`PINNED_GOLDEN_DICTIONARIES`) is
     returned from its stored bits, as a fresh object; any other is
-    generated.  The result is bit-identical either way.
+    generated.  The pinned ``half`` is what the generator builds, bit for
+    bit; the pinned fit matches it to the curve fit's tolerance (bit for
+    bit on the scipy it was pinned with).
     """
     pinned = PINNED_GOLDEN_DICTIONARIES.get(
         (num_entries, num_samples, num_repeats, seed, fixed_point_bits)

@@ -52,8 +52,8 @@ def _textbook_gelu(x):
 class TestInPlaceErfGeluBitIdentical:
     """The in-place ``erf``/``gelu`` equal the one-expression form bit for bit.
 
-    Inputs above ``_GELU_BLOCK_ELEMENTS`` take ``gelu``'s row-blocked
-    path: several blocks with a short last one, 3-D, a transposed view,
+    ``gelu`` runs over the flattened input in ``_GELU_BLOCK_ELEMENTS``
+    blocks: several blocks with a short last one, 3-D, a transposed view,
     rows longer than a block.
     """
 
@@ -78,7 +78,7 @@ class TestInPlaceErfGeluBitIdentical:
             "rows-longer-than-a-block": ragged.ravel()[: 3 * 40_000].reshape(3, 40_000),
             "empty-wide": np.empty((0, 40_000), dtype=dtype),
         }
-        assert ragged.size > 10 * _GELU_BLOCK_ELEMENTS and 129 % (_GELU_BLOCK_ELEMENTS // 3071)
+        assert ragged.size > 10 * _GELU_BLOCK_ELEMENTS and ragged.size % _GELU_BLOCK_ELEMENTS
         return inputs
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
