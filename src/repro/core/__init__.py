@@ -33,7 +33,6 @@ from repro.core.index_compute import (
     VectorizedIndexDomainEngine,
     index_domain_dot,
     index_domain_matmul,
-    vectorized_index_domain_matmul,
 )
 from repro.core.activation_quantizer import OutputActivationQuantizer
 from repro.core.model_quantizer import MokeyModelQuantizer, QuantizationMode
@@ -54,7 +53,6 @@ __all__ = [
     "VectorizedIndexDomainEngine",
     "index_domain_dot",
     "index_domain_matmul",
-    "vectorized_index_domain_matmul",
     "OutputActivationQuantizer",
     "MokeyModelQuantizer",
     "QuantizationMode",

@@ -99,7 +99,6 @@ __all__ = [
     "index_domain_dot",
     "index_domain_matmul",
     "index_domain_matmul_many",
-    "vectorized_index_domain_matmul",
 ]
 
 
@@ -1152,10 +1151,3 @@ def index_domain_matmul_many(
             results[index] = result
     return results
 
-
-def vectorized_index_domain_matmul(
-    activations: QuantizedTensor, weights: QuantizedTensor
-) -> IndexMatmulResult:
-    """Vectorized index-domain matrix multiply (values + exact statistics)."""
-    engine = VectorizedIndexDomainEngine(activations.dictionary, weights.dictionary)
-    return engine.matmul(activations, weights)

@@ -46,6 +46,12 @@ share one sweep loop instead of each re-implementing it:
   every record, memoised per ``(model, seq, batch)`` and persisted
   through the store.
 
+Both joins are rows of one table in :mod:`repro.experiments.campaign`:
+one resolver evaluates each unique memo key once (fanning out over the
+process executor), one :class:`~repro.experiments.campaign.ResultCache`
+memo serves a result only under the settings digest it was produced with,
+and one store write carries every join of a record.
+
 The ``repro`` CLI (``python -m repro campaign ...``) drives this package
 from the command line.
 

@@ -71,8 +71,45 @@ class UnsupportedSchemeError(ValueError):
     """A scheme has no accuracy-side numerics evaluator registered."""
 
 
+def content_digest(data: Mapping[str, Any], length: int) -> str:
+    """The first ``length`` hex digits of the sha256 of ``data`` as canonical JSON."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
+
+
+def stable_seed(*parts: object) -> int:
+    """A process- and hash-seed-independent seed for one memo key."""
+    blob = "|".join(str(part) for part in parts).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
+
+
+class JoinSettings:
+    """Serialisation shared by each join's frozen settings dataclass:
+    :class:`AccuracySettings` and
+    :class:`~repro.experiments.measured.MeasurementSettings`."""
+
+    def to_dict(self) -> Dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data):
+        """Rebuild settings from :meth:`to_dict` output, ignoring unknown keys."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{key: value for key, value in dict(data).items() if key in names})
+
+    def digest(self) -> str:
+        """Stable content digest of the settings.
+
+        Stamped into every result the settings produce, so a cached or
+        stored result is never served to a campaign evaluating under
+        different parameters — a result is only reusable when its
+        settings match.
+        """
+        return content_digest(self.to_dict(), 12)
+
+
 @dataclass(frozen=True)
-class AccuracySettings:
+class AccuracySettings(JoinSettings):
     """Deterministic parameters of one fidelity evaluation.
 
     The functional models are the architecture-preserving scaled twins of
@@ -123,25 +160,6 @@ class AccuracySettings:
     def sequence_length_for(self, family: str) -> int:
         return self.qa_sequence_length if family == "qa" else self.classification_sequence_length
 
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data) -> "AccuracySettings":
-        """Rebuild settings from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
-
-    def digest(self) -> str:
-        """Stable content digest of the settings.
-
-        Stamped into every :class:`FidelityResult` so cached/stored
-        fidelity is never served to a campaign evaluating under different
-        parameters — a result is only reusable when its settings match.
-        """
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
 
 DEFAULT_ACCURACY_SETTINGS = AccuracySettings()
 
@@ -165,12 +183,6 @@ def accuracy_key(scenario: Scenario) -> AccuracyKey:
     one evaluation serves every hardware point of the grid.
     """
     return (scenario.model, scenario.task, accuracy_scheme_for(scenario))
-
-
-def _stable_seed(model: str, task: str) -> int:
-    """A process- and hash-seed-independent seed for one (model, task)."""
-    blob = f"{model}|{task}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
 @dataclass
@@ -251,8 +263,7 @@ class FidelityResult:
 
 def fidelity_digest(result: FidelityResult) -> str:
     """Stable content digest of the full fidelity result (all fields)."""
-    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return content_digest(result.to_dict(), 16)
 
 
 # --------------------------------------------------------------------------- #
@@ -297,13 +308,15 @@ _QUANTIZER_LOCK = threading.Lock()
 _QUANTIZER_CACHE: Dict[Tuple[int, int, int], "MokeyModelQuantizer"] = {}
 
 
-def _model_quantizer(settings: AccuracySettings) -> "MokeyModelQuantizer":
+def _model_quantizer(settings: JoinSettings) -> "MokeyModelQuantizer":
     """One shared MokeyModelQuantizer per Golden-Dictionary parameterisation.
 
-    The Golden Dictionary is the deterministic prefix of every Mokey-family
-    evaluation (loaded from its pinned bits for the default settings,
-    generated otherwise); sharing it across the campaign keeps the
-    per-scenario cost at the quantize+evaluate level.
+    ``settings`` is either join's settings (both carry ``golden_samples``,
+    ``golden_repeats`` and ``golden_seed``).  The Golden Dictionary is the
+    deterministic prefix of every Mokey-family evaluation and measurement
+    (loaded from its pinned bits for the default settings, generated
+    otherwise); sharing it across the campaign keeps the per-scenario cost
+    at the quantize+evaluate level.
     """
     from repro.core.golden_dictionary import load_golden_dictionary
     from repro.core.model_quantizer import MokeyModelQuantizer
@@ -455,7 +468,7 @@ def evaluate_fidelity(
             f"(schemes supporting accuracy campaigns: {supported})"
         )
     family = TASKS.get(task)
-    seed = _stable_seed(model, task)
+    seed = stable_seed(model, task)
     try:
         fp_model = build_simulation_model(
             model, task=task, scale=settings.scale, max_layers=settings.max_layers, seed=seed

@@ -13,6 +13,15 @@ scenario, optionally layered over an on-disk
 each record appended to the backing store the moment it exists.  A killed
 campaign therefore resumes from the store by skipping already-persisted
 keys, bit-identical to an uninterrupted run.
+
+Each join — the ``fidelity`` of :mod:`~repro.experiments.accuracy` and
+the ``measured`` stats of :mod:`~repro.experiments.measured` — is one row
+of the ``_JOINS`` table: its ``Enrichments`` switch and settings, its memo
+key, its evaluator and its store getter.  One resolver
+(:func:`_resolve_join`), one memo in :class:`ResultCache` keyed
+``(join, key, settings digest)`` and one ``store``/``put`` call per record
+serve both, so a join is memoised, settings-guarded and persisted the
+same way whichever it is.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -39,9 +49,8 @@ from repro.accelerator.metrics import SimulationResult
 from repro.accelerator.simulator import AcceleratorSimulator
 from repro.experiments.accuracy import (
     DEFAULT_ACCURACY_SETTINGS,
-    AccuracyKey,
-    AccuracySettings,
     FidelityResult,
+    JoinSettings,
     UnsupportedSchemeError,
     accuracy_key,
     evaluate_fidelity,
@@ -50,9 +59,7 @@ from repro.experiments.accuracy import (
 )
 from repro.experiments.measured import (
     DEFAULT_MEASUREMENT_SETTINGS,
-    MeasuredKey,
     MeasuredStats,
-    MeasurementSettings,
     evaluate_measured,
     measured_key,
 )
@@ -60,9 +67,6 @@ from repro.experiments.scenario import Scenario
 
 if TYPE_CHECKING:  # spec imports this module
     from repro.experiments.spec import Enrichments, ExecutionPolicy
-
-_DEFAULT_SETTINGS_DIGEST = DEFAULT_ACCURACY_SETTINGS.digest()
-_DEFAULT_MEASUREMENT_DIGEST = DEFAULT_MEASUREMENT_SETTINGS.digest()
 
 __all__ = [
     "EXECUTORS",
@@ -75,6 +79,50 @@ __all__ = [
 
 #: Valid ``ExecutionPolicy.executor`` choices.
 EXECUTORS = ("serial", "thread", "process")
+
+
+class _Join(NamedTuple):
+    """One per-key result a campaign joins to its hardware records."""
+
+    #: The :class:`~repro.experiments.spec.Enrichments` switch that turns it on.
+    flag: str
+    #: The ``Enrichments`` field holding its settings (``None`` = the default).
+    settings_field: str
+    default_settings: JoinSettings
+    #: The memo key of a scenario: one evaluation serves every scenario sharing it.
+    key_of: Callable[[Scenario], Tuple[Any, ...]]
+    #: ``evaluate(*key, settings=...)`` -> a result stamped with ``settings_digest``.
+    evaluate: Callable[..., Any]
+    #: The store method returning the stored result of a scenario.
+    store_get: str
+
+
+#: Every join, by the record field and store ``put`` keyword it fills.  The
+#: evaluators are looked up at call time, so a rebound module global (a
+#: memo wrapped around ``evaluate_fidelity``) is honoured.
+_JOINS: Dict[str, _Join] = {
+    "fidelity": _Join(
+        flag="accuracy",
+        settings_field="accuracy_settings",
+        default_settings=DEFAULT_ACCURACY_SETTINGS,
+        key_of=accuracy_key,
+        evaluate=lambda *key, settings: evaluate_fidelity(*key, settings=settings),
+        store_get="get_fidelity",
+    ),
+    "measured": _Join(
+        flag="measured",
+        settings_field="measurement_settings",
+        default_settings=DEFAULT_MEASUREMENT_SETTINGS,
+        key_of=measured_key,
+        evaluate=lambda *key, settings: evaluate_measured(*key, settings=settings),
+        store_get="get_measured",
+    ),
+}
+
+
+def _evaluate_key(name: str, key: Tuple[Any, ...], settings: JoinSettings) -> Any:
+    """Evaluate one memo key of join ``name`` (module-level, so it pickles)."""
+    return _JOINS[name].evaluate(*key, settings=settings)
 
 
 class ResultCache:
@@ -90,14 +138,10 @@ class ResultCache:
 
     def __init__(self, store: Optional[Any] = None) -> None:
         self._results: Dict[Scenario, SimulationResult] = {}
-        # Fidelity memo, keyed by (model, task, scheme) + settings digest:
-        # one quantization + evaluation serves every seq/batch/design/buffer
-        # point of a grid, but never a run under different settings.
-        self._fidelity: Dict[Tuple[AccuracyKey, str], FidelityResult] = {}
-        # Measured-stats memo, keyed by (model, seq, batch) + settings
-        # digest: one layer execution serves every design/scheme/buffer
-        # point of a grid.
-        self._measured: Dict[Tuple[MeasuredKey, str], MeasuredStats] = {}
+        # Join memo, keyed by (join name, memo key, settings digest): one
+        # evaluation serves every grid point sharing the key, but never a
+        # run under different settings.
+        self._joined: Dict[Tuple[str, Tuple[Any, ...], str], Any] = {}
         self._lock = threading.Lock()
         self._store = store
 
@@ -153,81 +197,46 @@ class ResultCache:
             self._results, scenario, lambda: self._store.get(scenario)
         )
 
-    def store(
-        self,
-        scenario: Scenario,
-        result: SimulationResult,
-        fidelity: Optional[FidelityResult] = None,
-        measured: Optional[MeasuredStats] = None,
-    ) -> None:
-        memo_key = (
-            None if fidelity is None else (accuracy_key(scenario), fidelity.settings_digest)
-        )
-        measured_memo_key = (
-            None if measured is None else (measured_key(scenario), measured.settings_digest)
-        )
+    def store(self, scenario: Scenario, result: SimulationResult, **joined: Any) -> None:
+        """Record ``result`` plus its joined results (``fidelity=``, ``measured=``).
+
+        Memoises each joined result under its memo key and writes all of
+        them through to the backing store in one ``put``.
+        """
+        memo = {
+            (name, _JOINS[name].key_of(scenario), value.settings_digest): value
+            for name, value in joined.items()
+            if value is not None
+        }
         with self._lock:
             self._results[scenario] = result
-            if memo_key is not None:
-                self._fidelity[memo_key] = fidelity
-            if measured_memo_key is not None:
-                self._measured[measured_memo_key] = measured
+            self._joined.update(memo)
         if self._store is not None:
-            self._store.put(scenario, result, fidelity=fidelity, measured=measured)
+            self._store.put(scenario, result, **joined)
 
-    def lookup_fidelity(
-        self,
-        scenario: Scenario,
-        key: Optional[AccuracyKey] = None,
-        settings_digest: Optional[str] = None,
-    ) -> Optional[FidelityResult]:
-        """The cached fidelity for ``scenario``, or ``None``.
+    def lookup_joined(
+        self, name: str, scenario: Scenario, key: Tuple[Any, ...], settings_digest: str
+    ) -> Any:
+        """Join ``name``'s cached result for ``scenario``, or ``None``.
 
-        Resolution order: the in-memory memo by :func:`accuracy_key` (one
-        evaluation serves every seq/batch/buffer point sharing the key),
-        then the backing store by scenario.  A result only hits when its
-        settings digest matches ``settings_digest`` — stored fidelity from
-        a differently-parameterised evaluation is never served.
+        Resolution order: the in-memory memo by ``key`` (one evaluation
+        serves every grid point sharing the key), then the backing store
+        by scenario.  A result only hits when its settings digest matches
+        ``settings_digest``: one evaluated under different settings is
+        never served.
         """
-        key = accuracy_key(scenario) if key is None else key
-        if settings_digest is None:
-            settings_digest = _DEFAULT_SETTINGS_DIGEST
         return self._memo_then_store(
-            self._fidelity,
-            (key, settings_digest),
-            lambda: self._store.get_fidelity(scenario),
-            lambda fidelity: fidelity.settings_digest == settings_digest,
-        )
-
-    def lookup_measured(
-        self,
-        scenario: Scenario,
-        key: Optional[MeasuredKey] = None,
-        settings_digest: Optional[str] = None,
-    ) -> Optional[MeasuredStats]:
-        """The cached measured stats for ``scenario``, or ``None``.
-
-        Resolution order mirrors :meth:`lookup_fidelity`: the in-memory
-        memo by :func:`~repro.experiments.measured.measured_key`, then the
-        backing store by scenario; a result only hits when its settings
-        digest matches.
-        """
-        key = measured_key(scenario) if key is None else key
-        if settings_digest is None:
-            settings_digest = _DEFAULT_MEASUREMENT_DIGEST
-        return self._memo_then_store(
-            self._measured,
-            (key, settings_digest),
-            lambda: self._store.get_measured(scenario),
-            lambda measured: measured.settings_digest == settings_digest,
+            self._joined,
+            (name, key, settings_digest),
+            lambda: getattr(self._store, _JOINS[name].store_get)(scenario),
+            lambda value: value.settings_digest == settings_digest,
         )
 
     def clear(self) -> None:
         """Reset the in-memory cache (not the backing store)."""
         with self._lock:
             self._results.clear()
-            self._fidelity.clear()
-            self._measured.clear()
+            self._joined.clear()
 
 
 @dataclass
@@ -508,41 +517,6 @@ def _stream_pending(
         yield from pool.map(run_scenario, pending, chunksize=chunksize)
 
 
-def _evaluate_accuracy_key(
-    key: AccuracyKey, settings: Optional[AccuracySettings] = None
-) -> FidelityResult:
-    """Evaluate one fidelity memo key (module-level, so it pickles)."""
-    model, task, scheme = key
-    return evaluate_fidelity(model, task, scheme, settings=settings)
-
-
-def _evaluate_measured_key(
-    key: MeasuredKey, settings: Optional[MeasurementSettings] = None
-) -> MeasuredStats:
-    """Measure one layer-execution memo key (module-level, so it pickles)."""
-    model, sequence_length, batch_size = key
-    return evaluate_measured(model, sequence_length, batch_size, settings=settings)
-
-
-def _evaluate_pending_fidelity(
-    pending: Sequence[AccuracyKey],
-    executor: str,
-    max_workers: Optional[int],
-    settings: Optional[AccuracySettings],
-) -> List[FidelityResult]:
-    """Evaluate ``pending`` accuracy keys, preserving order.
-
-    Only the process executor fans out: fidelity evaluation is pure-Python
-    NumPy work sharing one Mokey model quantizer, so threads would just
-    contend on the GIL (and on the quantizer's per-tensor state).
-    """
-    task = functools.partial(_evaluate_accuracy_key, settings=settings)
-    if executor == "process" and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(task, pending))
-    return [task(key) for key in pending]
-
-
 def _validate_accuracy_support(scenarios: Sequence[Scenario]) -> None:
     """Fail fast (before any simulation) on schemes fidelity cannot evaluate.
 
@@ -560,89 +534,42 @@ def _validate_accuracy_support(scenarios: Sequence[Scenario]) -> None:
 
 
 def _resolve_join(
+    name: str,
     scenarios: Sequence[Scenario],
-    key_of: Callable[[Scenario], Any],
-    lookup: Callable[[Scenario, Any], Optional[Any]],
-    evaluate_pending: Callable[[List[Any]], List[Any]],
+    cache: ResultCache,
+    policy: "ExecutionPolicy",
+    settings: Optional[JoinSettings],
 ) -> Tuple[Dict[Scenario, Any], int]:
-    """Resolve one joined quantity for every scenario, each unique key once.
+    """Join ``name``'s result for every scenario, evaluating each unique key once.
 
-    The shared skeleton of the fidelity and measured-stats joins: collect
-    the unique memo keys, serve what the cache/store already holds, hand
-    the rest to ``evaluate_pending`` in one batch, and fan the outcomes
-    back out per scenario.  Returns the per-scenario mapping plus how many
-    keys were actually evaluated.
+    Collects the unique memo keys, serves what the cache/store already
+    holds under ``settings``, evaluates the rest in one batch and fans the
+    outcomes back out per scenario.  Only the process executor fans the
+    batch out, and only past one key: evaluation is NumPy work sharing one
+    quantizer, so threads would just contend on the GIL.  Returns the
+    per-scenario mapping plus how many keys were actually evaluated.
     """
-    keys: Dict[Scenario, Any] = {}
-    for scenario in scenarios:
-        if scenario not in keys:
-            keys[scenario] = key_of(scenario)
-    resolved: Dict[Any, Any] = {}
-    pending: List[Any] = []
+    join = _JOINS[name]
+    settings = settings or join.default_settings
+    digest = settings.digest()
+    keys = {scenario: join.key_of(scenario) for scenario in scenarios}
+    resolved: Dict[Tuple[Any, ...], Any] = {}
+    pending: List[Tuple[Any, ...]] = []
     for scenario, key in keys.items():
         if key in resolved or key in pending:
             continue
-        hit = lookup(scenario, key)
+        hit = cache.lookup_joined(name, scenario, key, digest)
         if hit is not None:
             resolved[key] = hit
         else:
             pending.append(key)
-    if pending:
-        resolved.update(zip(pending, evaluate_pending(pending)))
+    task = functools.partial(_evaluate_key, name, settings=settings)
+    if policy.executor == "process" and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=policy.max_workers) as pool:
+            resolved.update(zip(pending, pool.map(task, pending)))
+    else:
+        resolved.update((key, task(key)) for key in pending)
     return {scenario: resolved[key] for scenario, key in keys.items()}, len(pending)
-
-
-def _resolve_fidelities(
-    scenarios: Sequence[Scenario],
-    cache: ResultCache,
-    executor: str,
-    max_workers: Optional[int],
-    settings: Optional[AccuracySettings],
-) -> Tuple[Dict[Scenario, FidelityResult], int]:
-    """Fidelity for every scenario, evaluating each unique accuracy key once.
-
-    Assumes scheme support was validated by :func:`_validate_accuracy_support`.
-    """
-    settings_digest = (settings or DEFAULT_ACCURACY_SETTINGS).digest()
-    return _resolve_join(
-        scenarios,
-        key_of=accuracy_key,
-        lookup=lambda scenario, key: cache.lookup_fidelity(
-            scenario, key=key, settings_digest=settings_digest
-        ),
-        evaluate_pending=lambda pending: _evaluate_pending_fidelity(
-            pending, executor, max_workers, settings
-        ),
-    )
-
-
-def _resolve_measured(
-    scenarios: Sequence[Scenario],
-    cache: ResultCache,
-    executor: str,
-    max_workers: Optional[int],
-    settings: Optional[MeasurementSettings],
-) -> Tuple[Dict[Scenario, MeasuredStats], int]:
-    """Measured stats for every scenario, one layer execution per unique key."""
-    settings_digest = (settings or DEFAULT_MEASUREMENT_SETTINGS).digest()
-
-    def evaluate_pending(pending: List[MeasuredKey]) -> List[MeasuredStats]:
-        # Layer execution is NumPy/BLAS-heavy; only real processes help,
-        # and only when more than one key needs measuring.
-        task = functools.partial(_evaluate_measured_key, settings=settings)
-        if executor == "process" and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(task, pending))
-        return [task(key) for key in pending]
-
-    return _resolve_join(
-        scenarios,
-        key_of=measured_key,
-        lookup=lambda scenario, key: cache.lookup_measured(
-            scenario, key=key, settings_digest=settings_digest
-        ),
-        evaluate_pending=evaluate_pending,
-    )
 
 
 def _stream_core(
@@ -672,10 +599,9 @@ def _stream_core(
     """
     from repro.experiments.store import scenario_key  # local: store is a sibling
 
-    executor, max_workers = policy.executor, policy.max_workers
-    with_accuracy, with_measured = enrichments.accuracy, enrichments.measured
     scenarios = list(scenarios)
-    if with_accuracy:
+    active = [name for name, join in _JOINS.items() if getattr(enrichments, join.flag)]
+    if "fidelity" in active:
         _validate_accuracy_support(scenarios)
 
     resolved: Dict[Scenario, SimulationResult] = {}
@@ -696,82 +622,42 @@ def _stream_core(
     # so they resolve before anything simulates: every yielded record is
     # complete, and a consumer that stops early loses no join work for
     # records it never asked for.
-    fidelities: Dict[Scenario, FidelityResult] = {}
-    fidelity_evaluated = 0
-    measured: Dict[Scenario, MeasuredStats] = {}
-    measured_evaluated = 0
-    unique_scenarios = list(cached_flags)
-    if with_accuracy:
-        fidelities, fidelity_evaluated = _resolve_fidelities(
-            unique_scenarios, cache, executor, max_workers, enrichments.accuracy_settings
-        )
-    if with_measured:
-        measured, measured_evaluated = _resolve_measured(
-            unique_scenarios, cache, executor, max_workers, enrichments.measurement_settings
+    joins: Dict[str, Dict[Scenario, Any]] = {name: {} for name in _JOINS}
+    evaluated = dict.fromkeys(_JOINS, 0)
+    for name in active:
+        settings = getattr(enrichments, _JOINS[name].settings_field)
+        joins[name], evaluated[name] = _resolve_join(
+            name, list(cached_flags), cache, policy, settings
         )
 
-    outcomes = _stream_pending(pending, executor, max_workers, policy.chunksize)
+    outcomes = _stream_pending(pending, policy.executor, policy.max_workers, policy.chunksize)
     total = len(scenarios)
     completed = simulated = cached_count = 0
-    emitted: Dict[Scenario, ScenarioRecord] = {}
+    emitted: set = set()
     try:
         for scenario in scenarios:
-            if scenario in emitted:
-                # A later duplicate of an in-run scenario reuses the first
-                # record's result, so it counts as a cache reuse.
-                record = ScenarioRecord(
-                    scenario=scenario,
-                    result=emitted[scenario].result,
-                    cached=True,
-                    fidelity=fidelities.get(scenario),
-                    measured=measured.get(scenario),
-                )
-                cached_count += 1
-            elif cached_flags[scenario]:
-                result = resolved[scenario]
-                if with_accuracy or with_measured:
+            joined = {name: by_scenario.get(scenario) for name, by_scenario in joins.items()}
+            if scenario in emitted or cached_flags[scenario]:
+                # A cache hit, or a later duplicate of an in-run scenario
+                # reusing the first record's result: both count as reuse.
+                result, cached = resolved[scenario], True
+                if active and scenario not in emitted:
                     # One store call carrying every join: a joint campaign
                     # appends a single upgrade line per record, not one
                     # per join.
-                    cache.store(
-                        scenario,
-                        result,
-                        fidelity=fidelities.get(scenario),
-                        measured=measured.get(scenario),
-                    )
-                record = ScenarioRecord(
-                    scenario=scenario,
-                    result=result,
-                    cached=True,
-                    fidelity=fidelities.get(scenario),
-                    measured=measured.get(scenario),
-                )
+                    cache.store(scenario, result, **joined)
+            else:
+                result, cached = next(outcomes), False
+                resolved[scenario] = result
+                cache.store(scenario, result, **joined)
+                if write_store is not None:
+                    write_store.put(scenario, result, **joined)
+            record = ScenarioRecord(scenario=scenario, result=result, cached=cached, **joined)
+            if cached:
                 cached_count += 1
             else:
-                result = next(outcomes)
-                resolved[scenario] = result
-                cache.store(
-                    scenario,
-                    result,
-                    fidelity=fidelities.get(scenario),
-                    measured=measured.get(scenario),
-                )
-                if write_store is not None:
-                    write_store.put(
-                        scenario,
-                        result,
-                        fidelity=fidelities.get(scenario),
-                        measured=measured.get(scenario),
-                    )
-                record = ScenarioRecord(
-                    scenario=scenario,
-                    result=result,
-                    cached=False,
-                    fidelity=fidelities.get(scenario),
-                    measured=measured.get(scenario),
-                )
                 simulated += 1
-            emitted[scenario] = record
+            emitted.add(scenario)
             completed += 1
             yield record, CampaignProgress(
                 completed=completed,
@@ -779,8 +665,8 @@ def _stream_core(
                 simulated=simulated,
                 cached=cached_count,
                 store_key=scenario_key(scenario),
-                fidelity_evaluated=fidelity_evaluated,
-                measured_evaluated=measured_evaluated,
+                fidelity_evaluated=evaluated["fidelity"],
+                measured_evaluated=evaluated["measured"],
             )
     finally:
         outcomes.close()

@@ -22,18 +22,13 @@ stored records.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.experiments.accuracy import JoinSettings, _model_quantizer, content_digest, stable_seed
 from repro.experiments.scenario import Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.quantizer import MokeyQuantizer
 
 __all__ = [
     "MeasurementSettings",
@@ -47,7 +42,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MeasurementSettings:
+class MeasurementSettings(JoinSettings):
     """Deterministic parameters of one measured-layer execution.
 
     All fields feed the execution deterministically: identical settings +
@@ -89,20 +84,6 @@ class MeasurementSettings:
                     f"measurement_settings.{name} must be an integer >= {least}, got {value!r}"
                 )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data) -> "MeasurementSettings":
-        """Rebuild settings from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
-
-    def digest(self) -> str:
-        """Stable content digest, stamped into every :class:`MeasuredStats`."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
 
 DEFAULT_MEASUREMENT_SETTINGS = MeasurementSettings()
 
@@ -118,12 +99,6 @@ def measured_key(scenario: Scenario) -> MeasuredKey:
     alone, so one layer execution serves every hardware point of a grid.
     """
     return (scenario.model, scenario.resolved_sequence_length, scenario.batch_size)
-
-
-def _stable_seed(model: str, sequence_length: int, batch_size: int) -> int:
-    """A process- and hash-seed-independent seed for one measured key."""
-    blob = f"{model}|{sequence_length}|{batch_size}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
 
 @dataclass
@@ -212,31 +187,7 @@ class MeasuredStats:
 
 def measured_digest(result: MeasuredStats) -> str:
     """Stable content digest of the full measured result (all fields)."""
-    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-_QUANTIZER_LOCK = threading.Lock()
-_QUANTIZER_CACHE: Dict[Tuple[int, int, int], "MokeyQuantizer"] = {}
-
-
-def _measurement_quantizer(settings: MeasurementSettings) -> "MokeyQuantizer":
-    """One shared quantizer per Golden-Dictionary parameterisation."""
-    from repro.core.golden_dictionary import load_golden_dictionary
-    from repro.core.quantizer import MokeyQuantizer
-
-    key = (settings.golden_samples, settings.golden_repeats, settings.golden_seed)
-    with _QUANTIZER_LOCK:
-        quantizer = _QUANTIZER_CACHE.get(key)
-        if quantizer is None:
-            golden = load_golden_dictionary(
-                num_samples=settings.golden_samples,
-                num_repeats=settings.golden_repeats,
-                seed=settings.golden_seed,
-            )
-            quantizer = MokeyQuantizer(golden)
-            _QUANTIZER_CACHE[key] = quantizer
-        return quantizer
+    return content_digest(result.to_dict(), 16)
 
 
 def evaluate_measured(
@@ -265,11 +216,11 @@ def evaluate_measured(
         raise ValueError(f"sequence_length must be >= 1, got {sequence_length}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    seed = _stable_seed(model, sequence_length, batch_size)
+    seed = stable_seed(model, sequence_length, batch_size)
     # The scope picks the depth and the input stream, nothing else.
     depth, input_seed = (None, seed + 7919) if settings.scope == "model" else (1, seed + 2)
     executor = IndexDomainModelExecutor(
-        model, num_layers=depth, quantizer=_measurement_quantizer(settings), seed=seed
+        model, num_layers=depth, quantizer=_model_quantizer(settings).quantizer, seed=seed
     )
     hidden_states = np.random.default_rng(input_seed).normal(
         0.0, 1.0, size=(batch_size, sequence_length, executor.config.hidden_size)

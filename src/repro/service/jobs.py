@@ -248,6 +248,10 @@ class Coordinator:
             its worker died before the shard (and job) is declared failed.
         grace_seconds: How long cancellation/shutdown waits for workers to
             drain the in-flight record before terminating them.
+
+    Raises:
+        ServiceError: ``default_workers`` below 1, the same error a
+            ``submit`` with such ``workers`` raises.
     """
 
     #: Hard ceiling on shards per job, whatever was requested.
@@ -263,7 +267,9 @@ class Coordinator:
     ) -> None:
         self.store_root = Path(store)
         self.store_backend = store_backend
-        self.default_workers = max(1, int(default_workers))
+        if int(default_workers) < 1:
+            raise ServiceError(f"workers must be >= 1, got {default_workers}")
+        self.default_workers = int(default_workers)
         self.max_restarts = int(max_restarts)
         self.grace_seconds = float(grace_seconds)
         # Spawned workers: the pool grows from supervisor threads, and

@@ -26,13 +26,16 @@ from repro.core.index_compute import (
     VectorizedIndexDomainEngine,
     index_domain_dot,
     index_domain_matmul,
-    vectorized_index_domain_matmul,
 )
 from repro.core.quantizer import MokeyQuantizer
 
 
+def _engine_matmul(aq, wq, engine=VectorizedIndexDomainEngine):
+    return engine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+
+
 def _float64_matmul(aq, wq):
-    return Float64Engine(aq.dictionary, wq.dictionary).matmul(aq, wq)
+    return _engine_matmul(aq, wq, Float64Engine)
 
 
 def _quantized_pair(quantizer, rng, n=512, act_outliers=0.04, w_outliers=0.01):
@@ -210,7 +213,7 @@ class TestVectorizedEngine:
         default_values, default_stats = index_domain_matmul(aq, wq)
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
         float64_values, _ = index_domain_matmul(aq, wq, engine=Float64Engine)
-        assert np.array_equal(default_values, vectorized_index_domain_matmul(aq, wq).values)
+        assert np.array_equal(default_values, _engine_matmul(aq, wq).values)
         assert np.allclose(float64_values, scalar_values, rtol=1e-9, atol=1e-9)
         assert default_stats == scalar_stats
 
@@ -223,11 +226,11 @@ class TestVectorizedEngine:
         aq = quantizer.quantize(rng.normal(0, 1, 8), "a")
         wq = quantizer.quantize(rng.normal(0, 1, (8, 2)), "w")
         with pytest.raises(ValueError):
-            vectorized_index_domain_matmul(aq, wq)
+            _engine_matmul(aq, wq)
         aq2 = quantizer.quantize(rng.normal(0, 1, (2, 8)), "a")
         wq2 = quantizer.quantize(rng.normal(0, 1, (4, 2)), "w")
         with pytest.raises(ValueError):
-            vectorized_index_domain_matmul(aq2, wq2)
+            _engine_matmul(aq2, wq2)
 
     def test_mismatched_golden_dictionaries_rejected(self, quantizer, rng):
         from repro.core.golden_dictionary import generate_golden_dictionary
@@ -302,7 +305,7 @@ class TestFloat32Contract:
         aq, wq = _quantized_matrices(
             quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=0.05
         )
-        default = vectorized_index_domain_matmul(aq, wq)
+        default = _engine_matmul(aq, wq)
         reference = _float64_matmul(aq, wq)
         assert default.values.dtype == np.float32
         assert reference.values.dtype == np.float64
@@ -338,7 +341,7 @@ class TestEdgeCases:
     def test_empty_inner_dimension_matmul(self, quantizer, rng):
         aq, wq = self._empty_pair(quantizer, rng, (3, 0), (0, 2))
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _engine_matmul(aq, wq)
         assert result.values.shape == (3, 2)
         assert np.all(result.values == 0.0)
         assert np.all(scalar_values == 0.0)
@@ -348,7 +351,7 @@ class TestEdgeCases:
     def test_empty_output_plane_matmul(self, quantizer, rng):
         aq, wq = self._empty_pair(quantizer, rng, (0, 4), (4, 0))
         aq = quantizer.quantize(np.empty((0, 4)), dictionary=aq.dictionary)
-        result = vectorized_index_domain_matmul(aq, wq)
+        result = _engine_matmul(aq, wq)
         assert result.values.shape == (0, 0)
         assert result.stats.total_pairs == 0
 

@@ -17,6 +17,7 @@ path (BERT-Base at seq 128 in seconds) is exercised by
 ``benchmarks/bench_perf_index_engine.py``.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -288,6 +289,20 @@ class TestMeasuredCampaign:
         assert again.measured_evaluated == 0
         for expected, rerun in zip(first, again):
             assert rerun.measured == expected.measured
+
+    @pytest.mark.parametrize("change", [{"scope": "model"}, {"golden_samples": 2000}])
+    def test_different_settings_never_serve_stale_measured(self, nano_model, tmp_path, change):
+        spec = measured_spec(nano_grid(nano_model, **ONE_POINT), store=str(tmp_path / "store"))
+        first = run_spec(spec)
+        other_settings = dataclasses.replace(TINY_SETTINGS, **change)
+        second = run_spec(spec.with_enrichments(measurement_settings=other_settings))
+        # The store holds TINY_SETTINGS' stats; a differently-parameterised
+        # run must re-measure rather than silently serve them.
+        assert second.simulated_count == 0
+        assert second.measured_evaluated == 1
+        first_m, second_m = first.records[0].measured, second.records[0].measured
+        assert first_m.settings_digest != second_m.settings_digest
+        assert second_m.settings_digest == other_settings.digest()
 
     def test_hardware_only_records_upgrade_in_place(self, nano_model, tmp_path):
         grid = nano_grid(nano_model, designs=("mokey",))

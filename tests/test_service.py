@@ -35,6 +35,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import CampaignSpec, open_store, run_spec, scenario_key, store_digest
 from repro.service import (
     JOB_STATES,
@@ -256,6 +257,14 @@ class TestCoordinator:
         with pytest.raises(ServiceError, match="kind"):
             coordinator.submit(_spec_dict(), kind="nonsense")
         assert coordinator.jobs() == []
+
+    def test_zero_default_workers_is_refused_not_clamped(self, tmp_path, capsys):
+        with pytest.raises(ServiceError, match="workers must be >= 1, got 0"):
+            Coordinator(tmp_path / "svc-store", default_workers=0)
+        # The daemon refuses before binding: one error line, exit 2, no banner.
+        argv = ["serve", "--port", "0", "--workers", "0", "--store", str(tmp_path / "s")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
 
     def test_unknown_job_id_raises_service_error(self, coordinator):
         with pytest.raises(ServiceError, match="unknown campaign id"):
