@@ -32,7 +32,7 @@ import time
 
 from conftest import TINY_MODE, record_perf
 
-from repro.experiments import CampaignSpec, open_store, run_spec, store_digest
+from repro.experiments import ArtifactStore, CampaignSpec, run_spec, store_digest
 from repro.service import Coordinator, ServiceClient, make_server
 
 if TINY_MODE:
@@ -72,8 +72,8 @@ def _spec_dict(name, buffer_bytes=BUFFER_BYTES):
 
 def _oracle(root, spec_dict):
     spec = CampaignSpec.from_dict(spec_dict)
-    run_spec(spec.with_execution(store=str(root), store_backend="sqlite", resume=True))
-    return store_digest(open_store(root, backend="sqlite"))
+    run_spec(spec.with_execution(store=str(root), resume=True))
+    return store_digest(ArtifactStore(root))
 
 
 def _timed_service_run(tmp_path, name, workers, warm_dict=None):
@@ -84,7 +84,7 @@ def _timed_service_run(tmp_path, name, workers, warm_dict=None):
     store digest, then the warm seconds and ``{key: digest}`` of the warm
     job's records (``None`` without ``warm_dict``).
     """
-    coordinator = Coordinator(tmp_path / name, store_backend="sqlite")
+    coordinator = Coordinator(tmp_path / name)
     server = make_server("127.0.0.1", 0, coordinator)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -95,7 +95,7 @@ def _timed_service_run(tmp_path, name, workers, warm_dict=None):
         final = client.wait(job_id, timeout=WAIT, poll=0.05)
         elapsed = time.perf_counter() - started
         assert final["state"] == "completed", final["error"]
-        digest = store_digest(open_store(tmp_path / name, backend="sqlite"))
+        digest = store_digest(ArtifactStore(tmp_path / name))
         if warm_dict is None:
             return elapsed, final, digest, None, None
         started = time.perf_counter()

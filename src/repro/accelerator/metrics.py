@@ -8,16 +8,12 @@ schema with extra keys still load on older code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
+from repro._fields import known_fields
+
 __all__ = ["EnergyBreakdown", "AreaBreakdown", "SimulationResult"]
-
-
-def _known_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """The subset of ``data`` naming actual fields of dataclass ``cls``."""
-    names = {f.name for f in fields(cls)}
-    return {key: value for key, value in data.items() if key in names}
 
 
 @dataclass
@@ -48,7 +44,7 @@ class EnergyBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EnergyBreakdown":
-        return cls(**_known_fields(cls, data))
+        return cls(**known_fields(cls, data))
 
 
 @dataclass
@@ -67,7 +63,7 @@ class AreaBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AreaBreakdown":
-        return cls(**_known_fields(cls, data))
+        return cls(**known_fields(cls, data))
 
 
 @dataclass
@@ -137,7 +133,7 @@ class SimulationResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output, ignoring unknown keys."""
-        known = _known_fields(cls, data)
+        known = known_fields(cls, data)
         known["energy"] = EnergyBreakdown.from_dict(known.get("energy") or {})
         known["area"] = AreaBreakdown.from_dict(known.get("area") or {})
         known["detail"] = dict(known.get("detail") or {})

@@ -11,13 +11,13 @@ so repeated runs only simulate new grid points::
     repro campaign resume --spec spec.json   # skip already-persisted keys
     repro campaign run --paper-workloads --with-accuracy
     repro campaign run --models bert-base --with-measured-stats
-    repro campaign run --models bert-base --store-backend sqlite
     repro campaign report --design mokey --format csv
     repro campaign report --where "total_cycles<=1e9" --order-by energy_joules --top 10
     repro campaign report --group-by model design --order-by -count
     repro campaign list
     repro campaign clean --yes
-    repro store migrate old-store new-store --to-backend sqlite
+    repro store import old-store      # load a legacy old-store/records.jsonl
+    repro store export .repro-store > records.jsonl   # canonical JSONL
     repro store stats .repro-store   # counts/coverage without payloads
     repro serve-sim --schemes mokey-oc fp16 --rate 100 --requests 10000
     repro serve-sim --trace bursty --policy max-batch --max-batch 16 --slo-ms 50
@@ -27,7 +27,7 @@ so repeated runs only simulate new grid points::
     repro status campaign-0001                # one job, sharded progress
     repro results campaign-0001 --output out.ndjson
     repro cancel campaign-0001
-    repro registry list              # the eight pluggable-axis registries
+    repro registry list              # the seven pluggable-axis registries
     repro registry list schemes      # one registry's entries, described
     repro table1                 # the paper's eight Table I fidelity rows
     repro table1 --joint         # fidelity next to speedup/energy (Table IV style)
@@ -54,11 +54,10 @@ served from disk.
 
 The store location is ``--store DIR``, the spec's execution policy, the
 ``REPRO_STORE`` environment variable, or ``./.repro-store`` in that order
-of precedence.  ``--store-backend {jsonl,sqlite}`` picks the storage
-engine (default: whatever layout the directory already holds, JSONL for
-a fresh one); with SQLite, ``campaign report``/``list`` filters,
-grouping, ordering and ``--top`` are pushed down into the database
-instead of deserializing every record.
+of precedence.  The store is one SQLite database, so ``campaign
+report``/``list`` filters, grouping, ordering and ``--top`` run inside
+it instead of deserializing every record; ``repro store import``/``export``
+convert to and from JSONL.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ from repro.analysis.fidelity import joint_rows, table1_rows
 from repro.analysis.reporting import RECORD_FORMATS, format_records
 from repro.experiments import (
     EXECUTORS,
+    ArtifactStore,
     AxisGrid,
     CampaignSpec,
     Enrichments,
@@ -81,9 +81,9 @@ from repro.experiments import (
     ResultCache,
     ScenarioRecord,
     UnsupportedSchemeError,
+    export_jsonl,
+    import_jsonl,
     iter_campaign,
-    migrate_store,
-    open_store,
     parse_filter,
     run_spec,
 )
@@ -92,7 +92,6 @@ from repro.registry import (
     DESIGNS,
     MODELS,
     POLICIES,
-    STORES,
     TASKS,
     TRACES,
     RegistryError,
@@ -219,16 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     no_store.add_argument(
         "--no-store", action="store_true", help="do not read or write the artifact store"
     )
-    backends = ", ".join(STORES.names())
     store = shared()
     store.add_argument(
         "--store", metavar="DIR",
         help="artifact store directory (default: $REPRO_STORE or ./.repro-store)",
-    )
-    store.add_argument(
-        "--store-backend", metavar="BACKEND",
-        help=f"storage engine for the store directory ({backends}; default: "
-        "whatever layout the directory already holds, jsonl for a fresh one)",
     )
     formats = shared()
     formats.add_argument(
@@ -346,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Render records from the artifact store, optionally filtered, "
             "grouped, ordered and limited. Filters, --group-by, --order-by "
-            "and --top are pushed down into the store backend — with SQLite "
-            "they run server-side over indexed columns instead of "
-            "deserializing every record."
+            "and --top are pushed down into the store's SQLite database, "
+            "over indexed columns, instead of deserializing every record."
         ),
     )
     report.set_defaults(handler=_cmd_report)
@@ -415,51 +407,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_cmd = commands.add_parser(
         "store",
-        help="manage artifact stores (backend migration)",
+        help="manage artifact stores (JSONL import/export, stats)",
         description=(
             "Operations on artifact-store directories themselves, "
             "independent of any campaign."
         ),
     )
     store_actions = store_cmd.add_subparsers(dest="action", required=True)
-    migrate = store_actions.add_parser(
-        "migrate",
-        help="copy every record of one store into another (e.g. jsonl -> sqlite)",
+    import_cmd = store_actions.add_parser(
+        "import",
+        help="load DIR/records.jsonl (a JSONL log or legacy store) into the store at DIR",
         description=(
-            "Stream every readable record of SOURCE into DEST, preserving "
-            "keys, insertion order and record digests exactly. Unreadable "
-            "source records are skipped and reported; keys already in DEST "
-            "merge under the normal upgrade semantics."
+            "Read the JSONL log DIR/records.jsonl into the store at DIR. "
+            "The last line per key wins and keeps the key's first position; "
+            "torn, corrupt and wrong-schema lines are skipped and counted. "
+            "Keys the store already holds merge under the normal upgrade "
+            "semantics, so a second import stores nothing."
         ),
     )
-    migrate.set_defaults(handler=_cmd_store_migrate)
-    migrate.add_argument("source", metavar="SOURCE", help="source store directory")
-    migrate.add_argument("dest", metavar="DEST", help="destination store directory")
-    migrate.add_argument(
-        "--from-backend", metavar="BACKEND",
-        help=f"backend of SOURCE ({backends}; default: detected from its layout)",
+    import_cmd.set_defaults(handler=_cmd_store_import)
+    import_cmd.add_argument("dir", metavar="DIR", help="directory holding records.jsonl")
+    export = store_actions.add_parser(
+        "export",
+        help="write the store at DIR to stdout as canonical JSONL",
+        description=(
+            "Write every readable record of the store at DIR to stdout, one "
+            "canonical JSON object per line, in insertion order: the format "
+            "'repro store import' reads."
+        ),
     )
-    migrate.add_argument(
-        "--to-backend", metavar="BACKEND",
-        help=f"backend of DEST ({backends}; default: detected from its layout, "
-        "jsonl if fresh)",
-    )
+    export.set_defaults(handler=_cmd_store_export)
+    export.add_argument("dir", metavar="DIR", help="store directory")
     stats = store_actions.add_parser(
         "stats",
         help="summarise a store without deserializing record payloads",
         description=(
-            "Report a store directory's backend, schema version, record "
-            "count, fidelity/measured coverage and skipped-line count. "
-            "Counts come from one grouped pushdown query — with SQLite "
-            "they run server-side over indexed columns, no payloads read."
+            "Report a store directory's schema version, record count, "
+            "fidelity/measured coverage and skipped-record count. Counts "
+            "come from one grouped query inside SQLite, over indexed "
+            "columns; no payloads are read."
         ),
     )
     stats.set_defaults(handler=_cmd_store_stats)
     stats.add_argument("path", metavar="PATH", help="store directory to summarise")
-    stats.add_argument(
-        "--store-backend", metavar="BACKEND",
-        help=f"backend of PATH ({backends}; default: detected from its layout)",
-    )
     stats.add_argument(
         "--format",
         choices=("table", "json"),
@@ -473,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "The unified registry surface: every pluggable axis of the "
             "campaign grid and the serving simulator (schemes, designs, "
-            "models, tasks, engines, store backends, arrival traces, "
+            "models, tasks, engines, arrival traces, "
             "batching policies) behind one "
             "names/get/describe protocol."
         ),
@@ -811,10 +801,7 @@ def _resolve_spec_store(
     """
     if getattr(args, "no_store", False):
         return spec.with_execution(store=None)
-    changes = {"store": args.store or spec.execution.store or _default_store()}
-    if args.store_backend is not None:
-        changes["store_backend"] = args.store_backend
-    return spec.with_execution(**changes)
+    return spec.with_execution(store=args.store or spec.execution.store or _default_store())
 
 
 def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
@@ -823,17 +810,17 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
     return _resolve_spec_store(args, spec).validate()
 
 
-def _open_existing_store(root: str, backend: Optional[str]):
+def _open_existing_store(root: str) -> ArtifactStore:
     """Open the store at ``root``; a path with no store there is an error.
 
     The commands that read or clear a store take this check, so a
     mistyped path fails in one line instead of reading as an empty
-    store.  A store exists while its backend's file does (a cleared
+    store.  A store exists while its database file does (a cleared
     store keeps an empty one).
     """
-    store = open_store(root, backend=backend)
+    store = ArtifactStore(root)
     if not store.path.exists():
-        raise ValueError(f"no {store.backend_name} store at {store.path}")
+        raise ValueError(f"no store at {store.path}")
     return store
 
 
@@ -927,7 +914,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_resume(args: argparse.Namespace) -> int:
     # Resuming is the whole point of this command, whatever the spec says.
     spec = _campaign_spec(args).with_execution(resume=True)
-    already_stored = len(open_store(spec.execution.store, backend=spec.execution.store_backend))
+    already_stored = len(ArtifactStore(spec.execution.store))
     started = time.perf_counter()
     records, last_progress = _drain(
         iter_campaign(spec), lambda record: record.scenario.label,
@@ -981,7 +968,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         enrichments=Enrichments(accuracy=True),
         execution=execution,
     ).validate()
-    store = None if args.no_store else open_store(_cli_store(args), backend=args.store_backend)
+    store = None if args.no_store else ArtifactStore(_cli_store(args))
     cache = ResultCache(store=store)
     started = time.perf_counter()
     target = run_spec(target_spec, cache=cache)
@@ -1015,7 +1002,7 @@ def _report_filters(args: argparse.Namespace) -> List[Tuple[str, str, object]]:
 
     ``--scheme`` matches what the scheme *column* shows (the override if
     set, else the design name) and compiles to the ``effective_scheme``
-    query field — a materialised, indexed column in the SQLite backend —
+    query field — a materialised, indexed column of the store —
     so it pushes down like every other filter.
     """
     filters: List[Tuple[str, str, object]] = []
@@ -1036,7 +1023,7 @@ def _report_filters(args: argparse.Namespace) -> List[Tuple[str, str, object]]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    store = _open_existing_store(_cli_store(args), args.store_backend)
+    store = _open_existing_store(_cli_store(args))
     filters = _report_filters(args)
     if args.group_by is not None:
         rows = store.query(
@@ -1068,7 +1055,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    store = _open_existing_store(_cli_store(args), args.store_backend)
+    store = _open_existing_store(_cli_store(args))
     # One grouped pushdown query answers the whole summary — per
     # (model, design) counts plus the fidelity/measured tallies — without
     # deserializing any record payloads.
@@ -1088,22 +1075,24 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    source = _open_existing_store(args.source, args.from_backend)
-    dest = open_store(args.dest, backend=args.to_backend)
-    stored = migrate_store(source, dest)
-    summary = (
-        f"migrated {stored} records: {source.root} ({source.backend_name}) "
-        f"-> {dest.root} ({dest.backend_name})"
-    )
-    if source.skipped:
-        summary += f" [{source.skipped} unreadable source records skipped]"
+def _cmd_store_import(args: argparse.Namespace) -> int:
+    stored, skipped = import_jsonl(args.dir)
+    summary = f"imported {stored} records into {args.dir}"
+    if skipped:
+        summary += f" [{skipped} unreadable lines skipped]"
     print(summary)
     return 0
 
 
+def _cmd_store_export(args: argparse.Namespace) -> int:
+    store = _open_existing_store(args.dir)
+    count = export_jsonl(store, sys.stdout)
+    print(f"exported {count} records from {store.path}", file=sys.stderr)
+    return 0
+
+
 def _cmd_clean(args: argparse.Namespace) -> int:
-    store = _open_existing_store(_cli_store(args), args.store_backend)
+    store = _open_existing_store(_cli_store(args))
     count = len(store)
     if not args.yes:
         print(
@@ -1117,17 +1106,15 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = _open_existing_store(args.path, args.store_backend)
-    # One grouped pushdown query yields every counter — no record payloads
-    # are deserialized (with SQLite it runs server-side over indexed
-    # columns).
+    store = _open_existing_store(args.path)
+    # One grouped pushdown query inside SQLite yields every counter — no
+    # record payloads are deserialized.
     rows = store.query(group_by=("model", "design"))
     total = sum(row["count"] for row in rows)
     with_fidelity = sum(row["with_fidelity"] for row in rows)
     with_measured = sum(row["with_measured"] for row in rows)
     payload = {
         "store": str(store.root),
-        "backend": store.backend_name,
         "schema_version": SCHEMA_VERSION,
         "records": total,
         "model_design_combos": len(rows),
@@ -1141,7 +1128,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"store: {payload['store']}")
-    print(f"  backend: {payload['backend']} (schema v{payload['schema_version']})")
+    print(f"  schema: v{payload['schema_version']}")
     print(
         f"  records: {total} across {len(rows)} model x design combos"
     )
@@ -1159,16 +1146,12 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     store = args.store or _default_store()
-    # The service defaults to SQLite: it is the backend proven under
-    # concurrent shard writers (WAL mode, immediate-transaction retries).
-    backend = args.store_backend or "sqlite"
-    STORES.get(backend)  # an unknown backend fails here, not in the first job
-    coordinator = Coordinator(store, store_backend=backend, default_workers=args.workers)
+    coordinator = Coordinator(store, default_workers=args.workers)
     server = make_server(args.host, args.port, coordinator, quiet=not args.verbose)
     host, port = server.server_address[:2]
     print(
         f"repro service listening on http://{host}:{port} "
-        f"[store={store}, backend={backend}, workers={args.workers}] "
+        f"[store={store}, workers={args.workers}] "
         f"— SIGTERM/Ctrl-C drains workers and exits",
         file=sys.stderr,
         flush=True,

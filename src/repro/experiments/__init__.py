@@ -10,13 +10,13 @@ share one sweep loop instead of each re-implementing it:
 * :class:`~repro.experiments.campaign.ResultCache` — in-process,
   thread-safe result cache keyed by scenario, shared across campaigns and
   optionally layered over an on-disk store;
-* :class:`~repro.experiments.store.ArtifactStore` — content-addressed
-  JSONL store persisting results across processes, so repeated campaigns
-  only simulate new grid points; one of two pluggable
-  :class:`~repro.experiments.store.StoreBackend` implementations
-  (``open_store(root, backend=...)``) next to the indexed, WAL-mode
-  :class:`~repro.experiments.store_sqlite.SqliteStoreBackend`, which adds
-  server-side ``query()`` pushdown and concurrent shard writers;
+* :class:`~repro.experiments.store.ArtifactStore` — the content-addressed
+  result store (one WAL-mode SQLite database per directory) persisting
+  results across processes, so repeated campaigns only simulate new grid
+  points; it pushes ``query()`` filters, grouping and ordering into SQLite
+  and takes concurrent shard writers.  JSONL is its import/export format
+  (:func:`~repro.experiments.store.import_jsonl`,
+  :func:`~repro.experiments.store.export_jsonl`);
 * :class:`~repro.experiments.spec.CampaignSpec` — the declarative front
   door and the only way to run a campaign: a frozen, JSON-round-trippable
   experiment description (an :class:`~repro.experiments.spec.AxisGrid`
@@ -110,21 +110,15 @@ from repro.experiments.campaign import (
 from repro.experiments.store import (
     SCHEMA_VERSION,
     ArtifactStore,
-    StoreBackend,
     StoreEntry,
-    detect_store_backend,
     entry_digest,
-    migrate_store,
+    export_jsonl,
+    import_jsonl,
     open_store,
     parse_filter,
     scenario_key,
     store_digest,
 )
-
-# Importing the SQLite backend registers it in STORES; it must
-# come after ``store`` (it imports the protocol from there), which Python
-# guarantees by importing the parent package first.
-from repro.experiments.store_sqlite import SqliteStoreBackend
 from repro.experiments.spec import (
     AxisGrid,
     CampaignSpec,
@@ -162,12 +156,10 @@ __all__ = [
     "run_scenario",
     "SCHEMA_VERSION",
     "ArtifactStore",
-    "SqliteStoreBackend",
-    "StoreBackend",
     "StoreEntry",
-    "detect_store_backend",
     "entry_digest",
-    "migrate_store",
+    "export_jsonl",
+    "import_jsonl",
     "open_store",
     "parse_filter",
     "scenario_key",

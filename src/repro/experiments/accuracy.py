@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, NamedTuple, Opti
 
 import numpy as np
 
+from repro._fields import known_fields
 from repro.experiments.scenario import DESIGNS, Scenario
 from repro.schemes.base import SCHEMES
 from repro.transformer.tasks import (
@@ -94,8 +95,7 @@ class JoinSettings:
     @classmethod
     def from_dict(cls, data):
         """Rebuild settings from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
+        return cls(**known_fields(cls, data))
 
     def digest(self) -> str:
         """Stable content digest of the settings.
@@ -257,8 +257,7 @@ class FidelityResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FidelityResult":
         """Rebuild a result from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+        return cls(**known_fields(cls, data))
 
 
 def fidelity_digest(result: FidelityResult) -> str:

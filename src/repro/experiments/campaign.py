@@ -152,10 +152,10 @@ class ResultCache:
     def query(self, *args: Any, **kwargs: Any) -> Any:
         """Run a pushdown query against the backing store.
 
-        Passes through to the store backend's
-        :meth:`~repro.experiments.store.StoreBackend.query` (filters /
+        Passes through to the store's
+        :meth:`~repro.experiments.store.ArtifactStore.query` (filters /
         ``group_by`` / ``order_by`` / ``limit``), which evaluates it
-        server-side when the backend supports it (SQLite).  Raises
+        inside SQLite.  Raises
         ``ValueError`` when the cache has no backing store — the
         in-memory maps are keyed for exact lookup, not scans.
         """

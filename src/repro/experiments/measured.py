@@ -22,11 +22,12 @@ stored records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro._fields import known_fields
 from repro.experiments.accuracy import JoinSettings, _model_quantizer, content_digest, stable_seed
 from repro.experiments.scenario import Scenario
 
@@ -181,8 +182,7 @@ class MeasuredStats:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MeasuredStats":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+        return cls(**known_fields(cls, data))
 
 
 def measured_digest(result: MeasuredStats) -> str:

@@ -13,9 +13,10 @@ it sweepable by every campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
+from repro._fields import known_fields
 from repro._registry import Registry
 from repro.accelerator.compression_modes import (
     COMPRESSION_MODE_DESIGNS,
@@ -132,5 +133,4 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Rebuild a scenario from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+        return cls(**known_fields(cls, data))

@@ -45,10 +45,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro._fields import known_fields
 from repro.experiments.accuracy import AccuracySettings
 from repro.experiments.campaign import (
     EXECUTORS,
@@ -60,7 +61,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.measured import MeasurementSettings
 from repro.experiments.scenario import DESIGNS, KB, Scenario
-from repro.experiments.store import STORES, StoreBackend, open_store
+from repro.experiments.store import ArtifactStore, check_store_backend
 from repro.schemes.base import SCHEMES
 from repro.transformer.model_zoo import MODELS
 from repro.transformer.tasks import TASKS
@@ -115,8 +116,7 @@ def _check_execution(policy: "ExecutionPolicy") -> None:
     _check_bool("resume", policy.resume)
     if policy.store is not None and not isinstance(policy.store, (str, os.PathLike)):
         raise ValueError(f"execution.store must be a path or null, got {policy.store!r}")
-    if policy.store_backend is not None:
-        _lookup(STORES, "store_backend", policy.store_backend)
+    check_store_backend(policy.store_backend)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ class AxisGrid:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AxisGrid":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+        return cls(**known_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -294,10 +293,9 @@ class ExecutionPolicy:
         store: Artifact-store directory; ``None`` keeps everything in
             memory.  With a store, every completed scenario is appended
             incrementally, making the campaign killable and resumable.
-        store_backend: Which registered store backend (``"jsonl"`` /
-            ``"sqlite"``) to open the store directory under; ``None``
-            (the default) keeps whatever layout the directory already
-            holds, falling back to JSONL for a fresh directory.
+        store_backend: ``None`` (the default) or ``"sqlite"``, which
+            mean the same: the store has one engine.  Kept so specs and
+            callers that name it stay valid; anything else is refused.
         resume: When the store already holds a scenario's key, serve it
             from disk instead of re-simulating (the default).  With
             ``resume=False`` the store is kept out of the lookup path —
@@ -324,8 +322,7 @@ class ExecutionPolicy:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+        return cls(**known_fields(cls, data))
 
 
 #: Schema version of the serialized spec form.  Bump on incompatible
@@ -506,11 +503,11 @@ def shard_spec(spec: CampaignSpec, num_shards: int) -> List[CampaignSpec]:
     ]
 
 
-def _policy_cache(policy: ExecutionPolicy) -> Tuple[ResultCache, Optional[StoreBackend]]:
+def _policy_cache(policy: ExecutionPolicy) -> Tuple[ResultCache, Optional[ArtifactStore]]:
     """Build the cache (and possibly a write-only store) the policy asks for."""
     if policy.store is None:
         return ResultCache(), None
-    store = open_store(policy.store, backend=policy.store_backend)
+    store = ArtifactStore(policy.store)
     if policy.resume:
         return ResultCache(store=store), None
     # resume=False: keep the store out of the lookup path (everything

@@ -1,4 +1,4 @@
-"""Pluggable, content-addressed artifact stores for simulation results.
+"""The content-addressed artifact store for simulation results.
 
 The store makes campaigns incremental across processes: every simulated
 :class:`~repro.experiments.scenario.Scenario` is persisted under a stable
@@ -6,54 +6,44 @@ content hash of the scenario (plus the record schema version), and later
 campaigns — in this process or any other — resolve identical grid points
 from disk instead of re-simulating them.
 
-Two backends ship behind one :class:`StoreBackend` contract, registered
-in the :data:`STORES` registry:
+:class:`ArtifactStore` keeps the records in one SQLite database,
+``<root>/records.sqlite`` (WAL mode), with a real, indexed column per
+scenario axis, so :meth:`ArtifactStore.query` filters, orders, groups
+and limits inside SQLite, and concurrent shard writers (threads or
+processes) interleave safely.  Every campaign, ``repro serve``, the
+serving simulator and the CLI open a store directory the same way, so
+they all see the same records.
 
-* :class:`ArtifactStore` — the append-only JSONL backend (the default):
-  one self-describing JSON object per line in ``<root>/records.jsonl``,
-  loaded into an in-memory index on first access.  Zero dependencies,
-  human-greppable, but every query re-parses the whole log and
-  concurrent writers from different processes are unsupported.
-* :class:`~repro.experiments.store_sqlite.SqliteStoreBackend` — an
-  indexed SQLite database in ``<root>/records.sqlite`` (WAL mode), with
-  a real column per scenario axis so :meth:`StoreBackend.query` filters,
-  orders, groups and limits **server-side**, and concurrent shard
-  writers (threads or processes) interleave safely.  The backend for
-  million-record campaign grids.
-
-``open_store(root)`` auto-detects which layout a directory holds (a
-directory holding both resolves to SQLite; pass ``backend=`` to force)
-and :func:`migrate_store` copies one store into another, preserving
-insertion order, keys and record digests — so ``repro store migrate``
-converts between layouts losslessly.
-
-The protocol contract (see :class:`StoreBackend` for the full method
-set) every backend must honour:
+The store guarantees:
 
 * **Content addressing** — records are keyed by :func:`scenario_key`;
   two processes always agree on the key of a scenario.
-* **Last-write-wins upgrades** — :meth:`~StoreBackend.put` on an
+* **Last-write-wins upgrades** — :meth:`~ArtifactStore.put` on an
   existing key stores nothing unless it *adds* a missing part (fidelity
   and/or measured stats); an upgrade carries every part already known
   plus the new ones, and the upgraded record replaces the old one while
   keeping its original insertion position.
-* **Insertion order** — :meth:`~StoreBackend.keys` and
-  :meth:`~StoreBackend.records` iterate in first-put order, stable
-  across upgrades, re-opens and migrations.
+* **Insertion order** — :meth:`~ArtifactStore.keys` and
+  :meth:`~ArtifactStore.records` iterate in first-put order, stable
+  across upgrades, re-opens, imports and exports.
 * **Degrade, never crash** — records written under a different
-  ``schema_version`` and records whose payload does not rebuild are
-  skipped (surfaced via :attr:`~StoreBackend.skipped`), so a store
-  written by a newer code version degrades to cache misses.
-* **Streaming** — :meth:`~StoreBackend.records` and ungrouped
-  :meth:`~StoreBackend.query` results are lazy iterators; consuming a
-  prefix must not materialise (or deserialize) the full record set.
-* **Query pushdown** — :meth:`~StoreBackend.query` evaluates filters /
-  ``order_by`` / ``limit`` / ``group_by`` inside the backend; both
-  backends return identical rows for identical content (locked by the
-  conformance suite in ``tests/test_store_backends.py``).
+  ``schema_version`` and records whose payload is not JSON or does not
+  rebuild are skipped (surfaced via :attr:`~ArtifactStore.skipped`), so
+  a store written by a newer code version degrades to cache misses and a
+  garbled row never fails a count, query or report.
+* **Streaming** — :meth:`~ArtifactStore.records` and ungrouped
+  :meth:`~ArtifactStore.query` results are lazy; consuming a prefix
+  does not deserialize the full record set.
 
-Each JSONL line (and each SQLite row's payload columns) is a
-self-describing record::
+JSONL is an interchange format, not a second engine:
+:func:`export_jsonl` (``repro store export DIR``) writes the store as one
+canonical, self-describing JSON object per line, in insertion order, and
+:func:`import_jsonl` (``repro store import DIR``) loads such a log — or
+the ``<root>/records.jsonl`` older versions of this package kept as
+their store — back in.  Opening a directory that holds only a
+``records.jsonl`` is an error naming ``repro store import``, so an
+unconverted legacy store never reads as an empty one.  Each line (and
+each row's payload columns) is the record::
 
     {"schema_version": 1, "key": "<sha256 prefix>",
      "scenario": {...Scenario.to_dict()...},
@@ -78,31 +68,30 @@ field mapping, so it is stable across processes, platforms, and
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import re
+import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
+    Set,
+    TextIO,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
-from repro._registry import Registry, describe_by_docstring, nearest_match
+from repro._registry import nearest_match
 from repro.accelerator.metrics import SimulationResult
 from repro.experiments.accuracy import FidelityResult
 from repro.experiments.measured import MeasuredStats
@@ -114,7 +103,6 @@ __all__ = [
     "entry_digest",
     "store_digest",
     "StoreEntry",
-    "StoreBackend",
     "ArtifactStore",
     "QueryField",
     "QUERY_FIELDS",
@@ -122,11 +110,10 @@ __all__ = [
     "GROUP_METRICS",
     "GROUP_AGGREGATES",
     "parse_filter",
-    "STORES",
-    "DEFAULT_STORE_BACKEND",
-    "detect_store_backend",
+    "check_store_backend",
     "open_store",
-    "migrate_store",
+    "import_jsonl",
+    "export_jsonl",
 ]
 
 
@@ -147,7 +134,10 @@ class StoreEntry(NamedTuple):
 # Old-version records are ignored (and re-simulated) rather than misread.
 SCHEMA_VERSION = 1
 
-RECORDS_FILENAME = "records.jsonl"
+SQLITE_FILENAME = "records.sqlite"
+#: The JSONL log older versions kept as their store; ``repro store
+#: import`` reads it.
+JSONL_FILENAME = "records.jsonl"
 
 
 def scenario_key(scenario: Scenario, schema_version: int = SCHEMA_VERSION) -> str:
@@ -162,15 +152,15 @@ def scenario_key(scenario: Scenario, schema_version: int = SCHEMA_VERSION) -> st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-def entry_digest(entry: StoreEntry) -> str:
-    """SHA-256 of one stored record's canonical content.
+def _dumps(payload: Optional[dict]) -> Optional[str]:
+    """Canonical (sorted-key, compact) JSON; ``None`` stays ``None``."""
+    if payload is None:
+        return None
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    Hashes the full self-describing record form (schema version, scenario,
-    result, and whichever joins the entry carries) as canonical JSON, so
-    two entries digest equal iff a reader would rebuild identical values
-    from them — independent of which process wrote them, in what order,
-    or under which backend.
-    """
+
+def _record(entry: StoreEntry) -> Dict[str, Any]:
+    """The self-describing record form of ``entry`` (without its key)."""
     record: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "scenario": entry.scenario.to_dict(),
@@ -180,11 +170,21 @@ def entry_digest(entry: StoreEntry) -> str:
         record["fidelity"] = entry.fidelity.to_dict()
     if entry.measured is not None:
         record["measured"] = entry.measured.to_dict()
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return record
 
 
-def store_digest(store: "StoreBackend") -> Dict[str, str]:
+def entry_digest(entry: StoreEntry) -> str:
+    """SHA-256 of one stored record's canonical content.
+
+    Hashes the full self-describing record form (schema version, scenario,
+    result, and whichever joins the entry carries) as canonical JSON, so
+    two entries digest equal iff a reader would rebuild identical values
+    from them — independent of which process wrote them or in what order.
+    """
+    return hashlib.sha256(_dumps(_record(entry)).encode("utf-8")).hexdigest()
+
+
+def store_digest(store: "ArtifactStore") -> Dict[str, str]:
     """Content identity of a whole store: ``{scenario key: record digest}``.
 
     Insertion order is deliberately *not* part of the identity: shard
@@ -196,8 +196,24 @@ def store_digest(store: "StoreBackend") -> Dict[str, str]:
     return {scenario_key(e.scenario): entry_digest(e) for e in store.records()}
 
 
+def _entry_from_payloads(
+    scenario: Any, result: Any, fidelity: Any, measured: Any
+) -> StoreEntry:
+    """Rebuild an entry from its decoded payload parts (may raise)."""
+    return StoreEntry(
+        Scenario.from_dict(scenario),
+        SimulationResult.from_dict(result),
+        None if fidelity is None else FidelityResult.from_dict(fidelity),
+        None if measured is None else MeasuredStats.from_dict(measured),
+    )
+
+
+#: What a payload that does not rebuild raises; such a record is skipped.
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
+
+
 # --------------------------------------------------------------------------- #
-# Query pushdown: the shared field/filter/plan model both backends speak.
+# Query pushdown: the field/filter/plan model queries are validated against.
 # --------------------------------------------------------------------------- #
 
 
@@ -207,41 +223,29 @@ class QueryField:
 
     Attributes:
         name: Public field name.
-        kind: ``"axis"`` (a scenario field, an indexed column in the
-            SQLite backend) or ``"metric"`` (a headline number extracted
-            from the stored result payload).
-        sql: SQL expression over the SQLite backend's ``records`` table
-            computing the field's value.
-        get: The same value computed from a :class:`StoreEntry` (what the
-            JSONL backend — and the conformance suite — evaluates).
+        kind: ``"axis"`` (a scenario field, an indexed column) or
+            ``"metric"`` (a headline number extracted from the stored
+            result payload).
+        sql: SQL expression over the ``records`` table computing the
+            field's value.
         numeric: Values are numbers (else text); a filter value must match.
     """
 
     name: str
     kind: str
     sql: str
-    get: Callable[[StoreEntry], Any]
     numeric: bool = True
 
 
 def _axis_field(name: str) -> QueryField:
-    return QueryField(
-        name, "axis", name, lambda e, _n=name: getattr(e.scenario, _n),
-        numeric=name not in TEXT_AXES,
-    )
+    return QueryField(name, "axis", name, numeric=name not in TEXT_AXES)
 
 
 def _result_metric(name: str) -> QueryField:
-    return QueryField(
-        name,
-        "metric",
-        f"json_extract(result, '$.{name}')",
-        lambda e, _n=name: float(getattr(e.result, _n)),
-    )
+    return QueryField(name, "metric", f"json_extract(result, '$.{name}')")
 
 
-#: Scenario axes addressable by queries — each is an indexed column in
-#: the SQLite backend.
+#: Scenario axes addressable by queries — each is an indexed column.
 AXIS_FIELDS = (
     "model",
     "task",
@@ -260,17 +264,11 @@ QUERY_FIELDS: Dict[str, QueryField] = {name: _axis_field(name) for name in AXIS_
 QUERY_FIELDS.update(
     {
         # The scheme the report's scheme column displays: the scenario's
-        # override when set, else the result's design name.  Derived from
-        # the result payload on the JSONL side, but materialised as an
-        # indexed column by the SQLite backend so it still compiles to
-        # SQL (kind "axis": filterable, groupable, orderable).
+        # override when set, else the result's design name — materialised
+        # as an indexed column (kind "axis": filterable, groupable,
+        # orderable).
         "effective_scheme": QueryField(
-            "effective_scheme",
-            "axis",
-            "effective_scheme",
-            lambda e: e.scenario.scheme if e.scenario.scheme is not None
-            else e.result.design_name,
-            numeric=False,
+            "effective_scheme", "axis", "effective_scheme", numeric=False
         ),
         "compute_cycles": _result_metric("compute_cycles"),
         "memory_cycles": _result_metric("memory_cycles"),
@@ -278,21 +276,19 @@ QUERY_FIELDS.update(
         "traffic_bytes": _result_metric("traffic_bytes"),
         # Totals are sums of serialized components, added left-to-right in
         # the same order as the EnergyBreakdown/AreaBreakdown ``total``
-        # properties, so SQL and Python agree bit-for-bit.
+        # properties, so a query's value equals the property bit-for-bit.
         "energy_joules": QueryField(
             "energy_joules",
             "metric",
             "(json_extract(result, '$.energy.dram')"
             " + json_extract(result, '$.energy.sram')"
             " + json_extract(result, '$.energy.compute'))",
-            lambda e: e.result.energy.dram + e.result.energy.sram + e.result.energy.compute,
         ),
         "area_mm2": QueryField(
             "area_mm2",
             "metric",
             "(json_extract(result, '$.area.compute')"
             " + json_extract(result, '$.area.buffer'))",
-            lambda e: e.result.area.compute + e.result.area.buffer,
         ),
     }
 )
@@ -354,13 +350,10 @@ def _parse_filter_value(raw: str) -> Any:
 
 @dataclass(frozen=True)
 class _QueryPlan:
-    """A validated query, executable both in Python and as SQL.
+    """A validated query, compiled to one SQL statement by :meth:`ArtifactStore.query`.
 
     Built (and fully validated — unknown fields raise ``ValueError`` with
-    a did-you-mean suggestion before any I/O) by :meth:`build`; the JSONL
-    backend runs it via :meth:`entries`/:meth:`groups` over its record
-    stream, the SQLite backend compiles the same plan to one SQL
-    statement.  Both produce identical rows by contract.
+    a did-you-mean suggestion before any I/O) by :meth:`build`.
     """
 
     filters: Tuple[Tuple[QueryField, str, Any], ...]
@@ -399,8 +392,9 @@ class _QueryPlan:
                 raise ValueError(
                     f"filter {name!r} {op} None: ordering comparisons need a non-null value"
                 )
-            # Mixed-type comparisons differ between Python and SQLite
-            # (TypeError vs affinity rules): refuse them on both.
+            # SQLite would compare a text value with a numeric column (or
+            # the reverse) by its type-affinity rules and quietly return
+            # rows; a mixed-type filter is a mistake, so refuse it.
             if value is not None and isinstance(value, str) == field.numeric:
                 kind = "a numeric" if field.numeric else "a text"
                 raise ValueError(
@@ -460,259 +454,242 @@ class _QueryPlan:
                 raise ValueError(f"limit must be positive, got {limit}")
         return cls(tuple(parsed), tuple(group_fields), order_field, descending, limit)
 
-    # -- Python-side execution (JSONL backend, conformance oracle) -------
-
-    @staticmethod
-    def _sort_key(value: Any) -> Tuple[bool, Any]:
-        # None sorts first ascending / last descending, matching SQLite's
-        # NULL placement under ASC/DESC.
-        return (value is not None, value)
-
-    def matches(self, entry: StoreEntry) -> bool:
-        for field, op, wanted in self.filters:
-            value = field.get(entry)
-            if wanted is None:
-                ok = (value is None) if op == "==" else (value is not None)
-            elif value is None:
-                # SQL three-valued logic: NULL never satisfies a concrete
-                # comparison (including ``!=``).
-                ok = False
-            elif op == "==":
-                ok = value == wanted
-            elif op == "!=":
-                ok = value != wanted
-            elif op == "<":
-                ok = value < wanted
-            elif op == "<=":
-                ok = value <= wanted
-            elif op == ">":
-                ok = value > wanted
+    def where(self) -> Tuple[List[str], List[Any]]:
+        """The plan's filters as SQL ``WHERE`` terms and their parameters."""
+        where = [_READABLE]
+        params: List[Any] = [SCHEMA_VERSION]
+        for field, op, value in self.filters:
+            if value is None:
+                where.append(f"{field.sql} IS {'NULL' if op == '==' else 'NOT NULL'}")
             else:
-                ok = value >= wanted
-            if not ok:
-                return False
-        return True
-
-    def entries(self, records: Iterator[StoreEntry]) -> Iterator[StoreEntry]:
-        """Filtered/ordered/limited entries; lazy unless ordering forces a sort."""
-        matching: Iterator[StoreEntry] = (e for e in records if self.matches(e))
-        if self.order_field is not None:
-            field = QUERY_FIELDS[self.order_field]
-            matching = iter(
-                sorted(
-                    matching,
-                    key=lambda e: self._sort_key(field.get(e)),
-                    reverse=self.descending,
-                )
-            )
-        if self.limit is not None:
-            matching = itertools.islice(matching, self.limit)
-        return matching
-
-    def groups(self, records: Iterator[StoreEntry]) -> List[Dict[str, Any]]:
-        """Aggregate rows per distinct group key (see :data:`GROUP_AGGREGATES`)."""
-        accum: Dict[Tuple[Any, ...], List[Any]] = {}
-        for entry in records:
-            if not self.matches(entry):
-                continue
-            key = tuple(field.get(entry) for field in self.group_fields)
-            acc = accum.get(key)
-            if acc is None:
-                acc = accum[key] = [0, 0, 0] + [None, 0.0] * len(GROUP_METRICS)
-            acc[0] += 1
-            if entry.fidelity is not None:
-                acc[1] += 1
-            if entry.measured is not None:
-                acc[2] += 1
-            for i, metric in enumerate(GROUP_METRICS):
-                value = QUERY_FIELDS[metric].get(entry)
-                slot = 3 + 2 * i
-                acc[slot] = value if acc[slot] is None else min(acc[slot], value)
-                acc[slot + 1] += value
-        rows: List[Dict[str, Any]] = []
-        for key in sorted(accum, key=lambda k: tuple(self._sort_key(v) for v in k)):
-            acc = accum[key]
-            row: Dict[str, Any] = {
-                field.name: value for field, value in zip(self.group_fields, key)
-            }
-            row["count"] = acc[0]
-            row["with_fidelity"] = acc[1]
-            row["with_measured"] = acc[2]
-            for i, metric in enumerate(GROUP_METRICS):
-                row[f"min_{metric}"] = acc[3 + 2 * i]
-                row[f"mean_{metric}"] = acc[3 + 2 * i + 1] / acc[0]
-            rows.append(row)
-        if self.order_field is not None:
-            rows.sort(
-                key=lambda r: self._sort_key(r[self.order_field]), reverse=self.descending
-            )
-        if self.limit is not None:
-            rows = rows[: self.limit]
-        return rows
+                where.append(f"{field.sql} {'=' if op == '==' else op} ?")
+                params.append(value)
+        return where, params
 
 
 # --------------------------------------------------------------------------- #
-# The backend protocol.
+# The store.
 # --------------------------------------------------------------------------- #
 
+_CREATE_TABLE = """
+CREATE TABLE IF NOT EXISTS records (
+    key TEXT PRIMARY KEY,
+    schema_version INTEGER NOT NULL,
+    model TEXT,
+    task TEXT,
+    sequence_length INTEGER,
+    batch_size INTEGER,
+    scheme TEXT,
+    design TEXT,
+    buffer_bytes INTEGER,
+    activation_buffer_fraction REAL,
+    effective_scheme TEXT,
+    scenario TEXT NOT NULL,
+    result TEXT NOT NULL,
+    fidelity TEXT,
+    measured TEXT
+)
+"""
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """What every artifact-store backend must implement.
+_PAYLOAD_COLUMNS = "key, scenario, result, fidelity, measured"
 
-    The contract (conformance-tested for both shipped backends in
-    ``tests/test_store_backends.py``; see the module docstring for the
-    invariants in prose):
-
-    * ``entry``/``get``/``get_fidelity``/``get_measured`` resolve by
-      :func:`scenario_key` and return ``None`` on a miss.
-    * ``put`` persists one record, returning ``True`` iff something new
-      was stored; re-offering a fully known record is a no-op, offering a
-      missing part appends an upgrade carrying everything known.
-    * ``keys``/``records`` iterate in first-put order; ``records`` is a
-      lazy iterator (a prefix read must not deserialize everything).
-    * ``query`` pushes filters / ``group_by`` / ``order_by`` / ``limit``
-      into the backend and matches the Python reference semantics of
-      :class:`_QueryPlan` exactly.
-    * ``skipped`` counts records this code version cannot read (wrong
-      ``schema_version``, unparseable payloads) instead of crashing.
-    * ``clear`` deletes everything and returns how many records existed;
-      ``refresh`` drops any in-memory state so another writer's appends
-      become visible.
-    """
-
-    #: Registered backend name (``"jsonl"``, ``"sqlite"``, ...).
-    backend_name: str
-    #: Store directory.
-    root: Path
-    #: The backing file inside :attr:`root`.
-    path: Path
-
-    def entry(self, scenario: Scenario) -> Optional[StoreEntry]: ...
-
-    def get(self, scenario: Scenario) -> Optional[SimulationResult]: ...
-
-    def get_fidelity(self, scenario: Scenario) -> Optional[FidelityResult]: ...
-
-    def get_measured(self, scenario: Scenario) -> Optional[MeasuredStats]: ...
-
-    def put(
-        self,
-        scenario: Scenario,
-        result: SimulationResult,
-        fidelity: Optional[FidelityResult] = None,
-        measured: Optional[MeasuredStats] = None,
-    ) -> bool: ...
-
-    def put_many(self, entries: Iterable[StoreEntry]) -> int: ...
-
-    def keys(self) -> List[str]: ...
-
-    def records(self) -> Iterator[StoreEntry]: ...
-
-    def query(
-        self,
-        filters: Iterable[Union[str, Filter]] = (),
-        group_by: Optional[Union[str, Sequence[str]]] = None,
-        order_by: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> Union[Iterator[StoreEntry], List[Dict[str, Any]]]: ...
-
-    def clear(self) -> int: ...
-
-    def refresh(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, scenario: Scenario) -> bool: ...
-
-
-# --------------------------------------------------------------------------- #
-# JSONL backend (the default).
-# --------------------------------------------------------------------------- #
+#: SQL condition (one ``?``: the schema version) for a row this code can
+#: read: the current schema version and well-formed JSON payloads.  Every
+#: read applies it, so a row garbled behind the store's back is skipped
+#: and counted rather than failing ``json_extract`` mid-query.
+_READABLE = (
+    "schema_version = ? AND json_valid(scenario) AND json_valid(result)"
+    " AND (fidelity IS NULL OR json_valid(fidelity))"
+    " AND (measured IS NULL OR json_valid(measured))"
+)
 
 
 class ArtifactStore:
-    """Append-only JSONL store of scenario → result records (the default backend).
+    """Content-addressed scenario → result store in one WAL-mode SQLite file.
 
-    Thread-safe; the JSONL log is loaded lazily on first access and kept
-    as an in-memory index afterwards (:meth:`refresh` drops it so another
-    process's appends become visible).  Layer it under a
-    :class:`~repro.experiments.campaign.ResultCache` (``ResultCache(store=...)``)
-    to make campaigns incremental across processes.  For indexed
-    server-side queries and concurrent shard writers, migrate to the
-    SQLite backend (``repro store migrate``).
+    One connection per thread (SQLite connections are not thread-safe);
+    every write runs inside a ``BEGIN IMMEDIATE`` transaction with
+    retry-on-busy, so any number of threads or processes may share the
+    same store.  Reads never create the store — a missing database is an
+    empty store.  Layer it under a
+    :class:`~repro.experiments.campaign.ResultCache`
+    (``ResultCache(store=...)``) to make campaigns incremental across
+    processes.
+
+    Raises:
+        ValueError: ``root`` holds a legacy ``records.jsonl`` and no
+            database; the message names ``repro store import``.
     """
 
-    backend_name = "jsonl"
-    FILENAME = RECORDS_FILENAME
+    FILENAME = SQLITE_FILENAME
 
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
+    #: How long a writer waits on a locked database before giving up.
+    BUSY_TIMEOUT_S = 30.0
+
+    def __init__(self, root: Union[str, os.PathLike], *, _importing: bool = False) -> None:
         self.root = Path(root)
         self.path = self.root / self.FILENAME
-        self._lock = threading.Lock()
-        self._index: Optional[Dict[str, StoreEntry]] = None
-        #: Lines skipped on load (corrupt, wrong schema version, unreadable).
-        self.skipped = 0
+        if not _importing and not self.path.exists() and (self.root / JSONL_FILENAME).exists():
+            raise ValueError(
+                f"{self.root} holds a JSONL store ({JSONL_FILENAME}) but no "
+                f"{SQLITE_FILENAME}; convert it with 'repro store import {self.root}'"
+            )
+        self._local = threading.local()
+        self._connections: List[sqlite3.Connection] = []
+        self._conn_lock = threading.Lock()
+        # Keys of readable (see _READABLE) rows whose payload failed to
+        # rebuild, counted as skipped alongside the unreadable rows.
+        self._corrupt: Set[str] = set()
 
-    # -- loading ---------------------------------------------------------
+    # -- connection management -------------------------------------------
 
-    def _load_locked(self) -> Dict[str, StoreEntry]:
-        if self._index is not None:
-            return self._index
-        index: Dict[str, StoreEntry] = {}
-        self.skipped = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        if record.get("schema_version") != SCHEMA_VERSION:
-                            raise ValueError("schema version mismatch")
-                        scenario = Scenario.from_dict(record["scenario"])
-                        result = SimulationResult.from_dict(record["result"])
-                        raw_fidelity = record.get("fidelity")
-                        fidelity = (
-                            None if raw_fidelity is None else FidelityResult.from_dict(raw_fidelity)
-                        )
-                        raw_measured = record.get("measured")
-                        measured = (
-                            None if raw_measured is None else MeasuredStats.from_dict(raw_measured)
-                        )
-                        key = record.get("key") or scenario_key(scenario)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        self.skipped += 1
-                        continue
-                    index[key] = StoreEntry(scenario, result, fidelity, measured)
-        self._index = index
-        return index
+    def _connect(self, create: bool) -> Optional[sqlite3.Connection]:
+        conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
+        if conn is not None:
+            return conn
+        if not create and not self.path.exists():
+            return None
+        if create:
+            self.root.mkdir(parents=True, exist_ok=True)
+        # isolation_level=None: no implicit transactions; writes manage
+        # their own BEGIN IMMEDIATE / COMMIT for multi-writer safety.
+        conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S, isolation_level=None)
+        self._until_unlocked(conn, "PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
+        conn.execute(_CREATE_TABLE)
+        self._ensure_effective_scheme(conn)
+        for column in AXIS_FIELDS + ("effective_scheme", "schema_version"):
+            conn.execute(
+                f"CREATE INDEX IF NOT EXISTS idx_records_{column} ON records ({column})"
+            )
+        self._local.conn = conn
+        with self._conn_lock:
+            self._connections.append(conn)
+        return conn
 
-    def refresh(self) -> None:
-        """Drop the in-memory index; the next access reloads from disk.
+    def _ensure_effective_scheme(self, conn: sqlite3.Connection) -> None:
+        """Migrate pre-existing databases to the materialised scheme column.
 
-        Call after another process appended to the log to make its
-        records (and an up-to-date :attr:`skipped` count) visible here.
+        ``effective_scheme`` holds what the report's scheme column shows
+        (the scenario's override, else the result's design name) so the
+        ``--scheme``/``effective_scheme`` filter compiles to an indexed
+        SQL comparison instead of rebuilding every result payload.  The
+        backfill is ``COALESCE(scheme, json_extract(result,
+        '$.design_name'))``, the value :meth:`put` writes.  Runs inside
+        one immediate transaction; a concurrent opener that raced the
+        ALTER re-checks and finds the column already present.
         """
-        with self._lock:
-            self._index = None
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
+        if "effective_scheme" in columns:
+            return
+        self._until_unlocked(conn, "BEGIN IMMEDIATE")
+        try:
+            columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
+            if "effective_scheme" not in columns:
+                conn.execute("ALTER TABLE records ADD COLUMN effective_scheme TEXT")
+                conn.execute(
+                    "UPDATE records SET effective_scheme = "
+                    "COALESCE(scheme, json_extract(result, '$.design_name'))"
+                )
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
 
-    # -- queries ---------------------------------------------------------
+    def close(self) -> None:
+        """Close every connection this instance opened (all threads)."""
+        with self._conn_lock:
+            conns, self._connections = self._connections, []
+        for conn in conns:
+            try:
+                conn.close()
+            except sqlite3.Error:
+                pass
+        self._local = threading.local()
+
+    def _until_unlocked(self, conn: sqlite3.Connection, statement: str) -> None:
+        """Execute ``statement``, retrying while another connection holds the lock.
+
+        SQLite answers some lock conflicts with an immediate "database is
+        locked" instead of waiting out the busy timeout: ``BEGIN
+        IMMEDIATE`` against another writer, and the switch of a fresh
+        database to WAL mode against another process opening it at the
+        same moment.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute(statement)
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
+
+    def _write(self, conn: sqlite3.Connection, work) -> Any:
+        """Run ``work(conn)`` inside an immediate transaction, retrying on busy."""
+        self._until_unlocked(conn, "BEGIN IMMEDIATE")
+        try:
+            value = work(conn)
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+        return value
+
+    # -- row <-> entry ----------------------------------------------------
+
+    def _rebuild(self, row: Sequence[Any]) -> Optional[StoreEntry]:
+        key, *payloads = row
+        try:
+            return _entry_from_payloads(
+                *(None if text is None else json.loads(text) for text in payloads)
+            )
+        except _UNREADABLE:
+            self._corrupt.add(key)
+            return None
+
+    # -- read surface -----------------------------------------------------
+
+    @property
+    def skipped(self) -> int:
+        """Stored records this code version cannot read (wrong schema
+        version, payloads that are not JSON, and payloads found not to
+        rebuild so far)."""
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
+        (unreadable,) = conn.execute(
+            f"SELECT COUNT(*) FROM records WHERE NOT ({_READABLE})", (SCHEMA_VERSION,)
+        ).fetchone()
+        return int(unreadable) + len(self._corrupt)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._load_locked())
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
+        (count,) = conn.execute(
+            f"SELECT COUNT(*) FROM records WHERE {_READABLE}", (SCHEMA_VERSION,)
+        ).fetchone()
+        return int(count) - len(self._corrupt)
 
     def __contains__(self, scenario: Scenario) -> bool:
-        with self._lock:
-            return scenario_key(scenario) in self._load_locked()
+        return self.entry(scenario) is not None
 
     def entry(self, scenario: Scenario) -> Optional[StoreEntry]:
-        """The whole stored record for ``scenario``, or ``None``."""
-        with self._lock:
-            return self._load_locked().get(scenario_key(scenario))
+        """The whole stored record for ``scenario`` (one indexed read), or ``None``."""
+        key = scenario_key(scenario)
+        conn = self._connect(create=False)
+        if conn is None or key in self._corrupt:
+            return None
+        row = conn.execute(
+            f"SELECT {_PAYLOAD_COLUMNS} FROM records WHERE key = ? AND {_READABLE}",
+            (key, SCHEMA_VERSION),
+        ).fetchone()
+        if row is None:
+            return None
+        return self._rebuild(row)
 
     def get(self, scenario: Scenario) -> Optional[SimulationResult]:
         """The stored result for ``scenario``, or ``None``."""
@@ -730,29 +707,49 @@ class ArtifactStore:
         return entry.measured if entry is not None else None
 
     def keys(self) -> List[str]:
-        with self._lock:
-            return list(self._load_locked())
+        conn = self._connect(create=False)
+        if conn is None:
+            return []
+        rows = conn.execute(
+            f"SELECT key FROM records WHERE {_READABLE} ORDER BY rowid",
+            (SCHEMA_VERSION,),
+        ).fetchall()
+        return [key for (key,) in rows if key not in self._corrupt]
 
     def records(self) -> Iterator[StoreEntry]:
-        """All stored entries, in insertion order, as a lazy generator.
+        """All readable entries, in insertion order, one row at a time.
 
         Each :class:`StoreEntry` unpacks as ``(scenario, result,
         fidelity, measured)``; the optional parts are ``None`` for
-        hardware-only records.  Only the (much smaller) key list is
-        snapshotted up front — entries are looked up one at a time, so
-        a prefix read never copies the index, and puts interleaved with
-        iteration are safe (records put after the snapshot are not
-        yielded; a concurrent :meth:`clear` ends the iteration).
+        hardware-only records.  The scan walks rowid order (stable under
+        upgrades, which UPDATE in place) up to the last row present when
+        it started, reading each row only when it is reached: a prefix
+        read only deserializes the prefix, rows deleted before they are
+        reached (a :meth:`clear`) are not yielded, records put after the
+        scan began are not yielded (unless a :meth:`clear` let SQLite
+        reuse their rowids), and no read transaction stays open between
+        items.  Rows that fail to rebuild are counted into
+        :attr:`skipped` and skipped.
         """
-        with self._lock:
-            keys = list(self._load_locked())
-        for key in keys:
-            index = self._index
-            if index is None:  # cleared/refreshed mid-iteration
+        conn = self._connect(create=False)
+        if conn is None:
+            return
+        (last,) = conn.execute("SELECT MAX(rowid) FROM records").fetchone()
+        position = 0
+        while last is not None:
+            row = conn.execute(
+                f"SELECT rowid, {_PAYLOAD_COLUMNS} FROM records "
+                f"WHERE rowid > ? AND rowid <= ? AND {_READABLE} ORDER BY rowid LIMIT 1",
+                (position, last, SCHEMA_VERSION),
+            ).fetchone()
+            if row is None:
                 return
-            entry = index.get(key)
+            position, *payloads = row
+            entry = self._rebuild(payloads)
             if entry is not None:
                 yield entry
+
+    # -- query pushdown ---------------------------------------------------
 
     def query(
         self,
@@ -761,18 +758,29 @@ class ArtifactStore:
         order_by: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> Union[Iterator[StoreEntry], List[Dict[str, Any]]]:
-        """Filtered (and optionally grouped) view of the store.
+        """Filtered (and optionally grouped) view, evaluated inside SQLite.
+
+        The query is validated first (:class:`_QueryPlan`), then compiled
+        to one SQL statement over the indexed axis columns (metrics via
+        ``json_extract``), so filtering, grouping, ordering and ``limit``
+        all happen in the database and only the surviving rows are
+        deserialized.
 
         Args:
             filters: ``(field, op, value)`` triples or CLI-style strings
                 (see :func:`parse_filter`); fields are the scenario axes
                 plus the headline result metrics (:data:`QUERY_FIELDS`).
+                ``None`` compares with ``IS [NOT] NULL``; any other
+                comparison never matches a NULL value.
             group_by: Axis name(s); switches the return value to a list
                 of aggregate row dicts (group fields + ``count`` /
                 ``with_fidelity`` / ``with_measured`` + min/mean of
-                :data:`GROUP_METRICS`).
+                :data:`GROUP_METRICS`), ordered by the group fields.
             order_by: Field to order entries by (or, grouped, a group
-                field / aggregate name); prefix ``-`` for descending.
+                field / aggregate name); prefix ``-`` or ``~`` (or suffix
+                ``:desc``) for descending.  NULLs sort first ascending,
+                last descending; ties keep insertion (grouped: group key)
+                order.
             limit: Keep only the first ``limit`` entries/rows.
 
         Returns:
@@ -780,11 +788,72 @@ class ArtifactStore:
             list of aggregate row dicts (with ``group_by``).
         """
         plan = _QueryPlan.build(filters, group_by, order_by, limit)
+        conn = self._connect(create=False)
+        if conn is None:
+            if plan.group_fields:
+                return []
+            return iter(())
+        where, params = plan.where()
         if plan.group_fields:
-            return plan.groups(self.records())
-        return plan.entries(self.records())
+            return self._query_groups(conn, plan, where, params)
+        return self._query_entries(conn, plan, where, params)
 
-    # -- mutation --------------------------------------------------------
+    def _query_entries(
+        self, conn: sqlite3.Connection, plan: _QueryPlan, where: List[str], params: List[Any]
+    ) -> Iterator[StoreEntry]:
+        order = ["rowid"]
+        if plan.order_field is not None:
+            field = QUERY_FIELDS[plan.order_field]
+            # NULLs first ASC / last DESC is SQLite's default placement.
+            order.insert(0, f"{field.sql} {'DESC' if plan.descending else 'ASC'}")
+        sql = (
+            f"SELECT {_PAYLOAD_COLUMNS} FROM records "
+            f"WHERE {' AND '.join(where)} ORDER BY {', '.join(order)}"
+        )
+        if plan.limit is not None:
+            sql += " LIMIT ?"
+            params = params + [plan.limit]
+
+        def rows() -> Iterator[StoreEntry]:
+            for row in conn.execute(sql, params):
+                entry = self._rebuild(row)
+                if entry is not None:
+                    yield entry
+
+        return rows()
+
+    def _query_groups(
+        self, conn: sqlite3.Connection, plan: _QueryPlan, where: List[str], params: List[Any]
+    ) -> List[Dict[str, Any]]:
+        group_cols = [field.sql for field in plan.group_fields]
+        select = [f'{field.sql} AS "{field.name}"' for field in plan.group_fields]
+        select.append('COUNT(*) AS "count"')
+        select.append('SUM(fidelity IS NOT NULL) AS "with_fidelity"')
+        select.append('SUM(measured IS NOT NULL) AS "with_measured"')
+        for metric in GROUP_METRICS:
+            expr = QUERY_FIELDS[metric].sql
+            select.append(f'MIN({expr}) AS "min_{metric}"')
+            select.append(f'AVG({expr}) AS "mean_{metric}"')
+        # Group keys are always secondary sort keys: ties under an explicit
+        # order_by fall back to the default group-key order.
+        order_terms = [f'"{field.name}" ASC' for field in plan.group_fields]
+        if plan.order_field is not None:
+            order_terms.insert(
+                0, f'"{plan.order_field}" {"DESC" if plan.descending else "ASC"}'
+            )
+        order = ", ".join(order_terms)
+        sql = (
+            f"SELECT {', '.join(select)} FROM records WHERE {' AND '.join(where)} "
+            f"GROUP BY {', '.join(group_cols)} ORDER BY {order}"
+        )
+        if plan.limit is not None:
+            sql += " LIMIT ?"
+            params = params + [plan.limit]
+        cursor = conn.execute(sql, params)
+        names = [desc[0] for desc in cursor.description]
+        return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+    # -- mutation ---------------------------------------------------------
 
     def put(
         self,
@@ -795,161 +864,211 @@ class ArtifactStore:
     ) -> bool:
         """Persist one record; returns ``False`` if nothing new was stored.
 
-        A record stored without fidelity and/or measured stats is
-        *upgraded* when the missing part is provided: a fresh line is
-        appended under the same key carrying every part already known plus
-        the new one (the last line per key wins on load).  A record that
-        already carries everything offered is never rewritten, and the
-        no-op path skips serialization entirely (it is the hot path of
-        fully-cached re-runs).
+        An existing record only changes when a missing part (fidelity /
+        measured) is offered: the upgrade carries every part already
+        known plus the new one, replaces the scenario and result
+        payloads, and keeps the row's original insertion position
+        (UPDATE leaves rowid unchanged).  A record that already carries
+        everything offered is never rewritten.  A row no read returns
+        (one counted in :attr:`skipped`) is absent: the new record
+        replaces it.  The decision and the write happen in one ``BEGIN
+        IMMEDIATE`` transaction, so concurrent upgraders never lose a
+        part.
         """
+        conn = self._connect(create=True)
+        return self._write(conn, lambda c: self._put_locked(c, scenario, result, fidelity, measured))
+
+    def _put_locked(
+        self,
+        conn: sqlite3.Connection,
+        scenario: Scenario,
+        result: SimulationResult,
+        fidelity: Optional[FidelityResult],
+        measured: Optional[MeasuredStats],
+    ) -> bool:
         key = scenario_key(scenario)
-        with self._lock:
-            index = self._load_locked()
-            existing = index.get(key)
-            if existing is not None:
-                adds_fidelity = fidelity is not None and existing.fidelity is None
-                adds_measured = measured is not None and existing.measured is None
-                if not adds_fidelity and not adds_measured:
-                    return False
-                # Carry the parts the stored record already has.
-                fidelity = fidelity if fidelity is not None else existing.fidelity
-                measured = measured if measured is not None else existing.measured
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "key": key,
-                "scenario": scenario.to_dict(),
-                "result": result.to_dict(),
-            }
-            if fidelity is not None:
-                record["fidelity"] = fidelity.to_dict()
-            if measured is not None:
-                record["measured"] = measured.to_dict()
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._append_line(line)
-            index[key] = StoreEntry(scenario, result, fidelity, measured)
+        effective_scheme = (
+            scenario.scheme if scenario.scheme is not None else result.design_name
+        )
+        row = conn.execute(
+            f"SELECT {_READABLE}, fidelity, measured FROM records WHERE key = ?",
+            (SCHEMA_VERSION, key),
+        ).fetchone()
+        # A row no read can return (see _READABLE and _corrupt) is absent:
+        # the new record replaces it rather than being refused as present.
+        if row is not None and row[0] and key not in self._corrupt:
+            _, existing_fidelity, existing_measured = row
+            adds_fidelity = fidelity is not None and existing_fidelity is None
+            adds_measured = measured is not None and existing_measured is None
+            if not adds_fidelity and not adds_measured:
+                return False
+            fidelity_json = _dumps(fidelity.to_dict()) if fidelity is not None else existing_fidelity
+            measured_json = _dumps(measured.to_dict()) if measured is not None else existing_measured
+            conn.execute(
+                "UPDATE records SET schema_version = ?, scenario = ?, result = ?, "
+                "effective_scheme = ?, fidelity = ?, measured = ? WHERE key = ?",
+                (
+                    SCHEMA_VERSION,
+                    _dumps(scenario.to_dict()),
+                    _dumps(result.to_dict()),
+                    effective_scheme,
+                    fidelity_json,
+                    measured_json,
+                    key,
+                ),
+            )
             return True
-
-    def _append_line(self, line: str) -> None:
-        """Append one record line as a single ``O_APPEND`` write.
-
-        Shared-writer hardening: with ``O_APPEND``, each ``os.write`` is
-        one atomic append on local filesystems, so concurrent appenders
-        from different processes (the campaign service's shard workers on
-        a JSONL store) can interleave whole lines but never splice partial
-        ones — the log stays parseable line-by-line.  Note what this does
-        *not* give: another process's appends only become visible here
-        after :meth:`refresh`, and two processes offered the same missing
-        key may both append it (last line per key wins on load, and shard
-        workers write disjoint keys anyway).  For heavy concurrent
-        writing, the SQLite backend — the service's default — takes real
-        transactions instead.  A tail left unterminated (a writer killed
-        mid-append) is ended with a newline first, so it stays one skipped
-        line instead of swallowing this record.
-        """
-        data = (line + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                data = b"\n" + data
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        self._corrupt.discard(key)
+        axis_values = tuple(getattr(scenario, name) for name in AXIS_FIELDS)
+        conn.execute(
+            f"INSERT OR REPLACE INTO records "
+            f"(key, schema_version, {', '.join(AXIS_FIELDS)}, effective_scheme, "
+            f"scenario, result, fidelity, measured) "
+            f"VALUES ({', '.join('?' * (len(AXIS_FIELDS) + 7))})",
+            (key, SCHEMA_VERSION)
+            + axis_values
+            + (
+                effective_scheme,
+                _dumps(scenario.to_dict()),
+                _dumps(result.to_dict()),
+                _dumps(fidelity.to_dict()) if fidelity is not None else None,
+                _dumps(measured.to_dict()) if measured is not None else None,
+            ),
+        )
+        return True
 
     def put_many(self, entries: Iterable[StoreEntry]) -> int:
-        """Persist many entries (in order); returns how many stored anything."""
-        return sum(
-            1
-            for entry in entries
-            if self.put(
-                entry.scenario, entry.result, fidelity=entry.fidelity, measured=entry.measured
+        """Persist many entries in one write transaction; returns how many
+        stored anything (the bulk-load and import path)."""
+        conn = self._connect(create=True)
+
+        def work(c: sqlite3.Connection) -> int:
+            return sum(
+                1
+                for entry in entries
+                if self._put_locked(c, entry.scenario, entry.result, entry.fidelity, entry.measured)
             )
-        )
+
+        return self._write(conn, work)
 
     def clear(self) -> int:
-        """Delete every record; returns how many existed.
+        """Delete every record; returns how many readable records existed.
 
-        The log is truncated, not removed: like the SQLite backend's
-        database file, it stays behind as the marker that the directory
-        holds a (now empty) store.  The in-memory index is *invalidated*,
-        not replaced: the next access re-reads the log from disk, so
-        records appended by another process after the clear — and an
-        accurate :attr:`skipped` count — are picked up instead of
-        reporting the pre-clear state.
+        The database file itself remains (WAL and connections stay
+        valid), so other writers sharing the store keep working, and the
+        directory still opens as a (now empty) store.
         """
-        with self._lock:
-            count = len(self._load_locked())
-            if self.path.exists():
-                self.path.write_bytes(b"")
-            self._index = None
-            self.skipped = 0
-            return count
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
+
+        def work(c: sqlite3.Connection) -> int:
+            (count,) = c.execute(
+                f"SELECT COUNT(*) FROM records WHERE {_READABLE}", (SCHEMA_VERSION,)
+            ).fetchone()
+            c.execute("DELETE FROM records")
+            return int(count) - len(self._corrupt)
+
+        count = self._write(conn, work)
+        self._corrupt = set()
+        return count
 
 
 # --------------------------------------------------------------------------- #
-# Backend registry, detection, and migration.
+# Opening, and JSONL import/export.
 # --------------------------------------------------------------------------- #
 
-#: Backend name → backend class: what ``open_store``/``--store-backend``
-#: resolve through (JSONL default, indexed WAL-mode SQLite for big grids
-#: and concurrent writers).
-STORES = Registry("stores", {}, describe_by_docstring("artifact-store backend"))
 
-#: The backend ``open_store`` falls back to for a fresh directory.
-DEFAULT_STORE_BACKEND = "jsonl"
+def check_store_backend(backend: Optional[str]) -> None:
+    """Accept only ``None`` or ``"sqlite"`` as a store backend name.
 
-
-def detect_store_backend(root: Union[str, os.PathLike]) -> Optional[str]:
-    """Which backend's layout ``root`` holds, or ``None`` for a fresh dir.
-
-    Checks every registered backend's ``FILENAME`` marker; a directory
-    holding both layouts (e.g. mid-migration) resolves to ``sqlite``
-    over ``jsonl`` — pass an explicit backend to ``open_store`` to force
-    the other.
+    The store has one engine; the ``store_backend`` arguments of
+    :func:`open_store`, ``ExecutionPolicy`` and ``Coordinator`` remain so
+    existing callers passing ``"sqlite"`` keep working.
     """
-    root = Path(root)
-    preferred = [name for name in ("sqlite", "jsonl") if name in STORES]
-    others = [name for name in STORES.names() if name not in preferred]
-    for name in preferred + others:
-        filename = getattr(STORES.get(name), "FILENAME", None)
-        if filename is not None and (root / filename).exists():
-            return name
-    return None
+    if backend is None or backend == "sqlite":
+        return
+    hint = (
+        "; JSONL is an import/export format — load a records.jsonl "
+        "with 'repro store import DIR'"
+        if backend == "jsonl"
+        else ""
+    )
+    raise ValueError(f"store_backend must be null or 'sqlite', got {backend!r}{hint}")
 
 
 def open_store(
     root: Union[str, os.PathLike], backend: Optional[str] = None
-) -> StoreBackend:
-    """Open the store at ``root`` under the named (or detected) backend.
+) -> ArtifactStore:
+    """``ArtifactStore(root)``, after :func:`check_store_backend` on ``backend``."""
+    check_store_backend(backend)
+    return ArtifactStore(root)
 
-    With ``backend=None`` the directory's existing layout wins
-    (:func:`detect_store_backend`); a fresh directory opens as
-    :data:`DEFAULT_STORE_BACKEND`.  Unknown names raise ``ValueError``
-    with a did-you-mean suggestion.
+
+def import_jsonl(root: Union[str, os.PathLike]) -> Tuple[int, int]:
+    """Load ``<root>/records.jsonl`` into the store at ``root``.
+
+    The log is read the way the JSONL store of older versions read it:
+    the last line per key wins (an upgrade line carries every part) and
+    keeps the key's first-line position, and blank lines are ignored.
+    Torn, corrupt and wrong-``schema_version`` lines are counted, not
+    fatal.  Keys the store already holds merge under the normal upgrade
+    semantics, so importing the same log twice stores nothing new.
+
+    Returns:
+        ``(stored, skipped)``: how many records stored anything, and how
+        many lines were skipped.
+
+    Raises:
+        OSError: the log cannot be read.  Whenever the import fails,
+            a database it created is removed again.
     """
-    if backend is None:
-        backend = detect_store_backend(root) or DEFAULT_STORE_BACKEND
-    return STORES.get(backend)(root)
+    root = Path(root)
+    entries: Dict[str, StoreEntry] = {}
+    skipped = 0
+    with (root / JSONL_FILENAME).open("r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if record.get("schema_version") != SCHEMA_VERSION:
+                    raise ValueError("schema version mismatch")
+                entry = _entry_from_payloads(
+                    record["scenario"], record["result"],
+                    record.get("fidelity"), record.get("measured"),
+                )
+                entries[record.get("key") or scenario_key(entry.scenario)] = entry
+            except _UNREADABLE:
+                skipped += 1
+    store = ArtifactStore(root, _importing=True)
+    created = not store.path.exists()
+    try:
+        return store.put_many(entries.values()), skipped
+    except BaseException:
+        store.close()
+        if created:
+            # An empty database left behind would hide the unconverted log.
+            for suffix in ("", "-wal", "-shm"):
+                (root / (SQLITE_FILENAME + suffix)).unlink(missing_ok=True)
+        raise
+    finally:
+        store.close()
 
 
-def migrate_store(source: StoreBackend, dest: StoreBackend) -> int:
-    """Copy every readable record of ``source`` into ``dest``.
+def export_jsonl(store: ArtifactStore, out: TextIO) -> int:
+    """Write every readable record of ``store`` to ``out``, one JSONL line each.
 
-    Entries stream in insertion order through ``dest.put_many``, so keys,
-    record digests and iteration order are preserved exactly (locked by
-    the migration tests); unreadable source records are skipped (counted
-    in ``source.skipped``) and keys already present in ``dest`` merge
-    under the normal upgrade semantics.  Returns how many records stored
-    anything.
+    Lines are canonical (sorted keys, compact separators) and come in
+    insertion order, an upgraded record once, at its first position — so
+    exporting, importing the log into a fresh directory and exporting
+    again gives the same bytes.  Returns how many lines were written.
     """
-    if Path(source.path) == Path(dest.path):
-        raise ValueError(
-            f"source and destination are the same store ({source.path}); "
-            f"migrate into a different directory or backend"
-        )
-    return dest.put_many(source.records())
-
-
-STORES.register("jsonl", ArtifactStore)
+    count = 0
+    for entry in store.records():
+        record = _record(entry)
+        record["key"] = scenario_key(entry.scenario)
+        out.write(_dumps(record) + "\n")
+        count += 1
+    return count

@@ -1,9 +1,9 @@
 """Every pluggable axis of the evaluation, by kind.
 
-The evaluation has eight pluggable axes — quantization schemes,
+The evaluation has seven pluggable axes — quantization schemes,
 accelerator designs, model-zoo configurations, evaluation tasks,
-index-domain compute engines, artifact-store backends, arrival-trace
-generators and batching policies.  Each is one :class:`Registry`,
+index-domain compute engines, arrival-trace generators and batching
+policies.  Each is one :class:`Registry`,
 defined in the module that owns its entries (``SCHEMES`` in
 :mod:`repro.schemes.base`, ``DESIGNS`` in
 :mod:`repro.experiments.scenario`, ...), with one protocol:
@@ -33,7 +33,6 @@ from typing import Dict, Tuple
 from repro._registry import Registry, RegistryError, nearest_match
 from repro.core.index_compute import ENGINES
 from repro.experiments.scenario import DESIGNS
-from repro.experiments.store import STORES
 from repro.schemes.base import SCHEMES
 from repro.serving.policies import POLICIES
 from repro.serving.traces import TRACES
@@ -56,7 +55,6 @@ REGISTRIES: Dict[str, Registry] = {
     "models": MODELS,
     "tasks": TASKS,
     "engines": ENGINES,
-    "stores": STORES,
     "traces": TRACES,
     "policies": POLICIES,
 }

@@ -162,7 +162,6 @@ class _Handler(BaseHTTPRequestHandler):
                     1 for job in jobs if job["state"] in ("pending", "running")
                 ),
                 "store": str(self.coordinator.store_root),
-                "store_backend": self.coordinator.store_backend,
             })
         elif parts == ("campaigns",):
             self._send_json(200, {"campaigns": self.coordinator.jobs()})

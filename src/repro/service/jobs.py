@@ -75,13 +75,14 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments import (
+    ArtifactStore,
     CampaignSpec,
     entry_digest,
     iter_campaign,
-    open_store,
     scenario_key,
     shard_spec,
 )
+from repro.experiments.store import check_store_backend
 from repro.serving import ServingSpec, iter_serving
 
 __all__ = [
@@ -233,13 +234,15 @@ class Coordinator:
     """Owns the shared store, the worker pool and every job's supervisor.
 
     One coordinator backs one daemon: all jobs append to one shared
-    artifact store (SQLite by default — the backend proven under
-    concurrent writers), so resubmitting an overlapping grid simulates
-    only what no earlier job persisted.
+    artifact store (WAL-mode SQLite, safe under concurrent writers), so
+    resubmitting an overlapping grid simulates only what no earlier job
+    persisted — and a ``repro campaign run --store`` on the same
+    directory reads and writes the same records.
 
     Args:
         store: Directory of the shared artifact store.
-        store_backend: Store backend name (default ``"sqlite"``).
+        store_backend: ``None`` or ``"sqlite"`` (the same thing; anything
+            else is refused).
         default_workers: Shards (so concurrently busy workers) per
             campaign job when a submission does not say (serving jobs
             always run one shard — a serving spec has no shardable axis
@@ -252,6 +255,8 @@ class Coordinator:
     Raises:
         ServiceError: ``default_workers`` below 1, the same error a
             ``submit`` with such ``workers`` raises.
+        ValueError: another ``store_backend``, or a ``store`` directory
+            holding only a legacy ``records.jsonl``.
     """
 
     #: Hard ceiling on shards per job, whatever was requested.
@@ -260,13 +265,14 @@ class Coordinator:
     def __init__(
         self,
         store: Union[str, os.PathLike],
-        store_backend: str = "sqlite",
+        store_backend: Optional[str] = None,
         default_workers: int = 2,
         max_restarts: int = 3,
         grace_seconds: float = 10.0,
     ) -> None:
+        check_store_backend(store_backend)
+        ArtifactStore(store)  # a JSONL-only directory fails here, not in the first job
         self.store_root = Path(store)
-        self.store_backend = store_backend
         if int(default_workers) < 1:
             raise ServiceError(f"workers must be >= 1, got {default_workers}")
         self.default_workers = int(default_workers)
@@ -301,7 +307,7 @@ class Coordinator:
         """Validate, shard and start one job; returns its id.
 
         The submitted spec's execution policy is overridden to the
-        service's contract: the coordinator's shared store and backend,
+        service's contract: the coordinator's shared store,
         ``resume=True`` (the substrate of worker replacement) and the
         serial executor *inside* each worker — parallelism comes from the
         pooled worker processes, one per running shard, not from nested
@@ -322,7 +328,6 @@ class Coordinator:
 
         overrides = dict(
             store=str(self.store_root),
-            store_backend=self.store_backend,
             resume=True,
             executor="serial",
             max_workers=None,
@@ -388,7 +393,6 @@ class Coordinator:
                 "error": job.error,
                 "workers": job.workers,
                 "store": str(self.store_root),
-                "store_backend": self.store_backend,
                 "created": job.created,
                 "started": job.started,
                 "finished": job.finished,
@@ -448,7 +452,7 @@ class Coordinator:
             yield from rows
             return
         spec = CampaignSpec.from_dict(job.spec_dict)
-        store = open_store(self.store_root, backend=self.store_backend)
+        store = ArtifactStore(self.store_root)
         for scenario in spec.scenarios():
             entry = store.entry(scenario)
             if entry is None:

@@ -16,7 +16,7 @@ Layers (each independently usable):
   formed batches onto simulated accelerators, with every distinct
   ``(workload, batch, scheme, design)`` shape memoised through the
   campaign :class:`~repro.experiments.campaign.ResultCache` (and thus
-  the pluggable store backends).
+  the artifact store).
 - :mod:`repro.serving.spec` — the declarative, JSON-round-trippable
   :class:`ServingSpec` with streaming, resumable, executor-fanned
   execution (``repro serve-sim`` on the CLI).

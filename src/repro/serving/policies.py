@@ -34,9 +34,10 @@ be dispatched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
+from repro._fields import known_fields
 from repro._registry import Registry, describe_by_docstring
 
 __all__ = [
@@ -79,8 +80,7 @@ class PolicySpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
         """Rebuild from :meth:`to_dict` output, ignoring unknown keys."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
+        return cls(**known_fields(cls, data))
 
     @property
     def label(self) -> str:

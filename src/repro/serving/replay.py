@@ -12,7 +12,7 @@ shape — is memoised by :class:`BatchCostModel`: each distinct batch size
 maps to an ordinary campaign :class:`~repro.experiments.scenario.Scenario`
 with ``batch_size=B``, looked up through a
 :class:`~repro.experiments.campaign.ResultCache` (and therefore through
-any pluggable store backend) before anything simulates.  A million-request
+the artifact store) before anything simulates.  A million-request
 trace touching 11 distinct batch sizes costs exactly 11 real simulations
 on a cold store, and zero on a warm one.
 
@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tup
 
 import numpy as np
 
+from repro._fields import known_fields
 from repro.experiments.campaign import ResultCache, run_scenario
 from repro.experiments.scenario import Scenario
 from repro.serving.policies import PolicySpec, release_time
@@ -58,8 +59,8 @@ class BatchCostModel:
     through ``cache`` (in-memory → backing store) and simulates only on a
     full miss.  Fresh results are written through the cache when
     ``write_through`` (and always collected in :attr:`fresh` so a caller
-    that must not write — e.g. a process-pool worker over a JSONL store —
-    can hand them to the parent to persist).
+    that must not write — e.g. a process-pool worker — can hand them to
+    the parent to persist).
 
     Attributes:
         simulated: Real simulator invocations (cold shapes).
@@ -167,8 +168,7 @@ class ServingMetrics:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingMetrics":
-        names = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in dict(data).items() if key in names})
+        return cls(**known_fields(cls, data))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ as a frozen value: the workload (model/task/sequence length), the scheme
 (:class:`~repro.serving.policies.PolicySpec`), the accelerator count,
 an optional latency SLO, and how to execute
 (:class:`~repro.experiments.spec.ExecutionPolicy` — the same policy
-campaigns use, including the pluggable store backends).
+campaigns use, including the artifact store).
 
 Batch size is *not* an axis here: it emerges from load under the policy.
 Each distinct formed batch size becomes an ordinary campaign
 :class:`~repro.experiments.scenario.Scenario` with ``batch_size=B``,
 resolved through a :class:`~repro.experiments.campaign.ResultCache` over
 the policy's store — so a serving campaign persists through the same
-JSONL/SQLite backends as every other campaign, re-running a spec against
+store as every other campaign, re-running a spec against
 a warm store simulates nothing, and a killed run resumes without
 re-simulating the batch shapes its completed combos already persisted.
 
@@ -58,7 +58,7 @@ from repro.experiments.spec import (
     _lookup,
     _policy_cache,
 )
-from repro.experiments.store import open_store
+from repro.experiments.store import ArtifactStore
 from repro.schemes.base import SCHEMES
 from repro.serving.policies import POLICIES, PolicySpec
 from repro.serving.replay import BatchCostModel, ReplayResult, ServingMetrics, replay_trace
@@ -344,21 +344,19 @@ class ServingResult:
 
 
 def _replay_combo_task(
-    args: Tuple[Scenario, np.ndarray, PolicySpec, int, Optional[float],
-                Optional[str], Optional[str]],
+    args: Tuple[Scenario, np.ndarray, PolicySpec, int, Optional[float], Optional[str]],
 ) -> Tuple[ReplayResult, int, int, List[Tuple[Scenario, Any]]]:
     """Replay one combo; runs in the parent or a pool worker.
 
     Workers only ever *read* the store (``write_through=False``): fresh
     results come back to the parent, which persists them before yielding
-    the combo's record.  That keeps JSONL stores (single-writer) safe
-    under the process executor and makes all three executors produce the
-    same store contents.
+    the combo's record.  The parent is the one writer, so all three
+    executors put the same records in the same order.
     """
-    base, arrivals, policy, num_accelerators, slo_ms, store_path, store_backend = args
+    base, arrivals, policy, num_accelerators, slo_ms, store_path = args
     cache = None
     if store_path is not None:
-        cache = ResultCache(store=open_store(store_path, backend=store_backend))
+        cache = ResultCache(store=ArtifactStore(store_path))
     model = BatchCostModel(base, cache=cache, write_through=False)
     replay = replay_trace(
         arrivals, policy, model.cost, num_accelerators=num_accelerators, slo_ms=slo_ms
@@ -420,8 +418,7 @@ def _stream_serving(
         store_path = getattr(backing, "root", None)
         store_args = [
             (base, arrivals, spec.policy, spec.num_accelerators, spec.slo_ms,
-             None if store_path is None else str(store_path),
-             policy_exec.store_backend)
+             None if store_path is None else str(store_path))
             for base in combos
         ]
         with ProcessPoolExecutor(max_workers=policy_exec.max_workers) as pool:

@@ -16,6 +16,7 @@ Four guarantees the fidelity layer must give:
 """
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -33,8 +34,10 @@ from repro.experiments import (
     accuracy_key,
     accuracy_scheme_for,
     evaluate_fidelity,
+    export_jsonl,
     fidelity_digest,
     run_spec,
+    scenario_key,
     supported_accuracy_schemes,
     supports_accuracy,
 )
@@ -287,16 +290,19 @@ class TestAccuracyStore:
                 batch_size=scenario.batch_size,
             )
 
-    def test_upgrade_appends_rather_than_rewrites(self, tmp_path):
+    def test_upgrade_rewrites_the_record_in_place(self, tmp_path):
         store_root = tmp_path / "store"
-        grid = accuracy_grid(**ONE_POINT)
-        run_spec(accuracy_spec(grid, accuracy=False, store=str(store_root)))
-        run_spec(accuracy_spec(grid, store=str(store_root)))
-        lines = (store_root / "records.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 2  # original + upgraded line under the same key
-        assert "fidelity" not in json.loads(lines[0])
-        assert json.loads(lines[1])["fidelity"]["scheme"] == "mokey"
-        assert len(ArtifactStore(store_root)) == 1  # last line wins
+        point = accuracy_grid(**ONE_POINT)
+        later = accuracy_grid(sequence_lengths=(None,), batch_sizes=(4,))
+        run_spec(accuracy_spec(point, accuracy=False, store=str(store_root)))
+        run_spec(accuracy_spec(later, accuracy=False, store=str(store_root)))
+        run_spec(accuracy_spec(point, store=str(store_root)))
+        store = ArtifactStore(store_root)
+        upgraded, untouched = point.scenarios()[0], later.scenarios()[0]
+        # One record per key; the upgraded one keeps its first position.
+        assert store.keys() == [scenario_key(upgraded), scenario_key(untouched)]
+        assert store.get_fidelity(upgraded).scheme == "mokey"
+        assert store.get_fidelity(untouched) is None
 
     def test_different_settings_never_serve_stale_fidelity(self, tmp_path):
         spec = accuracy_spec(accuracy_grid(**ONE_POINT), store=str(tmp_path / "store"))
@@ -323,8 +329,9 @@ class TestAccuracyStore:
         digests = []
         for name in ("a", "b"):
             run_spec(accuracy_spec(executor="serial", store=str(tmp_path / name)))
-            blob = (tmp_path / name / "records.jsonl").read_bytes()
-            digests.append(hashlib.sha256(blob).hexdigest())
+            blob = io.StringIO()
+            export_jsonl(ArtifactStore(tmp_path / name), blob)
+            digests.append(hashlib.sha256(blob.getvalue().encode("utf-8")).hexdigest())
         assert digests[0] == digests[1]
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -290,7 +291,7 @@ class TestReportListClean:
         code, out, err = run_cli(["campaign", *command, "--store", str(typo)], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"error: no jsonl store at {typo / 'records.jsonl'}\n"
+        assert err == f"error: no store at {typo / 'records.sqlite'}\n"
         assert not typo.exists()
 
     def test_list_of_a_missing_store_fails(self, tmp_path, capsys):
@@ -306,7 +307,7 @@ class TestReportListClean:
         code, out, err = run_cli(["campaign", "clean", "--store", str(tmp_path), "--yes"], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"error: no jsonl store at {tmp_path / 'records.jsonl'}\n"
+        assert err == f"error: no store at {tmp_path / 'records.sqlite'}\n"
 
 
 class TestAccuracyRun:
@@ -361,7 +362,7 @@ class TestAccuracyRun:
         assert len(err.strip().splitlines()) == 1
         assert "accuracy" in err
         # Nothing was simulated or stored before the failure.
-        assert not (tmp_path / "store" / "records.jsonl").exists()
+        assert not (tmp_path / "store" / "records.sqlite").exists()
 
 
 class TestTable1:
@@ -550,8 +551,7 @@ class TestRegistryList:
         code, out, _err = run_cli(["registry", "list"], capsys)
         assert code == 0
         for kind in (
-            "schemes", "designs", "models", "tasks", "engines",
-            "stores", "traces", "policies",
+            "schemes", "designs", "models", "tasks", "engines", "traces", "policies",
         ):
             assert kind in out
         assert "mokey" in out
@@ -571,8 +571,7 @@ class TestRegistryList:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "schemes", "designs", "models", "tasks", "engines", "stores",
-            "traces", "policies",
+            "schemes", "designs", "models", "tasks", "engines", "traces", "policies",
         }
 
     def test_unknown_kind_suggests_nearest(self, capsys):
@@ -616,21 +615,19 @@ class TestServeSim:
         drop = lambda row: {k: v for k, v in row.items() if k != "simulated"}
         assert [drop(row) for row in warm] == [drop(row) for row in cold]
 
-    def test_executors_and_backends_are_bit_identical(self, tmp_path, capsys):
+    def test_executors_are_bit_identical(self, tmp_path, capsys):
         outputs = set()
-        for backend in ("jsonl", "sqlite"):
-            for executor in ("serial", "thread", "process"):
-                code, out, _err = run_cli(
-                    self.ARGS + [
-                        "--store", str(tmp_path / f"{backend}-{executor}"),
-                        "--store-backend", backend,
-                        "--executor", executor,
-                        "--format", "csv",
-                    ],
-                    capsys,
-                )
-                assert code == 0
-                outputs.add(out)
+        for executor in ("serial", "thread", "process"):
+            code, out, _err = run_cli(
+                self.ARGS + [
+                    "--store", str(tmp_path / executor),
+                    "--executor", executor,
+                    "--format", "csv",
+                ],
+                capsys,
+            )
+            assert code == 0
+            outputs.add(out)
         assert len(outputs) == 1
 
     def test_spec_file_round_trip(self, tmp_path, capsys):
@@ -711,33 +708,30 @@ def test_table1_unknown_scheme_subprocess_has_no_traceback(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-class TestStoreBackendsCli:
-    def _run_grid(self, store, capsys, backend=None):
+class TestStoreCli:
+    def _run_grid(self, store, capsys):
         args = [
             "campaign", "run",
             "--models", "bert-base", "bert-large",
             "--designs", "mokey", "tensor-cores",
             "--store", store,
         ]
-        if backend is not None:
-            args += ["--store-backend", backend]
         return run_cli(args, capsys)
 
-    def test_sqlite_campaign_run_and_cached_rerun(self, tmp_path, capsys):
+    def test_campaign_run_and_cached_rerun(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        code, _out, err = self._run_grid(store, capsys, backend="sqlite")
+        code, _out, err = self._run_grid(store, capsys)
         assert code == 0
         assert "4 simulated" in err
         assert (tmp_path / "store" / "records.sqlite").exists()
         assert not (tmp_path / "store" / "records.jsonl").exists()
-        # The second run auto-detects the backend: no --store-backend needed.
         code, _out, err = self._run_grid(store, capsys)
         assert code == 0
         assert "0 simulated" in err
 
     def test_report_where_and_top_on_sqlite(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--where", "design=mokey",
              "--format", "json"],
@@ -757,7 +751,7 @@ class TestStoreBackendsCli:
 
     def test_report_group_by_on_sqlite(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--group-by", "model", "design",
              "--order-by=-count", "--format", "json"],
@@ -774,7 +768,7 @@ class TestStoreBackendsCli:
         # it composes with --group-by like any other filter (it used to be
         # a Python post-filter that parser.error'd on this combination).
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--scheme", "mokey",
              "--group-by", "model", "--format", "json"],
@@ -793,7 +787,7 @@ class TestStoreBackendsCli:
         # '-t...' as a flag); '~FIELD' and 'FIELD:desc' work as plain
         # arguments too, and all three must order identically.
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         args = ["campaign", "report", "--store", store, "--format", "json"]
         if spelling.startswith("--"):
             args.append(spelling)
@@ -814,7 +808,7 @@ class TestStoreBackendsCli:
 
     def test_report_bad_where_field_is_a_usage_error(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, _out, err = run_cli(
             ["campaign", "report", "--store", store, "--where", "modle=x"], capsys
         )
@@ -823,66 +817,50 @@ class TestStoreBackendsCli:
 
     def test_list_on_sqlite_store(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(["campaign", "list", "--store", store], capsys)
         assert code == 0
         assert "4 records" in out
 
-    def test_store_migrate_round_trip(self, tmp_path, capsys):
-        jsonl_store = str(tmp_path / "a")
-        self._run_grid(jsonl_store, capsys)  # default jsonl
-        code, out, _err = run_cli(
-            ["store", "migrate", jsonl_store, str(tmp_path / "b"),
-             "--to-backend", "sqlite"],
-            capsys,
-        )
+    def test_store_export_import_round_trip(self, tmp_path, capsys):
+        self._run_grid(str(tmp_path / "a"), capsys)
+        code, exported, err = run_cli(["store", "export", str(tmp_path / "a")], capsys)
         assert code == 0
-        assert "migrated 4 records" in out
-        assert (tmp_path / "b" / "records.sqlite").exists()
-        code, out, _err = run_cli(
-            ["store", "migrate", str(tmp_path / "b"), str(tmp_path / "c"),
-             "--to-backend", "jsonl"],
-            capsys,
-        )
+        assert "exported 4 records" in err
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "records.jsonl").write_text(exported, encoding="utf-8")
+        code, out, _err = run_cli(["store", "import", str(tmp_path / "b")], capsys)
         assert code == 0
-        assert "migrated 4 records" in out
-        original = (tmp_path / "a" / "records.jsonl").read_text()
-        round_tripped = (tmp_path / "c" / "records.jsonl").read_text()
-        assert round_tripped == original
+        assert "imported 4 records" in out
+        code, round_tripped, _err = run_cli(["store", "export", str(tmp_path / "b")], capsys)
+        assert code == 0
+        assert round_tripped == exported
 
-    def test_store_migrate_missing_source_fails(self, tmp_path, capsys):
-        code, _out, err = run_cli(
-            ["store", "migrate", str(tmp_path / "nope"), str(tmp_path / "dst")], capsys
-        )
-        assert code == 2
-        assert "no jsonl store at" in err
-
-    def test_store_migrate_from_a_backend_the_source_lacks_fails(self, tmp_path, capsys):
-        jsonl_store = tmp_path / "a"
-        self._run_grid(str(jsonl_store), capsys)  # default jsonl
-        code, out, err = run_cli(
-            ["store", "migrate", str(jsonl_store), str(tmp_path / "dst"),
-             "--from-backend", "sqlite"],
-            capsys,
-        )
+    def test_store_export_of_a_missing_store_fails(self, tmp_path, capsys):
+        code, out, err = run_cli(["store", "export", str(tmp_path / "nope")], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"error: no sqlite store at {jsonl_store / 'records.sqlite'}\n"
-        assert not (tmp_path / "dst").exists()
+        assert err == f"error: no store at {tmp_path / 'nope' / 'records.sqlite'}\n"
 
-    def test_registry_list_stores(self, capsys):
-        code, out, _err = run_cli(["registry", "list", "stores"], capsys)
-        assert code == 0
-        assert "jsonl" in out and "sqlite" in out
+    def test_store_import_without_a_log_fails(self, tmp_path, capsys):
+        code, out, err = run_cli(["store", "import", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(tmp_path / "records.jsonl") in err
+        assert not (tmp_path / "records.sqlite").exists()
+
+    def test_stores_is_no_registry_kind(self, capsys):
+        code, _out, err = run_cli(["registry", "list", "stores"], capsys)
+        assert code == 2
+        assert "unknown registry kind 'stores'" in err
 
 
 class TestStoreStats:
-    def _populate(self, tmp_path, capsys, backend="sqlite"):
+    def _populate(self, tmp_path, capsys):
         root = tmp_path / "stats-store"
         code, _out, _err = run_cli(
             [
                 "campaign", "run", "--store", str(root),
-                "--store-backend", backend,
                 "--batch-sizes", "1", "2", "--designs", "mokey", "tensor-cores",
             ],
             capsys,
@@ -894,36 +872,71 @@ class TestStoreStats:
         root = self._populate(tmp_path, capsys)
         code, out, _err = run_cli(["store", "stats", root], capsys)
         assert code == 0
-        assert "backend: sqlite (schema v1)" in out
+        assert "schema: v1" in out
         assert "records: 4 across 2 model x design combos" in out
         assert "fidelity coverage: 0/4" in out
         assert "skipped (unreadable/old-schema): 0" in out
 
     def test_stats_json_is_parseable(self, tmp_path, capsys):
-        root = self._populate(tmp_path, capsys, backend="jsonl")
+        root = self._populate(tmp_path, capsys)
         code, out, _err = run_cli(["store", "stats", root, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["backend"] == "jsonl"
         assert payload["records"] == 4
         assert payload["schema_version"] == 1
         assert payload["fidelity_coverage"] == 0.0
         assert payload["skipped"] == 0
 
-    def test_stats_counts_skipped_lines(self, tmp_path, capsys):
-        root = self._populate(tmp_path, capsys, backend="jsonl")
-        with open(tmp_path / "stats-store" / "records.jsonl", "a", encoding="utf-8") as fh:
-            fh.write("this is not json\n")
+    def test_stats_counts_skipped_records(self, tmp_path, capsys):
+        root = self._populate(tmp_path, capsys)
+        # A record a newer schema version wrote: unreadable here, counted.
+        conn = sqlite3.connect(str(tmp_path / "stats-store" / "records.sqlite"))
+        with conn:
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES ('future', 2, '{}', '{}')"
+            )
+        conn.close()
         code, out, _err = run_cli(["store", "stats", root, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["records"] == 4
         assert payload["skipped"] == 1
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["store", "stats", "{root}"], "records: 4 across 2 model x design combos"),
+            (["campaign", "list", "--store", "{root}"], "bert-base on mokey: 2"),
+            (
+                ["campaign", "report", "--store", "{root}", "--group-by", "model", "design"],
+                "2 groups from",
+            ),
+            (["campaign", "report", "--store", "{root}", "--order-by=-total_cycles"],
+             "4 records from"),
+        ],
+        ids=["stats", "list", "report-group-by", "report-order-by"],
+    )
+    def test_unreadable_row_never_fails_a_command(self, tmp_path, capsys, command, expected):
+        root = self._populate(tmp_path, capsys)
+        # A row garbled behind the store's back: its payloads are not JSON.
+        conn = sqlite3.connect(str(tmp_path / "stats-store" / "records.sqlite"))
+        with conn:
+            conn.execute(
+                "INSERT INTO records (key, schema_version, model, design, scenario, result) "
+                "VALUES ('garbled', 1, 'bert-base', 'mokey', 'not json', 'not json')"
+            )
+        conn.close()
+        code, out, err = run_cli([arg.format(root=root) for arg in command], capsys)
+        assert code == 0, err
+        assert expected in out + err  # report footers go to stderr
+        if command[0] == "store":
+            assert "skipped (unreadable/old-schema): 1" in out
+
     def test_stats_missing_store_fails_cleanly(self, tmp_path, capsys):
         code, _out, err = run_cli(["store", "stats", str(tmp_path / "nope")], capsys)
         assert code == 2
-        assert "no jsonl store at" in err
+        assert "no store at" in err
 
 
 def test_python_dash_m_entry_point(tmp_path):

@@ -26,8 +26,7 @@ from repro.registry import (
 class TestProtocol:
     def test_kinds_cover_every_pluggable_axis(self):
         assert registry_kinds() == (
-            "designs", "engines", "models", "policies",
-            "schemes", "stores", "tasks", "traces",
+            "designs", "engines", "models", "policies", "schemes", "tasks", "traces",
         )
         for kind in registry_kinds():
             assert get_registry(kind) is REGISTRIES[kind]
@@ -204,7 +203,6 @@ AXIS_MODULES = {
         "gobo", "mokey", "tensor-cores", "tensor-cores+mokey-oc",
         "tensor-cores+mokey-oc+on",
     )),
-    "stores": ("repro.experiments.store", ("jsonl", "sqlite")),
     "traces": ("repro.serving.traces", ("bursty", "diurnal", "poisson")),
     "policies": ("repro.serving.policies", ("continuous", "max-batch", "timeout")),
     "engines": ("repro.core.index_compute", ("scalar", "torch", "vectorized")),
@@ -235,3 +233,23 @@ def test_each_axis_module_imports_first_without_a_cycle(kind):
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert tuple(out.strip().split(",")) == expected
+
+
+@pytest.mark.parametrize("module", ["repro._registry", "repro._fields"])
+def test_leaf_modules_import_nothing_from_repro(module):
+    """Every axis module (and every ``from_dict``) imports these two
+    without a cycle because they import nothing from ``repro``."""
+    import ast
+    import importlib
+
+    tree = ast.parse(open(importlib.import_module(module).__file__).read())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else [alias.name for alias in node.names]
+        )
+    ]
+    assert imported and not [name for name in imported if name.split(".")[0] == "repro"]

@@ -19,8 +19,7 @@ and replacing a worker mid-campaign — is locked here end to end:
   specs run as single-worker jobs.
 
 Workers are real spawned processes, so these tests are the slowest in
-the suite — grids stay small and the store is SQLite (the concurrent
-writer backend the service defaults to).
+the suite — grids stay small.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.experiments import CampaignSpec, open_store, run_spec, scenario_key, store_digest
+from repro.experiments import ArtifactStore, CampaignSpec, run_spec, scenario_key, store_digest
 from repro.service import (
     JOB_STATES,
     TERMINAL_STATES,
@@ -82,11 +81,8 @@ def _oracle_digest(tmp_path, *spec_dicts):
     """Single-process runs of the same specs: the bit-identity reference."""
     root = tmp_path / "oracle"
     for spec_dict in spec_dicts:
-        spec = CampaignSpec.from_dict(spec_dict).with_execution(
-            store=str(root), store_backend="sqlite", resume=True
-        )
-        run_spec(spec)
-    return store_digest(open_store(root, backend="sqlite"))
+        run_spec(CampaignSpec.from_dict(spec_dict).with_execution(store=str(root), resume=True))
+    return store_digest(ArtifactStore(root))
 
 
 def _submit_until_killed(submit, status, kill_worker, wait):
@@ -132,7 +128,7 @@ def _children():
 
 @pytest.fixture
 def coordinator(tmp_path):
-    co = Coordinator(tmp_path / "svc-store", store_backend="sqlite")
+    co = Coordinator(tmp_path / "svc-store")
     yield co
     co.drain()
 
@@ -140,7 +136,7 @@ def coordinator(tmp_path):
 @pytest.fixture
 def service(tmp_path):
     """A live daemon on an ephemeral port + a client bound to it."""
-    co = Coordinator(tmp_path / "svc-store", store_backend="sqlite")
+    co = Coordinator(tmp_path / "svc-store")
     server = make_server("127.0.0.1", 0, co)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -189,7 +185,7 @@ class TestCoordinator:
         assert status["error"] is None
         assert status["progress"]["completed"] == status["progress"]["total"] == 4
         service_digest = store_digest(
-            open_store(coordinator.store_root, backend="sqlite")
+            ArtifactStore(coordinator.store_root)
         )
         assert service_digest == oracle
 
@@ -202,7 +198,7 @@ class TestCoordinator:
         assert [row["key"] for row in rows] == [
             scenario_key(s) for s in spec.scenarios()
         ]
-        stored = store_digest(open_store(coordinator.store_root, backend="sqlite"))
+        stored = store_digest(ArtifactStore(coordinator.store_root))
         assert {row["key"]: row["digest"] for row in rows} == stored
         for row in rows:
             assert set(row) >= {"key", "digest", "scenario", "result"}
@@ -217,7 +213,7 @@ class TestCoordinator:
         assert status["restarts"] >= 1
         assert status["shards"][0]["state"] == "done"
         service_digest = store_digest(
-            open_store(coordinator.store_root, backend="sqlite")
+            ArtifactStore(coordinator.store_root)
         )
         assert service_digest == _oracle_digest(tmp_path, *specs)
 
@@ -242,7 +238,7 @@ class TestCoordinator:
         # Cancellation can race with completion on a fast grid; either
         # terminal state is legitimate, but nothing may be lost.
         assert status["state"] in ("cancelled", "completed")
-        persisted = store_digest(open_store(coordinator.store_root, backend="sqlite"))
+        persisted = store_digest(ArtifactStore(coordinator.store_root))
         assert len(persisted) >= status["progress"]["completed"] > 0
         rows = list(coordinator.records(job_id))
         assert {row["key"] for row in rows} <= set(persisted)
@@ -279,7 +275,36 @@ class TestCoordinator:
         status = coordinator.wait(job_id, timeout=WAIT)
         assert status["state"] == "completed"
         assert [shard["total"] for shard in status["shards"]] == [1, 0, 0]
-        assert store_digest(open_store(coordinator.store_root, backend="sqlite")) == oracle
+        assert store_digest(ArtifactStore(coordinator.store_root)) == oracle
+
+    def test_cli_store_is_the_service_store(self, tmp_path, capsys):
+        """Bug lock: ``repro campaign run --store D`` writes what
+        ``Coordinator(D)`` (so ``repro serve --store D``) and ``repro
+        campaign list --store D`` read; a re-submitted identical grid
+        simulates nothing."""
+        root = tmp_path / "shared"
+        axes = ["--models", "bert-base", "--designs", "tensor-cores", "mokey",
+                "--buffer-kb", "256"]
+        assert main(["campaign", "run", *axes, "--store", str(root)]) == 0
+        written = store_digest(ArtifactStore(root))
+        assert len(written) == 2
+        capsys.readouterr()
+        assert main(["campaign", "list", "--store", str(root)]) == 0
+        assert "— 2 records" in capsys.readouterr().out
+        co = Coordinator(root)
+        try:
+            job_id = co.submit(
+                {"axes": {"models": ["bert-base"], "designs": ["tensor-cores", "mokey"],
+                          "buffer_bytes": [256 * 1024]}},
+                workers=2,
+            )
+            status = co.wait(job_id, timeout=WAIT)
+            assert status["state"] == "completed"
+            assert [shard["progress"]["simulated"] for shard in status["shards"]] == [0, 0]
+            assert {row["key"]: row["digest"] for row in co.records(job_id)} == written
+        finally:
+            co.drain()
+        assert store_digest(ArtifactStore(root)) == written
 
     def test_job_states_vocabulary_is_registered(self):
         assert set(TERMINAL_STATES) <= set(JOB_STATES)
@@ -320,7 +345,7 @@ class TestWorkerPool:
         assert status["restarts"] == 0
         assert len(_children()) == 2
         assert store_digest(
-            open_store(coordinator.store_root, backend="sqlite")
+            ArtifactStore(coordinator.store_root)
         ) == _oracle_digest(tmp_path, *specs, later)
 
     def test_worker_killed_while_idle_is_not_handed_a_shard(self, coordinator):
@@ -377,7 +402,7 @@ class TestHTTPService:
         oracle = _oracle_digest(tmp_path, spec_dict)
         health = client.health()
         assert health["status"] == "ok"
-        assert health["store_backend"] == "sqlite"
+        assert health["store"] == str(co.store_root)
         job_id = client.submit(spec_dict, workers=2)
         status = client.wait(job_id, timeout=WAIT)
         assert status["state"] == "completed"
@@ -402,7 +427,7 @@ class TestHTTPService:
         assert len(rows) == len(CampaignSpec.from_dict(specs[-1]).scenarios())
         oracle = _oracle_digest(tmp_path, *specs)
         assert {row["key"]: row["digest"] for row in rows}.items() <= oracle.items()
-        assert store_digest(open_store(co.store_root, backend="sqlite")) == oracle
+        assert store_digest(ArtifactStore(co.store_root)) == oracle
 
     def test_serving_spec_runs_as_single_worker_job(self, service):
         co, _server, client = service

@@ -146,7 +146,7 @@ _specs = st.builds(
         max_workers=st.one_of(st.none(), st.integers(1, 8)),
         chunksize=st.one_of(st.none(), st.integers(1, 8)),
         store=st.one_of(st.none(), st.just("./store-dir")),
-        store_backend=st.sampled_from((None, "jsonl", "sqlite")),
+        store_backend=st.sampled_from((None, "sqlite")),
         resume=st.booleans(),
     ),
 )

@@ -2,7 +2,7 @@
 
 Three property families the persistence layer must guarantee:
 
-1. **Round-trip identity** — ``Scenario → hash → JSONL → record`` is
+1. **Round-trip identity** — ``Scenario → hash → store → record`` is
    lossless: a result read back from disk (by a fresh store instance,
    as another process would) equals the simulated one bit-for-bit.
 2. **Cache-hit monotonicity** — across any sequence of campaigns sharing
@@ -12,9 +12,11 @@ Three property families the persistence layer must guarantee:
    order (checked on the fig10 grid per the paper's evaluation).
 """
 
+import io
 import itertools
 import json
 import runpy
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,8 @@ from repro.experiments import (
     ResultCache,
     Scenario,
     ScenarioRecord,
+    export_jsonl,
+    import_jsonl,
     run_scenario,
     run_spec,
     scenario_key,
@@ -118,6 +122,17 @@ class TestSerializationRoundTrip:
         assert rebuilt.scenario == scenario
 
 
+def _insert_raw(store, key, schema_version, scenario_text, result_text):
+    """Write one row behind the store's back, as a garbling writer would."""
+    conn = sqlite3.connect(str(store.path))
+    with conn:
+        conn.execute(
+            "INSERT INTO records (key, schema_version, scenario, result) VALUES (?, ?, ?, ?)",
+            (key, schema_version, scenario_text, result_text),
+        )
+    conn.close()
+
+
 class TestArtifactStore:
     def test_put_get_round_trip_across_instances(self, tmp_path):
         scenario = Scenario(design="mokey", buffer_bytes=256 * KB)
@@ -139,29 +154,35 @@ class TestArtifactStore:
         ArtifactStore(root).put(scenario, result)
         assert ArtifactStore(root).get(scenario) == result
 
-    def test_unreadable_lines_are_skipped_not_fatal(self, tmp_path):
+    def test_unreadable_rows_are_skipped_not_fatal(self, tmp_path):
         scenario = Scenario()
         store = ArtifactStore(tmp_path)
         store.put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write(json.dumps({"schema_version": SCHEMA_VERSION + 7, "key": "x"}) + "\n")
-            handle.write(json.dumps({"schema_version": SCHEMA_VERSION, "key": "y"}) + "\n")
+        _insert_raw(store, "not-json", SCHEMA_VERSION, "not json at all", "not json at all")
+        _insert_raw(store, "future", SCHEMA_VERSION + 7, "{}", "{}")
+        _insert_raw(store, "bad-result", SCHEMA_VERSION, json.dumps(scenario.to_dict()), "{")
         reopened = ArtifactStore(tmp_path)
+        # Counted right before any read has rebuilt a payload.
         assert len(reopened) == 1
         assert reopened.skipped == 3
         assert reopened.get(scenario) is not None
+        assert [e.scenario for e in reopened.records()] == [scenario]
+        assert len(list(reopened.query([("total_cycles", ">", 0.0)]))) == 1
+        assert [row["count"] for row in reopened.query(group_by="model")] == [1]
 
     def test_records_with_extra_fields_still_load(self, tmp_path):
         scenario = Scenario()
-        store = ArtifactStore(tmp_path)
+        store = ArtifactStore(tmp_path / "a")
         store.put(scenario, run_scenario(scenario))
-        raw = store.path.read_text(encoding="utf-8").strip()
-        record = json.loads(raw)
+        out = io.StringIO()
+        export_jsonl(store, out)
+        record = json.loads(out.getvalue())
         record["scenario"]["future_axis"] = 42
         record["result"]["future_metric"] = 1.5
-        store.path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert ArtifactStore(tmp_path).get(scenario) is not None
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "records.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert import_jsonl(tmp_path / "b") == (1, 0)
+        assert ArtifactStore(tmp_path / "b").get(scenario) is not None
 
     def test_clear_removes_everything(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -169,32 +190,49 @@ class TestArtifactStore:
         store.put(scenario, run_scenario(scenario))
         assert store.clear() == 1
         assert len(store) == 0
-        assert store.path.read_bytes() == b""
+        assert store.path.exists()  # the directory still opens as a store
         assert store.get(scenario) is None
 
     def test_clear_then_external_writes_report_fresh_state(self, tmp_path):
-        """Bug lock: clear() must invalidate the index, not pin an empty one.
+        """Bug lock: clear() must not pin an empty view of the store.
 
-        Historically clear() left an empty in-memory index behind, so
-        records appended to the file afterwards (by another process) and
-        their skipped count stayed invisible to this instance forever.
+        Records another process writes after the clear are visible to
+        this instance at once.
         """
         store = ArtifactStore(tmp_path)
         scenario = Scenario()
         store.put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("corrupt line\n")
+        # A row that is valid JSON but does not rebuild: only a read finds
+        # it, and this instance remembers it as skipped.
+        _insert_raw(store, "bad-before", SCHEMA_VERSION, "{}", "{}")
+        assert len(list(store.records())) == 1
+        assert store.skipped == 1
         store.clear()
-        # Another process writes a record (and a bad line) after the clear.
+        # Another process writes a record (and a bad row) after the clear.
         ArtifactStore(tmp_path).put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("another corrupt line\n")
+        _insert_raw(store, "bad-after", SCHEMA_VERSION, "not json", "not json")
         assert len(store) == 1
         assert store.skipped == 1
         assert store.get(scenario) is not None
 
+    @pytest.mark.parametrize("payload", ["not json", "{}"])
+    def test_put_replaces_an_unreadable_row_under_its_key(self, tmp_path, payload):
+        spec = CampaignSpec(axes=AxisGrid(designs=("mokey", "tensor-cores")))
+        scenarios = spec.scenarios()
+        store = ArtifactStore(tmp_path)
+        store.put(scenarios[-1], run_scenario(scenarios[-1]))
+        _insert_raw(store, scenario_key(scenarios[0]), SCHEMA_VERSION, payload, payload)
+        first = run_spec(spec, cache=ResultCache(store=ArtifactStore(tmp_path)))
+        assert first.simulated_count == len(scenarios) - 1
+        reopened = ArtifactStore(tmp_path)
+        assert len(reopened) == len(scenarios)
+        assert reopened.skipped == 0
+        second = run_spec(spec, cache=ResultCache(store=reopened))
+        assert second.simulated_count == 0
+        assert reopened.get(scenarios[0]) == first.records[0].result
+
     def test_records_streams_lazily(self, tmp_path):
-        """records() must be a generator over the index, not a full copy."""
+        """records() must be a generator reading rows as it goes, not a full copy."""
         import types
 
         store = ArtifactStore(tmp_path)
@@ -206,7 +244,8 @@ class TestArtifactStore:
         first = next(stream)
         assert first.scenario == scenarios[0]
         # Interleaved writes while a consumer holds the generator are safe
-        # (the key snapshot was taken up front; later puts don't appear).
+        # (the scan ends at the last row present when it began; later puts
+        # don't appear).
         late = Scenario(buffer_bytes=9 * 64 * KB)
         store.put(late, run_scenario(late))
         rest = [entry.scenario for entry in stream]

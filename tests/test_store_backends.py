@@ -1,26 +1,31 @@
-"""Backend-conformance, equivalence, migration and concurrency battery.
+"""Store contract, JSONL import/export, concurrency and pushdown battery.
 
-The :class:`~repro.experiments.store.StoreBackend` contract is what makes
-backends interchangeable, so this module tests it three ways:
+:class:`~repro.experiments.store.ArtifactStore` is the one store engine
+(WAL-mode SQLite), and JSONL is its import/export format.  This module
+tests it four ways:
 
-1. **Conformance** — one parametrized suite runs the full contract
-   (round-trip, upgrade/last-write-wins, corrupt-input skip counting,
-   ``clear``, insertion order, query semantics) against *every*
-   registered backend.
-2. **Equivalence** — hypothesis drives identical put sequences into the
-   JSONL and SQLite backends and asserts bit-identical observable state
-   (put return values, key order, record digests), and a fixed corpus
-   asserts identical ``query()`` answers for a battery of filter /
-   order / group shapes.
-3. **Scale & concurrency** — threads and a ``ProcessPoolExecutor``
-   hammer one SQLite store with interleaved puts/upgrades (final state
-   must equal the serial oracle); a killed spec campaign over SQLite
-   resumes bit-identically; and a 10k-record grid answers filtered /
-   grouped / top-k queries via pushdown without deserializing the
-   record set (asserted by counting rebuilds).
+1. **Contract** — round-trip, upgrade/last-write-wins (also as a
+   hypothesis property against a dict model), corrupt-row skip
+   counting, ``clear``, insertion order and query semantics (also
+   against a plain-Python reference evaluator, with and without
+   garbled rows in the store).
+2. **JSONL import/export** — ``export → import → export`` is
+   byte-identical; the importer keeps the legacy log's semantics (last
+   line per key wins at its first position; torn, corrupt and
+   wrong-schema lines are counted in ``skipped``) and lands on a pinned
+   ``store_digest``; a directory holding only ``records.jsonl``, and a
+   ``"jsonl"`` backend name, fail in one line naming
+   ``repro store import``.
+3. **Concurrency** — threads and a ``ProcessPoolExecutor`` hammer one
+   store with interleaved puts/upgrades (final state must equal the
+   serial oracle), and a killed spec campaign resumes bit-identically.
+4. **Pushdown at scale** — a 10k-record grid answers filtered /
+   grouped / top-k queries without deserializing the record set
+   (asserted by counting rebuilds).
 """
 
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -35,35 +40,36 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.accelerator.metrics import AreaBreakdown, EnergyBreakdown, SimulationResult
+from repro.cli import main
 from repro.experiments import (
+    ArtifactStore,
     AxisGrid,
     CampaignSpec,
     ExecutionPolicy,
     FidelityResult,
     MeasuredStats,
     Scenario,
-    SqliteStoreBackend,
-    StoreBackend,
-    detect_store_backend,
+    export_jsonl,
+    import_jsonl,
     iter_campaign,
-    migrate_store,
     open_store,
     run_spec,
     scenario_key,
+    store_digest,
 )
-from repro.experiments import store_sqlite as store_sqlite_module
-from repro.experiments.store import SCHEMA_VERSION, ArtifactStore, parse_filter
-from repro.registry import STORES, RegistryError
+from repro.experiments import store as store_module
+from repro.experiments.store import SCHEMA_VERSION, parse_filter
+from repro.experiments.store_sqlite import SqliteStoreBackend
+from repro.service import Coordinator
 
 KB = 1024
-BACKENDS = ("jsonl", "sqlite")
 
 _CASES = itertools.count()
 
 
 # --------------------------------------------------------------------------- #
 # Deterministic fabrication: entries derived purely from the scenario, so
-# every process/thread/backend agrees on the payload without simulating.
+# every process/thread agrees on the payload without simulating.
 # --------------------------------------------------------------------------- #
 
 
@@ -122,7 +128,7 @@ def entry_digest(entry) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def store_digests(store: StoreBackend) -> dict:
+def store_digests(store: ArtifactStore) -> dict:
     """key → record digest, the bit-identity currency of these tests."""
     return {
         scenario_key(entry.scenario): entry_digest(entry) for entry in store.records()
@@ -149,71 +155,64 @@ def corpus_scenarios():
     return scenarios
 
 
-def inject_corrupt(store: StoreBackend, n_bad_payload: int, n_wrong_version: int) -> None:
-    """Backend-specific corruption: unreadable payloads + future-schema records."""
-    if store.backend_name == "jsonl":
-        with store.path.open("a", encoding="utf-8") as handle:
-            for i in range(n_bad_payload):
-                handle.write(f"corrupt line {i}\n")
-            for i in range(n_wrong_version):
-                scenario = Scenario(model=f"future-{i}")
-                handle.write(
-                    json.dumps(
-                        {
-                            "schema_version": SCHEMA_VERSION + 1,
-                            "key": scenario_key(scenario, SCHEMA_VERSION + 1),
-                            "scenario": scenario.to_dict(),
-                            "result": fake_result(scenario).to_dict(),
-                        }
-                    )
-                    + "\n"
-                )
-        store.refresh()
-    else:
-        conn = sqlite3.connect(str(store.path))
-        with conn:
-            for i in range(n_bad_payload):
-                conn.execute(
-                    "INSERT INTO records (key, schema_version, scenario, result) "
-                    "VALUES (?, ?, ?, ?)",
-                    (f"bad-payload-{i}", SCHEMA_VERSION, "not json", "not json"),
-                )
-            for i in range(n_wrong_version):
-                scenario = Scenario(model=f"future-{i}")
-                conn.execute(
-                    "INSERT INTO records (key, schema_version, scenario, result) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        scenario_key(scenario, SCHEMA_VERSION + 1),
-                        SCHEMA_VERSION + 1,
-                        json.dumps(scenario.to_dict()),
-                        json.dumps(fake_result(scenario).to_dict()),
-                    ),
-                )
-        conn.close()
-        store.refresh()
+def inject_corrupt(store: ArtifactStore, n_bad_payload: int, n_wrong_version: int) -> None:
+    """Unreadable payloads + future-schema rows, written behind the store's back."""
+    conn = sqlite3.connect(str(store.path))
+    with conn:
+        for i in range(n_bad_payload):
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES (?, ?, ?, ?)",
+                (f"bad-payload-{i}", SCHEMA_VERSION, "not json", "not json"),
+            )
+        for i in range(n_wrong_version):
+            scenario = Scenario(model=f"future-{i}")
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES (?, ?, ?, ?)",
+                (
+                    scenario_key(scenario, SCHEMA_VERSION + 1),
+                    SCHEMA_VERSION + 1,
+                    json.dumps(scenario.to_dict()),
+                    json.dumps(fake_result(scenario).to_dict()),
+                ),
+            )
+    conn.close()
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
+def jsonl_line(scenario, result, fidelity=None, schema_version=SCHEMA_VERSION) -> str:
+    """One record line exactly as the JSONL store of earlier versions wrote it."""
+    record = {
+        "schema_version": schema_version,
+        "key": scenario_key(scenario, schema_version),
+        "scenario": scenario.to_dict(),
+        "result": result.to_dict(),
+    }
+    if fidelity is not None:
+        record["fidelity"] = fidelity.to_dict()
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def export_text(store: ArtifactStore) -> str:
+    out = io.StringIO()
+    export_jsonl(store, out)
+    return out.getvalue()
 
 
 @pytest.fixture
-def make_store(backend, tmp_path):
+def make_store(tmp_path):
     def factory(name="store"):
-        return open_store(tmp_path / name, backend=backend)
+        return ArtifactStore(tmp_path / name)
 
     return factory
 
 
 # --------------------------------------------------------------------------- #
-# Conformance: the same suite must pass for every registered backend.
+# Contract.
 # --------------------------------------------------------------------------- #
-class TestBackendConformance:
-    def test_both_backends_are_registered_and_satisfy_the_protocol(self, make_store):
-        assert set(BACKENDS) <= set(STORES.names())
-        assert isinstance(make_store(), StoreBackend)
+class TestStoreContract:
+    def test_both_names_are_one_class(self):
+        assert SqliteStoreBackend is ArtifactStore
 
     def test_round_trip_across_instances(self, make_store):
         scenario = Scenario(design="mokey", buffer_bytes=256 * KB)
@@ -226,7 +225,7 @@ class TestBackendConformance:
         assert reloaded.get(scenario) == result
         assert scenario in reloaded
         assert len(reloaded) == 1
-        assert detect_store_backend(store.root) == store.backend_name
+        assert store.path.name == "records.sqlite"
 
     def test_empty_store_reads_do_not_create_files(self, make_store):
         store = make_store("fresh")
@@ -412,216 +411,30 @@ class TestBackendConformance:
             list(store.query([text]))
         assert "\n" not in str(info.value)
 
-    def test_put_after_torn_tail_keeps_the_record(self, make_store):
-        store = make_store()
-        first, second = Scenario(model="first"), Scenario(model="second")
-        store.put(first, fake_result(first))
-        if store.backend_name == "jsonl":
-            # A writer killed mid-append leaves half a record, unterminated.
-            with store.path.open("a", encoding="utf-8") as handle:
-                handle.write('{"schema_version": ')
-            store.refresh()
-        store.put(second, fake_result(second))
-        reopened = make_store()
-        assert reopened.get(second) == fake_result(second)
-        assert len(reopened) == 2
-        assert reopened.skipped == (1 if store.backend_name == "jsonl" else 0)
-
-    def test_refresh_makes_external_writes_visible(self, make_store):
+    def test_external_writes_are_visible_at_once(self, make_store):
         store = make_store()
         scenario = Scenario()
         store.put(scenario, fake_result(scenario))
         assert len(store) == 1
-        other = make_store()  # ≈ another process appending to the same root
+        other = make_store()  # ≈ another process writing to the same root
         late = Scenario(model="late-arrival")
         other.put(late, fake_result(late))
-        store.refresh()
         assert len(store) == 2
         assert store.get(late) == fake_result(late)
-
-
-# --------------------------------------------------------------------------- #
-# Cross-backend equivalence.
-# --------------------------------------------------------------------------- #
-
-_OP_POOL = [Scenario(model=f"m{i % 3}", buffer_bytes=(i + 1) * 64 * KB) for i in range(6)]
-
-_ops_st = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=len(_OP_POOL) - 1),
-        st.booleans(),  # offer fidelity
-        st.booleans(),  # offer measured
-        st.integers(min_value=0, max_value=2),  # result variant
-    ),
-    max_size=20,
-)
-
-
-class TestCrossBackendEquivalence:
-    @given(ops=_ops_st)
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_identical_put_sequences_yield_bit_identical_stores(self, tmp_path, ops):
-        case = tmp_path / f"case-{next(_CASES)}"
-        stores = [open_store(case / name, backend=name) for name in BACKENDS]
-        returns = [[], []]
-        for index, offer_fidelity, offer_measured, variant in ops:
-            scenario = _OP_POOL[index]
-            for store, seen in zip(stores, returns):
-                seen.append(
-                    store.put(
-                        scenario,
-                        fake_result(scenario, variant=variant),
-                        fidelity=fake_fidelity(scenario) if offer_fidelity else None,
-                        measured=fake_measured(scenario) if offer_measured else None,
-                    )
-                )
-        jsonl, sqlite_store = stores
-        assert returns[0] == returns[1]
-        assert jsonl.keys() == sqlite_store.keys()
-        assert len(jsonl) == len(sqlite_store)
-        assert [entry_digest(e) for e in jsonl.records()] == [
-            entry_digest(e) for e in sqlite_store.records()
-        ]
-
-    @pytest.fixture(scope="class")
-    def query_corpus(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("query-corpus")
-        stores = [open_store(root / name, backend=name) for name in BACKENDS]
-        for i, scenario in enumerate(corpus_scenarios()):
-            for store in stores:
-                store.put(
-                    scenario,
-                    fake_result(scenario, variant=i % 2),
-                    fidelity=fake_fidelity(scenario) if i % 3 == 0 else None,
-                    measured=fake_measured(scenario) if i % 4 == 0 else None,
-                )
-        return stores
-
-    @pytest.mark.parametrize(
-        "query",
-        [
-            {},
-            {"filters": [("model", "==", "m-alpha")]},
-            {"filters": ["buffer_bytes<=524288", "design!=d-two"]},
-            {"filters": ["scheme=none"]},
-            {"filters": ["scheme!=none"], "order_by": "scheme"},
-            # effective_scheme never holds NULL: it is the override when
-            # set, else the design name — so filters on it see both kinds.
-            {"filters": [("effective_scheme", "==", "s-x")]},
-            {"filters": [("effective_scheme", "==", "d-one")]},
-            {"filters": ["effective_scheme!=s-x"], "order_by": "effective_scheme"},
-            {"filters": [("total_cycles", ">", 500.0)], "order_by": "-energy_joules"},
-            {"order_by": "total_cycles", "limit": 7},
-            {"order_by": "-buffer_bytes", "limit": 3},
-            # The three descending spellings and the explicit ascending one
-            # must agree across backends (and with each other, tested below).
-            {"order_by": "~total_cycles", "limit": 7},
-            {"order_by": "total_cycles:desc", "limit": 7},
-            {"order_by": "total_cycles:asc", "limit": 7},
-        ],
-        ids=repr,
-    )
-    def test_entry_queries_agree(self, query_corpus, query):
-        jsonl, sqlite_store = query_corpus
-        a = [entry_digest(e) for e in jsonl.query(**query)]
-        b = [entry_digest(e) for e in sqlite_store.query(**query)]
-        assert a == b
-        assert a or query.get("filters")  # non-filtered shapes must match rows
-
-    @pytest.mark.parametrize(
-        "query",
-        [
-            {"group_by": ("model", "design")},
-            {"group_by": "model", "order_by": "-count"},
-            {"group_by": ("model", "scheme")},  # a NULL group key
-            {"group_by": ("design",), "order_by": "mean_total_cycles", "limit": 2},
-            {"filters": ["buffer_bytes>262144"], "group_by": ("model", "design")},
-            {"group_by": ("effective_scheme",), "order_by": "~count"},
-            {"filters": [("effective_scheme", "!=", "d-two")],
-             "group_by": ("model", "effective_scheme")},
-        ],
-        ids=repr,
-    )
-    def test_grouped_queries_agree(self, query_corpus, query):
-        jsonl, sqlite_store = query_corpus
-        a = jsonl.query(**query)
-        b = sqlite_store.query(**query)
-        assert len(a) == len(b)
-        for row_a, row_b in zip(a, b):
-            assert set(row_a) == set(row_b)
-            for column, value in row_a.items():
-                if column.startswith("mean_"):
-                    # SQLite's AVG may accumulate in a different order.
-                    assert row_b[column] == pytest.approx(value, rel=1e-12)
-                else:
-                    assert row_b[column] == value, column
-
-
-# --------------------------------------------------------------------------- #
-# Migration.
-# --------------------------------------------------------------------------- #
-class TestMigration:
-    def test_jsonl_sqlite_jsonl_round_trip_is_exact(self, tmp_path):
-        source = open_store(tmp_path / "a", backend="jsonl")
-        for i, scenario in enumerate(corpus_scenarios()[:10]):
-            source.put(
-                scenario,
-                fake_result(scenario),
-                fidelity=fake_fidelity(scenario) if i % 2 == 0 else None,
-                measured=fake_measured(scenario) if i % 3 == 0 else None,
-            )
-        middle = open_store(tmp_path / "b", backend="sqlite")
-        assert migrate_store(source, middle) == 10
-        back = open_store(tmp_path / "c", backend="jsonl")
-        assert migrate_store(middle, back) == 10
-        assert back.keys() == source.keys()  # keys AND insertion order
-        assert store_digests(back) == store_digests(source)
-
-    def test_migrate_skips_unreadable_source_records(self, tmp_path):
-        source = open_store(tmp_path / "src", backend="jsonl")
-        good = Scenario(model="good")
-        source.put(good, fake_result(good))
-        inject_corrupt(source, n_bad_payload=2, n_wrong_version=1)
-        dest = open_store(tmp_path / "dst", backend="sqlite")
-        assert migrate_store(source, dest) == 1
-        assert source.skipped == 3
-        assert dest.get(good) == fake_result(good)
-
-    def test_migrate_into_same_store_is_rejected(self, tmp_path):
-        store = open_store(tmp_path / "s", backend="sqlite")
-        with pytest.raises(ValueError, match="same store"):
-            migrate_store(store, open_store(tmp_path / "s", backend="sqlite"))
-
-    def test_mixed_layout_directory_detects_sqlite_first(self, tmp_path):
-        root = tmp_path / "both"
-        scenario = Scenario()
-        open_store(root, backend="jsonl").put(scenario, fake_result(scenario))
-        open_store(root, backend="sqlite").put(scenario, fake_result(scenario))
-        assert detect_store_backend(root) == "sqlite"
-        assert open_store(root).backend_name == "sqlite"
-        assert open_store(root, backend="jsonl").backend_name == "jsonl"
-
-    def test_open_store_unknown_backend_suggests_nearest(self, tmp_path):
-        with pytest.raises(ValueError, match="did you mean 'sqlite'"):
-            open_store(tmp_path, backend="sqlte")
 
     def test_old_schema_database_gains_backfilled_effective_scheme(self, tmp_path):
         # A database created before the materialised effective_scheme
         # column existed must migrate on open: the column appears, is
         # backfilled from COALESCE(scheme, result design_name), and
-        # pushdown answers match a JSONL store holding the same records.
+        # pushdown answers match a fresh store holding the same records.
         scenarios = corpus_scenarios()[:8]
-        jsonl = open_store(tmp_path / "ref", backend="jsonl")
+        fresh = ArtifactStore(tmp_path / "ref")
         for scenario in scenarios:
-            jsonl.put(scenario, fake_result(scenario))
+            fresh.put(scenario, fake_result(scenario))
 
         root = tmp_path / "old"
         root.mkdir()
-        conn = sqlite3.connect(str(root / SqliteStoreBackend.FILENAME))
+        conn = sqlite3.connect(str(root / ArtifactStore.FILENAME))
         conn.execute(
             """
             CREATE TABLE records (
@@ -659,7 +472,7 @@ class TestMigration:
         conn.commit()
         conn.close()
 
-        migrated = open_store(root, backend="sqlite")
+        migrated = ArtifactStore(root)
         inner = migrated._connect(create=False)
         columns = {row[1] for row in inner.execute("PRAGMA table_info(records)")}
         assert "effective_scheme" in columns
@@ -668,36 +481,418 @@ class TestMigration:
             {"filters": [("effective_scheme", "==", "d-one")]},
             {"group_by": ("effective_scheme",)},
         ):
-            a = jsonl.query(**query)
+            a = fresh.query(**query)
             b = migrated.query(**query)
             if query.get("group_by"):
-                assert len(a) == len(b)
-                for row_a, row_b in zip(a, b):
-                    for column, value in row_a.items():
-                        if column.startswith("mean_"):
-                            assert row_b[column] == pytest.approx(value, rel=1e-12)
-                        else:
-                            assert row_b[column] == value, column
+                assert a == b
             else:
-                assert [entry_digest(e) for e in a] == [entry_digest(e) for e in b]
+                a = [entry_digest(e) for e in a]
+                assert a and a == [entry_digest(e) for e in b]
         # Idempotent: a second opener finds the column and changes nothing.
-        again = open_store(root, backend="sqlite")
+        again = ArtifactStore(root)
         assert len(again) == len(scenarios)
-
-    def test_spec_validates_store_backend_names(self, tmp_path):
-        spec = CampaignSpec(
-            execution=ExecutionPolicy(store=str(tmp_path / "s"), store_backend="sqlite")
-        )
-        assert spec.validate() is spec
-        bad = CampaignSpec(
-            execution=ExecutionPolicy(store=str(tmp_path / "s"), store_backend="sqlte")
-        )
-        with pytest.raises(RegistryError, match="did you mean 'sqlite'"):
-            bad.validate()
 
 
 # --------------------------------------------------------------------------- #
-# Concurrency: threads and processes against one SQLite store.
+# Put sequences against a dict model of the upgrade semantics.
+# --------------------------------------------------------------------------- #
+
+_OP_POOL = [Scenario(model=f"m{i % 3}", buffer_bytes=(i + 1) * 64 * KB) for i in range(6)]
+
+_ops_st = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=len(_OP_POOL) - 1),
+        st.booleans(),  # offer fidelity
+        st.booleans(),  # offer measured
+        st.integers(min_value=0, max_value=2),  # result variant
+    ),
+    max_size=20,
+)
+
+
+@given(ops=_ops_st)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_put_sequences_follow_the_upgrade_model(tmp_path, ops):
+    store = ArtifactStore(tmp_path / f"case-{next(_CASES)}")
+    model = {}  # key -> (scenario, result, fidelity, measured), first-put order
+    for index, offer_fidelity, offer_measured, variant in ops:
+        scenario = _OP_POOL[index]
+        result = fake_result(scenario, variant=variant)
+        fidelity = fake_fidelity(scenario) if offer_fidelity else None
+        measured = fake_measured(scenario) if offer_measured else None
+        key = scenario_key(scenario)
+        known = model.get(key)
+        if known is None:
+            expected, model[key] = True, (scenario, result, fidelity, measured)
+        elif (fidelity is not None and known[2] is None) or (
+            measured is not None and known[3] is None
+        ):
+            expected = True
+            model[key] = (scenario, result, fidelity or known[2], measured or known[3])
+        else:
+            expected = False
+        assert store.put(scenario, result, fidelity=fidelity, measured=measured) is expected
+    assert store.keys() == list(model)
+    assert [tuple(entry) for entry in store.records()] == list(model.values())
+
+
+# --------------------------------------------------------------------------- #
+# Query semantics against a plain-Python reference evaluator.
+# --------------------------------------------------------------------------- #
+
+#: Each query field's value computed from a StoreEntry, independently of
+#: the SQL expressions the store compiles.
+_REFERENCE_FIELDS = {
+    **{name: (lambda e, _n=name: getattr(e.scenario, _n)) for name in store_module.AXIS_FIELDS},
+    "effective_scheme": lambda e: (
+        e.scenario.scheme if e.scenario.scheme is not None else e.result.design_name
+    ),
+    **{
+        name: (lambda e, _n=name: float(getattr(e.result, _n)))
+        for name in ("compute_cycles", "memory_cycles", "total_cycles", "traffic_bytes")
+    },
+    "energy_joules": lambda e: e.result.energy.dram + e.result.energy.sram + e.result.energy.compute,
+    "area_mm2": lambda e: e.result.area.compute + e.result.area.buffer,
+}
+
+_COMPARE = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _null_first(value):
+    return (value is not None, value)
+
+
+def reference_query(entries, filters=(), group_by=None, order_by=None, limit=None):
+    """What ``ArtifactStore.query`` must return for ``entries`` (insertion order).
+
+    SQL semantics: ``None`` compares with IS [NOT] NULL, any other
+    comparison never matches NULL; NULLs sort first ascending, last
+    descending; ties keep insertion (grouped: group key) order.
+    """
+    plan = store_module._QueryPlan.build(filters, group_by, order_by, limit)
+
+    def matches(entry):
+        for field, op, wanted in plan.filters:
+            value = _REFERENCE_FIELDS[field.name](entry)
+            if wanted is None:
+                ok = (value is None) == (op == "==")
+            else:
+                ok = value is not None and _COMPARE[op](value, wanted)
+            if not ok:
+                return False
+        return True
+
+    kept = [entry for entry in entries if matches(entry)]
+    if not plan.group_fields:
+        if plan.order_field is not None:
+            get = _REFERENCE_FIELDS[plan.order_field]
+            kept.sort(key=lambda e: _null_first(get(e)), reverse=plan.descending)
+        return kept[: plan.limit]
+    groups = {}
+    for entry in kept:
+        key = tuple(_REFERENCE_FIELDS[field.name](entry) for field in plan.group_fields)
+        groups.setdefault(key, []).append(entry)
+    rows = []
+    for key in sorted(groups, key=lambda k: tuple(_null_first(v) for v in k)):
+        members = groups[key]
+        row = {field.name: value for field, value in zip(plan.group_fields, key)}
+        row["count"] = len(members)
+        row["with_fidelity"] = sum(e.fidelity is not None for e in members)
+        row["with_measured"] = sum(e.measured is not None for e in members)
+        for metric in store_module.GROUP_METRICS:
+            values = [_REFERENCE_FIELDS[metric](e) for e in members]
+            row[f"min_{metric}"] = min(values)
+            row[f"mean_{metric}"] = sum(values) / len(values)
+        rows.append(row)
+    if plan.order_field is not None:
+        rows.sort(key=lambda r: _null_first(r[plan.order_field]), reverse=plan.descending)
+    return rows[: plan.limit]
+
+
+class TestQueryReference:
+    @pytest.fixture(scope="class")
+    def query_corpus(self, tmp_path_factory):
+        from repro.experiments import StoreEntry
+
+        store = ArtifactStore(tmp_path_factory.mktemp("query-corpus") / "store")
+        entries = []
+        for i, scenario in enumerate(corpus_scenarios()):
+            entry = StoreEntry(
+                scenario,
+                fake_result(scenario, variant=i % 2),
+                fake_fidelity(scenario) if i % 3 == 0 else None,
+                fake_measured(scenario) if i % 4 == 0 else None,
+            )
+            store.put(*entry)
+            entries.append(entry)
+        return store, entries
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {},
+            {"filters": [("model", "==", "m-alpha")]},
+            {"filters": ["buffer_bytes<=524288", "design!=d-two"]},
+            {"filters": ["scheme=none"]},
+            {"filters": ["scheme!=none"], "order_by": "scheme"},
+            # effective_scheme never holds NULL: it is the override when
+            # set, else the design name — so filters on it see both kinds.
+            {"filters": [("effective_scheme", "==", "s-x")]},
+            {"filters": [("effective_scheme", "==", "d-one")]},
+            {"filters": ["effective_scheme!=s-x"], "order_by": "effective_scheme"},
+            {"filters": [("total_cycles", ">", 500.0)], "order_by": "-energy_joules"},
+            {"order_by": "total_cycles", "limit": 7},
+            {"order_by": "-buffer_bytes", "limit": 3},
+            # The three descending spellings and the explicit ascending one.
+            {"order_by": "~total_cycles", "limit": 7},
+            {"order_by": "total_cycles:desc", "limit": 7},
+            {"order_by": "total_cycles:asc", "limit": 7},
+        ],
+        ids=repr,
+    )
+    def test_entry_queries_match_the_reference(self, query_corpus, query):
+        store, entries = query_corpus
+        got = [entry_digest(e) for e in store.query(**query)]
+        assert got == [entry_digest(e) for e in reference_query(entries, **query)]
+        assert got or query.get("filters")  # non-filtered shapes must match rows
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"group_by": ("model", "design")},
+            {"group_by": "model", "order_by": "-count"},
+            {"group_by": ("model", "scheme")},  # a NULL group key
+            {"group_by": ("design",), "order_by": "mean_total_cycles", "limit": 2},
+            {"filters": ["buffer_bytes>262144"], "group_by": ("model", "design")},
+            {"group_by": ("effective_scheme",), "order_by": "~count"},
+            {"filters": [("effective_scheme", "!=", "d-two")],
+             "group_by": ("model", "effective_scheme")},
+        ],
+        ids=repr,
+    )
+    def test_grouped_queries_match_the_reference(self, query_corpus, query):
+        store, entries = query_corpus
+        got = store.query(**query)
+        expected = reference_query(entries, **query)
+        assert got and len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert set(row) == set(want)
+            for column, value in want.items():
+                if column.startswith("mean_"):
+                    # SQLite's AVG may accumulate in a different order.
+                    assert row[column] == pytest.approx(value, rel=1e-12)
+                else:
+                    assert row[column] == value, column
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"filters": [("total_cycles", ">", 0.0)]},
+            {"order_by": "-energy_joules"},
+            {"group_by": ("model",), "order_by": "mean_total_cycles"},
+        ],
+        ids=repr,
+    )
+    def test_unreadable_rows_never_fail_a_query(self, tmp_path, query):
+        # A row garbled behind the store's back is skipped, not handed to
+        # json_extract (which raises "malformed JSON" on it).
+        store = ArtifactStore(tmp_path / "store")
+        for scenario in corpus_scenarios()[:6]:
+            store.put(scenario, fake_result(scenario))
+        entries = list(store.records())
+        inject_corrupt(store, n_bad_payload=2, n_wrong_version=1)
+        got = store.query(**query)
+        expected = reference_query(entries, **query)
+        if query.get("group_by"):
+            assert [row["count"] for row in got] == [row["count"] for row in expected]
+        else:
+            assert [entry_digest(e) for e in got] == [entry_digest(e) for e in expected]
+        assert store.skipped == 3
+
+
+# --------------------------------------------------------------------------- #
+# JSONL import/export.
+# --------------------------------------------------------------------------- #
+
+_A, _B = Scenario(model="legacy-a"), Scenario(model="legacy-b", design="gobo")
+
+#: ``store_digest`` of :func:`legacy_log` as loaded by the JSONL store of
+#: earlier versions: what an import must reproduce.
+LEGACY_DIGEST = {
+    "c21903eb60e37b29b5f5fe49": "0fef3eb5b7864cd3f783e4fddcd3646224438e74d3498d7f125859f43b992259",
+    "8cfb69bca5bd773296c7b7e9": "85df38a032ae13de185aafdc318e90d0fcadbcc00113debc5ca4a320d09b7b5a",
+}
+
+
+def legacy_log() -> str:
+    """A legacy ``records.jsonl``: an upgrade pair, bad lines, a torn tail."""
+    return (
+        jsonl_line(_A, fake_result(_A))
+        + jsonl_line(_B, fake_result(_B))
+        # The upgrade of A: a second line under A's key, carrying fidelity
+        # and a new result; it wins, at A's first position.
+        + jsonl_line(_A, fake_result(_A, variant=1), fidelity=fake_fidelity(_A))
+        + "corrupt line\n"
+        + "\n"
+        + jsonl_line(Scenario(model="future"), fake_result(_A), schema_version=SCHEMA_VERSION + 1)
+        + json.dumps({"schema_version": SCHEMA_VERSION, "key": "no-payload"}) + "\n"
+        # A writer killed mid-append leaves half a record, unterminated.
+        + '{"schema_version": '
+    )
+
+
+class TestJsonlImportExport:
+    def test_legacy_log_imports_to_the_pinned_digest(self, tmp_path):
+        (tmp_path / "records.jsonl").write_text(legacy_log(), encoding="utf-8")
+        assert import_jsonl(tmp_path) == (2, 4)  # corrupt, future, no-payload, torn
+        store = ArtifactStore(tmp_path)
+        assert store_digest(store) == LEGACY_DIGEST
+        assert store.keys() == [scenario_key(_A), scenario_key(_B)]
+        assert store.get_fidelity(_A) == fake_fidelity(_A)
+        assert store.get(_A) == fake_result(_A, variant=1)
+
+    def test_export_import_export_is_byte_identical(self, tmp_path):
+        source = ArtifactStore(tmp_path / "a")
+        for i, scenario in enumerate(corpus_scenarios()[:10]):
+            source.put(
+                scenario,
+                fake_result(scenario),
+                fidelity=fake_fidelity(scenario) if i % 2 == 0 else None,
+                measured=fake_measured(scenario) if i % 3 == 0 else None,
+            )
+        # An upgrade keeps its record's first position in the export.
+        last = corpus_scenarios()[9]
+        source.put(last, fake_result(last), fidelity=fake_fidelity(last))
+        exported = export_text(source)
+        assert len(exported.splitlines()) == 10
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "records.jsonl").write_text(exported, encoding="utf-8")
+        assert import_jsonl(tmp_path / "b") == (10, 0)
+        copy = ArtifactStore(tmp_path / "b")
+        assert copy.keys() == source.keys()  # keys AND insertion order
+        assert store_digest(copy) == store_digest(source)
+        assert export_text(copy) == exported
+
+    def test_export_lines_are_the_legacy_line_form(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(_A, fake_result(_A), fidelity=fake_fidelity(_A))
+        assert export_text(store) == jsonl_line(_A, fake_result(_A), fake_fidelity(_A))
+
+    def test_import_merges_and_a_second_import_stores_nothing(self, tmp_path):
+        (tmp_path / "records.jsonl").write_text(legacy_log(), encoding="utf-8")
+        assert import_jsonl(tmp_path)[0] == 2
+        assert import_jsonl(tmp_path)[0] == 0
+        assert len(ArtifactStore(tmp_path)) == 2
+
+    def test_missing_log_fails_and_creates_nothing(self, tmp_path):
+        with pytest.raises(OSError):
+            import_jsonl(tmp_path)
+        assert not (tmp_path / "records.sqlite").exists()
+
+    def test_failed_import_leaves_the_log_unconverted(self, tmp_path, monkeypatch):
+        (tmp_path / "records.jsonl").write_text(legacy_log(), encoding="utf-8")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(ArtifactStore, "_put_locked", fail)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            import_jsonl(tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["records.jsonl"]
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="repro store import"):
+            ArtifactStore(tmp_path)
+        assert import_jsonl(tmp_path) == (2, 4)
+
+    def test_cli_export_import_export_round_trip(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        argv = ["campaign", "run", "--designs", "mokey", "tensor-cores",
+                "--buffer-kb", "256", "512", "--store", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["store", "export", str(store)]) == 0
+        first = capsys.readouterr()
+        assert len(first.out.splitlines()) == 4
+        assert "exported 4 records" in first.err
+        (tmp_path / "copy").mkdir()
+        (tmp_path / "copy" / "records.jsonl").write_text(first.out, encoding="utf-8")
+        assert main(["store", "import", str(tmp_path / "copy")]) == 0
+        assert "imported 4 records" in capsys.readouterr().out
+        assert main(["store", "export", str(tmp_path / "copy")]) == 0
+        assert capsys.readouterr().out == first.out
+        assert store_digest(ArtifactStore(tmp_path / "copy")) == store_digest(
+            ArtifactStore(store)
+        )
+
+
+class TestOneEngine:
+    """A ``"jsonl"`` backend, and a JSONL-only directory, fail in one line."""
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        root = tmp_path / "legacy"
+        root.mkdir()
+        (root / "records.jsonl").write_text(legacy_log(), encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("opener", [ArtifactStore, open_store, Coordinator])
+    def test_jsonl_only_directory_names_the_importer(self, legacy, opener):
+        with pytest.raises(ValueError, match=r"'repro store import .*legacy'") as info:
+            opener(legacy)
+        assert "\n" not in str(info.value)
+        assert not (legacy / "records.sqlite").exists()
+
+    @pytest.mark.parametrize("action", [["campaign", "list"], ["campaign", "run"],
+                                        ["store", "export"]])
+    def test_cli_on_a_jsonl_only_directory_fails_in_one_line(self, legacy, capsys, action):
+        argv = action + [str(legacy)] if action[0] == "store" else action + [
+            "--store", str(legacy)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and f"'repro store import {legacy}'" in err
+
+    @pytest.mark.parametrize(
+        "opener",
+        [
+            lambda root, name: open_store(root, backend=name),
+            lambda root, name: Coordinator(root, store_backend=name),
+            lambda root, name: CampaignSpec(
+                execution=ExecutionPolicy(store=str(root), store_backend=name)
+            ).validate(),
+        ],
+        ids=["open_store", "Coordinator", "spec"],
+    )
+    @pytest.mark.parametrize("name", ["jsonl", "sqlte", "SQLite"])
+    def test_only_sqlite_is_a_backend_name(self, tmp_path, opener, name):
+        with pytest.raises(ValueError, match="store_backend must be null or 'sqlite'") as info:
+            opener(tmp_path / "s", name)
+        assert "\n" not in str(info.value)
+        assert ("repro store import" in str(info.value)) == (name == "jsonl")
+        for accepted in (None, "sqlite"):
+            opener(tmp_path / "s", accepted)
+
+    def test_cli_spec_with_a_jsonl_backend_fails_in_one_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"execution": {"store_backend": "jsonl"}}))
+        assert main(["campaign", "run", "--spec", str(spec), "--store", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repro store import" in err
+
+
+# --------------------------------------------------------------------------- #
+# Concurrency: threads and processes against one store.
 # --------------------------------------------------------------------------- #
 
 
@@ -705,7 +900,7 @@ def _stress_scenario(i: int) -> Scenario:
     return Scenario(model=f"stress-{i % 4}", batch_size=i % 3 + 1, buffer_bytes=(i + 1) * 64 * KB)
 
 
-def _stress_put(store: SqliteStoreBackend, i: int, part: int) -> None:
+def _stress_put(store: ArtifactStore, i: int, part: int) -> None:
     scenario = _stress_scenario(i)
     store.put(
         scenario,
@@ -716,7 +911,7 @@ def _stress_put(store: SqliteStoreBackend, i: int, part: int) -> None:
 
 
 def _process_stress_worker(root: str, indices, part: int) -> int:
-    store = SqliteStoreBackend(root)
+    store = ArtifactStore(root)
     try:
         for i in indices:
             _stress_put(store, i, part)
@@ -729,7 +924,7 @@ def _open_fresh_stores(root: str, rounds: int, barrier) -> None:
     """Each round, put one record into a store nobody has created yet."""
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        store = SqliteStoreBackend(f"{root}/round-{round_index}")
+        store = ArtifactStore(f"{root}/round-{round_index}")
         try:
             _stress_put(store, 0, 0)
         except BaseException:
@@ -740,7 +935,7 @@ def _open_fresh_stores(root: str, rounds: int, barrier) -> None:
 
 
 def _oracle_digests(tmp_path, n: int) -> dict:
-    oracle = open_store(tmp_path / "oracle", backend="sqlite")
+    oracle = ArtifactStore(tmp_path / "oracle")
     for i in range(n):
         scenario = _stress_scenario(i)
         oracle.put(
@@ -756,7 +951,7 @@ class TestSqliteConcurrency:
     N = 16
 
     def test_thread_stress_equals_serial_oracle(self, tmp_path):
-        store = SqliteStoreBackend(tmp_path / "shared")
+        store = ArtifactStore(tmp_path / "shared")
         # Every (scenario, part) op twice over: commutative by construction
         # (same result payload, deterministic parts), so any interleaving
         # must land on the serial-oracle state with no lost records.
@@ -790,7 +985,7 @@ class TestSqliteConcurrency:
                 for part in (0, 1, 2, 0, 1, 2)
             ]
             assert [f.result() for f in futures] == [self.N] * 6
-        store = SqliteStoreBackend(root)
+        store = ArtifactStore(root)
         assert len(store) == self.N
         assert store_digests(store) == _oracle_digests(tmp_path, self.N)
 
@@ -810,35 +1005,32 @@ class TestSqliteConcurrency:
             proc.join(120)
         assert [proc.exitcode for proc in procs] == [0] * 4
         for round_index in range(40):
-            assert len(SqliteStoreBackend(tmp_path / f"round-{round_index}")) == 1
+            assert len(ArtifactStore(tmp_path / f"round-{round_index}")) == 1
 
-    def test_killed_sqlite_campaign_resumes_bit_identically(self, tmp_path):
+    def test_killed_campaign_resumes_bit_identically(self, tmp_path):
         def spec(store_dir):
             return CampaignSpec(
-                name="sqlite-resume",
+                name="store-resume",
                 axes=AxisGrid(
                     designs=("mokey", "tensor-cores"), buffer_bytes=(256 * KB, 512 * KB)
                 ),
-                execution=ExecutionPolicy(
-                    executor="serial", store=str(store_dir), store_backend="sqlite"
-                ),
+                execution=ExecutionPolicy(executor="serial", store=str(store_dir)),
             )
 
         fresh = run_spec(spec(tmp_path / "fresh"))
         assert fresh.simulated_count == 4
-        assert detect_store_backend(tmp_path / "fresh") == "sqlite"
 
         events = iter_campaign(spec(tmp_path / "killed"))
         next(events)
         events.close()  # the kill: one record persisted, three missing
-        killed = open_store(tmp_path / "killed")
+        killed = ArtifactStore(tmp_path / "killed")
         assert len(killed) == 1
 
         resumed = run_spec(spec(tmp_path / "killed"))
         assert resumed.simulated_count == 3
         assert sum(1 for r in resumed if r.cached) == 1
-        assert store_digests(open_store(tmp_path / "killed")) == store_digests(
-            open_store(tmp_path / "fresh")
+        assert store_digests(ArtifactStore(tmp_path / "killed")) == store_digests(
+            ArtifactStore(tmp_path / "fresh")
         )
 
 
@@ -851,7 +1043,7 @@ class TestSqlitePushdownScale:
     @pytest.fixture(scope="class")
     def big_store(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("bulk") / "big"
-        store = SqliteStoreBackend(root)
+        store = ArtifactStore(root)
         scenarios = [
             Scenario(
                 model=f"model-{i % 5}",
@@ -875,7 +1067,7 @@ class TestSqlitePushdownScale:
     @pytest.fixture
     def rebuild_counter(self, monkeypatch):
         calls = {"n": 0}
-        real = store_sqlite_module.Scenario
+        real = store_module.Scenario
 
         class CountingScenario:
             @staticmethod
@@ -883,7 +1075,7 @@ class TestSqlitePushdownScale:
                 calls["n"] += 1
                 return real.from_dict(data)
 
-        monkeypatch.setattr(store_sqlite_module, "Scenario", CountingScenario)
+        monkeypatch.setattr(store_module, "Scenario", CountingScenario)
         return calls
 
     def test_grouped_report_deserializes_nothing(self, big_store, rebuild_counter):
